@@ -1,6 +1,6 @@
 //! Quick calibration sweep: the Figure 10 shape on all SPEC-like workloads.
 
-use prophet_bench::{print_speedup_table, Harness, SchemeRow};
+use prophet_bench::{print_speedup_table, Harness};
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
 fn main() {
@@ -11,10 +11,9 @@ fn main() {
     } else {
         names.iter().map(|s| s.as_str()).collect()
     };
-    let mut rows = Vec::new();
-    for name in names {
-        let w = workload(name);
-        let row = SchemeRow::run(&h, w.as_ref());
+    let workloads: Vec<_> = names.iter().map(|name| workload(name)).collect();
+    let rows = h.run_matrix(&workloads, 0);
+    for (name, row) in names.iter().zip(&rows) {
         eprintln!(
             "{name}: base ipc {:.4} | rpg2 {:.4} | triangel {:.4} (cov {:.2} acc {:.2} ways {}) | prophet {:.4} (cov {:.2} acc {:.2} ways {})",
             row.base.ipc,
@@ -28,7 +27,6 @@ fn main() {
             row.prophet.accuracy(),
             row.prophet.meta_ways,
         );
-        rows.push(row);
     }
     print_speedup_table("Calibration (Figure 10 shape)", &rows);
 }

@@ -1,5 +1,5 @@
 //! CRONO diagnosis at the fig15 measurement window.
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_workloads::workload_sized;
 
 fn main() {
@@ -13,12 +13,18 @@ fn main() {
     };
     // The same sized spec fig15_crono measures (repeats + graph scale).
     let w = workload_sized(&name, h.warmup + h.measure);
-    let base = h.baseline(w.as_ref());
+    let base = h
+        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+        .into_report();
     println!("base: {base}");
-    let tri = h.triangel(w.as_ref());
+    let tri = h
+        .run(Scheme::Triangel, w.as_ref(), Start::Cold)
+        .into_report();
     println!("tri:  {tri}");
     println!("tri meta: {:?}", tri.meta);
-    let pro = h.prophet(w.as_ref());
+    let pro = h
+        .run(Scheme::Prophet, w.as_ref(), Start::Cold)
+        .into_report();
     println!("pro:  {pro}");
     println!("pro meta: {:?}", pro.meta);
 }

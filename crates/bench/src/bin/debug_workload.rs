@@ -1,7 +1,7 @@
 //! Deep-dive instrumentation for one workload: per-PC profile, hints, and
 //! per-PC prefetch outcomes under each scheme.
 
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_workloads::workload;
 
 fn main() {
@@ -50,7 +50,9 @@ fn main() {
         );
     }
 
-    let tri = h.triangel(w.as_ref());
+    let tri = h
+        .run(Scheme::Triangel, w.as_ref(), Start::Cold)
+        .into_report();
     println!("--- triangel ---\n{tri}");
     println!("meta: {:?}", tri.meta);
 }

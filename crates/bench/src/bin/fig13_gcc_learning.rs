@@ -4,7 +4,7 @@
 //! cumulative learning of gcc_166 → gcc_expr → gcc_typeck → gcc_expr2, and
 //! "Direct" (each input profiled individually — the learning goal).
 
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, GCC_INPUTS};
 
@@ -17,8 +17,14 @@ fn main() {
     let mut disable = Vec::new();
     for name in GCC_INPUTS {
         let w = workload(name);
-        base.push(h.baseline(w.as_ref()));
-        disable.push(h.triage4(w.as_ref()));
+        base.push(
+            h.run(Scheme::Baseline, w.as_ref(), Start::Cold)
+                .into_report(),
+        );
+        disable.push(
+            h.run(Scheme::Triage4, w.as_ref(), Start::Cold)
+                .into_report(),
+        );
     }
 
     // Cumulative learning.

@@ -1,13 +1,16 @@
 //! Figure 14: the learning feature generalizes to astar and soplex.
 
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::workload;
 
 fn family(h: &Harness, title: &str, inputs: &[&str], labels: &[&str]) {
     let base: Vec<_> = inputs
         .iter()
-        .map(|n| h.baseline(workload(n).as_ref()))
+        .map(|n| {
+            h.run(Scheme::Baseline, workload(n).as_ref(), Start::Cold)
+                .into_report()
+        })
         .collect();
     let mut columns: Vec<(String, Vec<f64>)> = Vec::new();
     columns.push((
@@ -15,7 +18,11 @@ fn family(h: &Harness, title: &str, inputs: &[&str], labels: &[&str]) {
         inputs
             .iter()
             .zip(&base)
-            .map(|(n, b)| h.triage4(workload(n).as_ref()).speedup_over(b))
+            .map(|(n, b)| {
+                h.run(Scheme::Triage4, workload(n).as_ref(), Start::Cold)
+                    .into_report()
+                    .speedup_over(b)
+            })
             .collect(),
     ));
     let mut pl = h.prophet_pipeline();

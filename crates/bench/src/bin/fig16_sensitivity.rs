@@ -1,7 +1,7 @@
 //! Figure 16: sensitivity to EL_ACC (a), n (b), and MVB candidates (c).
 
 use prophet::{AnalysisConfig, MvbConfig, ProphetConfig};
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
@@ -15,7 +15,9 @@ fn sweep(h: &Harness, title: &str, variants: &[(String, AnalysisConfig, ProphetC
     let mut cols = vec![Vec::new(); variants.len()];
     for name in SPEC_WORKLOADS {
         let w = workload(name);
-        let base = h.baseline(w.as_ref());
+        let base = h
+            .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+            .into_report();
         print!("{:<18}", name);
         for (i, (_, a, p)) in variants.iter().enumerate() {
             let r = h.prophet_with(w.as_ref(), *a, p.clone());

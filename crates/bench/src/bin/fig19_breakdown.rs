@@ -3,7 +3,7 @@
 //! (speedup and normalized DRAM traffic).
 
 use prophet::{AnalysisConfig, ProphetConfig, ProphetFeatures};
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
@@ -59,11 +59,15 @@ fn main() {
     println!();
     for name in SPEC_WORKLOADS {
         let w = workload(name);
-        let base = h.baseline(w.as_ref());
+        let base = h
+            .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+            .into_report();
         print!("{:<18}", name);
         for (i, (_, features)) in stages.iter().enumerate() {
             let r = match features {
-                None => h.triage4(w.as_ref()),
+                None => h
+                    .run(Scheme::Triage4, w.as_ref(), Start::Cold)
+                    .into_report(),
                 Some(f) => h.prophet_with(
                     w.as_ref(),
                     AnalysisConfig::default(),

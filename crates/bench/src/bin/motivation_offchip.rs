@@ -3,7 +3,7 @@
 //! capacity but pays a DRAM access per metadata row touched — traffic the
 //! on-chip schemes exist to eliminate.
 
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::simulate;
 use prophet_temporal::OffChipTemporal;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
@@ -17,7 +17,9 @@ fn main() {
     );
     for name in SPEC_WORKLOADS {
         let w = workload(name);
-        let base = h.baseline(w.as_ref());
+        let base = h
+            .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+            .into_report();
         let off = simulate(
             &h.sys,
             w.as_ref(),
@@ -26,7 +28,9 @@ fn main() {
             h.warmup,
             h.measure,
         );
-        let tri = h.triage4(w.as_ref());
+        let tri = h
+            .run(Scheme::Triage4, w.as_ref(), Start::Cold)
+            .into_report();
         println!(
             "{:<18} {:>10.4} {:>12} | {:>10.4} {:>12} | {:>10.4} {:>12}",
             name,

@@ -41,7 +41,7 @@
 //! workloads are sized to cover `warmup + insts` via streaming generation.
 
 use prophet::{analyze, AnalysisConfig, LearnedProfile, Prophet, ProphetConfig};
-use prophet_bench::{report_store_activity, Harness, RunArgs};
+use prophet_bench::{report_store_activity, Harness, Outcome, RunArgs, Scheme, Start};
 use prophet_prefetch::NoL2Prefetch;
 use prophet_rpg2::Rpg2Result;
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
@@ -387,27 +387,30 @@ fn main() {
 
     // Legacy scheme mode.
     let (name, schemes) = (first, rest);
-    const KNOWN: [&str; 5] = ["baseline", "triage4", "triangel", "rpg2", "prophet"];
-    if let Some(bad) = schemes.iter().find(|s| !KNOWN.contains(&s.as_str())) {
-        die(&format!(
-            "unknown scheme: {bad} (expected one of {})",
-            KNOWN.join("|")
-        ));
+    let mut wanted = Vec::new();
+    for s in schemes {
+        match Scheme::parse(s) {
+            Some(scheme) => wanted.push(scheme),
+            None => die(&format!(
+                "unknown scheme: {s} (expected one of {})",
+                Scheme::ALL.map(Scheme::name).join("|")
+            )),
+        }
     }
-    let all = schemes.is_empty();
-    let want = |s: &str| all || schemes.iter().any(|x| x == s);
 
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
 
-    if all {
+    if wanted.is_empty() {
         // The four comparison schemes as one matrix row, fanned across the
         // parallel harness (sharing one warm-up when a store is given);
         // triage4 runs separately (it is not a matrix column).
         let store = args.open_store();
         let row = &h.run_matrix_stored(std::slice::from_ref(&w), args.jobs, store.as_ref())[0];
         println!("{}", row.base);
-        let r = h.triage4(w.as_ref());
+        let r = h
+            .run(Scheme::Triage4, w.as_ref(), Start::Cold)
+            .into_report();
         println!("speedup {:.3}\n{r}", r.speedup_over(&row.base));
         println!(
             "speedup {:.3}\n{}",
@@ -426,23 +429,17 @@ fn main() {
         return;
     }
 
-    let base = h.baseline(w.as_ref());
-    if want("baseline") {
-        println!("{base}");
-    }
-    if want("triage4") {
-        let r = h.triage4(w.as_ref());
-        println!("speedup {:.3}\n{r}", r.speedup_over(&base));
-    }
-    if want("triangel") {
-        let r = h.triangel(w.as_ref());
-        println!("speedup {:.3}\n{r}", r.speedup_over(&base));
-    }
-    if want("rpg2") {
-        print_rpg2(&h.rpg2(w.as_ref()), &base);
-    }
-    if want("prophet") {
-        let r = h.prophet(w.as_ref());
-        println!("speedup {:.3}\n{r}", r.speedup_over(&base));
+    let base = h
+        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+        .into_report();
+    for scheme in Scheme::ALL.into_iter().filter(|s| wanted.contains(s)) {
+        if scheme == Scheme::Baseline {
+            println!("{base}");
+            continue;
+        }
+        match h.run(scheme, w.as_ref(), Start::Cold) {
+            Outcome::Rpg2(r) => print_rpg2(&r, &base),
+            Outcome::Sim(r) => println!("speedup {:.3}\n{r}", r.speedup_over(&base)),
+        }
     }
 }

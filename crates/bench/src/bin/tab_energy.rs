@@ -1,6 +1,6 @@
 //! Section 5.11: memory-hierarchy energy overhead of Prophet vs Triangel.
 
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_energy::{energy_of, EnergyModel};
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
@@ -16,8 +16,12 @@ fn main() {
     let mut pro_total = 0.0;
     for name in SPEC_WORKLOADS {
         let w = workload(name);
-        let tri = h.triangel(w.as_ref());
-        let pro = h.prophet(w.as_ref());
+        let tri = h
+            .run(Scheme::Triangel, w.as_ref(), Start::Cold)
+            .into_report();
+        let pro = h
+            .run(Scheme::Prophet, w.as_ref(), Start::Cold)
+            .into_report();
         // Side-structure accesses: hint-buffer lookup per L2 event + MVB
         // lookup per prefetcher access.
         let side = pro.l2.demand_accesses() + pro.issued_prefetches;

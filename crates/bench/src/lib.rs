@@ -11,11 +11,12 @@ use prophet::{
     AnalysisConfig, LearnedProfile, ProfileCounters, Prophet, ProphetConfig, ProphetPipeline,
     RunLengths, SimplifiedTp,
 };
-use prophet_prefetch::{IpcpPrefetcher, L1Prefetcher, NoL2Prefetch, StridePrefetcher};
-pub use prophet_rpg2::SweepMode;
+use prophet_prefetch::{
+    IpcpPrefetcher, L1Prefetcher, L2Prefetcher, NoL2Prefetch, StridePrefetcher,
+};
 use prophet_rpg2::{Rpg2Pipeline, Rpg2Result};
 use prophet_sim_core::{
-    simulate, Engine, EngineSnapshot, MemBackend, SimReport, TraceInst, TraceSource, WarmStart,
+    simulate, Engine, MemBackend, SimReport, TraceInst, TraceSource, WarmStart,
 };
 use prophet_sim_mem::addr::{Addr, Cycle, Pc};
 use prophet_sim_mem::{Hierarchy, SystemConfig};
@@ -55,35 +56,6 @@ impl L1Scheme {
     }
 }
 
-/// How the scheme-independent warm-up is simulated (DESIGN.md §7).
-///
-/// `Full` drives the warm-up through the cycle-accurate engine and timing
-/// hierarchy — the default, and what every committed figure uses. `Fast`
-/// fast-forwards it: cache, replacement, and temporal-metadata state are
-/// driven functionally (one synthetic cycle per instruction) while the
-/// cycle-accurate engine and DRAM/MSHR timing are skipped. Fast checkpoints
-/// start the measurement from an idle engine, so measured figures diverge
-/// (bounded by the `warmup_mode` equivalence suite) — the mode is opt-in
-/// (`--warmup-mode fast`) and its store artifacts carry a `+wm=fast` spec
-/// tag so the two modes never share checkpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmupMode {
-    #[default]
-    Full,
-    Fast,
-}
-
-impl WarmupMode {
-    /// Parses the `--warmup-mode` flag value.
-    pub fn parse(s: &str) -> Result<WarmupMode, String> {
-        match s {
-            "full" => Ok(WarmupMode::Full),
-            "fast" => Ok(WarmupMode::Fast),
-            other => Err(format!("--warmup-mode: expected full|fast, got {other}")),
-        }
-    }
-}
-
 /// Shared experiment runner: system config + run lengths + L1 scheme.
 #[derive(Debug, Clone)]
 pub struct Harness {
@@ -91,12 +63,6 @@ pub struct Harness {
     pub warmup: u64,
     pub measure: u64,
     pub l1: L1Scheme,
-    pub warmup_mode: WarmupMode,
-    /// How RPG2's distance sweep evaluates candidates (`--sweep-mode`;
-    /// `full` is the default and what every committed figure uses —
-    /// `sampled` applies to the window-replaying rpg2 pipelines, see
-    /// [`SweepMode`]).
-    pub sweep_mode: SweepMode,
 }
 
 impl Default for Harness {
@@ -106,49 +72,177 @@ impl Default for Harness {
             warmup: 200_000,
             measure: 650_000,
             l1: L1Scheme::Stride,
-            warmup_mode: WarmupMode::Full,
-            sweep_mode: SweepMode::Full,
+        }
+    }
+}
+
+/// A temporal-prefetching scheme: one column of the paper's comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scheme {
+    /// No L2 prefetcher (denominator of every speedup in the paper).
+    Baseline,
+    /// Triage at degree 4 with Triangel's metadata format — the Figure 19
+    /// ablation baseline.
+    Triage4,
+    /// Triangel (the hardware state of the art).
+    Triangel,
+    /// RPG2 with its identify → instrument → tune pipeline.
+    Rpg2,
+    /// Prophet: profile, analyze, then the optimized run (single-input
+    /// "Direct" mode; the learning figures drive the pipeline manually).
+    Prophet,
+}
+
+impl Scheme {
+    /// Every scheme, in the order `prophet_cli` prints them.
+    pub const ALL: [Scheme; 5] = [
+        Scheme::Baseline,
+        Scheme::Triage4,
+        Scheme::Triangel,
+        Scheme::Rpg2,
+        Scheme::Prophet,
+    ];
+
+    /// The stable lower-case name: CLI argument and bench cell label.
+    pub fn name(self) -> &'static str {
+        ["baseline", "triage4", "triangel", "rpg2", "prophet"][self as usize]
+    }
+
+    /// The scheme called [`Scheme::name`] `s`.
+    pub fn parse(s: &str) -> Option<Scheme> {
+        Scheme::ALL.into_iter().find(|scheme| scheme.name() == s)
+    }
+}
+
+/// The scheme columns of a Figure 10/11/12-style matrix, in cell order.
+pub const MATRIX_SCHEMES: [Scheme; 4] = [
+    Scheme::Baseline,
+    Scheme::Rpg2,
+    Scheme::Triangel,
+    Scheme::Prophet,
+];
+
+/// Where every pass of a [`Harness::run`] starts its measurement.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// Each pass simulates the warm-up itself, then measures.
+    Cold,
+    /// Each pass restores one shared scheme-independent warm-up and starts
+    /// its prefetchers at the measurement boundary (DESIGN.md §6), seeding
+    /// the temporal ones from the checkpoint's passive training.
+    Checkpoint {
+        ckpt: &'a WarmupCheckpoint,
+        /// The materialized measurement window. Without one, single-pass
+        /// schemes stream the trace cursor and Prophet materializes the
+        /// window itself. RPG2 always streams: its kernel scan walks the
+        /// warm-up prefix too. Window and cursor give bit-identical
+        /// reports.
+        window: Option<&'a [TraceInst]>,
+        /// Prophet loads its profile counters from this store, or computes
+        /// and saves them.
+        store: Option<&'a ArtifactStore>,
+    },
+}
+
+impl<'a> Start<'a> {
+    fn ckpt(self) -> Option<&'a WarmupCheckpoint> {
+        match self {
+            Start::Cold => None,
+            Start::Checkpoint { ckpt, .. } => Some(ckpt),
+        }
+    }
+}
+
+/// What one [`Harness::run`] produced. RPG2 keeps its pipeline diagnostics
+/// (qualified PCs and tuned distance), not just the report.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Outcome {
+    Sim(SimReport),
+    Rpg2(Rpg2Result),
+}
+
+impl Outcome {
+    /// The measured report.
+    pub fn into_report(self) -> SimReport {
+        match self {
+            Outcome::Sim(r) => r,
+            Outcome::Rpg2(r) => r.report,
+        }
+    }
+
+    /// The RPG2 pipeline result.
+    ///
+    /// # Panics
+    /// Panics unless the run was [`Scheme::Rpg2`].
+    pub fn into_rpg2(self) -> Rpg2Result {
+        match self {
+            Outcome::Rpg2(r) => r,
+            Outcome::Sim(r) => panic!("{} run has no RPG2 result", r.scheme),
         }
     }
 }
 
 impl Harness {
-    /// The baseline without a temporal prefetcher (denominator of every
-    /// speedup in the paper).
-    pub fn baseline(&self, w: &dyn TraceSource) -> SimReport {
-        simulate(
-            &self.sys,
-            w,
-            self.l1.build(),
-            Box::new(NoL2Prefetch),
-            self.warmup,
-            self.measure,
-        )
+    /// Runs `scheme` on `w` from `start`: the one primitive every matrix
+    /// cell, bench cell and CLI scheme run goes through.
+    pub fn run(&self, scheme: Scheme, w: &dyn TraceSource, start: Start) -> Outcome {
+        let seed = start.ckpt().map(|c| &c.temporal);
+        let l2: Box<dyn L2Prefetcher> = match scheme {
+            Scheme::Baseline => Box::new(NoL2Prefetch),
+            Scheme::Triage4 => {
+                let mut tp = Triage::degree4();
+                if let Some(seed) = seed {
+                    tp.seed_warmup(seed);
+                }
+                Box::new(tp)
+            }
+            Scheme::Triangel => {
+                let mut tp = Triangel::new(TriangelConfig::default());
+                if let Some(seed) = seed {
+                    tp.seed_warmup(seed);
+                }
+                Box::new(tp)
+            }
+            Scheme::Rpg2 => {
+                return Outcome::Rpg2(match start.ckpt() {
+                    None => self.rpg2(w),
+                    Some(ckpt) => self.rpg2_warm(w, ckpt),
+                })
+            }
+            Scheme::Prophet => {
+                return Outcome::Sim(self.prophet_from(
+                    w,
+                    start,
+                    &AnalysisConfig::default(),
+                    &ProphetConfig::default(),
+                ))
+            }
+        };
+        Outcome::Sim(self.pass(w, start, self.l1.build(), l2))
     }
 
-    /// Triage at degree 4 with Triangel's metadata format — the Figure 19
-    /// ablation baseline.
-    pub fn triage4(&self, w: &dyn TraceSource) -> SimReport {
-        simulate(
-            &self.sys,
-            w,
-            self.l1.build(),
-            Box::new(Triage::degree4()),
-            self.warmup,
-            self.measure,
-        )
-    }
-
-    /// Triangel (the hardware state of the art).
-    pub fn triangel(&self, w: &dyn TraceSource) -> SimReport {
-        simulate(
-            &self.sys,
-            w,
-            self.l1.build(),
-            Box::new(Triangel::new(TriangelConfig::default())),
-            self.warmup,
-            self.measure,
-        )
+    /// One measured simulation of `w` from `start` under the given
+    /// prefetchers.
+    fn pass(
+        &self,
+        w: &dyn TraceSource,
+        start: Start,
+        l1: Box<dyn L1Prefetcher>,
+        l2: Box<dyn L2Prefetcher>,
+    ) -> SimReport {
+        match start {
+            Start::Cold => simulate(&self.sys, w, l1, l2, self.warmup, self.measure),
+            Start::Checkpoint {
+                ckpt, window: None, ..
+            } => ckpt.warm.simulate(&self.sys, w, l1, l2, self.measure),
+            Start::Checkpoint {
+                ckpt,
+                window: Some(window),
+                ..
+            } => ckpt
+                .warm
+                .simulate_window(&self.sys, &w.name(), window, l1, l2),
+        }
     }
 
     /// RPG2 with its identify → instrument → tune pipeline.
@@ -158,8 +252,13 @@ impl Harness {
     /// cache-resident, so regeneration is cheaper than replaying a
     /// materialized multi-megabyte instruction buffer from DRAM.
     pub fn rpg2(&self, w: &dyn TraceSource) -> Rpg2Result {
-        let pl = Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure);
-        pl.run(w)
+        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure).run(w)
+    }
+
+    /// RPG2's pipeline from a shared warm-up checkpoint (every internal
+    /// pass warm-starts).
+    pub fn rpg2_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> Rpg2Result {
+        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure).run_warm(w, &ckpt.warm)
     }
 
     /// A fresh Prophet pipeline bound to this harness's configuration.
@@ -185,36 +284,100 @@ impl Harness {
         )
     }
 
-    /// Full Prophet on one workload: profile it, analyze, run optimized.
-    /// (Single-input "Direct" mode; the learning figures drive the pipeline
-    /// manually.)
-    pub fn prophet(&self, w: &dyn TraceSource) -> SimReport {
-        self.prophet_with(w, AnalysisConfig::default(), ProphetConfig::default())
-    }
-
-    /// Prophet with explicit configs.
+    /// [`Scheme::Prophet`] from a cold start with explicit configs
+    /// (sensitivity and ablation figures).
     pub fn prophet_with(
         &self,
         w: &dyn TraceSource,
         analysis: AnalysisConfig,
         prophet: ProphetConfig,
     ) -> SimReport {
-        let mut pl = self.prophet_pipeline_with(analysis, prophet);
-        pl.learn_input(w);
-        if self.l1 == L1Scheme::Ipcp {
-            // The pipeline's optimized run uses the stride L1; rebuild with
-            // the harness's L1 scheme instead.
-            simulate(
-                &self.sys,
-                w,
-                self.l1.build(),
-                Box::new(pl.build_prophet()),
-                self.warmup,
-                self.measure,
-            )
-        } else {
-            pl.run_optimized(w)
+        self.prophet_from(w, Start::Cold, &analysis, &prophet)
+    }
+
+    /// Prophet's passes from `start`: profile under the stride L1 (as the
+    /// paper does), analyze, then the optimized run under the harness's L1.
+    /// From a checkpoint both passes replay one materialized window.
+    fn prophet_from(
+        &self,
+        w: &dyn TraceSource,
+        start: Start,
+        analysis: &AnalysisConfig,
+        config: &ProphetConfig,
+    ) -> SimReport {
+        let materialized;
+        let start = match start {
+            Start::Checkpoint {
+                ckpt,
+                window: None,
+                store,
+            } => {
+                materialized = self.materialize_window(w, ckpt.warm.warmup);
+                Start::Checkpoint {
+                    ckpt,
+                    window: Some(&materialized),
+                    store,
+                }
+            }
+            start => start,
+        };
+        let mut learned = LearnedProfile::new();
+        learned.learn(self.prophet_counters(w, start));
+        let mut tp = Prophet::new(config.clone(), &learned.build_hints(analysis));
+        if let Some(ckpt) = start.ckpt() {
+            tp.seed_warmup(&ckpt.temporal);
         }
+        self.pass(w, start, self.l1.build(), Box::new(tp))
+    }
+
+    /// Prophet's profile counters. With a store the counters are loaded
+    /// when present, otherwise profiled and saved; freshly profiled
+    /// counters round-trip through the codec before use, exactly like
+    /// [`Harness::checkpoint_via_store`], so a cold run and a later warm
+    /// run learn from bit-identical counter images. A warm run skips the
+    /// profiling simulation entirely (half of Prophet's measured work).
+    fn prophet_counters(&self, w: &dyn TraceSource, start: Start) -> ProfileCounters {
+        let profile = || {
+            let mut tp = SimplifiedTp::new();
+            if let Some(ckpt) = start.ckpt() {
+                tp.seed_warmup(&ckpt.temporal);
+            }
+            let report = self.pass(
+                w,
+                start,
+                Box::new(StridePrefetcher::default()),
+                Box::new(tp),
+            );
+            ProfileCounters::from_report(&report)
+        };
+        let Start::Checkpoint {
+            store: Some(store), ..
+        } = start
+        else {
+            return profile();
+        };
+        let key = self.profile_key(w);
+        match store.load_profile(&key) {
+            Ok(Some(artifact)) => return artifact.counters,
+            Ok(None) => {}
+            Err(e) => store_warn(format_args!(
+                "store: ignoring unreadable profile for {}: {e}",
+                key.workload
+            )),
+        }
+        let artifact = ProfileArtifact {
+            counters: profile(),
+            loops: 1,
+        };
+        let (_, round_tripped) = decode_profile(&encode_profile(&key, &artifact))
+            .expect("freshly encoded profile must decode");
+        if let Err(e) = store.save_profile(&key, &round_tripped) {
+            store_warn(format_args!(
+                "store: could not save profile for {}: {e}",
+                key.workload
+            ));
+        }
+        round_tripped.counters
     }
 }
 
@@ -263,18 +426,12 @@ impl Harness {
     /// longer window can change a CRONO graph, not just its length — and
     /// the L1 scheme).
     fn workload_spec(&self, w: &dyn TraceSource) -> String {
-        let mut spec = format!(
+        format!(
             "{}@{}+l1={}",
             w.name(),
             self.warmup + self.measure,
             self.l1.tag()
-        );
-        // Fast-forwarded checkpoints are not interchangeable with full
-        // ones; tag the spec so the two modes never alias in the store.
-        if self.warmup_mode == WarmupMode::Fast {
-            spec.push_str("+wm=fast");
-        }
-        spec
+        )
     }
 
     /// Store key of this harness's warm-up checkpoint for `w`. Checkpoints
@@ -301,19 +458,11 @@ impl Harness {
         }
     }
 
-    /// Simulates the scheme-independent warm-up of `w` and captures it as
-    /// a checkpoint: machine state ([`WarmStart`]) plus the passively
-    /// trained temporal state. Dispatches on [`Harness::warmup_mode`].
+    /// Simulates the scheme-independent warm-up of `w` through the
+    /// cycle-accurate engine and timing hierarchy and captures it as a
+    /// checkpoint: machine state ([`WarmStart`]) plus the passively trained
+    /// temporal state.
     pub fn build_checkpoint(&self, w: &dyn TraceSource) -> WarmupCheckpoint {
-        match self.warmup_mode {
-            WarmupMode::Full => self.build_checkpoint_full(w),
-            WarmupMode::Fast => self.build_checkpoint_fast(w),
-        }
-    }
-
-    /// The cycle-accurate warm-up: engine + timing hierarchy, exactly the
-    /// state a measurement phase would have seen mid-run.
-    fn build_checkpoint_full(&self, w: &dyn TraceSource) -> WarmupCheckpoint {
         let mut engine = Engine::new(self.sys.core);
         let mut machine = WarmupMachine {
             mem: Hierarchy::new(&self.sys),
@@ -332,52 +481,6 @@ impl Harness {
         WarmupCheckpoint {
             warm: WarmStart {
                 engine: engine.snapshot(),
-                memory: machine.mem.snapshot(),
-                warmup: self.warmup,
-            },
-            temporal: machine.observer.warmup_snapshot(),
-        }
-    }
-
-    /// The fast-forwarded warm-up: the demand/prefetch stream drives cache,
-    /// replacement, and temporal-observer state functionally through
-    /// [`Hierarchy::warm_access`] under a synthetic one-cycle-per-
-    /// instruction clock, skipping the ROB model and the DRAM/MSHR timing
-    /// path. The checkpoint's engine is an idle ROB at the synthetic clock
-    /// ([`EngineSnapshot::idle_at`]); DESIGN.md §7 lists the accepted
-    /// divergences and the equivalence suite pins their magnitude.
-    fn build_checkpoint_fast(&self, w: &dyn TraceSource) -> WarmupCheckpoint {
-        let mut machine = WarmupMachine {
-            mem: Hierarchy::new(&self.sys),
-            l1pf: self.l1.build(),
-            observer: TemporalEngine::new(TemporalConfig::simplified_profiling()),
-        };
-        let mut cursor = w.cursor();
-        let mut fed = 0u64;
-        while fed < self.warmup {
-            let Some(inst) = cursor.next_inst() else {
-                break;
-            };
-            if let Some(op) = inst.op {
-                let addr = op.addr();
-                let (l1_hit, ev) =
-                    machine
-                        .mem
-                        .warm_access(inst.pc, addr.line(), op.is_store(), fed);
-                if let Some(ev) = ev {
-                    machine.observe(&ev);
-                }
-                for target in machine.l1pf.on_l1_access(inst.pc, addr, l1_hit) {
-                    if let Some(ev) = machine.mem.warm_l1_prefetch(inst.pc, target.line(), fed) {
-                        machine.observe(&ev);
-                    }
-                }
-            }
-            fed += 1;
-        }
-        WarmupCheckpoint {
-            warm: WarmStart {
-                engine: EngineSnapshot::idle_at(&self.sys.core, fed, fed),
                 memory: machine.mem.snapshot(),
                 warmup: self.warmup,
             },
@@ -416,78 +519,12 @@ impl Harness {
         round_tripped
     }
 
-    /// Baseline measurement from a shared warm-up checkpoint.
-    pub fn baseline_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> SimReport {
-        ckpt.warm.simulate(
-            &self.sys,
-            w,
-            self.l1.build(),
-            Box::new(NoL2Prefetch),
-            self.measure,
-        )
-    }
-
-    /// [`Harness::baseline_warm`] over a pre-materialized window
-    /// (bit-identical to the cursor path — `WarmStart::simulate_window`).
-    pub fn baseline_warm_window(
-        &self,
-        name: &str,
-        window: &[TraceInst],
-        ckpt: &WarmupCheckpoint,
-    ) -> SimReport {
-        ckpt.warm.simulate_window(
-            &self.sys,
-            name,
-            window,
-            self.l1.build(),
-            Box::new(NoL2Prefetch),
-        )
-    }
-
-    /// Triangel measurement from a shared warm-up checkpoint (table +
-    /// trainer seeded from the checkpoint's passive training).
-    pub fn triangel_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> SimReport {
-        let mut tp = Triangel::new(TriangelConfig::default());
-        tp.seed_warmup(&ckpt.temporal);
-        ckpt.warm
-            .simulate(&self.sys, w, self.l1.build(), Box::new(tp), self.measure)
-    }
-
-    /// [`Harness::triangel_warm`] over a pre-materialized window.
-    pub fn triangel_warm_window(
-        &self,
-        name: &str,
-        window: &[TraceInst],
-        ckpt: &WarmupCheckpoint,
-    ) -> SimReport {
-        let mut tp = Triangel::new(TriangelConfig::default());
-        tp.seed_warmup(&ckpt.temporal);
-        ckpt.warm
-            .simulate_window(&self.sys, name, window, self.l1.build(), Box::new(tp))
-    }
-
-    /// Triage-degree-4 measurement from a shared warm-up checkpoint.
-    pub fn triage4_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> SimReport {
-        let mut tp = Triage::degree4();
-        tp.seed_warmup(&ckpt.temporal);
-        ckpt.warm
-            .simulate(&self.sys, w, self.l1.build(), Box::new(tp), self.measure)
-    }
-
-    /// RPG2's identify → instrument → tune pipeline from a shared warm-up
-    /// checkpoint (every internal pass warm-starts).
-    pub fn rpg2_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> Rpg2Result {
-        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure)
-            .with_sweep_mode(self.sweep_mode)
-            .run_warm(w, &ckpt.warm)
-    }
-
     /// Materializes the measurement window of `w` once: skip `skip`
     /// instructions, then collect up to `self.measure`. Multi-pass
     /// pipelines replay the buffer instead of regenerating the trace per
     /// pass (`WarmStart::simulate_window` pins the replay bit-identical to
-    /// the cursor path). Public so the bench runner's warm cell mode can
-    /// hoist this scheme-independent work out of the cell wall clocks.
+    /// the cursor path). Public so the bench runner can hoist this
+    /// scheme-independent work out of the cell wall clocks.
     pub fn materialize_window(&self, w: &dyn TraceSource, skip: u64) -> Vec<TraceInst> {
         let mut cursor = w.cursor();
         let mut skipped = 0u64;
@@ -507,186 +544,6 @@ impl Harness {
             got += 1;
         }
         window
-    }
-
-    /// Prophet's profiling pass from a shared warm-up over a materialized
-    /// window (the paper profiles under the stride L1).
-    fn prophet_profile_pass(
-        &self,
-        name: &str,
-        ckpt: &WarmupCheckpoint,
-        window: &[TraceInst],
-    ) -> ProfileCounters {
-        let mut tp = SimplifiedTp::new();
-        tp.seed_warmup(&ckpt.temporal);
-        let profile_report = ckpt.warm.simulate_window(
-            &self.sys,
-            name,
-            window,
-            Box::new(StridePrefetcher::default()),
-            Box::new(tp),
-        );
-        ProfileCounters::from_report(&profile_report)
-    }
-
-    /// Prophet's learn → analyze → optimized run from a shared warm-up
-    /// over a materialized window.
-    fn prophet_optimized_pass(
-        &self,
-        name: &str,
-        ckpt: &WarmupCheckpoint,
-        window: &[TraceInst],
-        counters: ProfileCounters,
-    ) -> SimReport {
-        let mut learned = LearnedProfile::new();
-        learned.learn(counters);
-        let hints = learned.build_hints(&AnalysisConfig::default());
-        let mut prophet = Prophet::new(ProphetConfig::default(), &hints);
-        prophet.seed_warmup(&ckpt.temporal);
-        ckpt.warm
-            .simulate_window(&self.sys, name, window, self.l1.build(), Box::new(prophet))
-    }
-
-    /// Full Prophet from a shared warm-up checkpoint: the profiling pass
-    /// runs the simplified prefetcher seeded with the checkpoint's temporal
-    /// state, analysis derives the hints, and the optimized pass runs
-    /// Prophet seeded the same way. Mirrors [`Harness::prophet`], minus the
-    /// per-phase warm-up re-simulation; both passes replay one materialized
-    /// window. Returns `(report, counters)` so a caller with a store can
-    /// persist the profile artifact.
-    pub fn prophet_warm_with_profile(
-        &self,
-        w: &dyn TraceSource,
-        ckpt: &WarmupCheckpoint,
-    ) -> (SimReport, ProfileCounters) {
-        let window = self.materialize_window(w, ckpt.warm.warmup);
-        let counters = self.prophet_profile_pass(&w.name(), ckpt, &window);
-        let report = self.prophet_optimized_pass(&w.name(), ckpt, &window, counters.clone());
-        (report, counters)
-    }
-
-    /// [`Harness::prophet_warm`] over a pre-materialized window: both
-    /// passes replay `window` directly, so a caller that already holds the
-    /// materialized trace (the bench runner's warm cells) skips the
-    /// per-cell cursor regeneration.
-    pub fn prophet_warm_window(
-        &self,
-        name: &str,
-        window: &[TraceInst],
-        ckpt: &WarmupCheckpoint,
-    ) -> SimReport {
-        let counters = self.prophet_profile_pass(name, ckpt, window);
-        self.prophet_optimized_pass(name, ckpt, window, counters)
-    }
-
-    /// [`Harness::prophet_warm_with_profile`], report only.
-    pub fn prophet_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> SimReport {
-        self.prophet_warm_with_profile(w, ckpt).0
-    }
-
-    /// [`Harness::prophet_warm`] with store-backed profile reuse: the
-    /// learned counters are loaded from the store when present, otherwise
-    /// computed by the profiling pass and saved. Freshly computed counters
-    /// round-trip through the codec before use — exactly like
-    /// [`Harness::checkpoint_via_store`] — so a cold run and a later warm
-    /// run learn from bit-identical counter images and produce
-    /// bit-identical reports. A warm run skips the profiling simulation
-    /// entirely (half of Prophet's measured work).
-    pub fn prophet_warm_stored(
-        &self,
-        w: &dyn TraceSource,
-        ckpt: &WarmupCheckpoint,
-        store: &ArtifactStore,
-    ) -> SimReport {
-        let key = self.profile_key(w);
-        let window = self.materialize_window(w, ckpt.warm.warmup);
-        let counters = match store.load_profile(&key) {
-            Ok(Some(artifact)) => artifact.counters,
-            other => {
-                if let Err(e) = other {
-                    store_warn(format_args!(
-                        "store: ignoring unreadable profile for {}: {e}",
-                        key.workload
-                    ));
-                }
-                let counters = self.prophet_profile_pass(&w.name(), ckpt, &window);
-                let artifact = ProfileArtifact { counters, loops: 1 };
-                let bytes = encode_profile(&key, &artifact);
-                let (_, round_tripped) =
-                    decode_profile(&bytes).expect("freshly encoded profile must decode");
-                if let Err(e) = store.save_profile(&key, &round_tripped) {
-                    store_warn(format_args!(
-                        "store: could not save profile for {}: {e}",
-                        key.workload
-                    ));
-                }
-                round_tripped.counters
-            }
-        };
-        self.prophet_optimized_pass(&w.name(), ckpt, &window, counters)
-    }
-
-    /// RPG2 over a shared (in-memory) warm-up: one warm-up feeds the
-    /// identification baseline and the whole distance sweep. In `Fast`
-    /// warm-up mode the shared warm-up itself is fast-forwarded.
-    pub fn rpg2_shared(&self, w: &dyn TraceSource) -> Rpg2Result {
-        match self.warmup_mode {
-            WarmupMode::Full => Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure)
-                .with_sweep_mode(self.sweep_mode)
-                .run_shared(w),
-            WarmupMode::Fast => {
-                let ckpt = self.build_checkpoint(w);
-                self.rpg2_warm(w, &ckpt)
-            }
-        }
-    }
-
-    /// Prophet over a shared (in-memory) warm-up: one warm-up (full or
-    /// fast per [`Harness::warmup_mode`]) feeds both the profiling and the
-    /// optimized pass, which replay one materialized window.
-    pub fn prophet_shared(&self, w: &dyn TraceSource) -> SimReport {
-        let ckpt = self.build_checkpoint(w);
-        self.prophet_warm(w, &ckpt)
-    }
-}
-
-/// One cell of the scheme×workload matrix ([`Harness::run_matrix`] fans
-/// these across workers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Scheme {
-    Baseline,
-    Rpg2,
-    Triangel,
-    Prophet,
-}
-
-const MATRIX_SCHEMES: [Scheme; 4] = [
-    Scheme::Baseline,
-    Scheme::Rpg2,
-    Scheme::Triangel,
-    Scheme::Prophet,
-];
-
-/// What one matrix cell produced (RPG2 keeps its pipeline diagnostics —
-/// qualified PCs and tuned distance — not just the report).
-enum Cell {
-    Sim(SimReport),
-    Rpg2(Rpg2Result),
-}
-
-impl Cell {
-    fn sim(self) -> SimReport {
-        match self {
-            Cell::Sim(r) => r,
-            Cell::Rpg2(r) => r.report,
-        }
-    }
-
-    fn rpg2(self) -> Rpg2Result {
-        match self {
-            Cell::Rpg2(r) => r,
-            Cell::Sim(_) => unreachable!("rpg2 cells carry Cell::Rpg2"),
-        }
     }
 }
 
@@ -767,39 +624,29 @@ impl Harness {
                 self.checkpoint_via_store(store, &workloads[i])
             })
         });
-        let cells = workloads.len() * MATRIX_SCHEMES.len();
-        let mut reports: Vec<Cell> = parallel_tasks(cells, jobs, |cell| {
-            let w = &workloads[cell / MATRIX_SCHEMES.len()];
-            let scheme = MATRIX_SCHEMES[cell % MATRIX_SCHEMES.len()];
-            match &ckpts {
-                None => match scheme {
-                    Scheme::Baseline => Cell::Sim(self.baseline(w)),
-                    Scheme::Rpg2 => Cell::Rpg2(self.rpg2(w)),
-                    Scheme::Triangel => Cell::Sim(self.triangel(w)),
-                    Scheme::Prophet => Cell::Sim(self.prophet(w)),
+        let n = MATRIX_SCHEMES.len();
+        let mut cells = parallel_tasks(workloads.len() * n, jobs, |cell| {
+            let start = match &ckpts {
+                None => Start::Cold,
+                Some(ckpts) => Start::Checkpoint {
+                    ckpt: &ckpts[cell / n],
+                    window: None,
+                    store,
                 },
-                Some(ckpts) => {
-                    let ckpt = &ckpts[cell / MATRIX_SCHEMES.len()];
-                    let store = store.expect("checkpoints imply a store");
-                    match scheme {
-                        Scheme::Baseline => Cell::Sim(self.baseline_warm(w, ckpt)),
-                        Scheme::Rpg2 => Cell::Rpg2(self.rpg2_warm(w, ckpt)),
-                        Scheme::Triangel => Cell::Sim(self.triangel_warm(w, ckpt)),
-                        Scheme::Prophet => Cell::Sim(self.prophet_warm_stored(w, ckpt, store)),
-                    }
-                }
-            }
-        });
+            };
+            self.run(MATRIX_SCHEMES[cell % n], &workloads[cell / n], start)
+        })
+        .into_iter();
         workloads
             .iter()
             .map(|w| {
-                let mut four = reports.drain(..MATRIX_SCHEMES.len());
+                let mut next = || cells.next().expect("one outcome per cell");
                 SchemeRow {
                     workload: w.name(),
-                    base: four.next().unwrap().sim(),
-                    rpg2: four.next().unwrap().rpg2(),
-                    triangel: four.next().unwrap().sim(),
-                    prophet: four.next().unwrap().sim(),
+                    base: next().into_report(),
+                    rpg2: next().into_rpg2(),
+                    triangel: next().into_report(),
+                    prophet: next().into_report(),
                 }
             })
             .collect()
@@ -818,17 +665,6 @@ pub struct SchemeRow {
 }
 
 impl SchemeRow {
-    /// Runs all four schemes on `w`.
-    pub fn run(h: &Harness, w: &dyn TraceSource) -> SchemeRow {
-        SchemeRow {
-            workload: w.name(),
-            base: h.baseline(w),
-            rpg2: h.rpg2(w),
-            triangel: h.triangel(w),
-            prophet: h.prophet(w),
-        }
-    }
-
     /// `(rpg2, triangel, prophet)` speedups over the baseline.
     pub fn speedups(&self) -> (f64, f64, f64) {
         (
@@ -862,12 +698,6 @@ pub struct RunArgs {
     /// floors every graph at N vertices so the paper-scale 1 M+ runs
     /// don't disturb the default workload registry.
     pub vertices: Option<usize>,
-    /// `--warmup-mode full|fast` (DESIGN.md §7; `full` is the default and
-    /// what every committed figure uses).
-    pub warmup_mode: WarmupMode,
-    /// `--sweep-mode full|sampled` for RPG2's distance sweep (DESIGN.md
-    /// §7; `full` is the default and what every committed figure uses).
-    pub sweep_mode: SweepMode,
     pub rest: Vec<String>,
 }
 
@@ -881,8 +711,6 @@ impl RunArgs {
             jobs: 0,
             store: None,
             vertices: None,
-            warmup_mode: WarmupMode::Full,
-            sweep_mode: SweepMode::Full,
             rest: Vec::new(),
         };
         let mut args = args.peekable();
@@ -898,14 +726,6 @@ impl RunArgs {
                 "--vertices" => out.vertices = Some(take("--vertices")? as usize),
                 "--store" => {
                     out.store = Some(args.next().ok_or("--store needs a directory")?);
-                }
-                "--warmup-mode" => {
-                    let v = args.next().ok_or("--warmup-mode needs a value")?;
-                    out.warmup_mode = WarmupMode::parse(&v)?;
-                }
-                "--sweep-mode" => {
-                    let v = args.next().ok_or("--sweep-mode needs a value")?;
-                    out.sweep_mode = SweepMode::parse(&v)?;
                 }
                 f if f.starts_with("--") => return Err(format!("unknown flag: {f}")),
                 _ => out.rest.push(a),
@@ -951,8 +771,6 @@ impl RunArgs {
         Harness {
             warmup: self.warmup.unwrap_or(default.warmup),
             measure: self.insts.unwrap_or(default.measure),
-            warmup_mode: self.warmup_mode,
-            sweep_mode: self.sweep_mode,
             ..default
         }
     }
@@ -974,21 +792,17 @@ pub fn report_store_activity(store: &ArtifactStore) {
     report_fast_path_activity();
 }
 
-/// Prints the issue-path and sampled-sweep fast-path engagement to
-/// **stderr** (same rule as [`report_store_activity`]: stdout carries
-/// only figure tables). Cumulative process-wide counters — a zero dedup
-/// count after a measured run means the fast path never engaged, which is
-/// itself worth seeing in the logs.
+/// Prints the issue-path fast-path engagement to **stderr** (same rule as
+/// [`report_store_activity`]: stdout carries only figure tables).
+/// Cumulative process-wide counters — a zero dedup count after a measured
+/// run means the fast path never engaged, which is itself worth seeing in
+/// the logs.
 pub fn report_fast_path_activity() {
     let issue = prophet_sim_core::issue_path_stats();
-    let sweep = prophet_rpg2::sweep_stats();
     eprintln!(
         "fast paths: {} duplicate prefetch(es) dedup-filtered, {} inflight drop(s) \
-         short-circuited; sampled sweeps: {} accepted, {} fell back",
-        issue.filter_suppressed,
-        issue.inflight_fast_drops,
-        sweep.sampled_accepts,
-        sweep.sampled_fallbacks
+         short-circuited",
+        issue.filter_suppressed, issue.inflight_fast_drops
     );
 }
 

@@ -7,134 +7,44 @@
 //! survive comparison across PRs (the `BENCH_*.json` trajectory).
 
 use crate::metrics::{BenchCell, BenchWindow};
-use crate::{Harness, WarmupCheckpoint};
-use prophet_sim_core::{TraceInst, TraceSource};
+use crate::{Harness, Start, MATRIX_SCHEMES};
+use prophet_sim_core::TraceSource;
 use std::time::Instant;
-
-/// The scheme names measured per workload, in run order. Matches the
-/// figure matrix (`Harness::run_matrix`).
-pub const BENCH_SCHEMES: [&str; 4] = ["baseline", "rpg2", "triangel", "prophet"];
-
-/// How a bench cell obtains its warmed-up machine state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CellMode {
-    /// One scheme-independent warm-up checkpoint per workload, built
-    /// *outside* the cell wall clocks and shared by all four schemes —
-    /// the `run_matrix_stored` figure pipeline, and what `BENCH_9.json`
-    /// onward records. Cells time the measured passes only; the reports
-    /// they produce are bit-identical to the cold path (pinned by the
-    /// warm-start golden test).
-    #[default]
-    Warm,
-    /// Each cell self-contained, but multi-pass schemes (RPG2's identify
-    /// + distance sweep, Prophet's profile + optimized passes) launch
-    /// their internal passes from one warm-up simulated inside the cell —
-    /// the PR 8 pipeline (`BENCH_8.json`).
-    Shared,
-    /// Each cell re-warms every internal pass — the pre-PR-8 measurement,
-    /// kept as the attribution control.
-    Cold,
-}
-
-impl CellMode {
-    /// Parses a `--cells` value.
-    pub fn parse(v: &str) -> Result<Self, String> {
-        match v {
-            "warm" => Ok(CellMode::Warm),
-            "shared" => Ok(CellMode::Shared),
-            "cold" => Ok(CellMode::Cold),
-            v => Err(format!("--cells: expected warm|shared|cold, got {v}")),
-        }
-    }
-}
-
-/// Runs one scheme on one workload, returning the cell wall time. `warm`
-/// (the shared checkpoint plus the materialized measurement window) is
-/// present exactly in [`CellMode::Warm`]. RPG2 takes the trace, not the
-/// window: its kernel scan walks the warm-up prefix too, and that
-/// identification work is the scheme's own — it stays on the clock.
-fn time_cell(
-    h: &Harness,
-    scheme: &str,
-    w: &dyn TraceSource,
-    mode: CellMode,
-    warm: Option<(&WarmupCheckpoint, &[TraceInst])>,
-) -> f64 {
-    let start = Instant::now();
-    if let Some((ckpt, window)) = warm {
-        match scheme {
-            "baseline" => {
-                h.baseline_warm_window(&w.name(), window, ckpt);
-            }
-            "rpg2" => {
-                h.rpg2_warm(w, ckpt);
-            }
-            "triangel" => {
-                h.triangel_warm_window(&w.name(), window, ckpt);
-            }
-            "prophet" => {
-                h.prophet_warm_window(&w.name(), window, ckpt);
-            }
-            other => panic!("unknown bench scheme: {other}"),
-        }
-        return start.elapsed().as_secs_f64();
-    }
-    let shared = mode == CellMode::Shared;
-    match (scheme, shared) {
-        ("baseline", _) => {
-            h.baseline(w);
-        }
-        ("rpg2", false) => {
-            h.rpg2(w);
-        }
-        ("rpg2", true) => {
-            h.rpg2_shared(w);
-        }
-        ("triangel", _) => {
-            h.triangel(w);
-        }
-        ("prophet", false) => {
-            h.prophet(w);
-        }
-        ("prophet", true) => {
-            h.prophet_shared(w);
-        }
-        (other, _) => panic!("unknown bench scheme: {other}"),
-    }
-    start.elapsed().as_secs_f64()
-}
 
 /// Measures every scheme×workload cell sequentially and returns the
 /// window. `insts` per cell is the figure window (`warmup + measure`);
 /// multi-pass schemes carry their pipeline passes in the wall clock (see
-/// the schema notes in `metrics`). In [`CellMode::Warm`] the per-workload
-/// checkpoint build runs between cells, outside every wall clock, and is
-/// reported on stderr.
+/// the schema notes in `metrics`). Each workload's scheme-independent
+/// warm-up checkpoint and materialized measurement window are built
+/// between cells, outside every wall clock, and shared by its four cells
+/// (the `run_matrix_stored` figure pipeline); that set-up time is reported
+/// on stderr.
 pub fn run_bench_window(
     h: &Harness,
     name: &str,
     workloads: &[Box<dyn TraceSource + Send + Sync>],
-    mode: CellMode,
 ) -> BenchWindow {
     let insts = h.warmup + h.measure;
-    let mut cells = Vec::with_capacity(workloads.len() * BENCH_SCHEMES.len());
+    let mut cells = Vec::with_capacity(workloads.len() * MATRIX_SCHEMES.len());
     for w in workloads {
-        let warm = if mode == CellMode::Warm {
-            let start = Instant::now();
-            let ckpt = h.build_checkpoint(w.as_ref());
-            let window = h.materialize_window(w.as_ref(), ckpt.warm.warmup);
-            eprintln!(
-                "bench: warm-up    {:<18} {:>9.3}s  (checkpoint + window, outside cells)",
-                w.name(),
-                start.elapsed().as_secs_f64()
-            );
-            Some((ckpt, window))
-        } else {
-            None
+        let w = w.as_ref();
+        let setup = Instant::now();
+        let ckpt = h.build_checkpoint(w);
+        let window = h.materialize_window(w, ckpt.warm.warmup);
+        eprintln!(
+            "bench: warm-up    {:<18} {:>9.3}s  (checkpoint + window, outside cells)",
+            w.name(),
+            setup.elapsed().as_secs_f64()
+        );
+        let start = Start::Checkpoint {
+            ckpt: &ckpt,
+            window: Some(&window),
+            store: None,
         };
-        for scheme in BENCH_SCHEMES {
-            let warm_refs = warm.as_ref().map(|(c, win)| (c, win.as_slice()));
-            let wall_secs = time_cell(h, scheme, w.as_ref(), mode, warm_refs);
+        for scheme in MATRIX_SCHEMES {
+            let clock = Instant::now();
+            h.run(scheme, w, start);
+            let wall_secs = clock.elapsed().as_secs_f64();
             let insts_per_sec = if wall_secs > 0.0 {
                 insts as f64 / wall_secs
             } else {
@@ -142,13 +52,13 @@ pub fn run_bench_window(
             };
             eprintln!(
                 "bench: {:<10} {:<18} {:>9.3}s  {:>12.0} insts/s",
-                scheme,
+                scheme.name(),
                 w.name(),
                 wall_secs,
                 insts_per_sec
             );
             cells.push(BenchCell {
-                scheme: scheme.to_string(),
+                scheme: scheme.name().to_string(),
                 workload: w.name(),
                 insts,
                 wall_secs,
@@ -174,7 +84,6 @@ pub fn run_bench_window_median(
     h: &Harness,
     name: &str,
     workloads: &[Box<dyn TraceSource + Send + Sync>],
-    mode: CellMode,
     repeat: usize,
 ) -> BenchWindow {
     let repeat = repeat.max(1);
@@ -183,7 +92,7 @@ pub fn run_bench_window_median(
             if repeat > 1 {
                 eprintln!("bench: repeat {}/{repeat}", i + 1);
             }
-            run_bench_window(h, name, workloads, mode)
+            run_bench_window(h, name, workloads)
         })
         .collect();
     runs.sort_by(|a, b| {
@@ -222,11 +131,11 @@ pub fn format_window_table(w: &BenchWindow) -> String {
     }
     for wl in &by_workload {
         let _ = write!(s, "{wl:<18}");
-        for scheme in BENCH_SCHEMES {
+        for scheme in MATRIX_SCHEMES {
             let v = w
                 .cells
                 .iter()
-                .find(|c| &c.workload == wl && c.scheme == scheme)
+                .find(|c| &c.workload == wl && c.scheme == scheme.name())
                 .map(|c| c.insts_per_sec)
                 .unwrap_or(0.0);
             let _ = write!(s, " {v:>12.0}");
@@ -256,8 +165,8 @@ mod tests {
         };
         let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
             vec![workload_sized("bfs_80000_8", h.warmup + h.measure)];
-        let w = run_bench_window(&h, "test", &workloads, CellMode::Cold);
-        assert_eq!(w.cells.len(), BENCH_SCHEMES.len());
+        let w = run_bench_window(&h, "test", &workloads);
+        assert_eq!(w.cells.len(), MATRIX_SCHEMES.len());
         assert!(w.cells.iter().all(|c| c.insts == 4_000));
         assert!(w.cells.iter().all(|c| c.insts_per_sec > 0.0));
         let table = format_window_table(&w);
@@ -274,8 +183,8 @@ mod tests {
         };
         let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
             vec![workload_sized("bfs_80000_8", h.warmup + h.measure)];
-        let w = run_bench_window_median(&h, "test", &workloads, CellMode::Shared, 3);
-        assert_eq!(w.cells.len(), BENCH_SCHEMES.len());
+        let w = run_bench_window_median(&h, "test", &workloads, 3);
+        assert_eq!(w.cells.len(), MATRIX_SCHEMES.len());
         assert!(w.cells.iter().all(|c| c.insts_per_sec > 0.0));
     }
 
@@ -288,18 +197,8 @@ mod tests {
         };
         let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
             vec![workload_sized("bfs_80000_8", h.warmup + h.measure)];
-        let w = run_bench_window(&h, "test", &workloads, CellMode::Warm);
-        assert_eq!(w.cells.len(), BENCH_SCHEMES.len());
-        assert!(w.cells.iter().all(|c| c.insts == 4_000));
-        assert!(w.cells.iter().all(|c| c.insts_per_sec > 0.0));
-    }
-
-    #[test]
-    fn cell_mode_parses_like_the_flag() {
-        assert_eq!(CellMode::parse("warm"), Ok(CellMode::Warm));
-        assert_eq!(CellMode::parse("shared"), Ok(CellMode::Shared));
-        assert_eq!(CellMode::parse("cold"), Ok(CellMode::Cold));
-        assert!(CellMode::parse("tepid").is_err());
-        assert_eq!(CellMode::default(), CellMode::Warm);
+        let w = run_bench_window(&h, "test", &workloads);
+        let labels: Vec<&str> = w.cells.iter().map(|c| c.scheme.as_str()).collect();
+        assert_eq!(labels, ["baseline", "rpg2", "triangel", "prophet"]);
     }
 }

@@ -2,7 +2,9 @@
 //! (Issue 7 tentpole #3).
 //!
 //! A counting `GlobalAlloc` wraps the system allocator for this whole test
-//! binary, and the steady-state allocation rate is measured
+//! binary and counts per thread, so sibling tests running in parallel do
+//! not leak into each other's windows. The steady-state allocation rate is
+//! measured
 //! *differentially*: the same scheme runs twice from identical cold state
 //! at two measure lengths, so warm-up and result-assembly allocations
 //! subtract out and whatever remains was allocated per simulated
@@ -12,18 +14,25 @@
 //! orders of magnitude below one allocation per instruction.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_workloads::workload_sized;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and drop-free: touching it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -32,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,17 +49,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocation count while running `f`.
+/// Allocations made by the calling thread while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Measures the marginal allocations of simulating `extra` more
 /// instructions of `scheme` on a small fig15 workload, and asserts the
 /// steady-state budget.
-fn assert_steady_state_budget(scheme: &str, budget_per_run: u64) {
+fn assert_steady_state_budget(scheme: Scheme, budget_per_run: u64) {
     const WARMUP: u64 = 300_000;
     const SHORT: u64 = 150_000;
     const EXTRA: u64 = 300_000;
@@ -62,17 +71,8 @@ fn assert_steady_state_budget(scheme: &str, budget_per_run: u64) {
             ..Harness::default()
         };
         let w = workload_sized("bfs_80000_8", WARMUP + measure);
-        allocs_during(|| match scheme {
-            "baseline" => {
-                h.baseline(w.as_ref());
-            }
-            "triangel" => {
-                h.triangel(w.as_ref());
-            }
-            "prophet" => {
-                h.prophet(w.as_ref());
-            }
-            other => panic!("unknown scheme: {other}"),
+        allocs_during(|| {
+            h.run(scheme, w.as_ref(), Start::Cold);
         })
     };
 
@@ -81,22 +81,23 @@ fn assert_steady_state_budget(scheme: &str, budget_per_run: u64) {
     let marginal = long.saturating_sub(short);
     assert!(
         marginal <= budget_per_run,
-        "{scheme}: {marginal} heap allocations across the {EXTRA} extra \
+        "{}: {marginal} heap allocations across the {EXTRA} extra \
          steady-state instructions (budget {budget_per_run} per run, \
-         short-run total {short}) — the per-instruction loop allocates"
+         short-run total {short}) — the per-instruction loop allocates",
+        scheme.name()
     );
 }
 
 #[test]
 fn baseline_steady_state_allocates_nothing() {
-    assert_steady_state_budget("baseline", 32);
+    assert_steady_state_budget(Scheme::Baseline, 32);
 }
 
 #[test]
 fn triangel_steady_state_allocates_nothing() {
     // Triangel adds the metadata table, bloom filter, and set-dueller to
     // the loop; all are preallocated or clear-in-place after warm-up.
-    assert_steady_state_budget("triangel", 32);
+    assert_steady_state_budget(Scheme::Triangel, 32);
 }
 
 #[test]
@@ -105,5 +106,5 @@ fn prophet_steady_state_allocates_nothing() {
     // the optimized run. The scan's per-PC tables keep growing slowly with
     // new (pc, delta) pairs, so its budget is looser — but still vanishing
     // against 300 000 instructions.
-    assert_steady_state_budget("prophet", 512);
+    assert_steady_state_budget(Scheme::Prophet, 512);
 }

@@ -10,7 +10,7 @@
 //! Windows are kept small so the whole file runs in seconds; determinism
 //! does not depend on window length.
 
-use prophet_bench::Harness;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::TraceSource;
 use prophet_workloads::{workload, workload_sized};
 
@@ -54,8 +54,12 @@ fn streaming_sources_replay_to_identical_reports() {
     let h = small_harness();
     for name in ["omnetpp", "pagerank_100000_100"] {
         let w = workload_sized(name, h.warmup + h.measure);
-        let first = h.baseline(w.as_ref());
-        let second = h.baseline(w.as_ref());
+        let first = h
+            .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+            .into_report();
+        let second = h
+            .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+            .into_report();
         assert_eq!(
             first, second,
             "{name}: two cursors of one source must simulate identically"
@@ -70,7 +74,11 @@ fn streaming_sources_replay_identically_under_prophet() {
     // agree with itself.
     let h = small_harness();
     let w = workload("bfs_80000_8");
-    let first = h.prophet(w.as_ref());
-    let second = h.prophet(w.as_ref());
+    let first = h
+        .run(Scheme::Prophet, w.as_ref(), Start::Cold)
+        .into_report();
+    let second = h
+        .run(Scheme::Prophet, w.as_ref(), Start::Cold)
+        .into_report();
     assert_eq!(first, second);
 }

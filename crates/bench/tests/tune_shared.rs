@@ -1,5 +1,5 @@
 //! Reference test for the checkpoint-shared RPG2 tune path: the shared
-//! sweep (`Rpg2Pipeline::run_shared` — one warm-up, one materialized
+//! sweep (`Rpg2Pipeline::run_warm` — one warm-up, one materialized
 //! window, every pass replayed from the snapshot) must be **bit-identical**
 //! to a reference that launches every pass through `WarmStart::simulate`'s
 //! cursor path (fresh trace re-stream + skip per pass) from the same
@@ -22,8 +22,14 @@ use std::collections::HashMap;
 /// prefetcher, kernel scan fused over warm-up + measurement window), then
 /// the identification baseline and every distance candidate simulated via
 /// `WarmStart::simulate` — the per-pass re-stream formulation the shared
-/// sweep's materialized window replaces.
-fn reference(sys: &SystemConfig, warmup: u64, measure: u64, w: &dyn TraceSource) -> Rpg2Result {
+/// sweep's materialized window replaces. Returns the warm-up too, so the
+/// subject can start from the same snapshot.
+fn reference(
+    sys: &SystemConfig,
+    warmup: u64,
+    measure: u64,
+    w: &dyn TraceSource,
+) -> (Rpg2Result, WarmStart) {
     let mut sim = Simulator::new(
         sys.clone(),
         Box::new(StridePrefetcher::default()),
@@ -72,11 +78,12 @@ fn reference(sys: &SystemConfig, warmup: u64, measure: u64, w: &dyn TraceSource)
     let qualified = analysis.qualify(&misses);
     if qualified.is_empty() {
         base.scheme = "rpg2".into();
-        return Rpg2Result {
+        let result = Rpg2Result {
             qualified_pcs: qualified,
             distance: None,
             report: base,
         };
+        return (result, warm);
     }
     let mut best: Option<(i64, prophet_sim_core::SimReport)> = None;
     for &d in &DISTANCE_CANDIDATES {
@@ -96,11 +103,12 @@ fn reference(sys: &SystemConfig, warmup: u64, measure: u64, w: &dyn TraceSource)
         }
     }
     let (distance, report) = best.expect("at least one candidate evaluated");
-    Rpg2Result {
+    let result = Rpg2Result {
         qualified_pcs: qualified,
         distance: Some(distance),
         report,
-    }
+    };
+    (result, warm)
 }
 
 /// A CRONO-flavoured indirect workload (strided kernel feeding locally
@@ -126,12 +134,12 @@ fn shared_sweep_matches_cursor_path_reference_when_tuning() {
     let sys = SystemConfig::isca25();
     let (warmup, measure) = (20_000u64, 120_000u64);
     let w = qualifying_workload();
-    let shared = Rpg2Pipeline::new(sys.clone(), warmup, measure).run_shared(&w);
+    let (reference, warm) = reference(&sys, warmup, measure, &w);
+    let shared = Rpg2Pipeline::new(sys, warmup, measure).run_warm(&w, &warm);
     assert!(
         shared.distance.is_some(),
         "the workload must exercise the distance sweep for this test to bite"
     );
-    let reference = reference(&sys, warmup, measure, &w);
     assert_eq!(
         shared, reference,
         "shared-checkpoint sweep diverged from the cursor-path reference"
@@ -143,8 +151,8 @@ fn shared_sweep_matches_cursor_path_reference_without_qualifiers() {
     let sys = SystemConfig::isca25();
     let (warmup, measure) = (20_000u64, 60_000u64);
     let w = workload_sized("bfs_80000_8", warmup + measure);
-    let shared = Rpg2Pipeline::new(sys.clone(), warmup, measure).run_shared(w.as_ref());
-    let reference = reference(&sys, warmup, measure, w.as_ref());
+    let (reference, warm) = reference(&sys, warmup, measure, w.as_ref());
+    let shared = Rpg2Pipeline::new(sys, warmup, measure).run_warm(w.as_ref(), &warm);
     assert_eq!(shared, reference);
     assert_eq!(
         shared.report.scheme, "rpg2",

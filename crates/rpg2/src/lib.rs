@@ -19,5 +19,5 @@ pub mod swpf;
 pub use kernel::{
     KernelAnalysis, KernelScan, PcStream, MISS_SHARE_THRESHOLD, STRIDE_MODE_THRESHOLD,
 };
-pub use rpg2::{sweep_stats, Rpg2Pipeline, Rpg2Result, SweepMode, SweepStats, DISTANCE_CANDIDATES};
+pub use rpg2::{Rpg2Pipeline, Rpg2Result, DISTANCE_CANDIDATES};
 pub use swpf::Rpg2Prefetcher;

@@ -63,28 +63,6 @@ pub struct EngineSnapshot {
     pub retire_head: Cycle,
 }
 
-impl EngineSnapshot {
-    /// An idle pipeline at `cycle` with `count` instructions already fed:
-    /// every ROB slot completed and retired by `cycle`, no partial fetch
-    /// or retire groups. The fast warm-up mode advances a synthetic clock
-    /// through the memory system instead of the timed engine and caps the
-    /// checkpoint with this snapshot, so a measurement restored from it
-    /// starts at `cycle` with a drained pipeline (and with `count` large
-    /// enough that early dependency edges resolve against warm-up slots).
-    pub fn idle_at(cfg: &CoreConfig, cycle: Cycle, count: u64) -> Self {
-        EngineSnapshot {
-            complete: vec![cycle; cfg.rob_entries],
-            retired: vec![cycle; cfg.rob_entries],
-            count,
-            fetch_cycle: cycle,
-            fetch_slots: 0,
-            retire_cycle: cycle,
-            retire_slots: 0,
-            retire_head: cycle,
-        }
-    }
-}
-
 /// The timing engine. Feed it instructions with [`Engine::step`]; read
 /// [`Engine::stats`] at the end.
 #[derive(Debug, Clone)]

@@ -534,7 +534,18 @@ mod tests {
         let cfg = SystemConfig::isca25();
         let trace = dependent_stride_trace(30_000);
         let warm = WarmStart {
-            engine: crate::engine::EngineSnapshot::idle_at(&cfg.core, 5_000, 10_000),
+            // A drained pipeline at cycle 5 000: every ROB slot completed
+            // and retired, no partial fetch or retire group.
+            engine: crate::engine::EngineSnapshot {
+                complete: vec![5_000; cfg.core.rob_entries],
+                retired: vec![5_000; cfg.core.rob_entries],
+                count: 10_000,
+                fetch_cycle: 5_000,
+                fetch_slots: 0,
+                retire_cycle: 5_000,
+                retire_slots: 0,
+                retire_head: 5_000,
+            },
             memory: Hierarchy::new(&cfg).snapshot(),
             warmup: 10_000,
         };

@@ -579,100 +579,6 @@ impl Hierarchy {
         }
     }
 
-    /// Functional-only demand access for the fast warm-up mode: drives the
-    /// same cache-content and replacement transitions as
-    /// [`Hierarchy::demand_access`] but skips every timing mechanism —
-    /// inflight tracking, MSHR pressure, DRAM queueing — and the per-PC
-    /// counters (all counters reset at the warm-up boundary anyway).
-    /// Returns `(l1_hit, l2_event)` so the caller can keep the L1
-    /// prefetcher and the temporal observer trained on the same streams
-    /// the timed warm-up would produce.
-    ///
-    /// Only valid during a scheme-independent warm-up: the path assumes no
-    /// prefetched-marked lines are resident (the warm-up machine issues no
-    /// L2 prefetches).
-    pub fn warm_access(
-        &mut self,
-        pc: Pc,
-        line: Line,
-        is_store: bool,
-        now: Cycle,
-    ) -> (bool, Option<L2Event>) {
-        if self.l1d.access(line, is_store).hit {
-            return (true, None);
-        }
-        if self.l2.access(line, false).hit {
-            self.fill_l1(line, is_store, now);
-            return (
-                false,
-                Some(L2Event {
-                    pc,
-                    line,
-                    l2_hit: true,
-                    from_l1_prefetch: false,
-                    now,
-                }),
-            );
-        }
-        if self.llc.access(line, false).hit {
-            let promoted = self.llc.invalidate(line).expect("LLC hit implies resident");
-            self.fill_l2(
-                LineState {
-                    prefetched: false,
-                    trigger_pc: None,
-                    ..promoted
-                },
-                now,
-            );
-        } else {
-            self.fill_l2(demand_line(line, false), now);
-        }
-        self.fill_l1(line, is_store, now);
-        (
-            false,
-            Some(L2Event {
-                pc,
-                line,
-                l2_hit: false,
-                from_l1_prefetch: false,
-                now,
-            }),
-        )
-    }
-
-    /// Functional-only counterpart of [`Hierarchy::l1_prefetch`] for the
-    /// fast warm-up mode (same caveats as [`Hierarchy::warm_access`]).
-    pub fn warm_l1_prefetch(&mut self, pc: Pc, line: Line, now: Cycle) -> Option<L2Event> {
-        if self.l1d.contains(line) {
-            return None;
-        }
-        if self.l2.touch(line) {
-            let _ = self.l2.consume_prefetch_bit(line);
-            self.fill_l1(line, false, now);
-            return Some(L2Event {
-                pc,
-                line,
-                l2_hit: true,
-                from_l1_prefetch: true,
-                now,
-            });
-        }
-        if self.llc.touch(line) {
-            let promoted = self.llc.invalidate(line).expect("LLC touch hit");
-            self.fill_l2(promoted, now);
-        } else {
-            self.fill_l2(demand_line(line, false), now);
-        }
-        self.fill_l1(line, false, now);
-        Some(L2Event {
-            pc,
-            line,
-            l2_hit: false,
-            from_l1_prefetch: true,
-            now,
-        })
-    }
-
     /// Fills `line` into the L1. Every call site has just observed an L1
     /// miss for `line` at the same `now` (a missed `access`/`contains`/
     /// `touch` probe with no intervening L1 fill), so no residency
