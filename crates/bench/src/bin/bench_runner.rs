@@ -26,7 +26,7 @@
 
 use prophet_bench::metrics::{check_regression, BenchReport};
 use prophet_bench::runner::{format_window_table, run_bench_window_median};
-use prophet_bench::{report_fast_path_activity, Harness};
+use prophet_bench::Harness;
 use prophet_sim_core::TraceSource;
 use prophet_workloads::{workload_sized, CRONO_WORKLOADS};
 
@@ -115,7 +115,6 @@ fn main() {
 
     let window = run_bench_window_median(&h, &args.window, &workloads, args.repeat);
     print!("{}", format_window_table(&window));
-    report_fast_path_activity();
 
     if let Some(path) = &args.out {
         let mut report = match std::fs::read_to_string(path) {

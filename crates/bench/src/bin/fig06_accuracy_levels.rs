@@ -5,6 +5,7 @@ use prophet_bench::Harness;
 use prophet_workloads::workload;
 
 fn main() {
+    prophet_bench::expect_no_args("fig06_accuracy_levels");
     let h = Harness::default();
     let mut pl = h.prophet_pipeline();
     let report = pl.learn_input(workload("omnetpp").as_ref());

@@ -9,6 +9,7 @@ use prophet_sim_core::geomean;
 use prophet_workloads::{workload, GCC_INPUTS};
 
 fn main() {
+    prophet_bench::expect_no_args("fig13_gcc_learning");
     let h = Harness::default();
     let stages = ["gcc_166", "gcc_expr", "gcc_typeck", "gcc_expr2"];
 

@@ -70,6 +70,7 @@ fn family(h: &Harness, title: &str, inputs: &[&str], labels: &[&str]) {
 }
 
 fn main() {
+    prophet_bench::expect_no_args("fig14_generalize_learning");
     let h = Harness::default();
     family(
         &h,

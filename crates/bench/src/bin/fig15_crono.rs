@@ -18,7 +18,7 @@
 //!
 //! Workloads are sized to the window via streaming generation (repeats
 //! scale up, memory stays O(graph)), and the scheme×workload grid fans
-//! across `Harness::run_matrix` workers.
+//! across `Harness::run_matrix_stored` workers.
 
 use prophet_bench::{print_speedup_table, report_store_activity, Harness, RunArgs, SchemeRow};
 use prophet_sim_core::TraceSource;

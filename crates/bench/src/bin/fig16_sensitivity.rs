@@ -35,6 +35,7 @@ fn sweep(h: &Harness, title: &str, variants: &[(String, AnalysisConfig, ProphetC
 }
 
 fn main() {
+    prophet_bench::expect_no_args("fig16_sensitivity");
     let h = Harness::default();
 
     let v: Vec<_> = [0.05, 0.15, 0.25]

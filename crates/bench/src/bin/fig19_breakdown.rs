@@ -8,6 +8,7 @@ use prophet_sim_core::geomean;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
 fn main() {
+    prophet_bench::expect_no_args("fig19_breakdown");
     let h = Harness::default();
     let stages: Vec<(&str, Option<ProphetFeatures>)> = vec![
         ("Triage4+Meta", None), // runtime only

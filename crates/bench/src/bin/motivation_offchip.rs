@@ -9,6 +9,7 @@ use prophet_temporal::OffChipTemporal;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
 fn main() {
+    prophet_bench::expect_no_args("motivation_offchip");
     let h = Harness::default();
     println!("Section 2.1 motivation: off-chip vs on-chip metadata");
     println!(

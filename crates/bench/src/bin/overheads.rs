@@ -7,6 +7,7 @@ use prophet_bench::Harness;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
 fn main() {
+    prophet_bench::expect_no_args("overheads");
     println!("Section 5.4: Prophet overheads\n");
 
     // 5.4.1 Profiling overhead: PEBS/PMU event model.

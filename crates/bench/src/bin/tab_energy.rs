@@ -5,6 +5,7 @@ use prophet_energy::{energy_of, EnergyModel};
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
 fn main() {
+    prophet_bench::expect_no_args("tab_energy");
     let h = Harness::default();
     let model = EnergyModel::isca25();
     println!("Section 5.11: memory-hierarchy energy (CACTI-like, DRAM = 25x LLC)");

@@ -26,11 +26,6 @@ use prophet_store::{
 };
 use prophet_temporal::{TemporalConfig, TemporalEngine, Triage, Triangel, TriangelConfig};
 
-// The silenceable warning funnel now lives in `prophet-store` (the service
-// shares it); re-exported here so existing `prophet_bench::
-// set_store_warnings` callers keep compiling.
-pub use prophet_store::set_store_warnings;
-
 /// Which L1 prefetcher a run uses (Figure 17 swaps stride for IPCP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum L1Scheme {
@@ -263,20 +258,10 @@ impl Harness {
 
     /// A fresh Prophet pipeline bound to this harness's configuration.
     pub fn prophet_pipeline(&self) -> ProphetPipeline {
-        self.prophet_pipeline_with(AnalysisConfig::default(), ProphetConfig::default())
-    }
-
-    /// Prophet pipeline with explicit analysis/prefetcher configs
-    /// (sensitivity and ablation sweeps).
-    pub fn prophet_pipeline_with(
-        &self,
-        analysis: AnalysisConfig,
-        prophet: ProphetConfig,
-    ) -> ProphetPipeline {
         ProphetPipeline::new(
             self.sys.clone(),
-            analysis,
-            prophet,
+            AnalysisConfig::default(),
+            ProphetConfig::default(),
             RunLengths {
                 warmup: self.warmup,
                 measure: self.measure,
@@ -589,17 +574,10 @@ impl Harness {
     /// workload on a fresh machine, so no cell depends on which worker runs
     /// it or when — `jobs = 1` and `jobs = N` produce bit-identical rows
     /// (the integration test in `crates/bench/tests/determinism.rs` pins
-    /// this). `jobs = 0` means [`Harness::default_jobs`].
-    pub fn run_matrix<W: TraceSource + Sync>(
-        &self,
-        workloads: &[W],
-        jobs: usize,
-    ) -> Vec<SchemeRow> {
-        self.run_matrix_stored(workloads, jobs, None)
-    }
-
-    /// [`Harness::run_matrix`] with an optional artifact store. With a
-    /// store, the grid shares **one scheme-independent warm-up per
+    /// this, with and without a store). `jobs = 0` means
+    /// [`Harness::default_jobs`].
+    ///
+    /// With a store, the grid shares **one scheme-independent warm-up per
     /// workload**: phase 1 loads (or builds and saves) each workload's
     /// [`WarmupCheckpoint`], phase 2 fans the scheme cells out from those
     /// checkpoints — instead of re-simulating the warm-up up to six times
@@ -776,6 +754,16 @@ impl RunArgs {
     }
 }
 
+/// For binaries whose window and configuration are fixed: prints a usage
+/// line and exits 2 if any argument was given, so a flag such as
+/// `--insts` is rejected instead of silently ignored.
+pub fn expect_no_args(bin: &str) {
+    if let Some(a) = std::env::args().nth(1) {
+        eprintln!("unexpected argument: {a}\nusage: {bin} (takes no arguments)");
+        std::process::exit(2);
+    }
+}
+
 /// Prints the store's session activity to **stderr** (stdout is reserved
 /// for figure tables, which must stay bit-identical between cold and warm
 /// runs).
@@ -788,21 +776,6 @@ pub fn report_store_activity(store: &ArtifactStore) {
         a.checkpoints_created,
         a.profiles_reused,
         a.profiles_created
-    );
-    report_fast_path_activity();
-}
-
-/// Prints the issue-path fast-path engagement to **stderr** (same rule as
-/// [`report_store_activity`]: stdout carries only figure tables).
-/// Cumulative process-wide counters — a zero dedup count after a measured
-/// run means the fast path never engaged, which is itself worth seeing in
-/// the logs.
-pub fn report_fast_path_activity() {
-    let issue = prophet_sim_core::issue_path_stats();
-    eprintln!(
-        "fast paths: {} duplicate prefetch(es) dedup-filtered, {} inflight drop(s) \
-         short-circuited",
-        issue.filter_suppressed, issue.inflight_fast_drops
     );
 }
 

@@ -1,10 +1,11 @@
 //! Single-core throughput measurement over the scheme×workload grid.
 //!
-//! Where `Harness::run_matrix` exists to produce *figures* fast (cells fan
-//! across worker threads), this runner exists to measure the *simulator*:
-//! every cell runs sequentially on the calling thread with a wall clock
-//! around it, so the numbers mean single-core instructions per second and
-//! survive comparison across PRs (the `BENCH_*.json` trajectory).
+//! Where `Harness::run_matrix_stored` exists to produce *figures* fast
+//! (cells fan across worker threads), this runner exists to measure the
+//! *simulator*: every cell runs sequentially on the calling thread with a
+//! wall clock around it, so the numbers mean single-core instructions per
+//! second and survive comparison across PRs (the `BENCH_*.json`
+//! trajectory).
 
 use crate::metrics::{BenchCell, BenchWindow};
 use crate::{Harness, Start, MATRIX_SCHEMES};

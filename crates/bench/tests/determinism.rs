@@ -1,9 +1,9 @@
 //! The determinism contract behind the parallel harness and the streaming
 //! trace path:
 //!
-//! * `Harness::run_matrix` must produce bit-identical `SchemeRow`s
-//!   regardless of worker count — cells only depend on (workload, scheme),
-//!   never on scheduling;
+//! * `Harness::run_matrix_stored` must produce bit-identical `SchemeRow`s
+//!   regardless of worker count, with or without a store — cells only
+//!   depend on (workload, scheme), never on scheduling;
 //! * a streaming `TraceSource` replayed through two independent cursors
 //!   must drive the simulator to identical `SimReport`s.
 //!
@@ -12,6 +12,7 @@
 
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::TraceSource;
+use prophet_store::ArtifactStore;
 use prophet_workloads::{workload, workload_sized};
 
 fn small_harness() -> Harness {
@@ -29,8 +30,8 @@ fn run_matrix_is_independent_of_job_count() {
     // through the grid.
     let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
         vec![workload("mcf"), workload("bfs_80000_8")];
-    let serial = h.run_matrix(&workloads, 1);
-    let parallel = h.run_matrix(&workloads, 4);
+    let serial = h.run_matrix_stored(&workloads, 1, None);
+    let parallel = h.run_matrix_stored(&workloads, 4, None);
     assert_eq!(
         serial, parallel,
         "scheme×workload results must not depend on worker count"
@@ -44,9 +45,39 @@ fn run_matrix_is_independent_of_job_count() {
 fn run_matrix_jobs_zero_means_all_cores() {
     let h = small_harness();
     let workloads: Vec<Box<dyn TraceSource + Send + Sync>> = vec![workload("sphinx3")];
-    let auto = h.run_matrix(&workloads, 0);
-    let serial = h.run_matrix(&workloads, 1);
+    let auto = h.run_matrix_stored(&workloads, 0, None);
+    let serial = h.run_matrix_stored(&workloads, 1, None);
     assert_eq!(auto, serial);
+}
+
+#[test]
+fn stored_run_matrix_is_independent_of_job_count() {
+    let h = small_harness();
+    let workloads: Vec<Box<dyn TraceSource + Send + Sync>> =
+        vec![workload("mcf"), workload("bfs_80000_8")];
+    let run = |jobs: usize| {
+        let dir = std::env::temp_dir().join(format!(
+            "prophet-determinism-j{jobs}-{}",
+            std::process::id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = ArtifactStore::open(&dir).expect("open temp store");
+        let rows = h.run_matrix_stored(&workloads, jobs, Some(&store));
+        let activity = store.activity();
+        std::fs::remove_dir_all(&dir).ok();
+        (rows, activity)
+    };
+    let (serial, serial_activity) = run(1);
+    let (parallel, parallel_activity) = run(4);
+    assert_eq!(
+        serial, parallel,
+        "stored scheme×workload results must not depend on worker count"
+    );
+    assert_eq!(serial_activity, parallel_activity);
+    // A fresh store builds one checkpoint and one Prophet profile per
+    // workload, whatever the worker count.
+    assert_eq!(serial_activity.checkpoints_created, 2);
+    assert_eq!(serial_activity.profiles_created, 2);
 }
 
 #[test]

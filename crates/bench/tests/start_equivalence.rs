@@ -5,9 +5,9 @@
 //! Prophet's store-backed path — profile on a miss, reuse on a hit — is
 //! bit-identical to profiling in place.
 
-use prophet_bench::{set_store_warnings, Harness, Scheme, Start};
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::TraceInst;
-use prophet_store::{ArtifactStore, WarmupCheckpoint};
+use prophet_store::{set_store_warnings, ArtifactStore, WarmupCheckpoint};
 use prophet_workloads::workload_sized;
 
 fn harness() -> Harness {

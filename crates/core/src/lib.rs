@@ -48,7 +48,6 @@
 
 pub mod analysis;
 pub mod counters;
-pub mod flexibility;
 pub mod hints;
 pub mod injection;
 pub mod learning;
@@ -61,7 +60,6 @@ pub mod storage;
 
 pub use analysis::{analyze, AnalysisConfig};
 pub use counters::{PcProfile, ProfileCounters};
-pub use flexibility::{select_features, FeatureSelection, SelectionPolicy};
 pub use hints::{CsrHint, HintBuffer, HintSet, PcHint};
 pub use injection::{InjectionCost, InjectionMethod};
 pub use learning::{LearnedProfile, DEFAULT_LOOP_CAP};

@@ -119,16 +119,6 @@ impl ProphetPipeline {
         )
     }
 
-    /// The analysis configuration (mutable, for sensitivity sweeps).
-    pub fn analysis_mut(&mut self) -> &mut AnalysisConfig {
-        &mut self.analysis
-    }
-
-    /// The Prophet configuration (mutable, for ablations).
-    pub fn prophet_mut(&mut self) -> &mut ProphetConfig {
-        &mut self.prophet
-    }
-
     /// The run lengths (mutable).
     pub fn lengths_mut(&mut self) -> &mut RunLengths {
         &mut self.lengths
@@ -137,16 +127,6 @@ impl ProphetPipeline {
     /// The run lengths.
     pub fn lengths(&self) -> &RunLengths {
         &self.lengths
-    }
-
-    /// The system configuration.
-    pub fn system(&self) -> &SystemConfig {
-        &self.sys
-    }
-
-    /// The Prophet configuration.
-    pub fn prophet_config(&self) -> &ProphetConfig {
-        &self.prophet
     }
 }
 

@@ -27,14 +27,6 @@ impl Rpg2Prefetcher {
         }
     }
 
-    /// Builds the prefetcher from per-PC distances.
-    pub fn with_distances(distances: HashMap<u64, i64>) -> Self {
-        Rpg2Prefetcher {
-            distances,
-            issued: 0,
-        }
-    }
-
     /// Number of instrumented PCs.
     pub fn instrumented_pcs(&self) -> usize {
         self.distances.len()

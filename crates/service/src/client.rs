@@ -9,8 +9,8 @@ use crate::proto::{
     decode_response, encode_request, read_frame, write_frame, ErrorCode, FrameError, OptimizeAck,
     Request, Response, SubmitAck, DEFAULT_MAX_FRAME,
 };
-use prophet::{HintSet, ProfileCounters};
-use prophet_store::{decode_hints, DecodeError, StoreKey};
+use prophet::ProfileCounters;
+use prophet_store::{DecodeError, StoreKey};
 use std::fmt;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -123,12 +123,6 @@ impl ServiceClient {
             Response::Hints { bytes } => Ok(bytes),
             _ => Err(ClientError::Unexpected("expected a hints payload")),
         }
-    }
-
-    /// Fetches and decodes the hint set for `key`, returning the embedded
-    /// key echo alongside.
-    pub fn fetch_hints(&mut self, key: &StoreKey) -> Result<(StoreKey, HintSet), ClientError> {
-        Ok(decode_hints(&self.fetch_hints_bytes(key)?)?)
     }
 
     /// Forces re-analysis of `key` now.

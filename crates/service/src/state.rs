@@ -19,7 +19,7 @@ use crate::merge::{merge_canonical, SubmissionSet};
 use crate::metrics::ServiceMetrics;
 use crate::proto::{ErrorCode, OptimizeAck, SubmitAck};
 use crate::PROFILE_SUB_TAG;
-use prophet::{analyze, AnalysisConfig, HintSet, ProfileCounters};
+use prophet::{analyze, AnalysisConfig, ProfileCounters};
 use prophet_store::{
     decode_profile, encode_counters, encode_hints, fnv1a, store_warn, ArtifactStore,
     ProfileArtifact, StoreError, StoreKey,
@@ -403,13 +403,5 @@ impl ServiceState {
     /// guarantee depends on).
     pub fn analysis(&self) -> &AnalysisConfig {
         &self.analysis
-    }
-
-    /// Decoded hints for `key` (convenience over [`ServiceState::fetch`]).
-    pub fn fetch_decoded(&self, key: &StoreKey) -> Result<HintSet, ServiceError> {
-        let bytes = self.fetch(key)?;
-        let (_, hints) = prophet_store::decode_hints(&bytes)
-            .map_err(|e| ServiceError::Store(StoreError::Decode(e)))?;
-        Ok(hints)
     }
 }

@@ -6,8 +6,7 @@
 //! * [`engine`] — the out-of-order core timing model (ROB window, fetch and
 //!   commit widths, dependency-serialized loads);
 //! * [`sim`] — the assembled simulator: engine + hierarchy + prefetchers;
-//! * [`report`] — run reports, speedups, geometric means and the weighted
-//!   SimPoint-style aggregation the paper uses.
+//! * [`report`] — run reports, speedups and geometric means.
 //!
 //! # Example
 //!
@@ -34,13 +33,9 @@
 pub mod engine;
 pub mod report;
 pub mod sim;
-pub mod simpoint;
 pub mod trace;
 
 pub use engine::{Engine, EngineSnapshot, EngineStats, MemBackend};
-pub use report::{aggregate_weighted, geomean, SimReport};
-pub use sim::{
-    issue_path_stats, simulate, IssuePathStats, MemSystem, Simulator, WarmStart, MAX_META_WAYS,
-};
-pub use simpoint::{even_checkpoints, run_checkpoints, Checkpoint};
+pub use report::{geomean, SimReport};
+pub use sim::{simulate, MemSystem, Simulator, WarmStart, MAX_META_WAYS};
 pub use trace::{CursorIter, MemOp, TraceCursor, TraceInst, TraceSource, VecTrace};

@@ -135,61 +135,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (log_sum / xs.len() as f64).exp()
 }
 
-/// Aggregates reports of SimPoint checkpoints into one weighted report
-/// (Section 5.1: "aggregating the results from all its checkpoints with
-/// weighted averages"). Weights need not sum to one; they are normalized.
-pub fn aggregate_weighted(parts: &[(f64, SimReport)]) -> SimReport {
-    assert!(!parts.is_empty(), "cannot aggregate zero checkpoints");
-    let total_w: f64 = parts.iter().map(|(w, _)| *w).sum();
-    assert!(total_w > 0.0, "weights must be positive");
-    let mut out = SimReport {
-        workload: parts[0].1.workload.clone(),
-        scheme: parts[0].1.scheme.clone(),
-        ..SimReport::default()
-    };
-    let mut ipc_acc = 0.0;
-    for (w, r) in parts {
-        let f = *w / total_w;
-        ipc_acc += f * r.ipc;
-        out.instructions += r.instructions;
-        out.cycles += r.cycles;
-        out.issued_prefetches += (f * r.issued_prefetches as f64) as u64;
-        out.useful_prefetches += (f * r.useful_prefetches as f64) as u64;
-        out.late_useful_prefetches += (f * r.late_useful_prefetches as f64) as u64;
-        add_cache(&mut out.l1d, &r.l1d, f);
-        add_cache(&mut out.l2, &r.l2, f);
-        add_cache(&mut out.llc, &r.llc, f);
-        out.dram.reads += (f * r.dram.reads as f64) as u64;
-        out.dram.writes += (f * r.dram.writes as f64) as u64;
-        out.dram.queue_cycles += (f * r.dram.queue_cycles as f64) as u64;
-        out.meta.insertions += (f * r.meta.insertions as f64) as u64;
-        out.meta.replacements += (f * r.meta.replacements as f64) as u64;
-        out.meta.lookups += (f * r.meta.lookups as f64) as u64;
-        out.meta.hits += (f * r.meta.hits as f64) as u64;
-        out.meta.rejected_insertions += (f * r.meta.rejected_insertions as f64) as u64;
-        out.meta_ways = out.meta_ways.max(r.meta_ways);
-        for (pc, s) in &r.per_pc {
-            let e = out.per_pc.entry(*pc).or_default();
-            e.l2_accesses += s.l2_accesses;
-            e.l2_misses += s.l2_misses;
-            e.issued_prefetches += s.issued_prefetches;
-            e.useful_prefetches += s.useful_prefetches;
-        }
-    }
-    out.ipc = ipc_acc;
-    out
-}
-
-fn add_cache(acc: &mut CacheStats, r: &CacheStats, f: f64) {
-    acc.demand_hits += (f * r.demand_hits as f64) as u64;
-    acc.demand_misses += (f * r.demand_misses as f64) as u64;
-    acc.prefetch_fills += (f * r.prefetch_fills as f64) as u64;
-    acc.demand_fills += (f * r.demand_fills as f64) as u64;
-    acc.evictions += (f * r.evictions as f64) as u64;
-    acc.dirty_evictions += (f * r.dirty_evictions as f64) as u64;
-    acc.unused_prefetch_evictions += (f * r.unused_prefetch_evictions as f64) as u64;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,20 +178,6 @@ mod tests {
         assert!((geomean(&[2.0, 0.5]) - 1.0).abs() < 1e-12);
         assert!((geomean(&[1.2, 1.2, 1.2]) - 1.2).abs() < 1e-9);
         assert_eq!(geomean(&[]), 1.0);
-    }
-
-    #[test]
-    fn weighted_aggregate_mixes_ipc() {
-        let a = report(1.0, 10, 20, 10);
-        let b = report(2.0, 30, 40, 30);
-        let agg = aggregate_weighted(&[(0.25, a), (0.75, b)]);
-        assert!((agg.ipc - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero checkpoints")]
-    fn aggregate_empty_panics() {
-        let _ = aggregate_weighted(&[]);
     }
 
     #[test]

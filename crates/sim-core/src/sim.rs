@@ -12,7 +12,7 @@ use crate::trace::{TraceInst, TraceSource};
 use prophet_prefetch::{L1Prefetcher, L2Prefetcher, RecentFilter};
 use prophet_sim_mem::addr::{Addr, Cycle, Pc};
 use prophet_sim_mem::config::SystemConfig;
-use prophet_sim_mem::hierarchy::{Hierarchy, HierarchySnapshot, L2Event, PrefetchOutcome};
+use prophet_sim_mem::hierarchy::{Hierarchy, HierarchySnapshot, L2Event};
 
 /// Largest number of LLC ways the metadata table may occupy: 8 ways of the
 /// 2 MB LLC = 1 MB, the paper's maximum table size (Section 5.10).
@@ -25,46 +25,6 @@ pub struct MemSystem {
     l1pf: Box<dyn L1Prefetcher>,
     l2pf: Box<dyn L2Prefetcher>,
     filter: RecentFilter,
-    /// Issue-path fast-path engagement, flushed to the process-wide
-    /// [`issue_path_stats`] counters on drop (plain fields here so the
-    /// per-request hot path never touches an atomic).
-    filter_suppressed: u64,
-    inflight_fast_drops: u64,
-}
-
-/// Process-wide issue-path fast-path engagement (all simulators, all
-/// threads, since process start). Diagnostics only — never feeds figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IssuePathStats {
-    /// Prefetch requests rejected by the recent-issue dedup filter.
-    pub filter_suppressed: u64,
-    /// Requests short-circuited by the inflight fast-drop probe (the
-    /// residency scans `l2_prefetch` would have run were skipped).
-    pub inflight_fast_drops: u64,
-}
-
-static FILTER_SUPPRESSED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-static INFLIGHT_FAST_DROPS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Reads the cumulative issue-path counters (see [`IssuePathStats`]).
-pub fn issue_path_stats() -> IssuePathStats {
-    use std::sync::atomic::Ordering::Relaxed;
-    IssuePathStats {
-        filter_suppressed: FILTER_SUPPRESSED.load(Relaxed),
-        inflight_fast_drops: INFLIGHT_FAST_DROPS.load(Relaxed),
-    }
-}
-
-impl Drop for MemSystem {
-    fn drop(&mut self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        if self.filter_suppressed > 0 {
-            FILTER_SUPPRESSED.fetch_add(self.filter_suppressed, Relaxed);
-        }
-        if self.inflight_fast_drops > 0 {
-            INFLIGHT_FAST_DROPS.fetch_add(self.inflight_fast_drops, Relaxed);
-        }
-    }
 }
 
 impl MemSystem {
@@ -82,15 +42,10 @@ impl MemSystem {
             }
         }
         for req in decision.prefetches {
-            if !self.filter.admit(req.line) {
-                self.filter_suppressed += 1;
-                continue;
-            }
             // The issue variant checks the O(1) inflight probe before the
             // residency way scans; exact (see its docs).
-            let outcome = self.mem.l2_prefetch_issue(req.trigger_pc, req.line, ev.now);
-            if outcome == PrefetchOutcome::DroppedInflight {
-                self.inflight_fast_drops += 1;
+            if self.filter.admit(req.line) {
+                self.mem.l2_prefetch_issue(req.trigger_pc, req.line, ev.now);
             }
         }
     }
@@ -98,11 +53,6 @@ impl MemSystem {
     /// The underlying hierarchy (for inspection in tests and reports).
     pub fn hierarchy(&self) -> &Hierarchy {
         &self.mem
-    }
-
-    /// The attached L2 prefetcher.
-    pub fn l2_prefetcher(&self) -> &dyn L2Prefetcher {
-        self.l2pf.as_ref()
     }
 }
 
@@ -151,8 +101,6 @@ impl Simulator {
                 l1pf,
                 l2pf,
                 filter: RecentFilter::new(64),
-                filter_suppressed: 0,
-                inflight_fast_drops: 0,
             },
             cfg,
         }

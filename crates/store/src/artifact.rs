@@ -417,12 +417,6 @@ pub fn decode_counters(bytes: &[u8]) -> Result<ProfileCounters, DecodeError> {
     Ok(c)
 }
 
-/// FNV-1a digest of the canonical [`encode_counters`] bytes — the stable
-/// content identity of one submission.
-pub fn counters_digest(c: &ProfileCounters) -> u64 {
-    crate::key::fnv1a(&encode_counters(c))
-}
-
 fn enc_counters(e: &mut Encoder, c: &ProfileCounters) {
     e.len_prefix(c.per_pc.len());
     for (&pc, p) in &c.per_pc {

@@ -56,14 +56,13 @@ pub mod warn;
 pub const FORMAT_VERSION: u16 = 1;
 
 pub use artifact::{
-    counters_digest, decode_checkpoint, decode_counters, decode_hints, decode_profile,
-    encode_checkpoint, encode_counters, encode_hints, encode_profile, ArtifactKind,
-    ProfileArtifact, WarmupCheckpoint, MAGIC,
+    decode_checkpoint, decode_counters, decode_hints, decode_profile, encode_checkpoint,
+    encode_counters, encode_hints, encode_profile, ArtifactKind, ProfileArtifact, WarmupCheckpoint,
+    MAGIC,
 };
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use key::{config_digest, fnv1a, StoreKey};
 pub use store::{
-    read_hints_file, write_hints_file, ArtifactStore, CasOutcome, KeyLockGuard, StoreActivity,
-    StoreError,
+    read_hints_file, write_hints_file, ArtifactStore, KeyLockGuard, StoreActivity, StoreError,
 };
-pub use warn::{set_store_warnings, store_warn, store_warnings_enabled};
+pub use warn::{set_store_warnings, store_warn};

@@ -69,19 +69,6 @@ pub struct StoreActivity {
     pub hints_reused: u64,
 }
 
-/// Outcome of a [`ArtifactStore::save_profile_if`] compare-and-swap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CasOutcome {
-    /// The generation matched; the artifact was written.
-    Stored,
-    /// Another writer advanced the key first; nothing was written. Reload,
-    /// re-merge, retry.
-    Conflict {
-        /// Loop count found on disk (`None` = no decodable artifact).
-        found_loops: Option<u32>,
-    },
-}
-
 /// How long a per-key lock file may sit untouched before waiters treat its
 /// holder as dead, break the lock (with a [`store_warn`] advisory), and
 /// proceed. Every legitimate critical section is a read-merge-write of one
@@ -338,33 +325,6 @@ impl ArtifactStore {
         let next = f(current);
         self.save_profile(key, &next)?;
         Ok(next)
-    }
-
-    /// Compare-and-swap by generation: stores `artifact` only if the
-    /// on-disk loop count still equals `expected_loops` (`None` = "no
-    /// artifact yet"), all under the per-key lock.
-    ///
-    /// The optimistic alternative to [`ArtifactStore::update_profile`]:
-    /// merge outside the lock, then publish with the generation check; a
-    /// [`CasOutcome::Conflict`] means another writer advanced the key and
-    /// the caller must re-read and re-merge.
-    pub fn save_profile_if(
-        &self,
-        key: &StoreKey,
-        expected_loops: Option<u32>,
-        artifact: &ProfileArtifact,
-    ) -> Result<CasOutcome, StoreError> {
-        let _lock = self.lock_key(ArtifactKind::Profile, key)?;
-        let found_loops = match self.load_profile(key) {
-            Ok(cur) => cur.map(|a| a.loops),
-            Err(StoreError::Decode(_)) => None,
-            Err(e) => return Err(e),
-        };
-        if found_loops != expected_loops {
-            return Ok(CasOutcome::Conflict { found_loops });
-        }
-        self.save_profile(key, artifact)?;
-        Ok(CasOutcome::Stored)
     }
 }
 

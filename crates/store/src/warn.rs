@@ -17,11 +17,6 @@ pub fn set_store_warnings(enabled: bool) {
     STORE_WARNINGS.store(enabled, Ordering::Relaxed);
 }
 
-/// Whether store warnings are currently enabled.
-pub fn store_warnings_enabled() -> bool {
-    STORE_WARNINGS.load(Ordering::Relaxed)
-}
-
 /// Prints a non-fatal store advisory to stderr unless silenced.
 ///
 /// Call as `store_warn(format_args!("..."))` — taking [`fmt::Arguments`]

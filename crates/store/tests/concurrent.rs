@@ -1,12 +1,10 @@
 //! Concurrent-writer regression suite: the per-key advisory lock and the
-//! read-merge-write / compare-and-swap APIs must make a lost update
-//! impossible — the failure mode where two writers both read generation
-//! *g* and the second rename silently discards the first merge.
+//! read-merge-write API must make a lost update impossible — the failure
+//! mode where two writers both read generation *g* and the second rename
+//! silently discards the first merge.
 
 use prophet::{PcProfile, ProfileCounters};
-use prophet_store::{
-    set_store_warnings, ArtifactKind, ArtifactStore, CasOutcome, ProfileArtifact, StoreKey,
-};
+use prophet_store::{set_store_warnings, ArtifactKind, ArtifactStore, ProfileArtifact, StoreKey};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -76,78 +74,6 @@ fn concurrent_rmw_loses_no_update() {
             merged.counters.per_pc.contains_key(&pc),
             "update for PC {pc} was lost"
         );
-    }
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn cas_by_generation_detects_conflicts() {
-    let dir = temp_dir("cas");
-    let store = ArtifactStore::open(&dir).unwrap();
-    let k = key("cas");
-    let gen1 = ProfileArtifact {
-        counters: ProfileCounters::default(),
-        loops: 1,
-    };
-    // Publishing against an empty key succeeds...
-    assert_eq!(
-        store.save_profile_if(&k, None, &gen1).unwrap(),
-        CasOutcome::Stored
-    );
-    // ...and a second writer that still believes the key is empty loses.
-    assert_eq!(
-        store.save_profile_if(&k, None, &gen1).unwrap(),
-        CasOutcome::Conflict {
-            found_loops: Some(1)
-        }
-    );
-    // The loser re-reads, re-merges, and retries against what it found.
-    let gen2 = ProfileArtifact {
-        counters: ProfileCounters::default(),
-        loops: 2,
-    };
-    assert_eq!(
-        store.save_profile_if(&k, Some(1), &gen2).unwrap(),
-        CasOutcome::Stored
-    );
-    assert_eq!(store.load_profile(&k).unwrap().unwrap().loops, 2);
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn racing_cas_writers_never_lose_an_update() {
-    let dir = temp_dir("cas-race");
-    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
-    let k = key("cas-race");
-    const WRITERS: u64 = 6;
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS {
-            let store = store.clone();
-            let k = k.clone();
-            scope.spawn(move || {
-                // Optimistic loop: merge outside the lock, publish with the
-                // generation check, retry on conflict.
-                loop {
-                    let current = store.load_profile(&k).unwrap();
-                    let expected = current.as_ref().map(|a| a.loops);
-                    let mut artifact = current.unwrap_or(ProfileArtifact {
-                        counters: ProfileCounters::default(),
-                        loops: 0,
-                    });
-                    artifact.counters.per_pc.insert(w, pc_profile(0.5));
-                    artifact.loops += 1;
-                    match store.save_profile_if(&k, expected, &artifact).unwrap() {
-                        CasOutcome::Stored => break,
-                        CasOutcome::Conflict { .. } => continue,
-                    }
-                }
-            });
-        }
-    });
-    let merged = store.load_profile(&k).unwrap().unwrap();
-    assert_eq!(merged.loops, WRITERS as u32);
-    for w in 0..WRITERS {
-        assert!(merged.counters.per_pc.contains_key(&w));
     }
     std::fs::remove_dir_all(dir).ok();
 }
