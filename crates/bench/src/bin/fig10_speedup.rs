@@ -11,6 +11,7 @@ use prophet_workloads::{workload_sized, SPEC_WORKLOADS};
 
 fn main() {
     let args = RunArgs::parse_or_exit(
+        std::env::args().skip(1),
         "usage: fig10_speedup [--insts N] [--warmup N] [--jobs N] [--store DIR]",
         false,
     );

@@ -20,15 +20,24 @@
 //! scale up, memory stays O(graph)), and the scheme×workload grid fans
 //! across `Harness::run_matrix_stored` workers.
 
-use prophet_bench::{print_speedup_table, report_store_activity, Harness, RunArgs, SchemeRow};
+use prophet_bench::{
+    print_speedup_table, report_store_activity, take_flag, Harness, RunArgs, SchemeRow,
+};
 use prophet_sim_core::TraceSource;
 use prophet_workloads::{crono_workload, workload_sized, CRONO_WORKLOADS};
 
+const USAGE: &str =
+    "usage: fig15_crono [--insts N] [--warmup N] [--jobs N] [--store DIR] [--vertices N]";
+
 fn main() {
-    let args = RunArgs::parse_or_exit(
-        "usage: fig15_crono [--insts N] [--warmup N] [--jobs N] [--store DIR] [--vertices N]",
-        false,
-    );
+    let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let vertices = take_flag(&mut raw, "--vertices", USAGE).map(|v| {
+        v.parse::<usize>().unwrap_or_else(|_| {
+            eprintln!("--vertices: not a number: {v}\n{USAGE}");
+            std::process::exit(2);
+        })
+    });
+    let args = RunArgs::parse_or_exit(raw.into_iter(), USAGE, false);
     // CRONO traces are one-traversal-per-pass; warm up through the first
     // traversal so measurement covers trained passes.
     let h = args.harness(Harness {
@@ -38,7 +47,7 @@ fn main() {
     });
     let workloads: Vec<Box<dyn TraceSource + Send + Sync>> = CRONO_WORKLOADS
         .iter()
-        .map(|name| match args.vertices {
+        .map(|name| match vertices {
             // Paper-scale graphs: floor the vertex count before sizing.
             // The override must land before the first graph access so the
             // spec's memoized CSR is built (once) at the scaled size.

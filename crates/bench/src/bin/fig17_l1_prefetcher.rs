@@ -15,6 +15,7 @@ use prophet_workloads::{workload_sized, SPEC_WORKLOADS};
 
 fn main() {
     let args = RunArgs::parse_or_exit(
+        std::env::args().skip(1),
         "usage: fig17_l1_prefetcher [--insts N] [--warmup N] [--jobs N] [--store DIR]",
         false,
     );

@@ -41,7 +41,7 @@
 //! workloads are sized to cover `warmup + insts` via streaming generation.
 
 use prophet::{analyze, AnalysisConfig, LearnedProfile, Prophet, ProphetConfig};
-use prophet_bench::{report_store_activity, Harness, Outcome, RunArgs, Scheme, Start};
+use prophet_bench::{report_store_activity, take_flag, Harness, Outcome, RunArgs, Scheme, Start};
 use prophet_prefetch::NoL2Prefetch;
 use prophet_rpg2::Rpg2Result;
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
@@ -64,18 +64,6 @@ const USAGE: &str = "usage: prophet_cli <workload> [baseline|triage4|triangel|rp
 fn die(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
     std::process::exit(2);
-}
-
-/// Removes `--flag VALUE` from `raw`, returning the value (the flags only
-/// this binary understands, filtered out before the shared parser runs).
-fn take_flag(raw: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = raw.iter().position(|a| a == flag)?;
-    if i + 1 >= raw.len() {
-        die(&format!("{flag} needs a value"));
-    }
-    let v = raw.remove(i + 1);
-    raw.remove(i);
-    Some(v)
 }
 
 fn print_rpg2(r: &Rpg2Result, base: &SimReport) {
@@ -318,14 +306,11 @@ fn cmd_run(args: &RunArgs, name: &str, hints_path: &str) {
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let hints_out = take_flag(&mut raw, "--hints-out");
-    let hints_in = take_flag(&mut raw, "--hints");
-    let addr = take_flag(&mut raw, "--addr");
-    let service_threads = take_flag(&mut raw, "--service-threads");
-    let args = match RunArgs::parse(raw.into_iter()) {
-        Ok(a) => a,
-        Err(e) => die(&e),
-    };
+    let hints_out = take_flag(&mut raw, "--hints-out", USAGE);
+    let hints_in = take_flag(&mut raw, "--hints", USAGE);
+    let addr = take_flag(&mut raw, "--addr", USAGE);
+    let service_threads = take_flag(&mut raw, "--service-threads", USAGE);
+    let args = RunArgs::parse_or_exit(raw.into_iter(), USAGE, true);
     let Some((first, rest)) = args.rest.split_first() else {
         die("missing workload");
     };

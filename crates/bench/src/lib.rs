@@ -4,9 +4,6 @@
 //! paper. One binary per experiment lives in `src/bin/` (see EXPERIMENTS.md
 //! for the index); this library holds the shared runners.
 
-pub mod metrics;
-pub mod runner;
-
 use prophet::{
     AnalysisConfig, LearnedProfile, ProfileCounters, Prophet, ProphetConfig, ProphetPipeline,
     RunLengths, SimplifiedTp,
@@ -125,14 +122,10 @@ pub enum Start<'a> {
     /// Each pass restores one shared scheme-independent warm-up and starts
     /// its prefetchers at the measurement boundary (DESIGN.md §6), seeding
     /// the temporal ones from the checkpoint's passive training.
+    /// Single-pass schemes stream the trace cursor; Prophet materializes
+    /// the measurement window once and replays it for both passes.
     Checkpoint {
         ckpt: &'a WarmupCheckpoint,
-        /// The materialized measurement window. Without one, single-pass
-        /// schemes stream the trace cursor and Prophet materializes the
-        /// window itself. RPG2 always streams: its kernel scan walks the
-        /// warm-up prefix too. Window and cursor give bit-identical
-        /// reports.
-        window: Option<&'a [TraceInst]>,
         /// Prophet loads its profile counters from this store, or computes
         /// and saves them.
         store: Option<&'a ArtifactStore>,
@@ -179,7 +172,7 @@ impl Outcome {
 
 impl Harness {
     /// Runs `scheme` on `w` from `start`: the one primitive every matrix
-    /// cell, bench cell and CLI scheme run goes through.
+    /// cell and CLI scheme run goes through.
     pub fn run(&self, scheme: Scheme, w: &dyn TraceSource, start: Start) -> Outcome {
         let seed = start.ckpt().map(|c| &c.temporal);
         let l2: Box<dyn L2Prefetcher> = match scheme {
@@ -213,30 +206,30 @@ impl Harness {
                 ))
             }
         };
-        Outcome::Sim(self.pass(w, start, self.l1.build(), l2))
+        Outcome::Sim(self.pass(w, start, None, self.l1.build(), l2))
     }
 
     /// One measured simulation of `w` from `start` under the given
-    /// prefetchers.
+    /// prefetchers. From a checkpoint, a materialized `window` is replayed
+    /// instead of streaming the trace cursor; both give bit-identical
+    /// reports.
     fn pass(
         &self,
         w: &dyn TraceSource,
         start: Start,
+        window: Option<&[TraceInst]>,
         l1: Box<dyn L1Prefetcher>,
         l2: Box<dyn L2Prefetcher>,
     ) -> SimReport {
-        match start {
-            Start::Cold => simulate(&self.sys, w, l1, l2, self.warmup, self.measure),
-            Start::Checkpoint {
-                ckpt, window: None, ..
-            } => ckpt.warm.simulate(&self.sys, w, l1, l2, self.measure),
-            Start::Checkpoint {
-                ckpt,
-                window: Some(window),
-                ..
-            } => ckpt
-                .warm
-                .simulate_window(&self.sys, &w.name(), window, l1, l2),
+        match (start, window) {
+            (Start::Cold, _) => simulate(&self.sys, w, l1, l2, self.warmup, self.measure),
+            (Start::Checkpoint { ckpt, .. }, None) => {
+                ckpt.warm.simulate(&self.sys, w, l1, l2, self.measure)
+            }
+            (Start::Checkpoint { ckpt, .. }, Some(window)) => {
+                ckpt.warm
+                    .simulate_window(&self.sys, &w.name(), window, l1, l2)
+            }
         }
     }
 
@@ -290,29 +283,17 @@ impl Harness {
         analysis: &AnalysisConfig,
         config: &ProphetConfig,
     ) -> SimReport {
-        let materialized;
-        let start = match start {
-            Start::Checkpoint {
-                ckpt,
-                window: None,
-                store,
-            } => {
-                materialized = self.materialize_window(w, ckpt.warm.warmup);
-                Start::Checkpoint {
-                    ckpt,
-                    window: Some(&materialized),
-                    store,
-                }
-            }
-            start => start,
-        };
+        let window = start
+            .ckpt()
+            .map(|ckpt| self.materialize_window(w, ckpt.warm.warmup));
+        let window = window.as_deref();
         let mut learned = LearnedProfile::new();
-        learned.learn(self.prophet_counters(w, start));
+        learned.learn(self.prophet_counters(w, start, window));
         let mut tp = Prophet::new(config.clone(), &learned.build_hints(analysis));
         if let Some(ckpt) = start.ckpt() {
             tp.seed_warmup(&ckpt.temporal);
         }
-        self.pass(w, start, self.l1.build(), Box::new(tp))
+        self.pass(w, start, window, self.l1.build(), Box::new(tp))
     }
 
     /// Prophet's profile counters. With a store the counters are loaded
@@ -321,7 +302,12 @@ impl Harness {
     /// [`Harness::checkpoint_via_store`], so a cold run and a later warm
     /// run learn from bit-identical counter images. A warm run skips the
     /// profiling simulation entirely (half of Prophet's measured work).
-    fn prophet_counters(&self, w: &dyn TraceSource, start: Start) -> ProfileCounters {
+    fn prophet_counters(
+        &self,
+        w: &dyn TraceSource,
+        start: Start,
+        window: Option<&[TraceInst]>,
+    ) -> ProfileCounters {
         let profile = || {
             let mut tp = SimplifiedTp::new();
             if let Some(ckpt) = start.ckpt() {
@@ -330,6 +316,7 @@ impl Harness {
             let report = self.pass(
                 w,
                 start,
+                window,
                 Box::new(StridePrefetcher::default()),
                 Box::new(tp),
             );
@@ -508,7 +495,7 @@ impl Harness {
     /// instructions, then collect up to `self.measure`. Multi-pass
     /// pipelines replay the buffer instead of regenerating the trace per
     /// pass (`WarmStart::simulate_window` pins the replay bit-identical to
-    /// the cursor path). Public so the bench runner can hoist this
+    /// the cursor path). Public so callers that time cells can hoist this
     /// scheme-independent work out of the cell wall clocks.
     pub fn materialize_window(&self, w: &dyn TraceSource, skip: u64) -> Vec<TraceInst> {
         let mut cursor = w.cursor();
@@ -608,7 +595,6 @@ impl Harness {
                 None => Start::Cold,
                 Some(ckpts) => Start::Checkpoint {
                     ckpt: &ckpts[cell / n],
-                    window: None,
                     store,
                 },
             };
@@ -672,10 +658,6 @@ pub struct RunArgs {
     pub warmup: Option<u64>,
     pub jobs: usize,
     pub store: Option<String>,
-    /// Graph-vertex override for the CRONO figures (`--vertices N`):
-    /// floors every graph at N vertices so the paper-scale 1 M+ runs
-    /// don't disturb the default workload registry.
-    pub vertices: Option<usize>,
     pub rest: Vec<String>,
 }
 
@@ -688,7 +670,6 @@ impl RunArgs {
             warmup: None,
             jobs: 0,
             store: None,
-            vertices: None,
             rest: Vec::new(),
         };
         let mut args = args.peekable();
@@ -701,7 +682,6 @@ impl RunArgs {
                 "--insts" => out.insts = Some(take("--insts")?),
                 "--warmup" => out.warmup = Some(take("--warmup")?),
                 "--jobs" => out.jobs = take("--jobs")? as usize,
-                "--vertices" => out.vertices = Some(take("--vertices")? as usize),
                 "--store" => {
                     out.store = Some(args.next().ok_or("--store needs a directory")?);
                 }
@@ -729,8 +709,12 @@ impl RunArgs {
     /// [`RunArgs::parse`] for binary `main`s: prints the error plus
     /// `usage` and exits 2 on a bad flag — and, unless
     /// `allow_positionals`, on any positional argument too.
-    pub fn parse_or_exit(usage: &str, allow_positionals: bool) -> RunArgs {
-        match RunArgs::parse(std::env::args().skip(1)) {
+    pub fn parse_or_exit(
+        args: impl Iterator<Item = String>,
+        usage: &str,
+        allow_positionals: bool,
+    ) -> RunArgs {
+        match RunArgs::parse(args) {
             Ok(a) if allow_positionals || a.rest.is_empty() => a,
             Ok(a) => {
                 eprintln!("unexpected argument: {}\n{usage}", a.rest[0]);
@@ -752,6 +736,21 @@ impl RunArgs {
             ..default
         }
     }
+}
+
+/// Removes `--flag VALUE` from `raw` and returns the value: a flag only
+/// one binary understands, taken out before [`RunArgs::parse_or_exit`]
+/// rejects it as unknown. Prints `usage` and exits 2 when the value is
+/// missing.
+pub fn take_flag(raw: &mut Vec<String>, flag: &str, usage: &str) -> Option<String> {
+    let i = raw.iter().position(|a| a == flag)?;
+    if i + 1 >= raw.len() {
+        eprintln!("{flag} needs a value\n{usage}");
+        std::process::exit(2);
+    }
+    let v = raw.remove(i + 1);
+    raw.remove(i);
+    Some(v)
 }
 
 /// For binaries whose window and configuration are fixed: prints a usage

@@ -1,5 +1,6 @@
-//! Binaries with a fixed window take no arguments: any argument exits 2
-//! with a usage line instead of being silently ignored.
+//! Binaries reject arguments they do not use: a fixed-window binary exits
+//! 2 on any argument, and a windowed one exits 2 on a flag only another
+//! binary understands, instead of silently ignoring it.
 
 use std::process::Command;
 
@@ -27,4 +28,19 @@ fn fixed_window_binary_runs_without_arguments() {
     let out = tab01_config(&[]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("Table 1: System Configuration"));
+}
+
+#[test]
+fn windowed_binary_rejects_another_binarys_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_fig10_speedup"))
+        .args(["--vertices", "5"])
+        .output()
+        .expect("failed to launch fig10_speedup");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a rejected run must print no table");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag: --vertices") && stderr.contains("usage: fig10_speedup"),
+        "missing usage line:\n{stderr}"
+    );
 }

@@ -1,13 +1,19 @@
 //! Pins the equivalences `Harness::run` relies on to serve every caller
-//! from one primitive: a checkpoint start over a materialized window (the
-//! bench runner's cells) is bit-identical to the same start streaming the
-//! trace cursor (the `run_matrix_stored` cells), for every scheme; and
-//! Prophet's store-backed path — profile on a miss, reuse on a hit — is
-//! bit-identical to profiling in place.
+//! from one primitive: replaying a materialized measurement window from a
+//! checkpoint (Prophet's passes, perfbench's traced cells) is
+//! bit-identical to streaming the trace cursor from the same checkpoint
+//! (the single-pass `run_matrix_stored` cells); and Prophet's
+//! store-backed path — profile on a miss, reuse on a hit — is
+//! bit-identical to profiling in place. RPG2's shared sweep has its own
+//! cursor-path reference in `tune_shared.rs`.
 
+use prophet::{
+    AnalysisConfig, LearnedProfile, ProfileCounters, Prophet, ProphetConfig, SimplifiedTp,
+};
 use prophet_bench::{Harness, Scheme, Start};
-use prophet_sim_core::TraceInst;
+use prophet_prefetch::{L2Prefetcher, NoL2Prefetch, StridePrefetcher};
 use prophet_store::{set_store_warnings, ArtifactStore, WarmupCheckpoint};
+use prophet_temporal::{Triage, Triangel, TriangelConfig};
 use prophet_workloads::workload_sized;
 
 fn harness() -> Harness {
@@ -18,15 +24,26 @@ fn harness() -> Harness {
     }
 }
 
-fn start<'a>(
-    ckpt: &'a WarmupCheckpoint,
-    window: Option<&'a [TraceInst]>,
-    store: Option<&'a ArtifactStore>,
-) -> Start<'a> {
-    Start::Checkpoint {
-        ckpt,
-        window,
-        store,
+fn start<'a>(ckpt: &'a WarmupCheckpoint, store: Option<&'a ArtifactStore>) -> Start<'a> {
+    Start::Checkpoint { ckpt, store }
+}
+
+/// The L2 prefetcher `Harness::run` gives a single-pass `scheme` from
+/// `ckpt`: temporal ones seeded from the checkpoint's passive training.
+fn seeded_l2(scheme: Scheme, ckpt: &WarmupCheckpoint) -> Box<dyn L2Prefetcher> {
+    match scheme {
+        Scheme::Baseline => Box::new(NoL2Prefetch),
+        Scheme::Triage4 => {
+            let mut tp = Triage::degree4();
+            tp.seed_warmup(&ckpt.temporal);
+            Box::new(tp)
+        }
+        Scheme::Triangel => {
+            let mut tp = Triangel::new(TriangelConfig::default());
+            tp.seed_warmup(&ckpt.temporal);
+            Box::new(tp)
+        }
+        _ => unreachable!("{} is not single-pass", scheme.name()),
     }
 }
 
@@ -34,19 +51,58 @@ fn start<'a>(
 fn window_start_matches_cursor_start_for_every_scheme() {
     let h = harness();
     let w = workload_sized("bfs_80000_8", h.warmup + h.measure);
+    let name = w.name();
     let ckpt = h.build_checkpoint(w.as_ref());
     let window = h.materialize_window(w.as_ref(), ckpt.warm.warmup);
     assert_eq!(window.len() as u64, h.measure);
-    for scheme in Scheme::ALL {
-        let cursor = h.run(scheme, w.as_ref(), start(&ckpt, None, None));
-        let windowed = h.run(scheme, w.as_ref(), start(&ckpt, Some(&window), None));
+
+    // Single-pass schemes: `Harness::run` streams the cursor, the
+    // reference replays the window.
+    for scheme in [Scheme::Baseline, Scheme::Triage4, Scheme::Triangel] {
+        let cursor = h.run(scheme, w.as_ref(), start(&ckpt, None)).into_report();
+        let replayed = ckpt.warm.simulate_window(
+            &h.sys,
+            &name,
+            &window,
+            h.l1.build(),
+            seeded_l2(scheme, &ckpt),
+        );
         assert_eq!(
+            replayed,
             cursor,
-            windowed,
-            "{}: window start diverged from the cursor start",
+            "{}: window replay diverged from the cursor start",
             scheme.name()
         );
     }
+
+    // Prophet: `Harness::run` replays the window for both passes, the
+    // reference streams the cursor for each.
+    let mut profiler = SimplifiedTp::new();
+    profiler.seed_warmup(&ckpt.temporal);
+    let profile = ckpt.warm.simulate(
+        &h.sys,
+        w.as_ref(),
+        Box::new(StridePrefetcher::default()),
+        Box::new(profiler),
+        h.measure,
+    );
+    let mut learned = LearnedProfile::new();
+    learned.learn(ProfileCounters::from_report(&profile));
+    let mut tp = Prophet::new(
+        ProphetConfig::default(),
+        &learned.build_hints(&AnalysisConfig::default()),
+    );
+    tp.seed_warmup(&ckpt.temporal);
+    let cursor = ckpt
+        .warm
+        .simulate(&h.sys, w.as_ref(), h.l1.build(), Box::new(tp), h.measure);
+    let replayed = h
+        .run(Scheme::Prophet, w.as_ref(), start(&ckpt, None))
+        .into_report();
+    assert_eq!(
+        replayed, cursor,
+        "prophet: window replay diverged from the cursor start"
+    );
 }
 
 #[test]
@@ -56,7 +112,7 @@ fn prophet_store_path_matches_in_place_profiling() {
     let w = workload_sized("bfs_80000_8", h.warmup + h.measure);
     let ckpt = h.build_checkpoint(w.as_ref());
     let in_place = h
-        .run(Scheme::Prophet, w.as_ref(), start(&ckpt, None, None))
+        .run(Scheme::Prophet, w.as_ref(), start(&ckpt, None))
         .into_report();
 
     let dir = std::env::temp_dir().join(format!("prophet-start-eq-{}", std::process::id()));
@@ -64,11 +120,7 @@ fn prophet_store_path_matches_in_place_profiling() {
     let store = ArtifactStore::open(&dir).expect("open a fresh store");
     let stored = |expect_created: u64| {
         let r = h
-            .run(
-                Scheme::Prophet,
-                w.as_ref(),
-                start(&ckpt, None, Some(&store)),
-            )
+            .run(Scheme::Prophet, w.as_ref(), start(&ckpt, Some(&store)))
             .into_report();
         assert_eq!(store.activity().profiles_created, expect_created);
         r

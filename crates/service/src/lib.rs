@@ -25,7 +25,7 @@
 //! * [`server`] — [`Server`]: `TcpListener` + a fixed worker-thread pool
 //!   (std-only; the build environment is offline);
 //! * [`client`] — [`ServiceClient`]: the blocking client library under
-//!   `prophet_cli submit/fetch/metrics` and the `fleet_load` generator;
+//!   `prophet_cli submit/fetch/metrics`;
 //! * [`metrics`] — [`ServiceMetrics`]: relaxed-atomic counters rendered
 //!   as a deterministic plaintext `/metrics`-style snapshot.
 //!
