@@ -12,7 +12,7 @@ use prophet::{
 };
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_prefetch::{L2Prefetcher, NoL2Prefetch, StridePrefetcher};
-use prophet_store::{set_store_warnings, ArtifactStore, WarmupCheckpoint};
+use prophet_store::{ArtifactStore, WarmupCheckpoint};
 use prophet_temporal::{Triage, Triangel, TriangelConfig};
 use prophet_workloads::workload_sized;
 
@@ -107,7 +107,6 @@ fn window_start_matches_cursor_start_for_every_scheme() {
 
 #[test]
 fn prophet_store_path_matches_in_place_profiling() {
-    set_store_warnings(false);
     let h = harness();
     let w = workload_sized("bfs_80000_8", h.warmup + h.measure);
     let ckpt = h.build_checkpoint(w.as_ref());

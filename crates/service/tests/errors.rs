@@ -8,7 +8,7 @@ use prophet_service::{
     decode_response, encode_request, read_frame, write_frame, ClientError, ErrorCode, Request,
     Response, ServeConfig, Server, ServerHandle, ServiceClient, ServiceState,
 };
-use prophet_store::{set_store_warnings, StoreKey};
+use prophet_store::StoreKey;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -179,7 +179,6 @@ fn unknown_workload_is_a_typed_error() {
 
 #[test]
 fn store_dir_vanishing_mid_request_is_store_unavailable() {
-    set_store_warnings(false);
     let dir = temp_dir("vanish");
     let (handle, join) = start_daemon(&dir, 1 << 20);
     let k = key("vanish");
@@ -201,6 +200,5 @@ fn store_dir_vanishing_mid_request_is_store_unavailable() {
         "{metrics}"
     );
     stop_daemon(handle, join);
-    set_store_warnings(true);
     std::fs::remove_dir_all(dir).ok();
 }

@@ -506,7 +506,7 @@ mod tests {
             size_bytes: (sets * ways) as u64 * 64,
             ways,
             hit_latency: 2,
-            repl: ReplKind::Lru,
+            repl: ReplKind::Plru,
             mshrs: 8,
         })
     }
@@ -532,7 +532,9 @@ mod tests {
         c.fill(demand_line(a, false));
         c.fill(demand_line(b, false));
         let ev = c.fill(demand_line(d, false)).expect("must evict");
-        assert_eq!(ev.state.line, a, "LRU victim is the oldest fill");
+        // Two-way PLRU is exact LRU: its one tree bit points away from
+        // the last-touched way.
+        assert_eq!(ev.state.line, a, "PLRU victim is the oldest fill");
         assert!(!c.contains(a));
         assert!(c.contains(b) && c.contains(d));
     }

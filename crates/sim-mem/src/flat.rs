@@ -1,10 +1,9 @@
 //! Flat, allocation-free hot-path containers.
 //!
 //! The per-instruction loop used to lean on `std::collections::HashMap` for
-//! three kinds of state: sparse per-PC tables, the in-flight miss set, and
-//! Hawkeye's sampler bookkeeping. SipHash plus per-entry boxing dominated
-//! the simulator's profile, so this module provides the two shapes those
-//! users actually need:
+//! two kinds of state: sparse per-PC tables and the in-flight miss set.
+//! SipHash plus per-entry boxing dominated the simulator's profile, so this
+//! module provides the two shapes those users actually need:
 //!
 //! * [`FlatMap`] — an open-addressed, linear-probed table keyed by `u64`
 //!   with a fixed multiply-shift hash. It never deletes (none of the hot

@@ -7,7 +7,7 @@
 //! crate rebuilds the pieces of that model the prefetchers interact with:
 //!
 //! * [`addr`] — byte/line/PC address newtypes.
-//! * [`replacement`] — PLRU, LRU, SRRIP, Hawkeye-style, and random policies.
+//! * [`replacement`] — the tree-PLRU (L1D/L2) and SRRIP (LLC) policies.
 //! * [`cache`] — set-associative caches with LLC way partitioning (the
 //!   mechanism by which the metadata table shares space with the LLC).
 //! * [`bloom`] — the counting Bloom filter Triage uses for resizing.
@@ -34,7 +34,6 @@ pub mod cache;
 pub mod config;
 pub mod dram;
 pub mod flat;
-pub mod hawkeye;
 pub mod hierarchy;
 pub mod replacement;
 
@@ -44,9 +43,8 @@ pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats, LineState};
 pub use config::{CoreConfig, SystemConfig};
 pub use dram::{Dram, DramConfig, DramSnapshot, DramStats};
 pub use flat::{find_first_u16, find_first_u64, FlatMap, InflightTable};
-pub use hawkeye::{Hawkeye, OptGen};
 pub use hierarchy::{
     DemandOutcome, Hierarchy, HierarchySnapshot, L2Event, MemStats, PcMemStats, PcStatsMap,
     PrefetchOutcome,
 };
-pub use replacement::{FlatRepl, ReplKind, ReplSnapshot, ReplState};
+pub use replacement::{FlatRepl, ReplKind, ReplSnapshot};

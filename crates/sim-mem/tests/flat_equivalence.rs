@@ -1,17 +1,18 @@
-//! Equivalence suite for the flattened hot-path structures (Issue 7).
+//! Equivalence suite for the flattened hot-path structures.
 //!
 //! The per-instruction rewrite replaced `HashMap`-backed state with
-//! index-addressed structures: [`FlatMap`], [`InflightTable`], [`FlatRepl`]
-//! and the `FlatMap`-based Hawkeye sampler. Figures are pinned bit-identical
-//! by the golden tests; this suite pins the *structural* claim directly by
-//! replaying randomized operation streams against retained map-based
-//! reference models and asserting identical observable decisions — every
-//! lookup, victim choice, OPT verdict, and snapshot image.
+//! index-addressed structures: [`FlatMap`], [`InflightTable`] and
+//! [`FlatRepl`]. Figures are pinned bit-identical by the golden tests;
+//! this suite pins the *structural* claim directly by replaying randomized
+//! operation streams against reference models kept here and asserting
+//! identical observable decisions — every lookup, victim choice, and
+//! snapshot image.
 
 use std::collections::HashMap;
 
-use prophet_sim_mem::addr::{Line, Pc};
-use prophet_sim_mem::{FlatMap, FlatRepl, Hawkeye, InflightTable, OptGen, ReplKind, ReplState};
+use prophet_sim_mem::addr::Line;
+use prophet_sim_mem::replacement::{SRRIP_LONG, SRRIP_MAX};
+use prophet_sim_mem::{FlatMap, FlatRepl, InflightTable, ReplKind, ReplSnapshot};
 
 /// Deterministic splitmix64 stream — the tests need reproducible
 /// randomness without a dev-dependency.
@@ -278,13 +279,139 @@ fn mshr_delay_fast_path_matches_full_sweep() {
 // FlatRepl vs per-set ReplState
 // ---------------------------------------------------------------------------
 
-const REPL_KINDS: [ReplKind; 5] = [
-    ReplKind::Lru,
-    ReplKind::Plru,
-    ReplKind::Srrip,
-    ReplKind::Hawkeye,
-    ReplKind::Random,
-];
+/// Per-set reference model: one policy object per set, each holding its
+/// own small vectors — the layout `FlatRepl` flattened.
+#[derive(Debug, Clone)]
+enum ReplState {
+    Plru(PlruState),
+    Srrip(SrripState),
+}
+
+impl ReplState {
+    fn new(kind: ReplKind, ways: usize) -> Self {
+        match kind {
+            ReplKind::Plru => ReplState::Plru(PlruState::new(ways)),
+            ReplKind::Srrip => ReplState::Srrip(SrripState::new(ways)),
+        }
+    }
+
+    fn on_hit(&mut self, way: usize) {
+        match self {
+            ReplState::Plru(s) => s.touch(way),
+            ReplState::Srrip(s) => s.rrpv[way] = 0,
+        }
+    }
+
+    fn on_fill(&mut self, way: usize) {
+        match self {
+            ReplState::Plru(s) => s.touch(way),
+            ReplState::Srrip(s) => s.rrpv[way] = SRRIP_LONG,
+        }
+    }
+
+    fn snapshot(&self) -> ReplSnapshot {
+        match self {
+            ReplState::Plru(s) => ReplSnapshot::Plru {
+                bits: s.bits.clone(),
+            },
+            ReplState::Srrip(s) => ReplSnapshot::Srrip {
+                rrpv: s.rrpv.clone(),
+            },
+        }
+    }
+
+    fn victim(&mut self, lo: usize, hi: usize) -> usize {
+        match self {
+            ReplState::Plru(s) => s.victim(lo, hi),
+            ReplState::Srrip(s) => s.victim(lo, hi),
+        }
+    }
+}
+
+/// Tree pseudo-LRU over the next power of two of `ways` leaves.
+#[derive(Debug, Clone)]
+struct PlruState {
+    /// One bit per internal node; `true` points to the right child as the
+    /// colder half.
+    bits: Vec<bool>,
+    leaves: usize,
+}
+
+impl PlruState {
+    fn new(ways: usize) -> Self {
+        let leaves = ways.next_power_of_two().max(2);
+        PlruState {
+            bits: vec![false; leaves - 1],
+            leaves,
+        }
+    }
+
+    fn touch(&mut self, way: usize) {
+        let mut node = 0usize;
+        let mut lo = 0usize;
+        let mut hi = self.leaves;
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if way < mid {
+                self.bits[node] = true;
+                node = 2 * node + 1;
+                hi = mid;
+            } else {
+                self.bits[node] = false;
+                node = 2 * node + 2;
+                lo = mid;
+            }
+        }
+    }
+
+    fn victim(&self, lo_way: usize, hi_way: usize) -> usize {
+        let mut node = 0usize;
+        let mut lo = 0usize;
+        let mut hi = self.leaves;
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if self.bits[node] {
+                node = 2 * node + 2;
+                lo = mid;
+            } else {
+                node = 2 * node + 1;
+                hi = mid;
+            }
+        }
+        if (lo_way..hi_way).contains(&lo) {
+            lo
+        } else {
+            lo_way + lo % (hi_way - lo_way)
+        }
+    }
+}
+
+/// Textbook SRRIP: scan for a distant RRPV, age every way, repeat.
+#[derive(Debug, Clone)]
+struct SrripState {
+    rrpv: Vec<u8>,
+}
+
+impl SrripState {
+    fn new(ways: usize) -> Self {
+        SrripState {
+            rrpv: vec![SRRIP_MAX; ways],
+        }
+    }
+
+    fn victim(&mut self, lo: usize, hi: usize) -> usize {
+        loop {
+            if let Some(w) = (lo..hi).find(|&w| self.rrpv[w] == SRRIP_MAX) {
+                return w;
+            }
+            for w in lo..hi {
+                self.rrpv[w] = (self.rrpv[w] + 1).min(SRRIP_MAX);
+            }
+        }
+    }
+}
+
+const REPL_KINDS: [ReplKind; 2] = [ReplKind::Plru, ReplKind::Srrip];
 
 /// Replays one random stream of hit/fill/victim/snapshot operations
 /// against both implementations and asserts identical behavior.
@@ -332,8 +459,8 @@ fn check_flat_repl(kind: ReplKind, sets: usize, ways: usize, seed: u64) {
         assert_eq!(flat.snapshot_set(set), snap, "final snapshot, set {set}");
         flat2.restore_set(set, &snap);
     }
-    // Restored state must continue identically (victim consumes/permutes
-    // Random and SRRIP-aging state, so run a post-restore stream too).
+    // Restored state must continue identically (victim permutes SRRIP
+    // aging state, so run a post-restore stream too).
     for _ in 0..2_000u64 {
         let set = rng.below(sets as u64) as usize;
         let lo = rng.below(ways as u64) as usize;
@@ -361,146 +488,5 @@ fn flat_repl_matches_on_non_power_of_two_ways() {
     for kind in REPL_KINDS {
         check_flat_repl(kind, 8, 6, 7);
         check_flat_repl(kind, 4, 12, 11);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hawkeye sampler vs map-based reference
-// ---------------------------------------------------------------------------
-
-/// A from-the-paper reimplementation of `OptGen` over `HashMap`, mirroring
-/// the pre-flattening structure.
-struct OptGenRef {
-    capacity: usize,
-    occupancy: Vec<u8>,
-    last_access: HashMap<u64, u64>,
-    now: u64,
-}
-
-const HISTORY: usize = 128; // mirrors hawkeye::HISTORY
-
-impl OptGenRef {
-    fn new(capacity: usize) -> Self {
-        OptGenRef {
-            capacity,
-            occupancy: vec![0; HISTORY],
-            last_access: HashMap::new(),
-            now: 0,
-        }
-    }
-
-    fn access(&mut self, line: Line) -> Option<bool> {
-        let t = self.now;
-        self.now += 1;
-        self.occupancy[(t as usize) % HISTORY] = 0;
-        let prev = self.last_access.insert(line.0, t)?;
-        if t - prev >= HISTORY as u64 {
-            return Some(false);
-        }
-        let fits =
-            (prev..t).all(|step| self.occupancy[(step as usize) % HISTORY] < self.capacity as u8);
-        if fits {
-            for step in prev..t {
-                self.occupancy[(step as usize) % HISTORY] += 1;
-            }
-        }
-        Some(fits)
-    }
-}
-
-/// Map-based Hawkeye reference: same predictor table, `HashMap` sampler
-/// state.
-struct HawkeyeRef {
-    counters: Vec<u8>,
-    oracles: HashMap<usize, OptGenRef>,
-    last_pc: HashMap<u64, u64>,
-    sample_mask: usize,
-    ways: usize,
-}
-
-impl HawkeyeRef {
-    fn new(ways: usize, sample: usize) -> Self {
-        HawkeyeRef {
-            counters: vec![4; 8192],
-            oracles: HashMap::new(),
-            last_pc: HashMap::new(),
-            sample_mask: sample - 1,
-            ways,
-        }
-    }
-
-    fn counter_of(&mut self, pc: Pc) -> &mut u8 {
-        let idx = ((pc.0 ^ (pc.0 >> 13)) as usize) & (self.counters.len() - 1);
-        &mut self.counters[idx]
-    }
-
-    fn observe(&mut self, set: usize, line: Line, pc: Pc) -> bool {
-        if set & self.sample_mask == 0 {
-            let ways = self.ways;
-            let oracle = self
-                .oracles
-                .entry(set)
-                .or_insert_with(|| OptGenRef::new(ways));
-            let verdict = oracle.access(line);
-            let trainee = self.last_pc.insert(line.0, pc.0).map(Pc).unwrap_or(pc);
-            if let Some(opt_hit) = verdict {
-                let c = self.counter_of(trainee);
-                if opt_hit {
-                    *c = (*c + 1).min(7);
-                } else {
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
-        *self.counter_of(pc) >= 4
-    }
-}
-
-#[test]
-fn optgen_matches_map_reference() {
-    for seed in 0..4u64 {
-        let mut rng = Rng(0x0197 ^ seed);
-        let mut flat = OptGen::new(8);
-        let mut reference = OptGenRef::new(8);
-        for step in 0..40_000u64 {
-            // Zipf-ish mix: a hot core of lines plus a cold stream, so
-            // verdicts cover hit/miss/first-touch and window expiry.
-            let line = if rng.below(4) == 0 {
-                Line(rng.below(16))
-            } else {
-                Line(64 + rng.below(4_096))
-            };
-            assert_eq!(
-                flat.access(line),
-                reference.access(line),
-                "OPT verdict diverged at step {step} (seed {seed})"
-            );
-        }
-    }
-}
-
-#[test]
-fn hawkeye_matches_map_reference() {
-    for seed in 0..4u64 {
-        let mut rng = Rng(0x4A3B_4E7E ^ seed);
-        let mut flat = Hawkeye::new(8, 4);
-        let mut reference = HawkeyeRef::new(8, 4);
-        for step in 0..60_000u64 {
-            let set = rng.below(64) as usize;
-            // Per-PC locality: each PC walks a distinct line neighborhood,
-            // giving the predictor real friendly/averse structure.
-            let pc = Pc(rng.below(24) * 0x40);
-            let line = Line((pc.0 << 8) | rng.below(96));
-            assert_eq!(
-                flat.observe(set, line, pc),
-                reference.observe(set, line, pc),
-                "friendliness verdict diverged at step {step} (seed {seed})"
-            );
-        }
-        // The learned counters must agree for every PC seen.
-        for pc in 0..24u64 {
-            let pc = Pc(pc * 0x40);
-            assert_eq!(flat.is_friendly(pc), *reference.counter_of(pc) >= 4);
-        }
     }
 }

@@ -1,47 +1,42 @@
 //! Property-based tests for the memory substrate.
 
 use prophet_sim_mem::cache::{demand_line, Cache, CacheConfig};
-use prophet_sim_mem::replacement::{ReplKind, ReplState};
+use prophet_sim_mem::replacement::{FlatRepl, ReplKind};
 use prophet_sim_mem::{CountingBloom, Hierarchy, Line, Pc, SystemConfig};
 use proptest::prelude::*;
 
 proptest! {
-    /// Any replacement policy returns victims inside the allowed range.
+    /// Both replacement policies return victims inside the allowed range.
     #[test]
     fn victims_stay_in_range(
-        kind_idx in 0usize..5,
+        kind_idx in 0usize..2,
         ops in proptest::collection::vec((0usize..8, any::<bool>()), 1..200),
         lo in 0usize..4,
     ) {
-        let kinds = [
-            ReplKind::Lru,
-            ReplKind::Plru,
-            ReplKind::Srrip,
-            ReplKind::Hawkeye,
-            ReplKind::Random,
-        ];
-        let mut s = ReplState::new(kinds[kind_idx], 8);
+        let kinds = [ReplKind::Plru, ReplKind::Srrip];
+        let mut s = FlatRepl::new(kinds[kind_idx], 1, 8);
         for (way, hit) in ops {
             if hit {
-                s.on_hit(way);
+                s.on_hit(0, way);
             } else {
-                s.on_fill(way);
+                s.on_fill(0, way);
             }
         }
         let hi = 8;
-        let v = s.victim(lo, hi);
+        let v = s.victim(0, lo, hi);
         prop_assert!((lo..hi).contains(&v));
     }
 
-    /// LRU never evicts the most recently touched way.
+    /// Tree pseudo-LRU never evicts the most recently touched way: every
+    /// node on its path points at the other half.
     #[test]
     fn lru_protects_mru(touches in proptest::collection::vec(0usize..8, 2..100)) {
-        let mut s = ReplState::new(ReplKind::Lru, 8);
+        let mut s = FlatRepl::new(ReplKind::Plru, 1, 8);
         for &w in &touches {
-            s.on_hit(w);
+            s.on_hit(0, w);
         }
         let mru = *touches.last().unwrap();
-        prop_assert_ne!(s.victim(0, 8), mru);
+        prop_assert_ne!(s.victim(0, 0, 8), mru);
     }
 
     /// A cache never holds the same line twice and never exceeds capacity.
@@ -52,7 +47,7 @@ proptest! {
             size_bytes: 64 * 64, // 16 sets x 4 ways... 64 lines
             ways: 4,
             hit_latency: 1,
-            repl: ReplKind::Lru,
+            repl: ReplKind::Plru,
             mshrs: 4,
         });
         for &l in &lines {

@@ -160,13 +160,9 @@ fn dec_line_state(d: &mut Decoder<'_>) -> Result<Option<LineState>, DecodeError>
 }
 
 fn enc_repl(e: &mut Encoder, r: &ReplSnapshot) {
+    // Tags 0, 3 and 4 are retired and must not be reassigned: a file
+    // carrying one decodes as corrupt.
     match r {
-        ReplSnapshot::Lru { stamp, clock } => {
-            e.u8(0);
-            e.len_prefix(stamp.len());
-            stamp.iter().for_each(|&v| e.u64(v));
-            e.u64(*clock);
-        }
         ReplSnapshot::Plru { bits } => {
             e.u8(1);
             e.len_prefix(bits.len());
@@ -177,33 +173,11 @@ fn enc_repl(e: &mut Encoder, r: &ReplSnapshot) {
             e.len_prefix(rrpv.len());
             rrpv.iter().for_each(|&v| e.u8(v));
         }
-        ReplSnapshot::Hawkeye { rrpv, friendly } => {
-            e.u8(3);
-            e.len_prefix(rrpv.len());
-            rrpv.iter().for_each(|&v| e.u8(v));
-            e.len_prefix(friendly.len());
-            friendly.iter().for_each(|&b| e.bool(b));
-        }
-        ReplSnapshot::Random { seed } => {
-            e.u8(4);
-            e.u64(*seed);
-        }
     }
 }
 
 fn dec_repl(d: &mut Decoder<'_>) -> Result<ReplSnapshot, DecodeError> {
     match d.u8()? {
-        0 => {
-            let n = d.len_prefix(8)?;
-            let mut stamp = Vec::with_capacity(n);
-            for _ in 0..n {
-                stamp.push(d.u64()?);
-            }
-            Ok(ReplSnapshot::Lru {
-                stamp,
-                clock: d.u64()?,
-            })
-        }
         1 => {
             let n = d.len_prefix(1)?;
             let mut bits = Vec::with_capacity(n);
@@ -220,20 +194,6 @@ fn dec_repl(d: &mut Decoder<'_>) -> Result<ReplSnapshot, DecodeError> {
             }
             Ok(ReplSnapshot::Srrip { rrpv })
         }
-        3 => {
-            let n = d.len_prefix(1)?;
-            let mut rrpv = Vec::with_capacity(n);
-            for _ in 0..n {
-                rrpv.push(d.u8()?);
-            }
-            let m = d.len_prefix(1)?;
-            let mut friendly = Vec::with_capacity(m);
-            for _ in 0..m {
-                friendly.push(d.bool()?);
-            }
-            Ok(ReplSnapshot::Hawkeye { rrpv, friendly })
-        }
-        4 => Ok(ReplSnapshot::Random { seed: d.u64()? }),
         _ => Err(DecodeError::Corrupt("unknown replacement-policy tag")),
     }
 }

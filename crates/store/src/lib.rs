@@ -65,4 +65,4 @@ pub use key::{config_digest, fnv1a, StoreKey};
 pub use store::{
     read_hints_file, write_hints_file, ArtifactStore, KeyLockGuard, StoreActivity, StoreError,
 };
-pub use warn::{set_store_warnings, store_warn};
+pub use warn::store_warn;

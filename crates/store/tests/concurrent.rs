@@ -4,7 +4,7 @@
 //! silently discards the first merge.
 
 use prophet::{PcProfile, ProfileCounters};
-use prophet_store::{set_store_warnings, ArtifactKind, ArtifactStore, ProfileArtifact, StoreKey};
+use prophet_store::{ArtifactKind, ArtifactStore, ProfileArtifact, StoreKey};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -97,7 +97,6 @@ fn lock_is_exclusive_and_released_on_drop() {
 
 #[test]
 fn stale_lock_from_a_dead_holder_is_broken() {
-    set_store_warnings(false);
     let dir = temp_dir("stale");
     let store = ArtifactStore::open(&dir).unwrap();
     let k = key("stale");
@@ -113,6 +112,5 @@ fn stale_lock_from_a_dead_holder_is_broken() {
     let _guard = store
         .lock_key(ArtifactKind::Profile, &k)
         .expect("stale lock must be broken, not waited on forever");
-    set_store_warnings(true);
     std::fs::remove_dir_all(dir).ok();
 }

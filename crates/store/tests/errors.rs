@@ -3,6 +3,7 @@
 //! recompute, not the experiment.
 
 use prophet::{CsrHint, HintSet, PcHint};
+use prophet_sim_mem::replacement::ReplSnapshot;
 use prophet_store::{
     decode_checkpoint, decode_hints, decode_profile, encode_checkpoint, encode_hints,
     encode_profile, ArtifactKind, ArtifactStore, DecodeError, ProfileArtifact, StoreKey,
@@ -60,14 +61,18 @@ fn sample_hints() -> Vec<u8> {
     )
 }
 
-/// A tiny but structurally complete checkpoint (geometries far smaller
-/// than the real system; the codec does not care).
 fn sample_checkpoint() -> Vec<u8> {
+    checkpoint_with(ReplSnapshot::Srrip { rrpv: vec![2, 3] })
+}
+
+/// A tiny but structurally complete checkpoint (geometries far smaller
+/// than the real system; the codec does not care) whose caches hold one
+/// set with replacement state `repl`.
+fn checkpoint_with(repl: ReplSnapshot) -> Vec<u8> {
     use prophet_sim_core::{EngineSnapshot, WarmStart};
     use prophet_sim_mem::cache::CacheSnapshot;
     use prophet_sim_mem::dram::DramSnapshot;
     use prophet_sim_mem::hierarchy::HierarchySnapshot;
-    use prophet_sim_mem::replacement::ReplSnapshot;
     use prophet_sim_mem::{Line, LineState, Pc};
     use prophet_temporal::{
         MetaSlotSnapshot, MetaTableSnapshot, TemporalSnapshot, TrainingSnapshot,
@@ -82,7 +87,7 @@ fn sample_checkpoint() -> Vec<u8> {
                 trigger_pc: Some(Pc(0x40)),
             }),
         ],
-        repl: vec![ReplSnapshot::Srrip { rrpv: vec![2, 3] }],
+        repl: vec![repl],
         way_lo: 1,
     };
     encode_checkpoint(
@@ -207,6 +212,31 @@ fn flipped_payload_bytes_never_panic() {
         let mut b = bytes.clone();
         b[i] ^= 0x5A;
         let _ = decode_checkpoint(&b); // Ok or Err both fine; panics are not.
+    }
+}
+
+/// Replacement-policy tags outside the two the codec writes (including
+/// those of retired policies) decode to a typed error, never a panic.
+#[test]
+fn unknown_replacement_tag_is_corrupt() {
+    let srrip = sample_checkpoint();
+    // The first byte that differs from a PLRU-state checkpoint is the
+    // first cache's replacement tag.
+    let plru = checkpoint_with(ReplSnapshot::Plru { bits: vec![true] });
+    let tag_at = srrip
+        .iter()
+        .zip(&plru)
+        .position(|(a, b)| a != b)
+        .expect("the encodings differ");
+    assert_eq!((srrip[tag_at], plru[tag_at]), (2, 1), "found the tag byte");
+    for tag in [0u8, 3, 4, 255] {
+        let mut bytes = srrip.clone();
+        bytes[tag_at] = tag;
+        assert_eq!(
+            decode_checkpoint(&bytes),
+            Err(DecodeError::Corrupt("unknown replacement-policy tag")),
+            "tag {tag}"
+        );
     }
 }
 

@@ -45,22 +45,13 @@ fn cache_from(words: &[u64], ways: usize) -> CacheSnapshot {
         })
         .collect();
     let repl = (0..sets)
-        .map(|s| match (words[s % words.len().max(1)]) % 5 {
-            0 => ReplSnapshot::Lru {
-                stamp: (0..ways as u64).collect(),
-                clock: ways as u64,
-            },
-            1 => ReplSnapshot::Plru {
+        .map(|s| match (words[s % words.len().max(1)]) % 2 {
+            0 => ReplSnapshot::Plru {
                 bits: vec![false; ways.next_power_of_two().max(2) - 1],
             },
-            2 => ReplSnapshot::Srrip {
+            _ => ReplSnapshot::Srrip {
                 rrpv: vec![2; ways],
             },
-            3 => ReplSnapshot::Hawkeye {
-                rrpv: vec![3; ways],
-                friendly: vec![true; ways],
-            },
-            _ => ReplSnapshot::Random { seed: words[0] | 1 },
         })
         .collect();
     CacheSnapshot {

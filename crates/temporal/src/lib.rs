@@ -5,7 +5,7 @@
 //!
 //! * [`metadata`] — the compressed Markov metadata table living in LLC ways
 //!   (12 entries per 64 B line, 10-bit tags, 31-bit targets) with runtime
-//!   (LRU/SRRIP/Hawkeye) and Prophet (priority-class) replacement;
+//!   (LRU/SRRIP) and Prophet (priority-class) replacement;
 //! * [`training`] — the PC-localized training unit and the Figure 8 Markov
 //!   target census;
 //! * [`engine`] — the shared temporal-prefetching engine with pluggable

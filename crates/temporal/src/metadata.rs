@@ -8,8 +8,8 @@
 //!
 //! Replacement is pluggable:
 //!
-//! * the *runtime* policies (LRU for the simplified profiling prefetcher,
-//!   SRRIP for Triangel, Hawkeye-style for Triage), and
+//! * the *runtime* policies (LRU for the simplified profiling prefetcher
+//!   and Prophet, SRRIP for Triangel and Triage), and
 //! * Prophet's two-stage scheme — victim candidates are the entries at the
 //!   **lowest priority level** (from the per-PC hints, Eq. 2) and the runtime
 //!   policy (LRU) picks among the candidates (Section 4.2).
@@ -37,10 +37,8 @@ const NO_META_TAG: u16 = u16::MAX;
 pub enum MetaRepl {
     /// True LRU (the simplified profiling configuration).
     Lru,
-    /// SRRIP (Triangel, Section 2.1.2).
+    /// SRRIP (Triangel, Section 2.1.2; also Triage here).
     Srrip,
-    /// Hawkeye-style (original Triage).
-    Hawkeye,
 }
 
 /// One (valid) metadata entry.
@@ -420,10 +418,8 @@ impl MetadataTable {
                     .map(|(i, _)| base + i)
                     .expect("at least one candidate")
             }
-            MetaRepl::Srrip | MetaRepl::Hawkeye => {
-                // Age candidates until one reaches the distant RRPV; Hawkeye
-                // behaves like SRRIP here (its OPT training happens at
-                // insertion priority in our reduction).
+            MetaRepl::Srrip => {
+                // Age candidates until one reaches the distant RRPV.
                 loop {
                     let base = range.start;
                     if let Some(i) = self.slots[range.clone()]

@@ -1,8 +1,9 @@
 //! Triage (Wu et al., MICRO'19 / TC'21): the first on-chip temporal
-//! prefetcher. No insertion filter, Hawkeye-flavoured metadata replacement,
-//! Bloom-filter-driven resizing. The paper's ablation baseline is "Triage at
-//! a prefetch degree of 4 combined with Triangel's metadata format"
-//! (Section 5.9), available here as [`Triage::degree4`].
+//! prefetcher. No insertion filter, SRRIP metadata replacement (standing in
+//! for the original's Hawkeye), Bloom-filter-driven resizing. The paper's
+//! ablation baseline is "Triage at a prefetch degree of 4 combined with
+//! Triangel's metadata format" (Section 5.9), available here as
+//! [`Triage::degree4`].
 
 use crate::engine::{InsertionPolicy, ResizePolicy, TemporalConfig, TemporalEngine};
 use crate::metadata::{MetaRepl, MetaTableConfig};
@@ -14,8 +15,6 @@ use prophet_sim_mem::hierarchy::L2Event;
 pub struct TriageConfig {
     /// Prefetch degree (1 in the original; 4 for the ablation baseline).
     pub degree: usize,
-    /// Metadata replacement (Hawkeye in the original paper).
-    pub repl: MetaRepl,
     /// Events between Bloom-filter resizing decisions.
     pub resize_window: u64,
     /// Initial LLC ways for metadata.
@@ -28,7 +27,6 @@ impl Default for TriageConfig {
     fn default() -> Self {
         TriageConfig {
             degree: 1,
-            repl: MetaRepl::Hawkeye,
             resize_window: 100_000,
             initial_ways: 4,
             llc_sets: 2048,
@@ -56,7 +54,7 @@ impl Triage {
                 table: MetaTableConfig {
                     sets: cfg.llc_sets,
                     max_ways: 8,
-                    repl: cfg.repl,
+                    repl: MetaRepl::Srrip,
                     priority_replacement: false,
                 },
                 initial_ways: cfg.initial_ways,
@@ -67,12 +65,11 @@ impl Triage {
         }
     }
 
-    /// The Section 5.9 ablation baseline: degree 4, Triangel's metadata
-    /// format (SRRIP replacement).
+    /// The Section 5.9 ablation baseline: degree 4 with Triangel's
+    /// metadata format (SRRIP replacement, as every Triage here uses).
     pub fn degree4() -> Self {
         Triage::new(TriageConfig {
             degree: 4,
-            repl: MetaRepl::Srrip,
             ..TriageConfig::default()
         })
     }

@@ -156,10 +156,10 @@ fn metadata_table_matches_shadow_srrip() {
 }
 
 #[test]
-fn metadata_table_matches_shadow_hawkeye_priority() {
-    // Hawkeye repl + Prophet's priority-class-restricted victim selection.
+fn metadata_table_matches_shadow_srrip_priority() {
+    // SRRIP repl + Prophet's priority-class-restricted victim selection.
     for seed in 0..3 {
-        check_metadata_table(MetaRepl::Hawkeye, true, seed);
+        check_metadata_table(MetaRepl::Srrip, true, seed);
     }
 }
 
