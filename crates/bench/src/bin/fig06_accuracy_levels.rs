@@ -7,8 +7,7 @@ use prophet_workloads::workload;
 fn main() {
     prophet_bench::expect_no_args("fig06_accuracy_levels");
     let h = Harness::default();
-    let mut pl = h.prophet_pipeline();
-    let report = pl.learn_input(workload("omnetpp").as_ref());
+    let report = h.profile(workload("omnetpp").as_ref());
     println!("Figure 6: per-PC prefetching accuracy under the simplified TP (omnetpp)");
     println!(
         "{:<10} {:>10} {:>10} {:>9}  level",

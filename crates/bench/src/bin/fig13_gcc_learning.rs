@@ -4,6 +4,7 @@
 //! cumulative learning of gcc_166 → gcc_expr → gcc_typeck → gcc_expr2, and
 //! "Direct" (each input profiled individually — the learning goal).
 
+use prophet::{AnalysisConfig, HintSet, LearnedProfile, ProfileCounters, ProphetConfig};
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, GCC_INPUTS};
@@ -29,7 +30,16 @@ fn main() {
     }
 
     // Cumulative learning.
-    let mut pl = h.prophet_pipeline();
+    let learn = |learned: &mut LearnedProfile, name: &str| {
+        learned.learn(ProfileCounters::from_report(
+            &h.profile(workload(name).as_ref()),
+        ));
+        learned.build_hints(&AnalysisConfig::default())
+    };
+    let run = |name: &str, hints: &HintSet| {
+        h.optimized(workload(name).as_ref(), hints, &ProphetConfig::default())
+    };
+    let mut learned = LearnedProfile::new();
     let mut columns: Vec<(String, Vec<f64>)> = Vec::new();
     columns.push((
         "Disable".into(),
@@ -40,11 +50,11 @@ fn main() {
             .collect(),
     ));
     for stage in stages {
-        pl.learn_input(workload(stage).as_ref());
+        let hints = learn(&mut learned, stage);
         let col: Vec<f64> = GCC_INPUTS
             .iter()
             .zip(&base)
-            .map(|(name, b)| pl.run_optimized(workload(name).as_ref()).speedup_over(b))
+            .map(|(name, b)| run(name, &hints).speedup_over(b))
             .collect();
         columns.push((format!("+{}", stage.trim_start_matches("gcc_")), col));
     }
@@ -52,12 +62,7 @@ fn main() {
     let direct: Vec<f64> = GCC_INPUTS
         .iter()
         .zip(&base)
-        .map(|(name, b)| {
-            let w = workload(name);
-            let mut p = h.prophet_pipeline();
-            p.learn_input(w.as_ref());
-            p.run_optimized(w.as_ref()).speedup_over(b)
-        })
+        .map(|(name, b)| run(name, &learn(&mut LearnedProfile::new(), name)).speedup_over(b))
         .collect();
     columns.push(("Direct".into(), direct));
 

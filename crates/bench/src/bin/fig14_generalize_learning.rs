@@ -1,5 +1,6 @@
 //! Figure 14: the learning feature generalizes to astar and soplex.
 
+use prophet::{AnalysisConfig, HintSet, LearnedProfile, ProfileCounters, ProphetConfig};
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::workload;
@@ -25,15 +26,24 @@ fn family(h: &Harness, title: &str, inputs: &[&str], labels: &[&str]) {
             })
             .collect(),
     ));
-    let mut pl = h.prophet_pipeline();
+    let learn = |learned: &mut LearnedProfile, name: &str| {
+        learned.learn(ProfileCounters::from_report(
+            &h.profile(workload(name).as_ref()),
+        ));
+        learned.build_hints(&AnalysisConfig::default())
+    };
+    let run = |name: &str, hints: &HintSet| {
+        h.optimized(workload(name).as_ref(), hints, &ProphetConfig::default())
+    };
+    let mut learned = LearnedProfile::new();
     for (input, label) in inputs.iter().zip(labels) {
-        pl.learn_input(workload(input).as_ref());
+        let hints = learn(&mut learned, input);
         columns.push((
             format!("+{label}"),
             inputs
                 .iter()
                 .zip(&base)
-                .map(|(n, b)| pl.run_optimized(workload(n).as_ref()).speedup_over(b))
+                .map(|(n, b)| run(n, &hints).speedup_over(b))
                 .collect(),
         ));
     }
@@ -42,11 +52,7 @@ fn family(h: &Harness, title: &str, inputs: &[&str], labels: &[&str]) {
         inputs
             .iter()
             .zip(&base)
-            .map(|(n, b)| {
-                let mut p = h.prophet_pipeline();
-                p.learn_input(workload(n).as_ref());
-                p.run_optimized(workload(n).as_ref()).speedup_over(b)
-            })
+            .map(|(n, b)| run(n, &learn(&mut LearnedProfile::new(), n)).speedup_over(b))
             .collect(),
     ));
     println!("\n{title}");

@@ -1,6 +1,6 @@
 //! Figure 16: sensitivity to EL_ACC (a), n (b), and MVB candidates (c).
 
-use prophet::{AnalysisConfig, MvbConfig, ProphetConfig};
+use prophet::{analyze, AnalysisConfig, MvbConfig, ProfileCounters, ProphetConfig};
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
@@ -18,9 +18,12 @@ fn sweep(h: &Harness, title: &str, variants: &[(String, AnalysisConfig, ProphetC
         let base = h
             .run(Scheme::Baseline, w.as_ref(), Start::Cold)
             .into_report();
+        // The profiling pass depends on neither config: profile once,
+        // re-analyze per variant.
+        let counters = ProfileCounters::from_report(&h.profile(w.as_ref()));
         print!("{:<18}", name);
         for (i, (_, a, p)) in variants.iter().enumerate() {
-            let r = h.prophet_with(w.as_ref(), *a, p.clone());
+            let r = h.optimized(w.as_ref(), &analyze(&counters, a), p);
             let s = r.speedup_over(&base);
             cols[i].push(s);
             print!(" {s:>12.3}");

@@ -2,7 +2,7 @@
 //! "Triage4 + Triangel metadata" through +Repla, +Insert, +MVB, +Resize
 //! (speedup and normalized DRAM traffic).
 
-use prophet::{AnalysisConfig, ProphetConfig, ProphetFeatures};
+use prophet::{analyze, AnalysisConfig, ProfileCounters, ProphetConfig, ProphetFeatures};
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
@@ -63,16 +63,20 @@ fn main() {
         let base = h
             .run(Scheme::Baseline, w.as_ref(), Start::Cold)
             .into_report();
+        // Every stage runs the same analyzed profile; only the features
+        // differ.
+        let counters = ProfileCounters::from_report(&h.profile(w.as_ref()));
+        let hints = analyze(&counters, &AnalysisConfig::default());
         print!("{:<18}", name);
         for (i, (_, features)) in stages.iter().enumerate() {
             let r = match features {
                 None => h
                     .run(Scheme::Triage4, w.as_ref(), Start::Cold)
                     .into_report(),
-                Some(f) => h.prophet_with(
+                Some(f) => h.optimized(
                     w.as_ref(),
-                    AnalysisConfig::default(),
-                    ProphetConfig {
+                    &hints,
+                    &ProphetConfig {
                         features: *f,
                         ..ProphetConfig::default()
                     },

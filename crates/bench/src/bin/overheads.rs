@@ -1,7 +1,8 @@
 //! Section 5.4: profiling, analysis and instruction overheads.
 
 use prophet::{
-    measure_analysis_seconds, InjectionMethod, InstructionOverhead, ProfilingOverheadModel,
+    measure_analysis_seconds, AnalysisConfig, InjectionMethod, InstructionOverhead, LearnedProfile,
+    ProfileCounters, ProfilingOverheadModel,
 };
 use prophet_bench::Harness;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
@@ -27,9 +28,12 @@ fn main() {
     // 5.4.2 Analysis overhead: wall-clock of the real Analysis step.
     let h = Harness::default();
     for name in SPEC_WORKLOADS {
-        let mut pl = h.prophet_pipeline();
-        pl.learn_input(workload(name).as_ref());
-        let (hints, secs) = measure_analysis_seconds(|| pl.hints());
+        let mut learned = LearnedProfile::new();
+        learned.learn(ProfileCounters::from_report(
+            &h.profile(workload(name).as_ref()),
+        ));
+        let (hints, secs) =
+            measure_analysis_seconds(|| learned.build_hints(&AnalysisConfig::default()));
         println!(
             "analysis[{name}]: {:.6} s for {} PC hints + CSR (paper: <1 s)",
             secs,

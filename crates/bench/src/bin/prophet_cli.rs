@@ -35,17 +35,22 @@
 //!
 //! prophet_cli metrics --addr HOST:PORT
 //!   Dump the daemon's plaintext metrics.
+//!
+//! prophet_cli explain <workload> [--insts N] [--warmup N]
+//!   Explain Prophet's decisions on one workload: the baseline, profiling,
+//!   optimized and Triangel reports, then per PC the profiled accuracy
+//!   against EL_ACC (Eq. 1), the hint (Eq. 1/2) and what the PC did in the
+//!   optimized run, plus the Eq. 3 inputs behind the CSR hint.
 //! ```
 //!
 //! Windows default to 650 000 measured / 200 000 warm-up instructions;
 //! workloads are sized to cover `warmup + insts` via streaming generation.
 
-use prophet::{analyze, AnalysisConfig, LearnedProfile, Prophet, ProphetConfig};
+use prophet::{analyze, AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
 use prophet_bench::{report_store_activity, take_flag, Harness, Outcome, RunArgs, Scheme, Start};
-use prophet_prefetch::NoL2Prefetch;
 use prophet_rpg2::Rpg2Result;
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
-use prophet_sim_core::{simulate, SimReport};
+use prophet_sim_core::SimReport;
 use prophet_store::{
     read_hints_file, write_hints_file, ArtifactStore, ProfileArtifact, StoreError,
 };
@@ -59,7 +64,8 @@ const USAGE: &str = "usage: prophet_cli <workload> [baseline|triage4|triangel|rp
        prophet_cli serve    --store DIR [--addr HOST:PORT] [--service-threads N]
        prophet_cli submit   <workload> --addr HOST:PORT [--insts N] [--warmup N]
        prophet_cli fetch    <workload> --addr HOST:PORT [--hints-out FILE]
-       prophet_cli metrics  --addr HOST:PORT";
+       prophet_cli metrics  --addr HOST:PORT
+       prophet_cli explain  <workload> [--insts N] [--warmup N]";
 
 fn die(msg: &str) -> ! {
     eprintln!("{msg}\n{USAGE}");
@@ -108,8 +114,8 @@ fn cmd_profile(args: &RunArgs, name: &str, hints_out: Option<String>) {
              merged loop history): {e}"
         )),
     };
-    let (counters, report) = prophet::profile_workload(&h.sys, w.as_ref(), h.warmup, h.measure);
-    learned.learn(counters);
+    let report = h.profile(w.as_ref());
+    learned.learn(ProfileCounters::from_report(&report));
     let artifact = ProfileArtifact {
         counters: learned.counters().expect("just learned").clone(),
         loops: learned.loops(),
@@ -217,7 +223,8 @@ fn cmd_submit(args: &RunArgs, name: &str, addr: &str) {
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
     let key = h.profile_key(w.as_ref());
-    let (counters, report) = prophet::profile_workload(&h.sys, w.as_ref(), h.warmup, h.measure);
+    let report = h.profile(w.as_ref());
+    let counters = ProfileCounters::from_report(&report);
     let mut client = connect_daemon(addr);
     let ack = client
         .submit(&key, &counters)
@@ -283,29 +290,99 @@ fn cmd_run(args: &RunArgs, name: &str, hints_path: &str) {
             expected.measure,
         );
     }
-    let base = simulate(
-        &h.sys,
-        w.as_ref(),
-        h.l1.build(),
-        Box::new(NoL2Prefetch),
-        h.warmup,
-        h.measure,
-    );
+    let base = h
+        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+        .into_report();
     println!("{base}");
-    let prophet = Prophet::new(ProphetConfig::default(), &hints);
-    let r = simulate(
-        &h.sys,
-        w.as_ref(),
-        h.l1.build(),
-        Box::new(prophet),
-        h.warmup,
-        h.measure,
-    );
+    let r = h.optimized(w.as_ref(), &hints, &ProphetConfig::default());
     println!("speedup {:.3}\n{r}", r.speedup_over(&base));
+}
+
+/// Explains Prophet's decisions on `name` from the four reports' contents:
+/// the Eq. 1/2 inputs and hint per PC beside what the PC did in the
+/// optimized run, and the Eq. 3 inputs behind the CSR hint.
+fn cmd_explain(args: &RunArgs, name: &str) {
+    let h = args.harness(Harness::default());
+    let w = workload_sized(name, h.warmup + h.measure);
+    let w = w.as_ref();
+    let cfg = AnalysisConfig::default();
+    let show = |title: &str, r: &SimReport| {
+        print!("--- {title} ---\n{r}");
+        println!("  meta: {:?}", r.meta);
+    };
+
+    let base = h.run(Scheme::Baseline, w, Start::Cold).into_report();
+    show("baseline", &base);
+    let profile = h.profile(w);
+    show("profiling (simplified TP)", &profile);
+    let counters = ProfileCounters::from_report(&profile);
+    let hints = analyze(&counters, &cfg);
+    let opt = h.optimized(w, &hints, &ProphetConfig::default());
+    show("optimized (Prophet)", &opt);
+    let tri = h.run(Scheme::Triangel, w, Start::Cold).into_report();
+    show("triangel", &tri);
+
+    println!(
+        "--- Eq. 3 ---\nallocated entries {:.0} ({:.0} insertions - {:.0} replacements); \
+         replacement fraction {:.3} (thrash at {}); estimate {:.0} -> csr enabled={} meta_ways={}",
+        counters.allocated_entries(),
+        counters.insertions,
+        counters.replacements,
+        if counters.insertions > 0.0 {
+            counters.replacements / counters.insertions
+        } else {
+            0.0
+        },
+        cfg.thrash_replacement_frac,
+        cfg.footprint_estimate(&counters),
+        hints.csr.enabled,
+        hints.csr.meta_ways
+    );
+
+    println!(
+        "--- per PC, by profiled L2 misses (Eq. 1: insert iff acc >= EL_ACC {}, \
+         PCs under {} issued keep the default hint; Eq. 2: {} priority levels; \
+         - = beyond the {}-entry hint buffer) ---",
+        cfg.el_acc,
+        cfg.min_issued,
+        1u32 << cfg.priority_bits,
+        cfg.hint_entries
+    );
+    println!(
+        "{:<10} {:>9} {:>9} {:>6} {:>9} {:>6} {:>4} {:>9} {:>9}",
+        "pc", "issued", "useful", "acc", "l2miss", "insert", "prio", "opt.iss", "opt.use"
+    );
+    let mut pcs: Vec<_> = profile.per_pc.iter().collect();
+    pcs.sort_by(|a, b| b.1.l2_misses.cmp(&a.1.l2_misses).then(a.0.cmp(b.0)));
+    for (pc, p) in pcs {
+        let (insert, prio) = match hints.pc_hints.iter().find(|(hpc, _)| hpc == pc) {
+            Some((_, hint)) => (hint.insert.to_string(), hint.priority.to_string()),
+            None => ("-".into(), "-".into()),
+        };
+        let o = opt.per_pc.get(pc).copied().unwrap_or_default();
+        println!(
+            "{pc:#08x}   {:>9} {:>9} {:>6.3} {:>9} {insert:>6} {prio:>4} {:>9} {:>9}",
+            p.issued_prefetches,
+            p.useful_prefetches,
+            p.accuracy().unwrap_or(0.0),
+            p.l2_misses,
+            o.issued_prefetches,
+            o.useful_prefetches
+        );
+    }
+    println!(
+        "optimized: {} of {} useful prefetches were late",
+        opt.late_useful_prefetches, opt.useful_prefetches
+    );
 }
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
+    let flags: Vec<String> = raw
+        .iter()
+        .filter(|a| a.starts_with("--"))
+        .cloned()
+        .collect();
     let hints_out = take_flag(&mut raw, "--hints-out", USAGE);
     let hints_in = take_flag(&mut raw, "--hints", USAGE);
     let addr = take_flag(&mut raw, "--addr", USAGE);
@@ -348,6 +425,19 @@ fn main() {
                 "fetch" => cmd_fetch(&args, name, &addr, hints_out),
                 _ => unreachable!(),
             }
+            return;
+        }
+        "explain" => {
+            let [name] = rest else {
+                die("explain needs exactly one workload");
+            };
+            if let Some(f) = flags
+                .iter()
+                .find(|f| !matches!(f.as_str(), "--insts" | "--warmup"))
+            {
+                die(&format!("explain takes only --insts and --warmup, not {f}"));
+            }
+            cmd_explain(&args, name);
             return;
         }
         "profile" | "optimize" | "run" => {

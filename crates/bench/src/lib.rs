@@ -5,8 +5,7 @@
 //! for the index); this library holds the shared runners.
 
 use prophet::{
-    AnalysisConfig, LearnedProfile, ProfileCounters, Prophet, ProphetConfig, ProphetPipeline,
-    RunLengths, SimplifiedTp,
+    analyze, AnalysisConfig, HintSet, ProfileCounters, Prophet, ProphetConfig, SimplifiedTp,
 };
 use prophet_prefetch::{
     IpcpPrefetcher, L1Prefetcher, L2Prefetcher, NoL2Prefetch, StridePrefetcher,
@@ -81,7 +80,8 @@ pub enum Scheme {
     /// RPG2 with its identify → instrument → tune pipeline.
     Rpg2,
     /// Prophet: profile, analyze, then the optimized run (single-input
-    /// "Direct" mode; the learning figures drive the pipeline manually).
+    /// "Direct" mode; the learning figures call [`Harness::profile`] and
+    /// [`Harness::optimized`] themselves).
     Prophet,
 }
 
@@ -197,14 +197,7 @@ impl Harness {
                     Some(ckpt) => self.rpg2_warm(w, ckpt),
                 })
             }
-            Scheme::Prophet => {
-                return Outcome::Sim(self.prophet_from(
-                    w,
-                    start,
-                    &AnalysisConfig::default(),
-                    &ProphetConfig::default(),
-                ))
-            }
+            Scheme::Prophet => return Outcome::Sim(self.prophet_from(w, start)),
         };
         Outcome::Sim(self.pass(w, start, None, self.l1.build(), l2))
     }
@@ -249,85 +242,77 @@ impl Harness {
         Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure).run_warm(w, &ckpt.warm)
     }
 
-    /// A fresh Prophet pipeline bound to this harness's configuration.
-    pub fn prophet_pipeline(&self) -> ProphetPipeline {
-        ProphetPipeline::new(
-            self.sys.clone(),
-            AnalysisConfig::default(),
-            ProphetConfig::default(),
-            RunLengths {
-                warmup: self.warmup,
-                measure: self.measure,
-            },
+    /// Prophet's Step 1 from a cold start: the profiling pass, under the
+    /// stride L1 (as the paper profiles) and the simplified temporal
+    /// prefetcher. [`ProfileCounters::from_report`] reads the profile out.
+    pub fn profile(&self, w: &dyn TraceSource) -> SimReport {
+        self.pass(
+            w,
+            Start::Cold,
+            None,
+            Box::new(StridePrefetcher::default()),
+            Box::new(SimplifiedTp::new()),
         )
     }
 
-    /// [`Scheme::Prophet`] from a cold start with explicit configs
-    /// (sensitivity and ablation figures).
-    pub fn prophet_with(
+    /// The optimized binary's run from a cold start: Prophet built from
+    /// `hints` and `config`, under the harness's L1.
+    pub fn optimized(
         &self,
         w: &dyn TraceSource,
-        analysis: AnalysisConfig,
-        prophet: ProphetConfig,
-    ) -> SimReport {
-        self.prophet_from(w, Start::Cold, &analysis, &prophet)
-    }
-
-    /// Prophet's passes from `start`: profile under the stride L1 (as the
-    /// paper does), analyze, then the optimized run under the harness's L1.
-    /// From a checkpoint both passes replay one materialized window.
-    fn prophet_from(
-        &self,
-        w: &dyn TraceSource,
-        start: Start,
-        analysis: &AnalysisConfig,
+        hints: &HintSet,
         config: &ProphetConfig,
     ) -> SimReport {
-        let window = start
-            .ckpt()
-            .map(|ckpt| self.materialize_window(w, ckpt.warm.warmup));
-        let window = window.as_deref();
-        let mut learned = LearnedProfile::new();
-        learned.learn(self.prophet_counters(w, start, window));
-        let mut tp = Prophet::new(config.clone(), &learned.build_hints(analysis));
-        if let Some(ckpt) = start.ckpt() {
-            tp.seed_warmup(&ckpt.temporal);
-        }
-        self.pass(w, start, window, self.l1.build(), Box::new(tp))
+        let tp = Prophet::new(config.clone(), hints);
+        self.pass(w, Start::Cold, None, self.l1.build(), Box::new(tp))
     }
 
-    /// Prophet's profile counters. With a store the counters are loaded
-    /// when present, otherwise profiled and saved; freshly profiled
-    /// counters round-trip through the codec before use, exactly like
-    /// [`Harness::checkpoint_via_store`], so a cold run and a later warm
-    /// run learn from bit-identical counter images. A warm run skips the
-    /// profiling simulation entirely (half of Prophet's measured work).
-    fn prophet_counters(
-        &self,
-        w: &dyn TraceSource,
-        start: Start,
-        window: Option<&[TraceInst]>,
-    ) -> ProfileCounters {
+    /// [`Scheme::Prophet`] from `start`: profile, analyze with the paper's
+    /// defaults, then the optimized run. From a checkpoint both passes
+    /// replay one materialized window, and a store caches the profile.
+    fn prophet_from(&self, w: &dyn TraceSource, start: Start) -> SimReport {
+        let Start::Checkpoint { ckpt, store } = start else {
+            let counters = ProfileCounters::from_report(&self.profile(w));
+            let hints = analyze(&counters, &AnalysisConfig::default());
+            return self.optimized(w, &hints, &ProphetConfig::default());
+        };
+        let window = self.materialize_window(w, ckpt.warm.warmup);
         let profile = || {
             let mut tp = SimplifiedTp::new();
-            if let Some(ckpt) = start.ckpt() {
-                tp.seed_warmup(&ckpt.temporal);
-            }
+            tp.seed_warmup(&ckpt.temporal);
             let report = self.pass(
                 w,
                 start,
-                window,
+                Some(&window),
                 Box::new(StridePrefetcher::default()),
                 Box::new(tp),
             );
             ProfileCounters::from_report(&report)
         };
-        let Start::Checkpoint {
-            store: Some(store), ..
-        } = start
-        else {
-            return profile();
+        let counters = match store {
+            None => profile(),
+            Some(store) => self.stored_profile(store, w, profile),
         };
+        let mut tp = Prophet::new(
+            ProphetConfig::default(),
+            &analyze(&counters, &AnalysisConfig::default()),
+        );
+        tp.seed_warmup(&ckpt.temporal);
+        self.pass(w, start, Some(&window), self.l1.build(), Box::new(tp))
+    }
+
+    /// Prophet's profile counters for `w` from `store` when present,
+    /// otherwise from `profile`, saved to the store. Freshly profiled
+    /// counters round-trip through the codec before use, exactly like
+    /// [`Harness::checkpoint_via_store`], so a cold run and a later warm
+    /// run learn from bit-identical counter images. A warm run skips the
+    /// profiling simulation entirely (half of Prophet's measured work).
+    fn stored_profile(
+        &self,
+        store: &ArtifactStore,
+        w: &dyn TraceSource,
+        profile: impl FnOnce() -> ProfileCounters,
+    ) -> ProfileCounters {
         let key = self.profile_key(w);
         match store.load_profile(&key) {
             Ok(Some(artifact)) => return artifact.counters,

@@ -22,8 +22,8 @@
 //! runtime scheme sustains (the undersizing failure), or the clamp
 //! mis-firing on a healthy profile (the oversizing failure).
 
-use prophet::{analyze, AnalysisConfig};
-use prophet_sim_mem::SystemConfig;
+use prophet::{analyze, AnalysisConfig, ProfileCounters};
+use prophet_bench::Harness;
 use prophet_workloads::workload_sized;
 
 /// Window for the profiling pass: long enough that `workload_sized`
@@ -39,10 +39,14 @@ const TRIANGEL_CONVERGED_WAYS: usize = 2;
 
 #[test]
 fn bfs_400000_profiles_size_at_least_the_triangel_way_count() {
-    let sys = SystemConfig::isca25();
+    let h = Harness {
+        warmup: WARMUP,
+        measure: MEASURE,
+        ..Harness::default()
+    };
     for name in ["bfs_100000_16", "bfs_80000_8", "bfs_90000_10"] {
         let spec = workload_sized(name, SIZED_TO);
-        let (counters, _) = prophet::profile_workload(&sys, spec.as_ref(), WARMUP, MEASURE);
+        let counters = ProfileCounters::from_report(&h.profile(spec.as_ref()));
         let cfg = AnalysisConfig::default();
         assert!(
             !cfg.profile_thrashed(&counters),

@@ -44,3 +44,24 @@ fn windowed_binary_rejects_another_binarys_flag() {
         "missing usage line:\n{stderr}"
     );
 }
+
+#[test]
+fn explain_rejects_flags_it_does_not_use() {
+    for flag in [["--store", "D"], ["--jobs", "2"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_prophet_cli"))
+            .args(["explain", "mcf"])
+            .args(flag)
+            .output()
+            .expect("failed to launch prophet_cli");
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        assert!(out.stdout.is_empty(), "a rejected run must print no report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "explain takes only --insts and --warmup, not {}",
+                flag[0]
+            )) && stderr.contains("usage: prophet_cli"),
+            "missing usage line:\n{stderr}"
+        );
+    }
+}

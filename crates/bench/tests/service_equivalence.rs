@@ -4,11 +4,11 @@
 //! clients submitted or in what order.
 //!
 //! Uses a real profiled workload (not synthetic counters): the same
-//! `profile_workload` pass the CLI's `profile` subcommand runs, submitted
+//! `Harness::profile` pass the CLI's `profile` subcommand runs, submitted
 //! to an in-process daemon by racing clients, then compared byte-for-byte
 //! against the offline analysis of the identical counters.
 
-use prophet::{AnalysisConfig, LearnedProfile};
+use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters};
 use prophet_bench::Harness;
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
 use prophet_store::encode_hints;
@@ -30,7 +30,7 @@ fn daemon_serves_offline_pipeline_bytes() {
     };
     let w = workload_sized("mcf", h.warmup + h.measure);
     let key = h.profile_key(w.as_ref());
-    let (counters, _) = prophet::profile_workload(&h.sys, w.as_ref(), h.warmup, h.measure);
+    let counters = ProfileCounters::from_report(&h.profile(w.as_ref()));
 
     // Offline reference: learn once, analyze, encode — what `profile`
     // followed by `optimize --hints-out` produces.

@@ -19,26 +19,12 @@ pub const DEFAULT_LOOP_CAP: u32 = 4;
 pub struct LearnedProfile {
     counters: Option<ProfileCounters>,
     loops: u32,
-    cap: u32,
 }
 
 impl LearnedProfile {
-    /// Fresh state with the default loop cap.
+    /// Fresh state: no input learned yet.
     pub fn new() -> Self {
-        LearnedProfile {
-            counters: None,
-            loops: 0,
-            cap: DEFAULT_LOOP_CAP,
-        }
-    }
-
-    /// Fresh state with an explicit `L`.
-    pub fn with_cap(cap: u32) -> Self {
-        LearnedProfile {
-            counters: None,
-            loops: 0,
-            cap: cap.max(1),
-        }
+        Self::default()
     }
 
     /// Rebuilds learned state from a persisted profile artifact (merged
@@ -49,7 +35,6 @@ impl LearnedProfile {
         LearnedProfile {
             counters: Some(counters),
             loops,
-            cap: DEFAULT_LOOP_CAP,
         }
     }
 
@@ -74,7 +59,7 @@ impl LearnedProfile {
     pub fn learn(&mut self, new: ProfileCounters) {
         match &mut self.counters {
             None => self.counters = Some(new),
-            Some(old) => old.merge(&new, self.loops, self.cap),
+            Some(old) => old.merge(&new, self.loops, DEFAULT_LOOP_CAP),
         }
         self.loops += 1;
     }
@@ -157,7 +142,7 @@ mod tests {
     #[test]
     fn repeated_learning_converges_to_dominant_input() {
         let cfg = AnalysisConfig::default();
-        let mut lp = LearnedProfile::with_cap(4);
+        let mut lp = LearnedProfile::new();
         lp.learn(profile(&[(1, 0.05)])); // initially filtered
         assert!(!lp.build_hints(&cfg).pc_hints[0].1.insert);
         for _ in 0..6 {
@@ -166,6 +151,27 @@ mod tests {
         assert!(
             lp.build_hints(&cfg).pc_hints[0].1.insert,
             "frequently observed high accuracy must win"
+        );
+    }
+
+    #[test]
+    fn default_learns_like_new() {
+        let inputs = [
+            profile(&[(1, 0.9)]),
+            profile(&[(1, 0.1), (2, 0.7)]),
+            profile(&[(1, 0.5), (2, 0.2)]),
+        ];
+        let mut a = LearnedProfile::new();
+        let mut b = LearnedProfile::default();
+        for p in inputs {
+            a.learn(p.clone());
+            b.learn(p);
+        }
+        assert_eq!(a.loops(), b.loops());
+        assert_eq!(
+            a.counters().unwrap(),
+            b.counters().unwrap(),
+            "default() must merge with the same loop cap L as new()"
         );
     }
 

@@ -14,15 +14,21 @@
 //! * [`mvb`] — the Multi-path Victim Buffer;
 //! * [`prophet`] — the Prophet prefetcher with per-feature toggles
 //!   (Figure 19's ablation axes);
-//! * [`pipeline`] — the end-to-end Profile → Analyze → Learn loop;
 //! * [`storage`] / [`pmu`] — the Section 5.10 / 5.4 overhead accounting.
 //!
 //! # Example: the whole loop on a synthetic workload
 //!
+//! The public pieces chain into the paper's loop: profile under
+//! [`SimplifiedTp`], read the [`ProfileCounters`] out of the report, learn
+//! them into a [`LearnedProfile`], analyze, then run [`Prophet`] with the
+//! hints. (`prophet-bench`'s `Harness::profile` and `Harness::optimized`
+//! run the two simulations at the experiments' window.)
+//!
 //! ```
-//! use prophet::ProphetPipeline;
-//! use prophet_sim_core::{TraceInst, VecTrace};
-//! use prophet_sim_mem::{Addr, Pc};
+//! use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters, Prophet, ProphetConfig, SimplifiedTp};
+//! use prophet_prefetch::StridePrefetcher;
+//! use prophet_sim_core::{simulate, TraceInst, VecTrace};
+//! use prophet_sim_mem::{Addr, Pc, SystemConfig};
 //!
 //! // A small temporal pattern: a repeated cycle of lines.
 //! let lines: Vec<u64> = (0..512).map(|i| (i * 37) % 4096).collect();
@@ -33,16 +39,21 @@
 //!     }
 //! }
 //! let workload = VecTrace::new("cycle", insts);
+//! let sys = SystemConfig::isca25();
+//! let stride = || Box::new(StridePrefetcher::default());
 //!
-//! let mut pipeline = ProphetPipeline::isca25();
-//! pipeline.lengths_mut().warmup = 2_000;
-//! pipeline.lengths_mut().measure = 20_000;
-//! pipeline.learn_input(&workload);          // Step 1 (+3 on later inputs)
-//! let hints = pipeline.hints();             // Step 2
-//! // This cycle fits on-chip, so Eq. 3 rightly disables the metadata
-//! // table (workloads with >LLC footprints get it enabled and sized).
+//! // Step 1: profile (Step 3 merges later inputs into the same state).
+//! let profile = simulate(&sys, &workload, stride(), Box::new(SimplifiedTp::new()), 2_000, 20_000);
+//! let mut learned = LearnedProfile::new();
+//! learned.learn(ProfileCounters::from_report(&profile));
+//! // Step 2: analyze. This cycle fits on-chip, so Eq. 3 rightly disables
+//! // the metadata table (workloads with >LLC footprints get it enabled
+//! // and sized).
+//! let hints = learned.build_hints(&AnalysisConfig::default());
 //! assert!(!hints.csr.enabled);
-//! let report = pipeline.run_optimized(&workload);
+//! // The optimized binary's run.
+//! let prophet = Prophet::new(ProphetConfig::default(), &hints);
+//! let report = simulate(&sys, &workload, stride(), Box::new(prophet), 2_000, 20_000);
 //! assert!(report.ipc > 0.0);
 //! ```
 
@@ -52,7 +63,6 @@ pub mod hints;
 pub mod injection;
 pub mod learning;
 pub mod mvb;
-pub mod pipeline;
 pub mod pmu;
 pub mod profile;
 pub mod prophet;
@@ -64,8 +74,7 @@ pub use hints::{CsrHint, HintBuffer, HintSet, PcHint};
 pub use injection::{InjectionCost, InjectionMethod};
 pub use learning::{LearnedProfile, DEFAULT_LOOP_CAP};
 pub use mvb::{MultiPathVictimBuffer, MvbConfig};
-pub use pipeline::{ProphetPipeline, RunLengths};
 pub use pmu::{measure_analysis_seconds, InstructionOverhead, ProfilingOverheadModel};
-pub use profile::{profile_workload, SimplifiedTp};
+pub use profile::SimplifiedTp;
 pub use prophet::{Prophet, ProphetConfig, ProphetFeatures};
 pub use storage::StorageBreakdown;

@@ -7,12 +7,8 @@
 //! (Section 3.2). The PMU/PEBS counters read out afterwards are the entire
 //! profile artifact.
 
-use crate::counters::ProfileCounters;
 use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
-use prophet_prefetch::StridePrefetcher;
-use prophet_sim_core::{simulate, SimReport, TraceSource};
 use prophet_sim_mem::hierarchy::L2Event;
-use prophet_sim_mem::SystemConfig;
 use prophet_temporal::{TemporalConfig, TemporalEngine};
 
 /// The simplified temporal prefetcher (profiling configuration).
@@ -27,11 +23,6 @@ impl SimplifiedTp {
         SimplifiedTp {
             engine: TemporalEngine::new(TemporalConfig::simplified_profiling()),
         }
-    }
-
-    /// The underlying engine (diagnostics).
-    pub fn engine(&self) -> &TemporalEngine {
-        &self.engine
     }
 
     /// Seeds the profiling table + trainer from a warm-up checkpoint (the
@@ -79,31 +70,13 @@ impl L2Prefetcher for SimplifiedTp {
     }
 }
 
-/// Runs one profiling pass over `workload` and returns the counters (plus
-/// the raw report for inspection). All other L2 prefetchers are disabled;
-/// the L1 stride prefetcher stays on, as in the paper's setup.
-pub fn profile_workload(
-    sys: &SystemConfig,
-    workload: &dyn TraceSource,
-    warmup: u64,
-    measure: u64,
-) -> (ProfileCounters, SimReport) {
-    let report = simulate(
-        sys,
-        workload,
-        Box::new(StridePrefetcher::default()),
-        Box::new(SimplifiedTp::new()),
-        warmup,
-        measure,
-    );
-    (ProfileCounters::from_report(&report), report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prophet_sim_core::{TraceInst, VecTrace};
-    use prophet_sim_mem::{Addr, Pc};
+    use crate::counters::ProfileCounters;
+    use prophet_prefetch::StridePrefetcher;
+    use prophet_sim_core::{simulate, SimReport, TraceInst, VecTrace};
+    use prophet_sim_mem::{Addr, Pc, SystemConfig};
 
     /// A trace with one clean temporal PC and one noise PC. The pattern's
     /// footprint (40k lines ≈ 2.5 MB) exceeds the on-chip hierarchy so its
@@ -128,10 +101,22 @@ mod tests {
         VecTrace::new("mixed", insts)
     }
 
+    /// One profiling pass: the stride L1 stays on, as in the paper's setup.
+    fn profile(trace: &VecTrace) -> (ProfileCounters, SimReport) {
+        let report = simulate(
+            &SystemConfig::isca25(),
+            trace,
+            Box::new(StridePrefetcher::default()),
+            Box::new(SimplifiedTp::new()),
+            100_000,
+            300_000,
+        );
+        (ProfileCounters::from_report(&report), report)
+    }
+
     #[test]
     fn profiling_separates_pattern_from_noise() {
-        let (profile, report) =
-            profile_workload(&SystemConfig::isca25(), &mixed_trace(), 100_000, 300_000);
+        let (profile, report) = profile(&mixed_trace());
         assert_eq!(report.scheme, "simplified-tp");
         let good = profile.per_pc.get(&0x100).expect("pattern PC profiled");
         let bad = profile.per_pc.get(&0x200).expect("noise PC profiled");
@@ -155,8 +140,7 @@ mod tests {
 
     #[test]
     fn allocated_entries_reflect_footprint() {
-        let (profile, _) =
-            profile_workload(&SystemConfig::isca25(), &mixed_trace(), 100_000, 300_000);
+        let (profile, _) = profile(&mixed_trace());
         assert!(
             profile.allocated_entries() > 0.0,
             "training must allocate metadata entries"

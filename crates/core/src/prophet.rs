@@ -109,7 +109,6 @@ pub struct Prophet {
     hints: HintBuffer,
     csr: CsrHint,
     mvb: MultiPathVictimBuffer,
-    rejected_events: u64,
 }
 
 impl Prophet {
@@ -146,37 +145,14 @@ impl Prophet {
                 priority_replacement: cfg.features.replacement,
             },
             initial_ways: if csr.enabled { csr.meta_ways } else { 0 },
-            train_on_l1_prefetches: true,
-            train_on_l2_hits: false,
         });
         Prophet {
             mvb: MultiPathVictimBuffer::new(cfg.mvb),
             engine,
             hints,
             csr,
-            rejected_events: 0,
             cfg,
         }
-    }
-
-    /// The active CSR hint.
-    pub fn csr(&self) -> CsrHint {
-        self.csr
-    }
-
-    /// Demand events discarded by the insertion hint (Section 4.2).
-    pub fn rejected_events(&self) -> u64 {
-        self.rejected_events
-    }
-
-    /// The MVB (instrumentation).
-    pub fn mvb(&self) -> &MultiPathVictimBuffer {
-        &self.mvb
-    }
-
-    /// The engine (instrumentation).
-    pub fn engine(&self) -> &TemporalEngine {
-        &self.engine
     }
 
     /// Seeds the metadata table + trainer from a warm-up checkpoint. The
@@ -202,7 +178,7 @@ impl L2Prefetcher for Prophet {
         // entirely (no training, no lookup — the hint says the PC has no
         // solvable temporal pattern).
         if self.cfg.features.insertion && !hint.insert {
-            self.rejected_events += 1;
+            self.engine.note_rejected_event();
             return L2Decision::none();
         }
         let priority = if self.cfg.features.replacement {
@@ -266,9 +242,7 @@ impl L2Prefetcher for Prophet {
     }
 
     fn meta_stats(&self) -> MetaTableStats {
-        let mut s = self.engine.meta_stats();
-        s.rejected_insertions += self.rejected_events;
-        s
+        self.engine.meta_stats()
     }
 }
 
@@ -316,7 +290,7 @@ mod tests {
             assert!(d.prefetches.is_empty(), "filtered PC must never prefetch");
         }
         assert_eq!(p.meta_stats().insertions, 0);
-        assert_eq!(p.rejected_events(), 6);
+        assert_eq!(p.meta_stats().rejected_insertions, 6);
     }
 
     #[test]

@@ -77,14 +77,6 @@ pub struct TemporalConfig {
     pub table: MetaTableConfig,
     /// LLC ways the table occupies initially.
     pub initial_ways: usize,
-    /// Train on events generated by L1 prefetchers (Section 5.1: the L2
-    /// access stream includes them).
-    pub train_on_l1_prefetches: bool,
-    /// Train on events that hit in the L2. Classic temporal prefetchers
-    /// correlate the *miss* stream (plus prefetched-line hits); training on
-    /// all accesses lets high-locality traffic shred the miss-correlation
-    /// context. Lookups still happen on every event so chains keep running.
-    pub train_on_l2_hits: bool,
 }
 
 impl TemporalConfig {
@@ -101,8 +93,6 @@ impl TemporalConfig {
                 ..MetaTableConfig::default()
             },
             initial_ways: 8,
-            train_on_l1_prefetches: true,
-            train_on_l2_hits: false,
         }
     }
 }
@@ -229,6 +219,13 @@ impl TemporalEngine {
         self.table.stats()
     }
 
+    /// Counts an event an external insertion hint discarded before it
+    /// reached the engine (Prophet's Eq. 1 filter), in the table's
+    /// `rejected_insertions`.
+    pub fn note_rejected_event(&mut self) {
+        self.table.note_rejected_insertion();
+    }
+
     /// Current PatternConf value of `pc` (Figure 1 instrumentation).
     pub fn pattern_conf(&self, pc: Pc) -> Option<u8> {
         self.pcs.get(pc.0).map(|s| s.pattern.value())
@@ -244,11 +241,6 @@ impl TemporalEngine {
     /// Stable MVB key of a line (delegates to the table's tag/set split).
     pub fn key_of(&self, line: Line) -> u64 {
         self.table.key_of(line)
-    }
-
-    /// Fresh-entry allocations per inserting PC (diagnostics).
-    pub fn insertions_by_pc(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.table.insertions_by_pc()
     }
 
     /// The metadata table (diagnostics).
@@ -278,9 +270,6 @@ impl TemporalEngine {
     /// Processes one L2 event. `gate` must be `Some` iff the insertion
     /// policy is [`InsertionPolicy::External`].
     pub fn on_access(&mut self, ev: &L2Event, gate: Option<ExternalGate>) -> TemporalDecision {
-        if ev.from_l1_prefetch && !self.cfg.train_on_l1_prefetches {
-            return TemporalDecision::default();
-        }
         self.seq += 1;
         self.window_events += 1;
         // ReuseConf judges whether a pattern fits the *table* (Triangel
@@ -299,12 +288,15 @@ impl TemporalEngine {
         // useful metadata access (blue dot, increment), a mismatch is a
         // useless one (red dot, decrement), and a missing entry is a first
         // metadata access (star: no confidence update). Only the miss
-        // stream trains (see `train_on_l2_hits`).
-        let do_train = !ev.l2_hit || self.cfg.train_on_l2_hits;
-        let pair = if do_train {
-            self.trainer.observe(pc, line)
-        } else {
+        // stream trains, L1-prefetch requests included (Section 5.1: the L2
+        // access stream carries them). Classic temporal prefetchers
+        // correlate misses; training on L2 hits would let high-locality
+        // traffic shred the miss-correlation context. Lookups still happen
+        // on every event so chains keep running.
+        let pair = if ev.l2_hit {
             None
+        } else {
+            self.trainer.observe(pc, line)
         };
         let verification = pair.map(|(prev, cur)| (self.table.peek(prev), cur));
 
@@ -514,8 +506,6 @@ mod tests {
                 priority_replacement: false,
             },
             initial_ways: 8,
-            train_on_l1_prefetches: true,
-            train_on_l2_hits: false,
         })
     }
 
@@ -638,8 +628,6 @@ mod tests {
                 priority_replacement: false,
             },
             initial_ways: 1,
-            train_on_l1_prefetches: true,
-            train_on_l2_hits: false,
         });
         // A long cyclic sequence with far more entries than one way holds
         // (64 sets × 12 = 768/way): footprint 4000 pairs.
@@ -672,8 +660,6 @@ mod tests {
                 priority_replacement: false,
             },
             initial_ways: 4,
-            train_on_l1_prefetches: true,
-            train_on_l2_hits: false,
         });
         // Pure random traffic: even the full-size shadow finds no reuse.
         // (splitmix64: anything weaker leaves arithmetic structure in the
@@ -736,8 +722,6 @@ mod tests {
                 priority_replacement: false,
             },
             initial_ways: 2,
-            train_on_l1_prefetches: true,
-            train_on_l2_hits: false,
         });
         small.load_warmup(&snap);
         assert!(

@@ -16,7 +16,6 @@
 
 use prophet_prefetch::MetaTableStats;
 use prophet_sim_mem::addr::{Line, Pc};
-use prophet_sim_mem::FlatMap;
 
 /// Entries packed into one 64-byte metadata line (paper: 12).
 pub const ENTRIES_PER_LINE: usize = 12;
@@ -166,9 +165,6 @@ pub struct MetadataTable {
     tags: Vec<u16>,
     clock: u64,
     stats: MetaTableStats,
-    /// Fresh-entry allocations attributed to the inserting PC (profiling
-    /// diagnostics: which instruction floods the table).
-    insertions_by_pc: FlatMap<u64>,
     set_bits: u32,
 }
 
@@ -190,7 +186,6 @@ impl MetadataTable {
             ways,
             clock: 0,
             stats: MetaTableStats::default(),
-            insertions_by_pc: FlatMap::new(),
             set_bits: cfg.sets.trailing_zeros(),
             cfg,
         }
@@ -217,32 +212,9 @@ impl MetadataTable {
         self.stats.rejected_insertions += 1;
     }
 
-    /// Fresh-entry allocations per inserting PC (arbitrary order).
-    pub fn insertions_by_pc(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.insertions_by_pc.iter().map(|(pc, &n)| (pc, n))
-    }
-
     /// Number of valid entries (O(capacity); reports/tests only).
     pub fn occupancy(&self) -> usize {
         self.slots.iter().filter(|s| s.valid).count()
-    }
-
-    /// Histogram of per-set valid-entry counts (diagnostics): returns
-    /// (min, mean, max) occupancy over sets.
-    pub fn set_occupancy_stats(&self) -> (usize, f64, usize) {
-        let mut min = usize::MAX;
-        let mut max = 0usize;
-        let mut total = 0usize;
-        for set in 0..self.cfg.sets {
-            let n = self.slots[self.set_range(set)]
-                .iter()
-                .filter(|s| s.valid)
-                .count();
-            min = min.min(n);
-            max = max.max(n);
-            total += n;
-        }
-        (min, total as f64 / self.cfg.sets as f64, max)
     }
 
     #[inline]
@@ -361,7 +333,6 @@ impl MetadataTable {
         }
 
         self.stats.insertions += 1;
-        *self.insertions_by_pc.get_or_insert_with(pc.0, || 0) += 1;
         let fresh = Slot {
             tag,
             target: target.0 as u32,
@@ -562,15 +533,6 @@ impl MetadataTable {
             insertions: live,
             ..MetaTableStats::default()
         };
-        self.insertions_by_pc.clear();
-    }
-
-    /// Clears contents and counters (profiling restarts).
-    pub fn clear(&mut self) {
-        self.slots.iter_mut().for_each(|s| *s = Slot::EMPTY);
-        self.tags.fill(NO_META_TAG);
-        self.stats = MetaTableStats::default();
-        self.clock = 0;
     }
 }
 

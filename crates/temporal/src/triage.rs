@@ -58,8 +58,6 @@ impl Triage {
                     priority_replacement: false,
                 },
                 initial_ways: cfg.initial_ways,
-                train_on_l1_prefetches: true,
-                train_on_l2_hits: false,
             }),
             name,
         }

@@ -20,8 +20,6 @@ fn engine(degree: usize) -> TemporalEngine {
             priority_replacement: false,
         },
         initial_ways: 8,
-        train_on_l1_prefetches: true,
-        train_on_l2_hits: true,
     })
 }
 

@@ -9,29 +9,19 @@
 //!
 //! Run with: `cargo run --release --example graph_analytics`
 
-use prophet::ProphetPipeline;
-use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
-use prophet_rpg2::Rpg2Pipeline;
-use prophet_sim_core::simulate;
-use prophet_sim_mem::SystemConfig;
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_workloads::workload;
 
 fn main() {
-    let sys = SystemConfig::isca25();
+    let h = Harness::default();
     let w = workload("pagerank_100000_100");
-    let (warmup, measure) = (200_000, 650_000);
 
-    let base = simulate(
-        &sys,
-        w.as_ref(),
-        Box::new(StridePrefetcher::default()),
-        Box::new(NoL2Prefetch),
-        warmup,
-        measure,
-    );
+    let base = h
+        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+        .into_report();
     println!("pagerank baseline IPC {:.4}", base.ipc);
 
-    let rpg2 = Rpg2Pipeline::new(sys.clone(), warmup, measure).run(w.as_ref());
+    let rpg2 = h.rpg2(w.as_ref());
     println!(
         "rpg2: {} instrumented PCs at distance {:?}, speedup {:.3}",
         rpg2.qualified_pcs.len(),
@@ -39,11 +29,9 @@ fn main() {
         rpg2.report.speedup_over(&base)
     );
 
-    let mut pl = ProphetPipeline::isca25();
-    pl.lengths_mut().warmup = warmup;
-    pl.lengths_mut().measure = measure;
-    pl.learn_input(w.as_ref());
-    let pro = pl.run_optimized(w.as_ref());
+    let pro = h
+        .run(Scheme::Prophet, w.as_ref(), Start::Cold)
+        .into_report();
     println!(
         "prophet: speedup {:.3} (coverage {:.2}, accuracy {:.2})",
         pro.speedup_over(&base),

@@ -3,40 +3,32 @@
 //!
 //! Run with: `cargo run --release --example learning_inputs`
 
-use prophet::ProphetPipeline;
-use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
-use prophet_sim_core::simulate;
-use prophet_sim_mem::SystemConfig;
+use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_workloads::workload;
 
 fn main() {
-    let sys = SystemConfig::isca25();
+    let h = Harness::default();
     let inputs = ["gcc_166", "gcc_expr", "gcc_typeck"];
-    let (warmup, measure) = (200_000, 650_000);
 
     let baselines: Vec<_> = inputs
         .iter()
         .map(|n| {
-            simulate(
-                &sys,
-                workload(n).as_ref(),
-                Box::new(StridePrefetcher::default()),
-                Box::new(NoL2Prefetch),
-                warmup,
-                measure,
-            )
+            h.run(Scheme::Baseline, workload(n).as_ref(), Start::Cold)
+                .into_report()
         })
         .collect();
 
-    let mut pl = ProphetPipeline::isca25();
-    pl.lengths_mut().warmup = warmup;
-    pl.lengths_mut().measure = measure;
-
+    // One optimized binary's learned state, carried across inputs.
+    let mut learned = LearnedProfile::new();
     for learn in inputs {
-        pl.learn_input(workload(learn).as_ref());
+        learned.learn(ProfileCounters::from_report(
+            &h.profile(workload(learn).as_ref()),
+        ));
+        let hints = learned.build_hints(&AnalysisConfig::default());
         print!("after learning {learn:<12}:");
         for (name, base) in inputs.iter().zip(&baselines) {
-            let r = pl.run_optimized(workload(name).as_ref());
+            let r = h.optimized(workload(name).as_ref(), &hints, &ProphetConfig::default());
             print!("  {name} {:.3}", r.speedup_over(base));
         }
         println!();

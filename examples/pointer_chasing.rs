@@ -7,11 +7,9 @@
 //!
 //! Run with: `cargo run --release --example pointer_chasing`
 
-use prophet::ProphetPipeline;
-use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
-use prophet_rpg2::Rpg2Pipeline;
-use prophet_sim_core::{simulate, TraceInst, VecTrace};
-use prophet_sim_mem::{Addr, Pc, SystemConfig};
+use prophet_bench::{Harness, Scheme, Start};
+use prophet_sim_core::{TraceInst, VecTrace};
+use prophet_sim_mem::{Addr, Pc};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -41,21 +39,17 @@ fn build_chase(nodes: usize, rounds: usize) -> VecTrace {
 }
 
 fn main() {
-    let sys = SystemConfig::isca25();
+    let h = Harness {
+        warmup: 120_000,
+        measure: 400_000,
+        ..Harness::default()
+    };
     let w = build_chase(60_000, 5);
-    let (warmup, measure) = (120_000, 400_000);
 
-    let base = simulate(
-        &sys,
-        &w,
-        Box::new(StridePrefetcher::default()),
-        Box::new(NoL2Prefetch),
-        warmup,
-        measure,
-    );
+    let base = h.run(Scheme::Baseline, &w, Start::Cold).into_report();
     println!("baseline IPC {:.4} (serialized DRAM misses)", base.ipc);
 
-    let rpg2 = Rpg2Pipeline::new(sys.clone(), warmup, measure).run(&w);
+    let rpg2 = h.rpg2(&w);
     println!(
         "rpg2: {} qualified PCs, IPC {:.4} ({:+.1}%) — no stride kernel exists in a pointer chase",
         rpg2.qualified_pcs.len(),
@@ -63,11 +57,7 @@ fn main() {
         100.0 * (rpg2.report.speedup_over(&base) - 1.0),
     );
 
-    let mut pl = ProphetPipeline::isca25();
-    pl.lengths_mut().warmup = warmup;
-    pl.lengths_mut().measure = measure;
-    pl.learn_input(&w);
-    let pro = pl.run_optimized(&w);
+    let pro = h.run(Scheme::Prophet, &w, Start::Cold).into_report();
     println!(
         "prophet: IPC {:.4} ({:+.1}%), coverage {:.2}, accuracy {:.2}",
         pro.ipc,

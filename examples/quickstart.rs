@@ -3,53 +3,38 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use prophet::ProphetPipeline;
-use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
-use prophet_sim_core::simulate;
-use prophet_sim_mem::SystemConfig;
-use prophet_temporal::Triangel;
+use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
+use prophet_bench::{Harness, Scheme, Start};
 use prophet_workloads::workload;
 
 fn main() {
-    let sys = SystemConfig::isca25();
-    println!("{}", sys.table1());
+    // The paper's machine, 200 K warm-up + 650 K measured instructions.
+    let h = Harness::default();
+    println!("{}", h.sys.table1());
 
     let w = workload("omnetpp");
-    let (warmup, measure) = (200_000, 650_000);
 
     // Baseline: L1 stride prefetcher only.
-    let base = simulate(
-        &sys,
-        w.as_ref(),
-        Box::new(StridePrefetcher::default()),
-        Box::new(NoL2Prefetch),
-        warmup,
-        measure,
-    );
+    let base = h
+        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+        .into_report();
     println!("baseline:\n{base}");
 
     // The hardware state of the art.
-    let tri = simulate(
-        &sys,
-        w.as_ref(),
-        Box::new(StridePrefetcher::default()),
-        Box::new(Triangel::default()),
-        warmup,
-        measure,
-    );
+    let tri = h
+        .run(Scheme::Triangel, w.as_ref(), Start::Cold)
+        .into_report();
     println!("triangel: speedup {:.3}\n{tri}", tri.speedup_over(&base));
 
     // Prophet: Step 1 (profile) -> Step 2 (analyze) -> optimized run.
-    let mut pipeline = ProphetPipeline::isca25();
-    pipeline.lengths_mut().warmup = warmup;
-    pipeline.lengths_mut().measure = measure;
-    pipeline.learn_input(w.as_ref());
-    let hints = pipeline.hints();
+    let mut learned = LearnedProfile::new();
+    learned.learn(ProfileCounters::from_report(&h.profile(w.as_ref())));
+    let hints = learned.build_hints(&AnalysisConfig::default());
     println!(
         "prophet hints: {} PC hints, CSR = {:?}",
         hints.pc_hints.len(),
         hints.csr
     );
-    let pro = pipeline.run_optimized(w.as_ref());
+    let pro = h.optimized(w.as_ref(), &hints, &ProphetConfig::default());
     println!("prophet: speedup {:.3}\n{pro}", pro.speedup_over(&base));
 }

@@ -5,7 +5,9 @@
 //! examples and downstream users need a single dependency:
 //!
 //! * [`prophet`] — the paper's contribution (profiling, analysis, learning,
-//!   hints, MVB, the Prophet prefetcher, the end-to-end pipeline);
+//!   hints, MVB, the Prophet prefetcher);
+//! * [`prophet_bench`] — the experiment `Harness`: every scheme's run and
+//!   Prophet's profiling and optimized passes;
 //! * [`prophet_temporal`] — the Triage/Triangel hardware baselines and the
 //!   shared Markov-metadata machinery;
 //! * [`prophet_rpg2`] — the RPG2 software-prefetching baseline;
@@ -18,6 +20,7 @@
 //! EXPERIMENTS.md for the reproduction methodology.
 
 pub use prophet;
+pub use prophet_bench;
 pub use prophet_energy;
 pub use prophet_prefetch;
 pub use prophet_rpg2;

@@ -1,33 +1,37 @@
 //! Cross-crate integration tests: the paper's headline claims, end to end.
 
-use prophet::ProphetPipeline;
-use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
-use prophet_rpg2::Rpg2Pipeline;
-use prophet_sim_core::{simulate, SimReport, TraceSource};
-use prophet_sim_mem::SystemConfig;
-use prophet_temporal::{Triage, Triangel};
+use prophet::{analyze, AnalysisConfig, HintSet, ProfileCounters};
+use prophet_bench::{Harness, Scheme, Start};
+use prophet_sim_core::{SimReport, TraceSource};
 use prophet_workloads::workload;
 
-const WARMUP: u64 = 150_000;
-const MEASURE: u64 = 450_000;
+/// The paper's machine at a 150 K warm-up + 450 K measured window.
+fn harness() -> Harness {
+    Harness {
+        warmup: 150_000,
+        measure: 450_000,
+        ..Harness::default()
+    }
+}
+
+fn run(scheme: Scheme, w: &dyn TraceSource) -> SimReport {
+    harness().run(scheme, w, Start::Cold).into_report()
+}
 
 fn baseline(w: &dyn TraceSource) -> SimReport {
-    simulate(
-        &SystemConfig::isca25(),
-        w,
-        Box::new(StridePrefetcher::default()),
-        Box::new(NoL2Prefetch),
-        WARMUP,
-        MEASURE,
-    )
+    run(Scheme::Baseline, w)
 }
 
 fn prophet_run(w: &dyn TraceSource) -> SimReport {
-    let mut pl = ProphetPipeline::isca25();
-    pl.lengths_mut().warmup = WARMUP;
-    pl.lengths_mut().measure = MEASURE;
-    pl.learn_input(w);
-    pl.run_optimized(w)
+    run(Scheme::Prophet, w)
+}
+
+/// Steps 1 and 2: profile `w` under `h`, then analyze with the defaults.
+fn hints(h: &Harness, w: &dyn TraceSource) -> HintSet {
+    analyze(
+        &ProfileCounters::from_report(&h.profile(w)),
+        &AnalysisConfig::default(),
+    )
 }
 
 #[test]
@@ -35,14 +39,7 @@ fn prophet_beats_triangel_on_interleaved_omnetpp() {
     // The paper's central claim on its motivating workload (Figure 1/10).
     let w = workload("omnetpp");
     let base = baseline(w.as_ref());
-    let tri = simulate(
-        &SystemConfig::isca25(),
-        w.as_ref(),
-        Box::new(StridePrefetcher::default()),
-        Box::new(Triangel::default()),
-        WARMUP,
-        MEASURE,
-    );
+    let tri = run(Scheme::Triangel, w.as_ref());
     let pro = prophet_run(w.as_ref());
     assert!(
         pro.ipc > tri.ipc,
@@ -58,7 +55,7 @@ fn rpg2_is_near_baseline_on_temporal_workloads() {
     // Footnote 6 / Section 5.2: no stride kernels in mcf-style chasing.
     let w = workload("mcf");
     let base = baseline(w.as_ref());
-    let r = Rpg2Pipeline::new(SystemConfig::isca25(), WARMUP, MEASURE).run(w.as_ref());
+    let r = harness().rpg2(w.as_ref());
     let speedup = r.report.speedup_over(&base);
     assert!(
         (speedup - 1.0).abs() < 0.05,
@@ -69,11 +66,7 @@ fn rpg2_is_near_baseline_on_temporal_workloads() {
 #[test]
 fn prophet_insertion_policy_rejects_noise_pcs() {
     let w = workload("mcf");
-    let mut pl = ProphetPipeline::isca25();
-    pl.lengths_mut().warmup = WARMUP;
-    pl.lengths_mut().measure = MEASURE;
-    pl.learn_input(w.as_ref());
-    let hints = pl.hints();
+    let hints = hints(&harness(), w.as_ref());
     // The mcf recipe's random-access PC is 0x1_02; its profiled accuracy is
     // ~0, so Eq. 1 must filter it.
     let noise = hints
@@ -106,11 +99,12 @@ fn prophet_resizing_disables_tp_for_cache_resident_workloads() {
         }
     }
     let w = VecTrace::new("resident", insts);
-    let mut pl = ProphetPipeline::isca25();
-    pl.lengths_mut().warmup = 30_000;
-    pl.lengths_mut().measure = 120_000;
-    pl.learn_input(&w);
-    assert!(!pl.hints().csr.enabled);
+    let h = Harness {
+        warmup: 30_000,
+        measure: 120_000,
+        ..Harness::default()
+    };
+    assert!(!hints(&h, &w).csr.enabled);
 }
 
 #[test]
@@ -118,14 +112,7 @@ fn triage_pollutes_where_prophet_filters() {
     // Triage (no insertion policy) must insert noise; Prophet must reject
     // those events entirely.
     let w = workload("mcf");
-    let tri = simulate(
-        &SystemConfig::isca25(),
-        w.as_ref(),
-        Box::new(StridePrefetcher::default()),
-        Box::new(Triage::degree4()),
-        WARMUP,
-        MEASURE,
-    );
+    let tri = run(Scheme::Triage4, w.as_ref());
     assert_eq!(tri.meta.rejected_insertions, 0, "Triage never filters");
     let pro = prophet_run(w.as_ref());
     assert!(
@@ -155,14 +142,7 @@ fn prophet_wins_geomean_on_spec_subset() {
     for name in ["omnetpp", "soplex_pds-50", "xalancbmk"] {
         let w = workload(name);
         let base = baseline(w.as_ref());
-        let tri = simulate(
-            &SystemConfig::isca25(),
-            w.as_ref(),
-            Box::new(StridePrefetcher::default()),
-            Box::new(Triangel::default()),
-            WARMUP,
-            MEASURE,
-        );
+        let tri = run(Scheme::Triangel, w.as_ref());
         let pro = prophet_run(w.as_ref());
         tri_speedups.push(tri.speedup_over(&base));
         pro_speedups.push(pro.speedup_over(&base));
