@@ -1,7 +1,7 @@
 //! Figure 15: IPC speedup on the CRONO graph workloads.
 //!
 //! ```text
-//! fig15_crono [--insts N] [--warmup N] [--jobs N] [--store DIR] [--vertices N]
+//! fig15_crono [--insts N] [--warmup N] [--jobs N] [--store DIR | --vertices N]
 //!   --insts     measured instructions per kernel (default 1 000 000;
 //!               the re-anchored EXPERIMENTS.md numbers use 5 000 000)
 //!   --warmup    warm-up instructions (default 1 100 000 — one traversal)
@@ -11,23 +11,20 @@
 //!               warm-up simulations entirely (stdout stays bit-identical —
 //!               pinned by crates/bench/tests/warm_start.rs)
 //!   --vertices  floor every graph at N vertices (paper-scale runs use
-//!               1 000 000; do NOT share a --store directory between runs
-//!               with different --vertices — checkpoints key on the
-//!               workload name, which the override leaves unchanged)
+//!               1 000 000); exits 2 together with --store, whose keys
+//!               name the workload, which the override leaves unchanged
 //! ```
 //!
 //! Workloads are sized to the window via streaming generation (repeats
 //! scale up, memory stays O(graph)), and the scheme×workload grid fans
 //! across `Harness::run_matrix_stored` workers.
 
-use prophet_bench::{
-    print_speedup_table, report_store_activity, take_flag, Harness, RunArgs, SchemeRow,
-};
+use prophet_bench::{print_speedup_table, take_flag, Harness, RunArgs};
 use prophet_sim_core::TraceSource;
 use prophet_workloads::{crono_workload, workload_sized, CRONO_WORKLOADS};
 
 const USAGE: &str =
-    "usage: fig15_crono [--insts N] [--warmup N] [--jobs N] [--store DIR] [--vertices N]";
+    "usage: fig15_crono [--insts N] [--warmup N] [--jobs N] [--store DIR | --vertices N]";
 
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
@@ -38,6 +35,13 @@ fn main() {
         })
     });
     let args = RunArgs::parse_or_exit(raw.into_iter(), USAGE, false);
+    if vertices.is_some() && args.store.is_some() {
+        eprintln!(
+            "--vertices cannot be combined with --store: store keys name the \
+             workload, which --vertices leaves unchanged\n{USAGE}"
+        );
+        std::process::exit(2);
+    }
     // CRONO traces are one-traversal-per-pass; warm up through the first
     // traversal so measurement covers trained passes.
     let h = args.harness(Harness {
@@ -60,13 +64,9 @@ fn main() {
             None => workload_sized(name, h.warmup + h.measure),
         })
         .collect();
-    let store = args.open_store();
-    let rows: Vec<SchemeRow> = h.run_matrix_stored(&workloads, args.jobs, store.as_ref());
+    let rows = args.run_grid(&h, &workloads);
     print_speedup_table(
         "Figure 15: CRONO speedups (paper: RPG2 +9.1%, Triangel +8.4%, Prophet +14.9%)",
         &rows,
     );
-    if let Some(store) = &store {
-        report_store_activity(store);
-    }
 }

@@ -2,10 +2,24 @@
 
 use prophet::{analyze, AnalysisConfig, MvbConfig, ProfileCounters, ProphetConfig};
 use prophet_bench::{Harness, Scheme, Start};
-use prophet_sim_core::geomean;
+use prophet_sim_core::{geomean, SimReport, TraceSource};
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
-fn sweep(h: &Harness, title: &str, variants: &[(String, AnalysisConfig, ProphetConfig)]) {
+/// One SPEC workload with its baseline report and profiled counters. Neither
+/// pass depends on the swept configs, so every sweep reuses them.
+struct Profiled {
+    name: &'static str,
+    w: Box<dyn TraceSource + Send + Sync>,
+    base: SimReport,
+    counters: ProfileCounters,
+}
+
+fn sweep(
+    h: &Harness,
+    profiled: &[Profiled],
+    title: &str,
+    variants: &[(String, AnalysisConfig, ProphetConfig)],
+) {
     println!("\n{title}");
     print!("{:<18}", "workload");
     for (label, _, _) in variants {
@@ -13,18 +27,11 @@ fn sweep(h: &Harness, title: &str, variants: &[(String, AnalysisConfig, ProphetC
     }
     println!();
     let mut cols = vec![Vec::new(); variants.len()];
-    for name in SPEC_WORKLOADS {
-        let w = workload(name);
-        let base = h
-            .run(Scheme::Baseline, w.as_ref(), Start::Cold)
-            .into_report();
-        // The profiling pass depends on neither config: profile once,
-        // re-analyze per variant.
-        let counters = ProfileCounters::from_report(&h.profile(w.as_ref()));
-        print!("{:<18}", name);
-        for (i, (_, a, p)) in variants.iter().enumerate() {
-            let r = h.optimized(w.as_ref(), &analyze(&counters, a), p);
-            let s = r.speedup_over(&base);
+    for p in profiled {
+        print!("{:<18}", p.name);
+        for (i, (_, a, c)) in variants.iter().enumerate() {
+            let r = h.optimized(p.w.as_ref(), &analyze(&p.counters, a), c);
+            let s = r.speedup_over(&p.base);
             cols[i].push(s);
             print!(" {s:>12.3}");
         }
@@ -40,6 +47,22 @@ fn sweep(h: &Harness, title: &str, variants: &[(String, AnalysisConfig, ProphetC
 fn main() {
     prophet_bench::expect_no_args("fig16_sensitivity");
     let h = Harness::default();
+    let profiled: Vec<Profiled> = SPEC_WORKLOADS
+        .iter()
+        .map(|&name| {
+            let w = workload(name);
+            let base = h
+                .run(Scheme::Baseline, w.as_ref(), Start::Cold)
+                .into_report();
+            let counters = ProfileCounters::from_report(&h.profile(w.as_ref()));
+            Profiled {
+                name,
+                w,
+                base,
+                counters,
+            }
+        })
+        .collect();
 
     let v: Vec<_> = [0.05, 0.15, 0.25]
         .iter()
@@ -56,6 +79,7 @@ fn main() {
         .collect();
     sweep(
         &h,
+        &profiled,
         "Figure 16a: EL_ACC in the Prophet insertion policy (paper picks 0.15)",
         &v,
     );
@@ -75,6 +99,7 @@ fn main() {
         .collect();
     sweep(
         &h,
+        &profiled,
         "Figure 16b: n in the Prophet replacement policy (paper picks n=2)",
         &v,
     );
@@ -97,6 +122,7 @@ fn main() {
         .collect();
     sweep(
         &h,
+        &profiled,
         "Figure 16c: candidates per MVB entry (paper picks 1)",
         &v,
     );

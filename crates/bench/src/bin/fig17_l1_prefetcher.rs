@@ -7,9 +7,7 @@
 //! Checkpoints are keyed by the L1 scheme (the warm-up stream differs under
 //! IPCP), so a store shared with the stride-L1 figures never mixes them.
 
-use prophet_bench::{
-    print_speedup_table, report_store_activity, Harness, L1Scheme, RunArgs, SchemeRow,
-};
+use prophet_bench::{print_speedup_table, Harness, L1Scheme, RunArgs};
 use prophet_sim_core::TraceSource;
 use prophet_workloads::{workload_sized, SPEC_WORKLOADS};
 
@@ -27,13 +25,9 @@ fn main() {
         .iter()
         .map(|name| workload_sized(name, h.warmup + h.measure))
         .collect();
-    let store = args.open_store();
-    let rows: Vec<SchemeRow> = h.run_matrix_stored(&workloads, args.jobs, store.as_ref());
+    let rows = args.run_grid(&h, &workloads);
     print_speedup_table(
         "Figure 17: IPCP L1 prefetcher (paper: RPG2 +0.4%, Triangel +17.5%, Prophet +30.0%)",
         &rows,
     );
-    if let Some(store) = &store {
-        report_store_activity(store);
-    }
 }

@@ -7,7 +7,7 @@
 //! Checkpoints are keyed by the `SystemConfig` digest, so the 2-channel
 //! warm-ups never collide with the 1-channel figures in a shared store.
 
-use prophet_bench::{print_speedup_table, report_store_activity, Harness, RunArgs, SchemeRow};
+use prophet_bench::{print_speedup_table, Harness, RunArgs};
 use prophet_sim_core::TraceSource;
 use prophet_sim_mem::SystemConfig;
 use prophet_workloads::{workload_sized, SPEC_WORKLOADS};
@@ -26,13 +26,9 @@ fn main() {
         .iter()
         .map(|name| workload_sized(name, h.warmup + h.measure))
         .collect();
-    let store = args.open_store();
-    let rows: Vec<SchemeRow> = h.run_matrix_stored(&workloads, args.jobs, store.as_ref());
+    let rows = args.run_grid(&h, &workloads);
     print_speedup_table(
         "Figure 18: 2 DRAM channels (paper: RPG2 +0.1%, Triangel +18.2%, Prophet +32.3%)",
         &rows,
     );
-    if let Some(store) = &store {
-        report_store_activity(store);
-    }
 }

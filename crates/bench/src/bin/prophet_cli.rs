@@ -47,7 +47,7 @@
 //! workloads are sized to cover `warmup + insts` via streaming generation.
 
 use prophet::{analyze, AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
-use prophet_bench::{report_store_activity, take_flag, Harness, Outcome, RunArgs, Scheme, Start};
+use prophet_bench::{take_flag, Harness, Outcome, RunArgs, Scheme, Start};
 use prophet_rpg2::Rpg2Result;
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
 use prophet_sim_core::SimReport;
@@ -480,8 +480,7 @@ fn main() {
         // The four comparison schemes as one matrix row, fanned across the
         // parallel harness (sharing one warm-up when a store is given);
         // triage4 runs separately (it is not a matrix column).
-        let store = args.open_store();
-        let row = &h.run_matrix_stored(std::slice::from_ref(&w), args.jobs, store.as_ref())[0];
+        let row = &args.run_grid(&h, std::slice::from_ref(&w))[0];
         println!("{}", row.base);
         let r = h
             .run(Scheme::Triage4, w.as_ref(), Start::Cold)
@@ -498,9 +497,6 @@ fn main() {
             row.prophet.speedup_over(&row.base),
             row.prophet
         );
-        if let Some(store) = &store {
-            report_store_activity(store);
-        }
         return;
     }
 

@@ -691,6 +691,29 @@ impl RunArgs {
             })
     }
 
+    /// Runs the scheme×workload grid under `h` with `--jobs` workers,
+    /// sharing warm-ups through the `--store` directory when one was given
+    /// (see [`Harness::run_matrix_stored`]); exits 2 when the store cannot
+    /// be opened. The store's activity goes to **stderr**: stdout
+    /// is reserved for figure tables, which must stay bit-identical between
+    /// cold and warm runs.
+    pub fn run_grid<W: TraceSource + Sync>(&self, h: &Harness, workloads: &[W]) -> Vec<SchemeRow> {
+        let store = self.open_store();
+        let rows = h.run_matrix_stored(workloads, self.jobs, store.as_ref());
+        if let Some(store) = &store {
+            let a = store.activity();
+            eprintln!(
+                "store {}: {} checkpoint(s) reused, {} created; {} profile(s) reused, {} created",
+                store.dir().display(),
+                a.checkpoints_reused,
+                a.checkpoints_created,
+                a.profiles_reused,
+                a.profiles_created
+            );
+        }
+        rows
+    }
+
     /// [`RunArgs::parse`] for binary `main`s: prints the error plus
     /// `usage` and exits 2 on a bad flag — and, unless
     /// `allow_positionals`, on any positional argument too.
@@ -746,21 +769,6 @@ pub fn expect_no_args(bin: &str) {
         eprintln!("unexpected argument: {a}\nusage: {bin} (takes no arguments)");
         std::process::exit(2);
     }
-}
-
-/// Prints the store's session activity to **stderr** (stdout is reserved
-/// for figure tables, which must stay bit-identical between cold and warm
-/// runs).
-pub fn report_store_activity(store: &ArtifactStore) {
-    let a = store.activity();
-    eprintln!(
-        "store {}: {} checkpoint(s) reused, {} created; {} profile(s) reused, {} created",
-        store.dir().display(),
-        a.checkpoints_reused,
-        a.checkpoints_created,
-        a.profiles_reused,
-        a.profiles_created
-    );
 }
 
 /// Formats a header + rows + geomean table the way the paper's bar charts

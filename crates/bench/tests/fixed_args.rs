@@ -1,6 +1,7 @@
 //! Binaries reject arguments they do not use: a fixed-window binary exits
 //! 2 on any argument, and a windowed one exits 2 on a flag only another
-//! binary understands, instead of silently ignoring it.
+//! binary understands, instead of silently ignoring it. `fig15_crono`
+//! also rejects a pair of its own flags that cannot work together.
 
 use std::process::Command;
 
@@ -32,16 +33,39 @@ fn fixed_window_binary_runs_without_arguments() {
 
 #[test]
 fn windowed_binary_rejects_another_binarys_flag() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig10_speedup"))
+    let out = Command::new(env!("CARGO_BIN_EXE_fig10_12_spec"))
         .args(["--vertices", "5"])
         .output()
-        .expect("failed to launch fig10_speedup");
+        .expect("failed to launch fig10_12_spec");
     assert_eq!(out.status.code(), Some(2));
     assert!(out.stdout.is_empty(), "a rejected run must print no table");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("unknown flag: --vertices") && stderr.contains("usage: fig10_speedup"),
+        stderr.contains("unknown flag: --vertices") && stderr.contains("usage: fig10_12_spec"),
         "missing usage line:\n{stderr}"
+    );
+}
+
+#[test]
+fn fig15_rejects_vertices_with_a_store() {
+    // Store keys name the workload, which `--vertices` leaves unchanged, so
+    // a shared store would serve another graph size's artifacts.
+    let dir = std::env::temp_dir().join(format!("fig15-vertices-store-{}", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_fig15_crono"))
+        .args(["--vertices", "5", "--insts", "1000", "--warmup", "1000"])
+        .arg("--store")
+        .arg(&dir)
+        .output()
+        .expect("failed to launch fig15_crono");
+    let created = dir.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "a rejected run must print no table");
+    assert!(!created, "a rejected run must not open the store");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--vertices") && stderr.contains("--store"),
+        "stderr must name both flags:\n{stderr}"
     );
 }
 

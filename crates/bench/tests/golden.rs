@@ -2,7 +2,9 @@
 //!
 //! Each test runs the real binary (Cargo exposes the path via
 //! `CARGO_BIN_EXE_*`) at a short, fixed window and diffs its stdout
-//! against a checked-in snapshot under `tests/golden/`. The simulator,
+//! against a checked-in snapshot under `tests/golden/` (the Figure 10,
+//! 11 and 12 tests share one run of `fig10_12_spec` and each diffs its
+//! own table of `fig10_12_spec.txt`). The simulator,
 //! generators, and harness are deterministic end to end, so any diff
 //! means a refactor shifted results — exactly what these tests exist to
 //! catch (streaming rewrites, harness parallelism, scheme changes).
@@ -12,8 +14,9 @@
 //! change that caused it.
 
 use std::process::Command;
+use std::sync::OnceLock;
 
-fn run_golden(exe: &str, args: &[&str], snapshot: &str) {
+fn run_stdout(exe: &str, args: &[&str]) -> String {
     let out = Command::new(exe)
         .args(args)
         .output()
@@ -24,9 +27,10 @@ fn run_golden(exe: &str, args: &[&str], snapshot: &str) {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    let got = String::from_utf8(out.stdout).expect("figure tables are UTF-8");
-    let want = std::fs::read_to_string(snapshot)
-        .unwrap_or_else(|e| panic!("missing snapshot {snapshot}: {e}"));
+    String::from_utf8(out.stdout).expect("figure tables are UTF-8")
+}
+
+fn assert_snapshot(exe: &str, args: &[&str], snapshot: &str, got: &str, want: &str) {
     assert_eq!(
         got,
         want,
@@ -39,16 +43,67 @@ fn run_golden(exe: &str, args: &[&str], snapshot: &str) {
     );
 }
 
+fn run_golden(exe: &str, args: &[&str], snapshot: &str) {
+    let got = run_stdout(exe, args);
+    let want = std::fs::read_to_string(snapshot)
+        .unwrap_or_else(|e| panic!("missing snapshot {snapshot}: {e}"));
+    assert_snapshot(exe, args, snapshot, &got, &want);
+}
+
+const SPEC_EXE: &str = env!("CARGO_BIN_EXE_fig10_12_spec");
+const SPEC_ARGS: &[&str] = &["--insts", "120000", "--warmup", "60000", "--jobs", "2"];
+const SPEC_SNAPSHOT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/fig10_12_spec.txt"
+);
+
+/// `fig10_12_spec` prints Figures 10, 11 and 12 from one simulated grid;
+/// the three tests below share a single run of it.
+fn spec_grid_stdout() -> &'static str {
+    static OUT: OnceLock<String> = OnceLock::new();
+    OUT.get_or_init(|| run_stdout(SPEC_EXE, SPEC_ARGS))
+}
+
+/// Splits `fig10_12_spec` output into its Figure 10, 11 and 12 tables at
+/// the title lines of Figures 11 and 12. The three parts concatenate back
+/// to `text`, so the three tests together pin every byte of the snapshot.
+fn spec_tables(text: &str) -> [&str; 3] {
+    let start = |title: &str| {
+        text.find(&format!("\n{title}"))
+            .map(|i| i + 1)
+            .unwrap_or_else(|| panic!("no `{title}` table in:\n{text}"))
+    };
+    let (fig11, fig12) = (start("Figure 11:"), start("Figure 12:"));
+    assert!(
+        fig11 < fig12,
+        "Figure 11 must precede Figure 12 in:\n{text}"
+    );
+    [&text[..fig11], &text[fig11..fig12], &text[fig12..]]
+}
+
+/// Diffs table `index` (0 = Figure 10, 1 = Figure 11, 2 = Figure 12) of
+/// the shared `fig10_12_spec` run against the same table of its snapshot.
+fn spec_table_matches_snapshot(index: usize) {
+    let want = std::fs::read_to_string(SPEC_SNAPSHOT)
+        .unwrap_or_else(|e| panic!("missing snapshot {SPEC_SNAPSHOT}: {e}"));
+    let got = spec_tables(spec_grid_stdout())[index];
+    let want = spec_tables(&want)[index];
+    assert_snapshot(SPEC_EXE, SPEC_ARGS, SPEC_SNAPSHOT, got, want);
+}
+
 #[test]
 fn fig10_speedup_short_window_matches_snapshot() {
-    run_golden(
-        env!("CARGO_BIN_EXE_fig10_speedup"),
-        &["--insts", "120000", "--warmup", "60000", "--jobs", "2"],
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/fig10_speedup.txt"
-        ),
-    );
+    spec_table_matches_snapshot(0);
+}
+
+#[test]
+fn fig11_traffic_short_window_matches_snapshot() {
+    spec_table_matches_snapshot(1);
+}
+
+#[test]
+fn fig12_coverage_accuracy_short_window_matches_snapshot() {
+    spec_table_matches_snapshot(2);
 }
 
 #[test]
@@ -57,18 +112,6 @@ fn fig15_crono_short_window_matches_snapshot() {
         env!("CARGO_BIN_EXE_fig15_crono"),
         &["--insts", "120000", "--warmup", "150000", "--jobs", "2"],
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig15_crono.txt"),
-    );
-}
-
-#[test]
-fn fig12_coverage_accuracy_short_window_matches_snapshot() {
-    run_golden(
-        env!("CARGO_BIN_EXE_fig12_coverage_accuracy"),
-        &["--insts", "120000", "--warmup", "60000", "--jobs", "2"],
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/fig12_coverage_accuracy.txt"
-        ),
     );
 }
 
@@ -92,18 +135,6 @@ fn fig18_bandwidth_short_window_matches_snapshot() {
         concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/fig18_bandwidth.txt"
-        ),
-    );
-}
-
-#[test]
-fn fig11_traffic_short_window_matches_snapshot() {
-    run_golden(
-        env!("CARGO_BIN_EXE_fig11_traffic"),
-        &["--insts", "120000", "--warmup", "60000", "--jobs", "2"],
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/fig11_traffic.txt"
         ),
     );
 }

@@ -6,8 +6,8 @@
 //! [`ClientError::Server`] with the wire [`ErrorCode`] intact.
 
 use crate::proto::{
-    decode_response, encode_request, read_frame, write_frame, ErrorCode, FrameError, OptimizeAck,
-    Request, Response, SubmitAck, DEFAULT_MAX_FRAME,
+    decode_response, encode_request, read_frame, write_frame, ErrorCode, FrameError, Request,
+    Response, SubmitAck, DEFAULT_MAX_FRAME,
 };
 use prophet::ProfileCounters;
 use prophet_store::{DecodeError, StoreKey};
@@ -122,14 +122,6 @@ impl ServiceClient {
         match self.call(&Request::Fetch { key: key.clone() })? {
             Response::Hints { bytes } => Ok(bytes),
             _ => Err(ClientError::Unexpected("expected a hints payload")),
-        }
-    }
-
-    /// Forces re-analysis of `key` now.
-    pub fn optimize(&mut self, key: &StoreKey) -> Result<OptimizeAck, ClientError> {
-        match self.call(&Request::Optimize { key: key.clone() })? {
-            Response::Optimized(ack) => Ok(ack),
-            _ => Err(ClientError::Unexpected("expected an optimize ack")),
         }
     }
 

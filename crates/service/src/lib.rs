@@ -48,8 +48,8 @@ pub use merge::{canonicalize, merge_canonical, merge_profiles, SubmissionSet};
 pub use metrics::{Op, ServiceMetrics};
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
-    ErrorCode, FrameError, OptimizeAck, Request, RequestError, Response, SubmitAck,
-    DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
+    ErrorCode, FrameError, Request, RequestError, Response, SubmitAck, DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 pub use server::{ServeConfig, Server, ServerHandle};
 pub use state::{ServiceError, ServiceState};

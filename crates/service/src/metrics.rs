@@ -16,7 +16,6 @@ use std::time::Duration;
 pub enum Op {
     Submit,
     Fetch,
-    Optimize,
     Metrics,
     Ping,
 }
@@ -27,21 +26,19 @@ impl Op {
         match self {
             Op::Submit => "submit",
             Op::Fetch => "fetch",
-            Op::Optimize => "optimize",
             Op::Metrics => "metrics",
             Op::Ping => "ping",
         }
     }
 
     /// Every operation, in render order.
-    pub const ALL: [Op; 5] = [Op::Submit, Op::Fetch, Op::Optimize, Op::Metrics, Op::Ping];
+    pub const ALL: [Op; 4] = [Op::Submit, Op::Fetch, Op::Metrics, Op::Ping];
 
     /// The operation a request is.
     pub fn of(req: &Request) -> Self {
         match req {
             Request::Submit { .. } => Op::Submit,
             Request::Fetch { .. } => Op::Fetch,
-            Request::Optimize { .. } => Op::Optimize,
             Request::Metrics => Op::Metrics,
             Request::Ping => Op::Ping,
         }
@@ -51,9 +48,8 @@ impl Op {
         match self {
             Op::Submit => 0,
             Op::Fetch => 1,
-            Op::Optimize => 2,
-            Op::Metrics => 3,
-            Op::Ping => 4,
+            Op::Metrics => 2,
+            Op::Ping => 3,
         }
     }
 }
@@ -63,8 +59,8 @@ impl Op {
 pub struct ServiceMetrics {
     connections_total: AtomicU64,
     in_flight: AtomicU64,
-    requests_total: [AtomicU64; 5],
-    request_micros_total: [AtomicU64; 5],
+    requests_total: [AtomicU64; 4],
+    request_micros_total: [AtomicU64; 4],
     submissions_total: AtomicU64,
     submissions_fresh: AtomicU64,
     submissions_duplicate: AtomicU64,

@@ -31,13 +31,11 @@ pub const DEFAULT_MAX_FRAME: usize = 16 << 20;
 
 const OP_SUBMIT: u8 = 1;
 const OP_FETCH: u8 = 2;
-const OP_OPTIMIZE: u8 = 3;
 const OP_METRICS: u8 = 4;
 const OP_PING: u8 = 5;
 
 const RESP_SUBMITTED: u8 = 1;
 const RESP_HINTS: u8 = 2;
-const RESP_OPTIMIZED: u8 = 3;
 const RESP_METRICS: u8 = 4;
 const RESP_PONG: u8 = 5;
 const RESP_ERROR: u8 = 255;
@@ -52,8 +50,6 @@ pub enum Request {
     },
     /// Fetch the analyzed hint-set artifact for `key`.
     Fetch { key: StoreKey },
-    /// Force re-analysis of `key`'s merged profile now.
-    Optimize { key: StoreKey },
     /// Fetch the plaintext metrics snapshot.
     Metrics,
     /// Liveness probe.
@@ -74,19 +70,6 @@ pub struct SubmitAck {
     pub fresh: bool,
 }
 
-/// Acknowledgement of a [`Request::Optimize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimizeAck {
-    /// Profile generation the hints were computed from.
-    pub generation: u64,
-    /// Number of per-PC hints in the analyzed set.
-    pub hinted_pcs: u64,
-    /// Whether the CSR (metadata-way resize) hint is enabled.
-    pub csr_enabled: bool,
-    /// Metadata ways the CSR hint requests.
-    pub meta_ways: u64,
-}
-
 /// A daemon-to-client response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -95,8 +78,6 @@ pub enum Response {
     /// The hint-set artifact, verbatim `encode_hints` bytes — the same
     /// bytes `prophet_cli optimize` would write to a file.
     Hints { bytes: Vec<u8> },
-    /// Re-analysis done.
-    Optimized(OptimizeAck),
     /// Plaintext metrics snapshot.
     MetricsText(String),
     /// Liveness answer.
@@ -309,10 +290,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.u8(OP_FETCH);
             enc_key(&mut e, key);
         }
-        Request::Optimize { key } => {
-            e.u8(OP_OPTIMIZE);
-            enc_key(&mut e, key);
-        }
         Request::Metrics => e.u8(OP_METRICS),
         Request::Ping => e.u8(OP_PING),
     }
@@ -332,7 +309,6 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, RequestError> {
                 Request::Submit { key, counters }
             }
             OP_FETCH => Request::Fetch { key: dec_key(d)? },
-            OP_OPTIMIZE => Request::Optimize { key: dec_key(d)? },
             OP_METRICS => Request::Metrics,
             OP_PING => Request::Ping,
             _ => return Err(DecodeError::Corrupt("unknown request opcode")),
@@ -362,13 +338,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             e.u8(RESP_HINTS);
             e.len_prefix(bytes.len());
             e.bytes(bytes);
-        }
-        Response::Optimized(ack) => {
-            e.u8(RESP_OPTIMIZED);
-            e.u64(ack.generation);
-            e.u64(ack.hinted_pcs);
-            e.bool(ack.csr_enabled);
-            e.u64(ack.meta_ways);
         }
         Response::MetricsText(text) => {
             e.u8(RESP_METRICS);
@@ -403,12 +372,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, DecodeError> {
                 bytes: d.bytes(n)?.to_vec(),
             }
         }
-        RESP_OPTIMIZED => Response::Optimized(OptimizeAck {
-            generation: d.u64()?,
-            hinted_pcs: d.u64()?,
-            csr_enabled: d.bool()?,
-            meta_ways: d.u64()?,
-        }),
         RESP_METRICS => Response::MetricsText(d.str()?),
         RESP_PONG => Response::Pong,
         RESP_ERROR => Response::Error {
@@ -458,7 +421,6 @@ mod tests {
                 counters: counters(),
             },
             Request::Fetch { key: key() },
-            Request::Optimize { key: key() },
             Request::Metrics,
             Request::Ping,
         ];
@@ -478,12 +440,6 @@ mod tests {
             Response::Hints {
                 bytes: vec![1, 2, 3, 4],
             },
-            Response::Optimized(OptimizeAck {
-                generation: 7,
-                hinted_pcs: 12,
-                csr_enabled: true,
-                meta_ways: 3,
-            }),
             Response::MetricsText("prophet_service_in_flight 1\n".into()),
             Response::Pong,
             Response::Error {
@@ -511,6 +467,18 @@ mod tests {
                 }
                 other => panic!("cut at {cut} produced {other:?}"),
             }
+        }
+        // Opcode 3 is unassigned: it is unknown with or without a key body
+        // after it.
+        let mut unassigned = encode_request(&Request::Fetch { key: key() });
+        unassigned[2] = 3;
+        for bytes in [&unassigned[..], &unassigned[..3]] {
+            assert_eq!(
+                decode_request(bytes),
+                Err(RequestError::Malformed(DecodeError::Corrupt(
+                    "unknown request opcode"
+                )))
+            );
         }
     }
 

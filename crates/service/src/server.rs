@@ -231,10 +231,6 @@ fn dispatch(state: &ServiceState, request: Request) -> Response {
             Ok(bytes) => Response::Hints { bytes },
             Err(e) => error_response(state, e),
         },
-        Request::Optimize { key } => match state.optimize(&key) {
-            Ok(ack) => Response::Optimized(ack),
-            Err(e) => error_response(state, e),
-        },
         Request::Metrics => Response::MetricsText(state.render_metrics()),
         Request::Ping => Response::Pong,
     };

@@ -12,12 +12,11 @@
 //! Generation rule: a key's generation equals its number of *distinct*
 //! submissions (byte-identical resubmissions dedup, see
 //! [`crate::merge`]). Every generation advance re-merges and re-analyzes
-//! eagerly, so a fetch is a cache read; `optimize` forces a re-analysis
-//! on demand.
+//! eagerly, so a fetch is a cache read.
 
 use crate::merge::{merge_canonical, SubmissionSet};
 use crate::metrics::ServiceMetrics;
-use crate::proto::{ErrorCode, OptimizeAck, SubmitAck};
+use crate::proto::{ErrorCode, SubmitAck};
 use crate::PROFILE_SUB_TAG;
 use prophet::{analyze, AnalysisConfig, ProfileCounters};
 use prophet_store::{
@@ -73,9 +72,6 @@ impl From<StoreError> for ServiceError {
 struct HintsCache {
     generation: u64,
     bytes: Vec<u8>,
-    hinted_pcs: u64,
-    csr_enabled: bool,
-    meta_ways: u64,
 }
 
 /// One workload's live state.
@@ -240,9 +236,6 @@ impl ServiceState {
         e.hints = Some(HintsCache {
             generation: e.generation,
             bytes: encode_hints(&e.key, &hints),
-            hinted_pcs: hints.pc_hints.len() as u64,
-            csr_enabled: hints.csr.enabled,
-            meta_ways: hints.csr.meta_ways as u64,
         });
         self.metrics.record_optimize();
         Ok(())
@@ -322,41 +315,6 @@ impl ServiceState {
         if let Some(hints) = self.store.load_hints(key)? {
             self.metrics.record_fetch(true);
             return Ok(encode_hints(key, &hints));
-        }
-        Err(ServiceError::UnknownWorkload(key.clone()))
-    }
-
-    /// Forces re-analysis of `key`'s merged profile now, returning a
-    /// summary of the refreshed hints.
-    pub fn optimize(&self, key: &StoreKey) -> Result<OptimizeAck, ServiceError> {
-        if let Some(entry) = self.lookup(key) {
-            let mut e = entry.lock().unwrap();
-            if !e.submissions.is_empty() {
-                self.reoptimize(&mut e)?;
-                let h = e.hints.as_ref().expect("reoptimize filled cache");
-                return Ok(OptimizeAck {
-                    generation: h.generation,
-                    hinted_pcs: h.hinted_pcs,
-                    csr_enabled: h.csr_enabled,
-                    meta_ways: h.meta_ways,
-                });
-            }
-        }
-        if let Some(artifact) = self.store.load_profile(key)? {
-            let hints = analyze(&artifact.counters, &self.analysis);
-            if let Err(err) = self.store.save_hints(key, &hints) {
-                store_warn(format_args!(
-                    "warning: failed to persist hints for '{}': {err}",
-                    key.workload
-                ));
-            }
-            self.metrics.record_optimize();
-            return Ok(OptimizeAck {
-                generation: artifact.loops as u64,
-                hinted_pcs: hints.pc_hints.len() as u64,
-                csr_enabled: hints.csr.enabled,
-                meta_ways: hints.csr.meta_ways as u64,
-            });
         }
         Err(ServiceError::UnknownWorkload(key.clone()))
     }

@@ -224,22 +224,3 @@ fn restart_recovers_submissions_from_the_store() {
     stop_daemon(handle, join);
     std::fs::remove_dir_all(dir).ok();
 }
-
-#[test]
-fn optimize_on_demand_reports_the_current_generation() {
-    let dir = temp_dir("optimize");
-    let k = key("optimize");
-    let (handle, join) = start_daemon(&dir, 4);
-    let mut client = ServiceClient::connect(handle.addr()).unwrap();
-    client.submit(&k, &profile(1)).unwrap();
-    client.submit(&k, &profile(2)).unwrap();
-    let ack = client.optimize(&k).unwrap();
-    assert_eq!(ack.generation, 2);
-    let merged = merge_profiles(&[profile(1), profile(2)]).unwrap();
-    let hints = analyze(&merged.counters, &AnalysisConfig::default());
-    assert_eq!(ack.hinted_pcs, hints.pc_hints.len() as u64);
-    assert_eq!(ack.csr_enabled, hints.csr.enabled);
-    assert_eq!(ack.meta_ways, hints.csr.meta_ways as u64);
-    stop_daemon(handle, join);
-    std::fs::remove_dir_all(dir).ok();
-}

@@ -103,19 +103,6 @@ pub enum PatternSpec {
         branch_every: usize,
         pad: usize,
     },
-    /// Indirect access `a[b[i]]` with a *strided kernel*: the kernel PC
-    /// streams through `b` sequentially (RPG2's sweet spot), the indirect
-    /// PC's targets are data-dependent but repeat across outer iterations
-    /// (so temporal prefetchers can learn them too).
-    StridedIndirect {
-        kernel_pc: u64,
-        indirect_pc: u64,
-        elements: usize,
-        kernel_base: u64,
-        data_base: u64,
-        data_lines: u64,
-        pad: usize,
-    },
     /// A sequential streaming scan (covered by the L1 stride prefetcher).
     Stream {
         pc: u64,
@@ -149,8 +136,6 @@ pub struct PatternState {
     cycle: Vec<u64>,
     /// Alternate successors for `MultiTargetCycle`.
     alt: Vec<u64>,
-    /// Indirect index array for `StridedIndirect`.
-    indices: Vec<u64>,
     pos: usize,
     round: u64,
     /// Churn-segment bookkeeping for `InterleavedBursts`.
@@ -190,7 +175,6 @@ impl PatternState {
         let mut st = PatternState {
             cycle: Vec::new(),
             alt: Vec::new(),
-            indices: Vec::new(),
             pos: 0,
             round: 0,
             in_churn: false,
@@ -219,15 +203,6 @@ impl PatternState {
                     .map(|&l| base + ((l - base) + n * 5 + 13) % (n * 8))
                     .collect();
             }
-            PatternSpec::StridedIndirect {
-                elements,
-                data_lines,
-                ..
-            } => {
-                st.indices = (0..*elements)
-                    .map(|_| rng.gen_range(0..*data_lines))
-                    .collect();
-            }
             _ => {}
         }
         st
@@ -242,11 +217,6 @@ impl PatternState {
             | PatternSpec::MultiTargetCycle { pc, .. }
             | PatternSpec::Stream { pc, .. }
             | PatternSpec::LlcResident { pc, .. } => vec![*pc],
-            PatternSpec::StridedIndirect {
-                kernel_pc,
-                indirect_pc,
-                ..
-            } => vec![*kernel_pc, *indirect_pc],
         }
     }
 
@@ -348,28 +318,6 @@ impl PatternState {
                 out.push(ProtoInst::load(pc, l, true));
                 for _ in 0..pad {
                     out.push(ProtoInst::alu(pc));
-                }
-            }
-            PatternSpec::StridedIndirect {
-                kernel_pc,
-                indirect_pc,
-                kernel_base,
-                data_base,
-                pad,
-                ..
-            } => {
-                let n = self.indices.len();
-                let i = self.pos % n;
-                self.pos += 1;
-                // Kernel b[i]: 8-byte elements → 8 indices per line, a
-                // clean stride-1 byte stream.
-                let kline = kernel_base + (i as u64) / 8;
-                out.push(ProtoInst::load(Pc(kernel_pc), kline, false));
-                // Indirect a[b[i]]: depends on the kernel load.
-                let dline = data_base + self.indices[i];
-                out.push(ProtoInst::load(Pc(indirect_pc), dline, true));
-                for _ in 0..pad {
-                    out.push(ProtoInst::alu(Pc(indirect_pc)));
                 }
             }
             PatternSpec::Stream {
@@ -530,36 +478,6 @@ mod tests {
         let r2 = &lines[60..90];
         assert_ne!(r0, r1, "odd round takes alternate branches");
         assert_eq!(r0, r2, "even rounds repeat the base path");
-    }
-
-    #[test]
-    fn strided_indirect_kernel_is_sequential() {
-        let spec = PatternSpec::StridedIndirect {
-            kernel_pc: 1,
-            indirect_pc: 2,
-            elements: 64,
-            kernel_base: 0,
-            data_base: 100_000,
-            data_lines: 5_000,
-            pad: 0,
-        };
-        let mut r = rng();
-        let mut st = spec.instantiate(&mut r);
-        let mut out = Vec::new();
-        for _ in 0..16 {
-            st.burst(&mut out, &mut r);
-        }
-        let kernel: Vec<u64> = out
-            .iter()
-            .filter(|p| p.pc == Pc(1))
-            .filter_map(|p| p.op.map(|op| op.addr().line().0))
-            .collect();
-        // 8 elements per line → the kernel line advances every 8 bursts.
-        assert_eq!(kernel[0], kernel[7]);
-        assert_eq!(kernel[8], kernel[0] + 1);
-        // Indirect loads depend on the kernel.
-        let ind: Vec<&ProtoInst> = out.iter().filter(|p| p.pc == Pc(2)).collect();
-        assert!(ind.iter().all(|p| p.depends_on_prev_load));
     }
 
     #[test]
