@@ -9,7 +9,7 @@
 use prophet_prefetch::L2Prefetcher;
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_sim_mem::{Line, Pc};
-use prophet_temporal::{Triangel, TriangelConfig};
+use prophet_temporal::Triangel;
 use prophet_workloads::{PatternSpec, ProtoInst};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,7 +28,7 @@ fn main() {
         pad: 0,
     };
     let mut state = spec.instantiate(&mut rng);
-    let mut tri = Triangel::new(TriangelConfig::default());
+    let mut tri = Triangel::default();
     // Reference: unlimited table, no policy — classifies each metadata
     // access as useful (blue) or useless (red) or first (star).
     let mut reference: std::collections::HashMap<Line, Line> = std::collections::HashMap::new();

@@ -1,6 +1,6 @@
 //! Figure 16: sensitivity to EL_ACC (a), n (b), and MVB candidates (c).
 
-use prophet::{analyze, AnalysisConfig, MvbConfig, ProfileCounters, ProphetConfig};
+use prophet::{analyze, AnalysisConfig, ProfileCounters, ProphetConfig};
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_sim_core::{geomean, SimReport, TraceSource};
 use prophet_workloads::{workload, SPEC_WORKLOADS};
@@ -111,10 +111,7 @@ fn main() {
                 format!("cand={c}"),
                 AnalysisConfig::default(),
                 ProphetConfig {
-                    mvb: MvbConfig {
-                        candidates: c,
-                        ..MvbConfig::default()
-                    },
+                    mvb_candidates: c,
                     ..ProphetConfig::default()
                 },
             )

@@ -51,7 +51,7 @@ fn main() {
         );
         // Section 4.4: the two injection mechanisms compared.
         for method in [
-            InjectionMethod::HintBuffer { entries: 128 },
+            InjectionMethod::HintBuffer,
             InjectionMethod::ReservedBits,
             InjectionMethod::X86Prefix,
         ] {

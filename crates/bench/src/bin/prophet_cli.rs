@@ -46,6 +46,8 @@
 //! Windows default to 650 000 measured / 200 000 warm-up instructions;
 //! workloads are sized to cover `warmup + insts` via streaming generation.
 
+use prophet::analysis::{MIN_ISSUED, THRASH_REPLACEMENT_FRAC};
+use prophet::hints::HINT_BUFFER_ENTRIES;
 use prophet::{analyze, AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
 use prophet_bench::{take_flag, Harness, Outcome, RunArgs, Scheme, Start};
 use prophet_rpg2::Rpg2Result;
@@ -333,7 +335,7 @@ fn cmd_explain(args: &RunArgs, name: &str) {
         } else {
             0.0
         },
-        cfg.thrash_replacement_frac,
+        THRASH_REPLACEMENT_FRAC,
         cfg.footprint_estimate(&counters),
         hints.csr.enabled,
         hints.csr.meta_ways
@@ -344,9 +346,9 @@ fn cmd_explain(args: &RunArgs, name: &str) {
          PCs under {} issued keep the default hint; Eq. 2: {} priority levels; \
          - = beyond the {}-entry hint buffer) ---",
         cfg.el_acc,
-        cfg.min_issued,
+        MIN_ISSUED,
         1u32 << cfg.priority_bits,
-        cfg.hint_entries
+        HINT_BUFFER_ENTRIES
     );
     println!(
         "{:<10} {:>9} {:>9} {:>6} {:>9} {:>6} {:>4} {:>9} {:>9}",

@@ -20,7 +20,7 @@ use prophet_store::{
     config_digest, decode_checkpoint, decode_profile, encode_checkpoint, encode_profile,
     store_warn, ArtifactStore, ProfileArtifact, StoreKey, WarmupCheckpoint,
 };
-use prophet_temporal::{TemporalConfig, TemporalEngine, Triage, Triangel, TriangelConfig};
+use prophet_temporal::{TemporalConfig, TemporalEngine, Triage, Triangel};
 
 /// Which L1 prefetcher a run uses (Figure 17 swaps stride for IPCP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,7 +185,7 @@ impl Harness {
                 Box::new(tp)
             }
             Scheme::Triangel => {
-                let mut tp = Triangel::new(TriangelConfig::default());
+                let mut tp = Triangel::default();
                 if let Some(seed) = seed {
                     tp.seed_warmup(seed);
                 }
@@ -648,7 +648,8 @@ pub struct RunArgs {
 
 impl RunArgs {
     /// Parses `args` (without the program name). Returns an error message
-    /// for an unknown `--flag` or a malformed value.
+    /// for an unknown `--flag`, a malformed value, or `--insts 0` (a run
+    /// must measure something; `--warmup 0` is fine).
     pub fn parse(args: impl Iterator<Item = String>) -> Result<RunArgs, String> {
         let mut out = RunArgs {
             insts: None,
@@ -664,7 +665,10 @@ impl RunArgs {
                 v.parse().map_err(|_| format!("{name}: not a number: {v}"))
             };
             match a.as_str() {
-                "--insts" => out.insts = Some(take("--insts")?),
+                "--insts" => match take("--insts")? {
+                    0 => return Err("--insts must be at least 1".into()),
+                    n => out.insts = Some(n),
+                },
                 "--warmup" => out.warmup = Some(take("--warmup")?),
                 "--jobs" => out.jobs = take("--jobs")? as usize,
                 "--store" => {

@@ -1,7 +1,8 @@
 //! Binaries reject arguments they do not use: a fixed-window binary exits
 //! 2 on any argument, and a windowed one exits 2 on a flag only another
 //! binary understands, instead of silently ignoring it. `fig15_crono`
-//! also rejects a pair of its own flags that cannot work together.
+//! also rejects a pair of its own flags that cannot work together, and
+//! every windowed binary rejects an empty `--insts 0` window.
 
 use std::process::Command;
 
@@ -44,6 +45,33 @@ fn windowed_binary_rejects_another_binarys_flag() {
         stderr.contains("unknown flag: --vertices") && stderr.contains("usage: fig10_12_spec"),
         "missing usage line:\n{stderr}"
     );
+}
+
+#[test]
+fn zero_insts_is_rejected() {
+    // A zero-instruction window used to print all-zero speedups and exit 0.
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_fig10_12_spec"),
+            &["--insts", "0", "--warmup", "1000"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_prophet_cli"),
+            &["mcf", "--insts", "0"][..],
+        ),
+    ] {
+        let out = Command::new(exe)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+        assert_eq!(out.status.code(), Some(2), "{exe} {args:?}");
+        assert!(out.stdout.is_empty(), "a rejected run must print no table");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--insts must be at least 1"),
+            "stderr must name the flag:\n{stderr}"
+        );
+    }
 }
 
 #[test]

@@ -1,13 +1,15 @@
 //! Golden-output regression tests for the figure binaries.
 //!
 //! Each test runs the real binary (Cargo exposes the path via
-//! `CARGO_BIN_EXE_*`) at a short, fixed window and diffs its stdout
-//! against a checked-in snapshot under `tests/golden/` (the Figure 10,
-//! 11 and 12 tests share one run of `fig10_12_spec` and each diffs its
-//! own table of `fig10_12_spec.txt`). The simulator,
-//! generators, and harness are deterministic end to end, so any diff
-//! means a refactor shifted results — exactly what these tests exist to
-//! catch (streaming rewrites, harness parallelism, scheme changes).
+//! `CARGO_BIN_EXE_*`) and diffs its stdout against a checked-in snapshot
+//! under `tests/golden/`. The windowed binaries run at a short, fixed
+//! window; `fig01_metadata_pattern`, `fig06_accuracy_levels` and
+//! `tab_storage` take no arguments. The Figure 10, 11 and 12 tests share
+//! one run of `fig10_12_spec` and each diffs its own table of
+//! `fig10_12_spec.txt`. The simulator, generators, and harness are
+//! deterministic end to end, so any diff means a refactor shifted results
+//! — exactly what these tests exist to catch (streaming rewrites, harness
+//! parallelism, scheme changes).
 //!
 //! To re-anchor after an *intentional* change, regenerate the snapshot
 //! with the command in each test and commit the diff alongside the
@@ -136,5 +138,38 @@ fn fig18_bandwidth_short_window_matches_snapshot() {
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/fig18_bandwidth.txt"
         ),
+    );
+}
+
+#[test]
+fn fig01_metadata_pattern_matches_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_fig01_metadata_pattern"),
+        &[],
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/fig01_metadata_pattern.txt"
+        ),
+    );
+}
+
+#[test]
+fn fig06_accuracy_levels_matches_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_fig06_accuracy_levels"),
+        &[],
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/fig06_accuracy_levels.txt"
+        ),
+    );
+}
+
+#[test]
+fn tab_storage_matches_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_tab_storage"),
+        &[],
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tab_storage.txt"),
     );
 }

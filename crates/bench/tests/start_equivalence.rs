@@ -13,7 +13,7 @@ use prophet::{
 use prophet_bench::{Harness, Scheme, Start};
 use prophet_prefetch::{L2Prefetcher, NoL2Prefetch, StridePrefetcher};
 use prophet_store::{ArtifactStore, WarmupCheckpoint};
-use prophet_temporal::{Triage, Triangel, TriangelConfig};
+use prophet_temporal::{Triage, Triangel};
 use prophet_workloads::workload_sized;
 
 fn harness() -> Harness {
@@ -39,7 +39,7 @@ fn seeded_l2(scheme: Scheme, ckpt: &WarmupCheckpoint) -> Box<dyn L2Prefetcher> {
             Box::new(tp)
         }
         Scheme::Triangel => {
-            let mut tp = Triangel::new(TriangelConfig::default());
+            let mut tp = Triangel::default();
             tp.seed_warmup(&ckpt.temporal);
             Box::new(tp)
         }

@@ -10,10 +10,28 @@
 //!   temporal prefetching is disabled outright when under half a way.
 
 use crate::counters::ProfileCounters;
-use crate::hints::{CsrHint, HintSet, PcHint};
-use prophet_temporal::ENTRIES_PER_LINE;
+use crate::hints::{CsrHint, HintSet, PcHint, HINT_BUFFER_ENTRIES};
+use prophet_sim_mem::{LLC_SETS, MAX_META_WAYS};
+use prophet_temporal::{ENTRIES_PER_LINE, MAX_META_ENTRIES};
+
+/// Minimum issued prefetches for a PC's accuracy to be trusted; below this
+/// the PC keeps the default hint (a PC that never triggered a prefetch
+/// carries no temporal evidence either way).
+pub const MIN_ISSUED: f64 = 8.0;
+
+/// Thrash-detection threshold for the Eq. 3 estimate. When the profiling
+/// table's replacement count reaches this fraction of its insertions,
+/// entries were being evicted while still live, so
+/// `insertions − replacements` tracks the table's churn headroom rather
+/// than the pattern's footprint — Eq. 3 would then pick 1–3 LLC ways for a
+/// pattern that wants the whole table. Detection clamps the estimate up to
+/// [`MAX_META_ENTRIES`] (every way the table can hold).
+pub const THRASH_REPLACEMENT_FRAC: f64 = 0.5;
 
 /// Analysis parameters (paper defaults in [`AnalysisConfig::default`]).
+/// The geometry Eq. 3 sizes against — [`LLC_SETS`] sets, the
+/// [`MAX_META_ENTRIES`] cap — and the [`HINT_BUFFER_ENTRIES`] hint budget
+/// are fixed by the hardware.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnalysisConfig {
     /// `EL_ACC`, the extremely-low accuracy threshold of Eq. 1
@@ -22,27 +40,6 @@ pub struct AnalysisConfig {
     /// `n`, the priority-level bit width of Eq. 2
     /// (Figure 16b evaluates 1 / **2** / 3).
     pub priority_bits: u8,
-    /// Hint-buffer capacity: only the top PCs by L2 misses receive hints
-    /// (Section 4.4; 128 suffices empirically).
-    pub hint_entries: usize,
-    /// LLC sets (Eq. 3 denominator).
-    pub llc_sets: usize,
-    /// Hard cap on the table: entries a 1 MB table holds (Section 4.2
-    /// footnote: the rounded value must not exceed this).
-    pub max_table_entries: u64,
-    /// Minimum issued prefetches for a PC's accuracy to be trusted; below
-    /// this the PC keeps the default hint (a PC that never triggered a
-    /// prefetch carries no temporal evidence either way).
-    pub min_issued: f64,
-    /// Thrash-detection threshold for the Eq. 3 estimate. When the
-    /// profiling table's replacement count reaches this fraction of its
-    /// insertions, entries were being evicted while still live, so
-    /// `insertions − replacements` tracks the table's churn headroom
-    /// rather than the pattern's footprint — Eq. 3 would then pick 1–3
-    /// LLC ways for a pattern that wants the whole table. Detection
-    /// clamps the estimate up to `max_table_entries` (every way the
-    /// table can hold).
-    pub thrash_replacement_frac: f64,
 }
 
 impl Default for AnalysisConfig {
@@ -50,11 +47,6 @@ impl Default for AnalysisConfig {
         AnalysisConfig {
             el_acc: 0.15,
             priority_bits: 2,
-            hint_entries: 128,
-            llc_sets: 2048,
-            max_table_entries: 196_608,
-            min_issued: 8.0,
-            thrash_replacement_frac: 0.5,
         }
     }
 }
@@ -78,8 +70,8 @@ impl AnalysisConfig {
     /// caps at the 1 MB table, divides by per-way entry capacity; a result
     /// under 0.5 ways disables temporal prefetching.
     pub fn resize(&self, allocated: f64) -> CsrHint {
-        let per_way = (self.llc_sets * ENTRIES_PER_LINE) as f64;
-        let rounded = round_pow2(allocated.max(0.0)).min(self.max_table_entries as f64);
+        let per_way = (LLC_SETS * ENTRIES_PER_LINE) as f64;
+        let rounded = round_pow2(allocated.max(0.0)).min(MAX_META_ENTRIES as f64);
         let ways_real = rounded / per_way;
         if ways_real < 0.5 {
             return CsrHint {
@@ -87,20 +79,19 @@ impl AnalysisConfig {
                 meta_ways: 0,
             };
         }
-        let max_ways = (self.max_table_entries as f64 / per_way).round() as usize;
         CsrHint {
             enabled: true,
-            meta_ways: (ways_real.ceil() as usize).clamp(1, max_ways),
+            meta_ways: (ways_real.ceil() as usize).clamp(1, MAX_META_WAYS),
         }
     }
 
     /// Did the profiling table thrash? True when replacements reach
-    /// [`AnalysisConfig::thrash_replacement_frac`] of insertions — the
-    /// table was churning entries that were still live, so the allocated
-    /// counter saturated well below the pattern's footprint.
+    /// [`THRASH_REPLACEMENT_FRAC`] of insertions — the table was churning
+    /// entries that were still live, so the allocated counter saturated
+    /// well below the pattern's footprint.
     pub fn profile_thrashed(&self, profile: &ProfileCounters) -> bool {
         profile.insertions > 0.0
-            && profile.replacements >= self.thrash_replacement_frac * profile.insertions
+            && profile.replacements >= THRASH_REPLACEMENT_FRAC * profile.insertions
     }
 
     /// The allocated-entry estimate fed to Eq. 3 ([`AnalysisConfig::resize`]):
@@ -117,7 +108,7 @@ impl AnalysisConfig {
     pub fn footprint_estimate(&self, profile: &ProfileCounters) -> f64 {
         let naive = profile.allocated_entries();
         if self.profile_thrashed(profile) {
-            naive.max(self.max_table_entries as f64)
+            naive.max(MAX_META_ENTRIES as f64)
         } else {
             naive
         }
@@ -141,8 +132,8 @@ fn round_pow2(x: f64) -> f64 {
 /// Runs the Analysis step: profile counters → hint set.
 ///
 /// PCs are ranked by their L2-miss contribution and only the top
-/// `hint_entries` receive hints (the hint buffer is finite); all hinted PCs
-/// get the Eq. 1 insertion bit and the Eq. 2 priority level.
+/// [`HINT_BUFFER_ENTRIES`] receive hints (the hint buffer is finite); all
+/// hinted PCs get the Eq. 1 insertion bit and the Eq. 2 priority level.
 pub fn analyze(profile: &ProfileCounters, cfg: &AnalysisConfig) -> HintSet {
     let mut ranked: Vec<(u64, &crate::counters::PcProfile)> =
         profile.per_pc.iter().map(|(pc, p)| (*pc, p)).collect();
@@ -155,9 +146,9 @@ pub fn analyze(profile: &ProfileCounters, cfg: &AnalysisConfig) -> HintSet {
 
     let pc_hints = ranked
         .into_iter()
-        .take(cfg.hint_entries)
+        .take(HINT_BUFFER_ENTRIES)
         .map(|(pc, p)| {
-            let hint = if p.issued < cfg.min_issued {
+            let hint = if p.issued < MIN_ISSUED {
                 PcHint::DEFAULT
             } else {
                 PcHint {
@@ -217,7 +208,7 @@ mod tests {
 
     #[test]
     fn eq3_resizing_rounds_and_caps() {
-        let c = cfg(); // per way: 2048 × 12 = 24,576 entries
+        let c = cfg(); // per way: LLC_SETS × 12 = 24,576 entries
                        // 100k entries → rounds to 131072 → 5.33 ways → ceil 6.
         let h = c.resize(100_000.0);
         assert!(h.enabled);
@@ -281,7 +272,7 @@ mod tests {
             .map(|pc| (pc, 0.5, 100.0, 1000.0 - pc as f64))
             .collect();
         let hints = analyze(&profile_with(&pcs), &cfg());
-        assert_eq!(hints.pc_hints.len(), 128);
+        assert_eq!(hints.pc_hints.len(), HINT_BUFFER_ENTRIES);
         // The highest-miss PC (pc 0) must be first.
         assert_eq!(hints.pc_hints[0].0, 0);
     }
@@ -330,7 +321,7 @@ mod tests {
         p.insertions = 300_000.0;
         p.replacements = 270_000.0;
         assert_eq!(c.resize(p.allocated_entries()).meta_ways, 2, "naive Eq. 3");
-        assert_eq!(c.footprint_estimate(&p), c.max_table_entries as f64);
+        assert_eq!(c.footprint_estimate(&p), MAX_META_ENTRIES as f64);
         let hints = analyze(&p, &c);
         assert!(hints.csr.enabled);
         assert_eq!(hints.csr.meta_ways, 8, "thrash clamp sizes every way");

@@ -22,7 +22,7 @@ pub struct PcProfile {
     /// accuracy; a PC with zero issues has no temporal evidence).
     pub issued: f64,
     /// L2 misses caused by this PC (`MEM_LOAD_RETIRED.L2_MISS`) — ranks PCs
-    /// for the 128-entry hint buffer (Section 4.4).
+    /// for the hint buffer (Section 4.4).
     pub l2_misses: f64,
 }
 

@@ -2,13 +2,18 @@
 //!
 //! Analysis produces at most 3 bits per memory instruction: one insertion
 //! bit (Eq. 1) and an n-bit replacement priority (Eq. 2, n = 2 by default).
-//! Hints travel with demand requests; the hardware side is a 128-entry
-//! PC-indexed *hint buffer* next to the prefetcher (the Whisper-style
-//! mechanism), loaded once by hint instructions at program entry.
+//! Hints travel with demand requests; the hardware side is a
+//! [`HINT_BUFFER_ENTRIES`]-entry PC-indexed *hint buffer* next to the
+//! prefetcher (the Whisper-style mechanism), loaded once by hint
+//! instructions at program entry.
 //! Application-level hints (the metadata-table size, Eq. 3) are written to a
 //! CSR by one instruction at program start.
 
 use std::collections::HashMap;
+
+/// Entries of the hardware hint buffer: only the top PCs by L2 misses
+/// receive hints (Section 4.4: this many suffice empirically).
+pub const HINT_BUFFER_ENTRIES: usize = 128;
 
 /// The per-PC hint: Prophet's at-most-3-bit payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,31 +76,19 @@ impl HintSet {
     }
 }
 
-/// The 128-entry hardware hint buffer near the prefetcher.
-#[derive(Debug, Clone)]
+/// The [`HINT_BUFFER_ENTRIES`]-entry hardware hint buffer near the
+/// prefetcher.
+#[derive(Debug, Clone, Default)]
 pub struct HintBuffer {
     map: HashMap<u64, PcHint>,
-    capacity: usize,
 }
 
 impl HintBuffer {
-    /// Creates an empty buffer with `capacity` entries.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "hint buffer needs capacity");
-        HintBuffer {
-            map: HashMap::with_capacity(capacity),
-            capacity,
-        }
-    }
-
     /// Loads a hint set, truncating to capacity (analysis already ranks PCs
     /// by miss contribution, so truncation drops the least important).
     pub fn load(&mut self, hints: &HintSet) {
         self.map.clear();
-        for (pc, h) in hints.pc_hints.iter().take(self.capacity) {
+        for (pc, h) in hints.pc_hints.iter().take(HINT_BUFFER_ENTRIES) {
             self.map.insert(*pc, *h);
         }
     }
@@ -120,21 +113,10 @@ impl HintBuffer {
         self.map.is_empty()
     }
 
-    /// Capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Storage cost in bytes: each entry holds a ~9-bit PC tag plus the
-    /// 3-bit hint (Section 4.4 quotes 0.19 KB for 128 entries).
-    pub fn storage_bytes(&self) -> f64 {
-        self.capacity as f64 * 12.0 / 8.0
-    }
-}
-
-impl Default for HintBuffer {
-    fn default() -> Self {
-        Self::new(128)
+    /// 3-bit hint (Section 4.4 quotes 0.19 KB for the whole buffer).
+    pub fn storage_bytes() -> f64 {
+        HINT_BUFFER_ENTRIES as f64 * 12.0 / 8.0
     }
 }
 
@@ -144,7 +126,7 @@ mod tests {
 
     #[test]
     fn load_and_lookup() {
-        let mut b = HintBuffer::new(4);
+        let mut b = HintBuffer::default();
         b.load(&HintSet {
             pc_hints: vec![
                 (
@@ -173,18 +155,22 @@ mod tests {
 
     #[test]
     fn capacity_truncates() {
-        let mut b = HintBuffer::new(2);
+        let mut b = HintBuffer::default();
         let hints = HintSet {
-            pc_hints: (0..5u64).map(|pc| (pc, PcHint::DEFAULT)).collect(),
+            pc_hints: (0..HINT_BUFFER_ENTRIES as u64 + 3)
+                .map(|pc| (pc, PcHint::DEFAULT))
+                .collect(),
             csr: CsrHint::default(),
         };
         b.load(&hints);
-        assert_eq!(b.len(), 2, "only the top-ranked PCs fit");
+        assert_eq!(b.len(), HINT_BUFFER_ENTRIES, "only the top-ranked PCs fit");
+        assert!(b.get(HINT_BUFFER_ENTRIES as u64 - 1).is_some());
+        assert!(b.get(HINT_BUFFER_ENTRIES as u64).is_none());
     }
 
     #[test]
     fn reload_replaces_contents() {
-        let mut b = HintBuffer::new(4);
+        let mut b = HintBuffer::default();
         b.load(&HintSet {
             pc_hints: vec![(1, PcHint::DEFAULT)],
             csr: CsrHint::default(),
@@ -199,8 +185,7 @@ mod tests {
 
     #[test]
     fn storage_matches_paper() {
-        let b = HintBuffer::new(128);
-        let kb = b.storage_bytes() / 1024.0;
+        let kb = HintBuffer::storage_bytes() / 1024.0;
         assert!(
             (kb - 0.1875).abs() < 0.01,
             "128 entries ≈ 0.19 KB, got {kb}"

@@ -7,28 +7,42 @@
 //!
 //! * **Hint buffer** (Whisper-style) — specialized hint instructions,
 //!   executed once at program entry (inserted via BOLT), load a PC-indexed
-//!   buffer near the prefetcher. Costs: buffer storage (0.19 KB for 128
-//!   entries) plus one dynamic instruction per hint; works on every ISA.
+//!   buffer near the prefetcher. Costs: buffer storage (0.19 KB for the
+//!   [`HINT_BUFFER_ENTRIES`] entries) plus one dynamic instruction per
+//!   hint; works on every ISA.
 //! * **Reserved bits / x86 instruction prefix** — hints ride inside the
 //!   memory instructions themselves. Costs: nothing at runtime, but the
 //!   prefix variant grows the code footprint (3 bits per hinted
-//!   instruction → at most 6 bytes of I-cache across 128 instructions).
+//!   instruction → at most 6 bytes of I-cache for a full hint buffer).
 
-use crate::hints::HintSet;
+use crate::hints::{HintBuffer, HintSet, HINT_BUFFER_ENTRIES};
+use std::fmt;
 
 /// Which injection mechanism an optimized binary uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub enum InjectionMethod {
-    /// Hint instructions filling a hardware hint buffer at program entry.
-    HintBuffer {
-        /// Buffer capacity in entries (128 suffices empirically).
-        entries: usize,
-    },
+    /// Hint instructions filling the hardware [`HintBuffer`] at program
+    /// entry.
+    HintBuffer,
     /// Hints encoded in reserved bits of existing memory instructions
     /// (requires ISA support; zero overhead).
     ReservedBits,
     /// Hints carried by an added x86 instruction prefix.
     X86Prefix,
+}
+
+/// Names the hint buffer with its capacity, `HintBuffer { entries: N }`.
+impl fmt::Debug for InjectionMethod {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InjectionMethod::HintBuffer => f
+                .debug_struct("HintBuffer")
+                .field("entries", &HINT_BUFFER_ENTRIES)
+                .finish(),
+            InjectionMethod::ReservedBits => f.write_str("ReservedBits"),
+            InjectionMethod::X86Prefix => f.write_str("X86Prefix"),
+        }
+    }
 }
 
 /// Cost report for injecting one hint set with one mechanism.
@@ -50,12 +64,11 @@ impl InjectionMethod {
     pub fn cost(&self, hints: &HintSet) -> InjectionCost {
         let n = hints.pc_hints.len() as u64;
         match *self {
-            InjectionMethod::HintBuffer { entries } => InjectionCost {
+            InjectionMethod::HintBuffer => InjectionCost {
                 // One hint instruction per (buffered) PC hint + the CSR
                 // write.
-                dynamic_instructions: n.min(entries as u64) + 1,
-                // ~9-bit PC tag + 3-bit hint per entry.
-                buffer_bytes: entries as f64 * 12.0 / 8.0,
+                dynamic_instructions: n.min(HINT_BUFFER_ENTRIES as u64) + 1,
+                buffer_bytes: HintBuffer::storage_bytes(),
                 icache_bytes: 0.0,
                 isa_portable: true,
             },
@@ -68,9 +81,9 @@ impl InjectionMethod {
             InjectionMethod::X86Prefix => InjectionCost {
                 dynamic_instructions: 1, // the CSR write
                 buffer_bytes: 0.0,
-                // Section 4.4's own arithmetic: "3×128/64 = 6 Byte" —
-                // 3 bits per hinted instruction, reported per 64-bit
-                // I-cache word. We reproduce the paper's figure.
+                // Section 4.4's own arithmetic (6 bytes for a full hint
+                // buffer): 3 bits per hinted instruction, reported per
+                // 64-bit I-cache word. We reproduce the paper's figure.
                 icache_bytes: n as f64 * 3.0 / 64.0,
                 isa_portable: false,
             },
@@ -92,7 +105,7 @@ mod tests {
 
     #[test]
     fn hint_buffer_costs_match_paper() {
-        let m = InjectionMethod::HintBuffer { entries: 128 };
+        let m = InjectionMethod::HintBuffer;
         let c = m.cost(&hints(128));
         assert_eq!(c.dynamic_instructions, 129, "128 hints + 1 CSR write");
         assert!((c.buffer_bytes / 1024.0 - 0.1875).abs() < 0.01, "0.19 KB");
@@ -110,6 +123,15 @@ mod tests {
     }
 
     #[test]
+    fn debug_names_the_buffer_capacity() {
+        assert_eq!(
+            format!("{:?}", InjectionMethod::HintBuffer),
+            "HintBuffer { entries: 128 }"
+        );
+        assert_eq!(format!("{:?}", InjectionMethod::X86Prefix), "X86Prefix");
+    }
+
+    #[test]
     fn reserved_bits_are_free() {
         let c = InjectionMethod::ReservedBits.cost(&hints(100));
         assert_eq!(c.buffer_bytes + c.icache_bytes, 0.0);
@@ -117,8 +139,8 @@ mod tests {
 
     #[test]
     fn hint_buffer_truncates_to_capacity() {
-        let m = InjectionMethod::HintBuffer { entries: 64 };
-        let c = m.cost(&hints(200));
-        assert_eq!(c.dynamic_instructions, 65);
+        let m = InjectionMethod::HintBuffer;
+        let c = m.cost(&hints(HINT_BUFFER_ENTRIES + 72));
+        assert_eq!(c.dynamic_instructions, HINT_BUFFER_ENTRIES as u64 + 1);
     }
 }

@@ -10,7 +10,7 @@
 //! * [`analysis`] — Step 2: Eq. 1 insertion hints, Eq. 2 replacement
 //!   priorities, Eq. 3 resizing;
 //! * [`learning`] — Step 3: input-adaptive counter merging;
-//! * [`hints`] — the 3-bit PC hints, the 128-entry hint buffer and the CSR;
+//! * [`hints`] — the 3-bit PC hints, the hint buffer and the CSR;
 //! * [`mvb`] — the Multi-path Victim Buffer;
 //! * [`prophet`] — the Prophet prefetcher with per-feature toggles
 //!   (Figure 19's ablation axes);
@@ -73,7 +73,7 @@ pub use counters::{PcProfile, ProfileCounters};
 pub use hints::{CsrHint, HintBuffer, HintSet, PcHint};
 pub use injection::{InjectionCost, InjectionMethod};
 pub use learning::{LearnedProfile, DEFAULT_LOOP_CAP};
-pub use mvb::{MultiPathVictimBuffer, MvbConfig};
+pub use mvb::MultiPathVictimBuffer;
 pub use pmu::{measure_analysis_seconds, InstructionOverhead, ProfilingOverheadModel};
 pub use profile::SimplifiedTp;
 pub use prophet::{Prophet, ProphetConfig, ProphetFeatures};

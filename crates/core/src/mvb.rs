@@ -17,7 +17,6 @@
 //!   same key; stored targets that differ from the table's prediction are
 //!   prefetched additionally.
 
-use crate::storage::MVB_ENTRY_BITS;
 use prophet_prefetch::SmallList;
 use prophet_sim_mem::{find_first_u64, Line};
 
@@ -30,27 +29,17 @@ const NO_KEY: u64 = u64::MAX;
 /// experimental configs degrade gracefully through `SmallList`'s spill.
 pub const MVB_INLINE_CANDIDATES: usize = 4;
 
-/// MVB geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MvbConfig {
-    /// Total entries (paper: 65,536 → 344 KB at 43 bits each).
-    pub entries: usize,
-    /// Associativity of the buffer.
-    pub ways: usize,
-    /// Markov-target candidates stored per entry (Figure 16c evaluates
-    /// 1 / 2 / 4; **1** is the paper's choice).
-    pub candidates: usize,
-}
+/// Total MVB entries (paper: 65,536 → 344 KB at 43 bits each).
+pub(crate) const MVB_ENTRIES: usize = 65_536;
 
-impl Default for MvbConfig {
-    fn default() -> Self {
-        MvbConfig {
-            entries: 65_536,
-            ways: 4,
-            candidates: 1,
-        }
-    }
-}
+/// Associativity of the buffer.
+pub(crate) const MVB_WAYS: usize = 4;
+
+const MVB_SETS: usize = MVB_ENTRIES / MVB_WAYS;
+const _: () = assert!(
+    MVB_SETS.is_power_of_two(),
+    "MVB sets must be a power of two"
+);
 
 #[derive(Debug, Clone)]
 struct MvbEntry {
@@ -70,8 +59,8 @@ impl MvbEntry {
 /// The Multi-path Victim Buffer.
 #[derive(Debug, Clone)]
 pub struct MultiPathVictimBuffer {
-    cfg: MvbConfig,
-    sets: usize,
+    /// Markov-target candidates stored per entry (Figure 16c).
+    candidates: usize,
     slots: Vec<Option<MvbEntry>>,
     /// Packed key mirror of `slots` (`NO_KEY` for empty), so the per-lookup
     /// set probe is one batched scan over contiguous words instead of a
@@ -83,35 +72,27 @@ pub struct MultiPathVictimBuffer {
 }
 
 impl MultiPathVictimBuffer {
-    /// Builds the buffer.
+    /// Builds the buffer with `candidates` Markov targets per entry.
     ///
     /// # Panics
-    /// Panics if the geometry does not divide into whole power-of-two sets.
-    pub fn new(cfg: MvbConfig) -> Self {
-        assert!(
-            cfg.ways > 0 && cfg.candidates > 0,
-            "degenerate MVB geometry"
-        );
-        let sets = cfg.entries / cfg.ways;
-        assert!(sets.is_power_of_two(), "MVB sets must be a power of two");
+    /// Panics if `candidates` is zero.
+    pub fn new(candidates: usize) -> Self {
+        assert!(candidates > 0, "an MVB entry needs a candidate");
         MultiPathVictimBuffer {
-            slots: vec![None; cfg.entries],
-            keys: vec![NO_KEY; cfg.entries],
-            sets,
+            candidates,
+            slots: vec![None; MVB_ENTRIES],
+            keys: vec![NO_KEY; MVB_ENTRIES],
             clock: 0,
             inserted: 0,
             hits: 0,
-            cfg,
         }
     }
 
-    /// Storage cost in bytes (Section 5.10: 43 bits per entry; entries with
-    /// multiple candidates scale the target+counter part).
-    pub fn storage_bytes(&self) -> f64 {
-        // 10-bit tag + candidates × (31-bit target + 2-bit counter).
-        let bits_per_entry = 10.0 + self.cfg.candidates as f64 * 33.0;
-        debug_assert!(self.cfg.candidates != 1 || bits_per_entry == MVB_ENTRY_BITS as f64);
-        self.cfg.entries as f64 * bits_per_entry / 8.0
+    /// Storage cost in bytes of the buffer with `candidates` targets per
+    /// entry: a 10-bit tag plus, per candidate, a 31-bit target and a 2-bit
+    /// counter (Section 5.10: 43 bits per entry at one candidate).
+    pub fn storage_bytes(candidates: usize) -> f64 {
+        MVB_ENTRIES as f64 * (10.0 + candidates as f64 * 33.0) / 8.0
     }
 
     /// Entries inserted so far.
@@ -125,8 +106,8 @@ impl MultiPathVictimBuffer {
     }
 
     fn set_range(&self, key: u64) -> std::ops::Range<usize> {
-        let set = (key as usize) & (self.sets - 1);
-        set * self.cfg.ways..(set + 1) * self.cfg.ways
+        let set = (key as usize) & (MVB_SETS - 1);
+        set * MVB_WAYS..(set + 1) * MVB_WAYS
     }
 
     /// Buffers an evicted Markov target. Per the insertion rule, callers
@@ -147,7 +128,7 @@ impl MultiPathVictimBuffer {
             e.stamp = clock;
             if let Some(t) = e.targets.iter_mut().find(|(l, _)| *l == target) {
                 t.1 = (t.1 + 1).min(3);
-            } else if e.targets.len() < self.cfg.candidates {
+            } else if e.targets.len() < self.candidates {
                 e.targets.push((target, 0));
             } else {
                 // Replace the least-used candidate.
@@ -220,11 +201,7 @@ mod tests {
     use super::*;
 
     fn mvb(candidates: usize) -> MultiPathVictimBuffer {
-        MultiPathVictimBuffer::new(MvbConfig {
-            entries: 64,
-            ways: 4,
-            candidates,
-        })
+        MultiPathVictimBuffer::new(candidates)
     }
 
     #[test]
@@ -266,44 +243,30 @@ mod tests {
 
     #[test]
     fn replacement_evicts_lowest_counter_entry() {
-        let mut m = MultiPathVictimBuffer::new(MvbConfig {
-            entries: 4,
-            ways: 4,
-            candidates: 1,
-        });
-        // Fill one set (all keys map to set 0 since sets = 1).
+        let mut m = mvb(1);
+        // Keys one set count apart all map to set 0; four fill its ways.
+        let key = |k: u64| k * MVB_SETS as u64;
         for k in 0..4u64 {
-            m.insert(k, Line(100 + k), 1);
+            m.insert(key(k), Line(100 + k), 1);
         }
         // Use keys 1..4 so key 0 stays at counter 0.
         for k in 1..4u64 {
-            m.lookup(k, None);
+            m.lookup(key(k), None);
         }
-        m.insert(99, Line(999), 1);
+        m.insert(key(99), Line(999), 1);
         assert!(
-            m.lookup(0, None).is_empty(),
+            m.lookup(key(0), None).is_empty(),
             "the unused entry must have been the victim"
         );
-        assert_eq!(m.lookup(99, None), vec![Line(999)]);
+        assert_eq!(m.lookup(key(99), None), vec![Line(999)]);
     }
 
     #[test]
     fn storage_matches_paper() {
-        let m = MultiPathVictimBuffer::new(MvbConfig::default());
-        let kb = m.storage_bytes() / 1024.0;
+        let kb = MultiPathVictimBuffer::storage_bytes(1) / 1024.0;
         assert!(
             (kb - 344.0).abs() < 1.0,
             "65,536 × 43 bits ≈ 344 KB, got {kb}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_geometry_rejected() {
-        let _ = MultiPathVictimBuffer::new(MvbConfig {
-            entries: 60,
-            ways: 4,
-            candidates: 1,
-        });
     }
 }

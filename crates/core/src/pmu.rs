@@ -54,7 +54,9 @@ pub fn measure_analysis_seconds<T>(f: impl FnOnce() -> T) -> (T, f64) {
 /// instructions execute once at program entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstructionOverhead {
-    /// Hint instructions injected (≤ 128) plus the CSR write.
+    /// Hint instructions injected (at most
+    /// [`HINT_BUFFER_ENTRIES`](crate::hints::HINT_BUFFER_ENTRIES)) plus the
+    /// CSR write.
     pub injected_instructions: u64,
     /// Dynamic instructions of the workload.
     pub workload_instructions: u64,

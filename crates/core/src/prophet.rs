@@ -22,7 +22,7 @@
 //! priority, Bloom resizing, no MVB) applies.
 
 use crate::hints::{CsrHint, HintBuffer, HintSet};
-use crate::mvb::{MultiPathVictimBuffer, MvbConfig};
+use crate::mvb::MultiPathVictimBuffer;
 use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_temporal::{
@@ -72,39 +72,39 @@ impl Default for ProphetFeatures {
     }
 }
 
-/// Prophet configuration.
+/// Chained prefetch degree of the runtime machinery (the ablation baseline
+/// is Triage at degree 4, Section 5.9).
+const DEGREE: usize = 4;
+
+/// LLC ways the table starts with when profile-guided resizing is off.
+const RUNTIME_WAYS: usize = 4;
+
+/// Events between runtime (Bloom) resizing decisions when profile-guided
+/// resizing is off.
+const RUNTIME_RESIZE_WINDOW: u64 = 100_000;
+
+/// Prophet configuration: the two knobs the paper's studies vary.
 #[derive(Debug, Clone)]
 pub struct ProphetConfig {
+    /// Figure 19's ablation axes.
     pub features: ProphetFeatures,
-    /// Chained prefetch degree of the runtime machinery (the ablation
-    /// baseline is Triage at degree 4, Section 5.9).
-    pub degree: usize,
-    /// MVB geometry.
-    pub mvb: MvbConfig,
-    /// LLC sets (table geometry).
-    pub llc_sets: usize,
-    /// Runtime ways used when profile-guided resizing is off.
-    pub runtime_ways: usize,
-    /// Runtime resizing window (Bloom) used when resizing is off.
-    pub runtime_resize_window: u64,
+    /// Markov-target candidates per MVB entry (Figure 16c evaluates
+    /// 1 / 2 / 4; **1** is the paper's choice).
+    pub mvb_candidates: usize,
 }
 
 impl Default for ProphetConfig {
     fn default() -> Self {
         ProphetConfig {
             features: ProphetFeatures::all(),
-            degree: 4,
-            mvb: MvbConfig::default(),
-            llc_sets: 2048,
-            runtime_ways: 4,
-            runtime_resize_window: 100_000,
+            mvb_candidates: 1,
         }
     }
 }
 
 /// The Prophet prefetcher.
 pub struct Prophet {
-    cfg: ProphetConfig,
+    features: ProphetFeatures,
     engine: TemporalEngine,
     hints: HintBuffer,
     csr: CsrHint,
@@ -121,37 +121,36 @@ impl Prophet {
         } else {
             CsrHint {
                 enabled: true,
-                meta_ways: cfg.runtime_ways,
+                meta_ways: RUNTIME_WAYS,
             }
         };
         let resize = if cfg.features.resizing {
             ResizePolicy::Fixed
         } else {
             ResizePolicy::Bloom {
-                window: cfg.runtime_resize_window,
+                window: RUNTIME_RESIZE_WINDOW,
             }
         };
         let engine = TemporalEngine::new(TemporalConfig {
-            degree: cfg.degree,
+            degree: DEGREE,
             insertion: InsertionPolicy::External,
             resize,
             table: MetaTableConfig {
-                sets: cfg.llc_sets,
-                max_ways: 8,
                 // Runtime replacement among Prophet's candidates is LRU
                 // (Section 4.2); the priority pre-filter is the Prophet
                 // stage and is toggled by the feature flag.
                 repl: MetaRepl::Lru,
                 priority_replacement: cfg.features.replacement,
+                ..MetaTableConfig::default()
             },
             initial_ways: if csr.enabled { csr.meta_ways } else { 0 },
         });
         Prophet {
-            mvb: MultiPathVictimBuffer::new(cfg.mvb),
+            mvb: MultiPathVictimBuffer::new(cfg.mvb_candidates),
             engine,
             hints,
             csr,
-            cfg,
+            features: cfg.features,
         }
     }
 
@@ -177,11 +176,11 @@ impl L2Prefetcher for Prophet {
         // Prophet insertion policy: discard the PC's demand requests
         // entirely (no training, no lookup — the hint says the PC has no
         // solvable temporal pattern).
-        if self.cfg.features.insertion && !hint.insert {
+        if self.features.insertion && !hint.insert {
             self.engine.note_rejected_event();
             return L2Decision::none();
         }
-        let priority = if self.cfg.features.replacement {
+        let priority = if self.features.replacement {
             hint.priority
         } else {
             1
@@ -196,7 +195,7 @@ impl L2Prefetcher for Prophet {
 
         // Feed evicted/displaced Markov targets to the MVB (the drain also
         // empties the queue when the MVB is disabled).
-        if self.cfg.features.mvb {
+        if self.features.mvb {
             for e in self.engine.drain_evictions() {
                 self.mvb.insert(e.key, e.target, e.priority);
             }
@@ -218,7 +217,7 @@ impl L2Prefetcher for Prophet {
 
         // MVB prefetch rule: the same lookup address also searches the MVB;
         // differing targets are prefetched as additional paths.
-        if self.cfg.features.mvb {
+        if self.features.mvb {
             let key = self.engine.key_of(ev.line);
             for line in self.mvb.lookup(key, d.targets.first().copied()) {
                 if !d.targets.contains(&line) {

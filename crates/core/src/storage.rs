@@ -1,18 +1,14 @@
 //! Storage-overhead accounting (Section 5.10).
 //!
 //! Prophet's storage cost has three components, all quantified by the
-//! paper: 2-bit replacement states for up to 196,608 metadata entries
-//! (48 KB), the 128-entry hint buffer (0.19 KB), and the 65,536-entry
-//! Multi-path Victim Buffer at 43 bits per entry (344 KB).
+//! paper: 2-bit replacement states for up to [`MAX_META_ENTRIES`] metadata
+//! entries (48 KB), the hint buffer (0.19 KB), and the Multi-path Victim
+//! Buffer at 43 bits per entry (344 KB). Each component's formula lives
+//! with the component; this module adds them up.
 
-/// Bits per MVB entry: 31-bit target + 10-bit tag + 2-bit counter.
-pub const MVB_ENTRY_BITS: u32 = 43;
-
-/// Maximum metadata entries (1 MB table).
-pub const MAX_META_ENTRIES: u64 = 196_608;
-
-/// Bits of Prophet replacement state per metadata entry (n = 2).
-pub const REPL_STATE_BITS: u32 = 2;
+use crate::hints::HintBuffer;
+use crate::mvb::MultiPathVictimBuffer;
+use prophet_temporal::MAX_META_ENTRIES;
 
 /// A storage-overhead breakdown in bytes.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,25 +19,19 @@ pub struct StorageBreakdown {
 }
 
 impl StorageBreakdown {
-    /// The paper's configuration: 1 MB table × 2-bit states, 128-entry hint
-    /// buffer, 65,536-entry MVB.
+    /// The paper's configuration: 1 MB table × 2-bit states, the hint
+    /// buffer, and one candidate per MVB entry.
     pub fn isca25() -> Self {
-        StorageBreakdown::new(MAX_META_ENTRIES, 2, 128, 65_536, 1)
+        StorageBreakdown::new(2, 1)
     }
 
-    /// Computes the breakdown for arbitrary parameters. `priority_bits` is
-    /// Eq. 2's `n`; `candidates` the MVB candidates per entry.
-    pub fn new(
-        meta_entries: u64,
-        priority_bits: u32,
-        hint_entries: u64,
-        mvb_entries: u64,
-        candidates: u64,
-    ) -> Self {
+    /// The breakdown with Eq. 2's `n` = `priority_bits` replacement-state
+    /// bits per metadata entry and `candidates` targets per MVB entry.
+    pub fn new(priority_bits: u32, candidates: usize) -> Self {
         StorageBreakdown {
-            replacement_state_bytes: meta_entries as f64 * priority_bits as f64 / 8.0,
-            hint_buffer_bytes: hint_entries as f64 * 12.0 / 8.0,
-            mvb_bytes: mvb_entries as f64 * (10.0 + candidates as f64 * 33.0) / 8.0,
+            replacement_state_bytes: MAX_META_ENTRIES as f64 * priority_bits as f64 / 8.0,
+            hint_buffer_bytes: HintBuffer::storage_bytes(),
+            mvb_bytes: MultiPathVictimBuffer::storage_bytes(candidates),
         }
     }
 
@@ -70,6 +60,18 @@ impl StorageBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::AnalysisConfig;
+    use prophet_sim_mem::{SystemConfig, LLC_SETS, MAX_META_WAYS};
+
+    #[test]
+    fn geometry_constants_are_pinned() {
+        assert_eq!(LLC_SETS, SystemConfig::isca25().llc.sets());
+        assert_eq!(MAX_META_ENTRIES, 196_608, "the 1 MB table (Section 5.10)");
+        let over_cap = AnalysisConfig::default().resize(2.0 * MAX_META_ENTRIES as f64);
+        assert!(over_cap.enabled);
+        assert_eq!(over_cap.meta_ways, MAX_META_WAYS);
+        assert_eq!(over_cap.meta_ways, 8);
+    }
 
     #[test]
     fn paper_numbers() {
@@ -81,8 +83,8 @@ mod tests {
 
     #[test]
     fn n3_replacement_state_grows() {
-        let s2 = StorageBreakdown::new(MAX_META_ENTRIES, 2, 128, 65_536, 1);
-        let s3 = StorageBreakdown::new(MAX_META_ENTRIES, 3, 128, 65_536, 1);
+        let s2 = StorageBreakdown::new(2, 1);
+        let s3 = StorageBreakdown::new(3, 1);
         assert!(s3.replacement_state_bytes > s2.replacement_state_bytes);
         assert!((s3.replacement_state_bytes / 1024.0 - 72.0).abs() < 0.01);
     }

@@ -23,6 +23,16 @@ const CPLX_CONF_MAX: u8 = 3;
 const CPLX_CONF_ISSUE: u8 = 2;
 const REGION_BYTES: u64 = 2048;
 const REGION_DENSE: u32 = 24; // of 32 lines
+/// Prefetch degree of the CS class.
+const CS_DEGREE: usize = 6;
+/// Lookahead depth of the CPLX class.
+const CPLX_DEPTH: usize = 4;
+/// Lines streamed ahead by the GS class.
+const GS_DEGREE: usize = 8;
+/// IP table entries (a power of two).
+const IP_ENTRIES: usize = 256;
+/// Complex-stride prediction table entries (a power of two).
+const CSPT_ENTRIES: usize = 1024;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct IpEntry {
@@ -48,37 +58,9 @@ struct RegionEntry {
     valid: bool,
 }
 
-/// IPCP configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IpcpConfig {
-    /// Degree for the CS class.
-    pub cs_degree: usize,
-    /// Lookahead depth for the CPLX class.
-    pub cplx_depth: usize,
-    /// Lines streamed ahead by the GS class.
-    pub gs_degree: usize,
-    /// IP table entries (power of two).
-    pub ip_entries: usize,
-    /// Complex-stride prediction table entries (power of two).
-    pub cspt_entries: usize,
-}
-
-impl Default for IpcpConfig {
-    fn default() -> Self {
-        IpcpConfig {
-            cs_degree: 6,
-            cplx_depth: 4,
-            gs_degree: 8,
-            ip_entries: 256,
-            cspt_entries: 1024,
-        }
-    }
-}
-
 /// The IPCP prefetcher.
 #[derive(Debug, Clone)]
 pub struct IpcpPrefetcher {
-    cfg: IpcpConfig,
     ip_table: Vec<IpEntry>,
     cspt: Vec<CsptEntry>,
     regions: Vec<RegionEntry>,
@@ -86,17 +68,6 @@ pub struct IpcpPrefetcher {
 }
 
 impl IpcpPrefetcher {
-    /// Creates an IPCP prefetcher with the given configuration.
-    pub fn new(cfg: IpcpConfig) -> Self {
-        IpcpPrefetcher {
-            ip_table: vec![IpEntry::default(); cfg.ip_entries.next_power_of_two()],
-            cspt: vec![CsptEntry::default(); cfg.cspt_entries.next_power_of_two()],
-            regions: vec![RegionEntry::default(); 16],
-            issued: 0,
-            cfg,
-        }
-    }
-
     /// Total prefetch addresses produced so far.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -133,7 +104,7 @@ impl IpcpPrefetcher {
         if e.bitmap.count_ones() >= REGION_DENSE {
             // Dense region: stream the next lines.
             let mut out = L1PrefetchList::default();
-            for k in 1..=self.cfg.gs_degree {
+            for k in 1..=GS_DEGREE {
                 let target = addr + k as u64 * LINE_BYTES;
                 if !Self::within_page(addr, target) {
                     break;
@@ -147,8 +118,14 @@ impl IpcpPrefetcher {
 }
 
 impl Default for IpcpPrefetcher {
+    /// An IPCP prefetcher with empty tables.
     fn default() -> Self {
-        Self::new(IpcpConfig::default())
+        IpcpPrefetcher {
+            ip_table: vec![IpEntry::default(); IP_ENTRIES],
+            cspt: vec![CsptEntry::default(); CSPT_ENTRIES],
+            regions: vec![RegionEntry::default(); 16],
+            issued: 0,
+        }
     }
 }
 
@@ -207,7 +184,7 @@ impl L1Prefetcher for IpcpPrefetcher {
         let mut out = gs;
         if e.cs_conf >= CS_CONF_ISSUE {
             let stride = e.stride;
-            for k in 1..=self.cfg.cs_degree {
+            for k in 1..=CS_DEGREE {
                 let target = addr.0.wrapping_add((stride * k as i64) as u64);
                 if !Self::within_page(addr.0, target) {
                     break;
@@ -218,7 +195,7 @@ impl L1Prefetcher for IpcpPrefetcher {
             // CPLX class: walk predicted deltas while confident.
             let mut cur = addr.0;
             let mut sig = sig_for_lookup;
-            for _ in 0..self.cfg.cplx_depth {
+            for _ in 0..CPLX_DEPTH {
                 let c = self.cspt[self.cspt_index(sig)];
                 if c.conf < CPLX_CONF_ISSUE || c.delta == 0 {
                     break;

@@ -26,10 +26,10 @@ pub mod small;
 pub mod stride;
 pub mod traits;
 
-pub use ipcp::{IpcpConfig, IpcpPrefetcher};
+pub use ipcp::IpcpPrefetcher;
 pub use queue::RecentFilter;
 pub use small::SmallList;
-pub use stride::{StrideConfig, StridePrefetcher, PAGE_BYTES};
+pub use stride::{StridePrefetcher, PAGE_BYTES};
 pub use traits::{
     L1PrefetchList, L1Prefetcher, L2Decision, L2Prefetcher, MetaTableStats, NoL1Prefetch,
     NoL2Prefetch, PrefetchRequest, L1_INLINE_PREFETCHES, L2_INLINE_PREFETCHES,

@@ -16,6 +16,13 @@ pub const PAGE_BYTES: u64 = 4096;
 const CONF_MAX: u8 = 3;
 const CONF_ISSUE: u8 = 2;
 
+/// Prefetch degree (Table 1: 8).
+const DEGREE: usize = 8;
+
+/// Entries in the PC-indexed reference prediction table (a power of two,
+/// for direct-mapped indexing).
+const TABLE_ENTRIES: usize = 256;
+
 #[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
     tag: u64,
@@ -25,47 +32,14 @@ struct StrideEntry {
     valid: bool,
 }
 
-/// Configuration of the stride prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StrideConfig {
-    /// Prefetch degree (Table 1: 8).
-    pub degree: usize,
-    /// Entries in the PC-indexed reference prediction table.
-    pub table_entries: usize,
-}
-
-impl Default for StrideConfig {
-    fn default() -> Self {
-        StrideConfig {
-            degree: 8,
-            table_entries: 256,
-        }
-    }
-}
-
-/// PC-localized stride prefetcher (degree 8 by default, as in Table 1).
+/// PC-localized stride prefetcher (degree 8, as in Table 1).
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
-    cfg: StrideConfig,
     table: Vec<StrideEntry>,
     issued: u64,
 }
 
 impl StridePrefetcher {
-    /// Creates the prefetcher; `table_entries` is rounded up to a power of
-    /// two for direct-mapped indexing.
-    pub fn new(cfg: StrideConfig) -> Self {
-        let n = cfg.table_entries.next_power_of_two();
-        StridePrefetcher {
-            cfg: StrideConfig {
-                table_entries: n,
-                ..cfg
-            },
-            table: vec![StrideEntry::default(); n],
-            issued: 0,
-        }
-    }
-
     /// Total prefetch addresses produced so far.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -77,8 +51,12 @@ impl StridePrefetcher {
 }
 
 impl Default for StridePrefetcher {
+    /// The prefetcher with an empty table.
     fn default() -> Self {
-        Self::new(StrideConfig::default())
+        StridePrefetcher {
+            table: vec![StrideEntry::default(); TABLE_ENTRIES],
+            issued: 0,
+        }
     }
 }
 
@@ -118,7 +96,7 @@ impl L1Prefetcher for StridePrefetcher {
         let stride = e.stride;
         let page = addr.0 / PAGE_BYTES;
         let mut out = L1PrefetchList::default();
-        for k in 1..=self.cfg.degree {
+        for k in 1..=DEGREE {
             let target = addr.0.wrapping_add((stride * k as i64) as u64);
             if target / PAGE_BYTES != page {
                 break; // stop at the page boundary
@@ -190,14 +168,14 @@ mod tests {
 
     #[test]
     fn pc_conflict_resets_entry() {
-        let mut pf = StridePrefetcher::new(StrideConfig {
-            degree: 8,
-            table_entries: 1,
-        });
+        let mut pf = StridePrefetcher::default();
         // Two PCs alias to the same entry; neither should ever confirm.
+        let alias = TABLE_ENTRIES as u64;
         for i in 0..10u64 {
             assert!(pf.on_l1_access(Pc(0), Addr(i * 64), false).is_empty());
-            assert!(pf.on_l1_access(Pc(1), Addr(i * 128 + 7), false).is_empty());
+            assert!(pf
+                .on_l1_access(Pc(alias), Addr(i * 128 + 7), false)
+                .is_empty());
         }
     }
 

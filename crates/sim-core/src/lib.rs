@@ -37,5 +37,5 @@ pub mod trace;
 
 pub use engine::{Engine, EngineSnapshot, EngineStats, MemBackend};
 pub use report::{geomean, SimReport};
-pub use sim::{simulate, MemSystem, Simulator, WarmStart, MAX_META_WAYS};
+pub use sim::{simulate, MemSystem, Simulator, WarmStart};
 pub use trace::{CursorIter, MemOp, TraceCursor, TraceInst, TraceSource, VecTrace};

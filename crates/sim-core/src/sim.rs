@@ -13,10 +13,7 @@ use prophet_prefetch::{L1Prefetcher, L2Prefetcher, RecentFilter};
 use prophet_sim_mem::addr::{Addr, Cycle, Pc};
 use prophet_sim_mem::config::SystemConfig;
 use prophet_sim_mem::hierarchy::{Hierarchy, HierarchySnapshot, L2Event};
-
-/// Largest number of LLC ways the metadata table may occupy: 8 ways of the
-/// 2 MB LLC = 1 MB, the paper's maximum table size (Section 5.10).
-pub const MAX_META_WAYS: usize = 8;
+use prophet_sim_mem::MAX_META_WAYS;
 
 /// The memory side of the simulator: hierarchy plus both prefetchers.
 /// Separated from the engine so the two can be mutably borrowed together.

@@ -5,6 +5,14 @@ use crate::dram::DramConfig;
 use crate::replacement::ReplKind;
 use std::fmt;
 
+/// Sets of the Table 1 LLC (2 MB / 64 B lines / 16 ways). The metadata table
+/// shares the LLC's sets, so its geometry is this many sets.
+pub const LLC_SETS: usize = 2048;
+
+/// Most LLC ways the metadata table may occupy: 8 ways of the 2 MB LLC =
+/// 1 MB, the paper's maximum table size (Section 5.10).
+pub const MAX_META_WAYS: usize = 8;
+
 /// Core pipeline widths and window sizes (Table 1, "Core" row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
@@ -170,8 +178,9 @@ mod tests {
         // 1 MB of LLC ways at 12 compressed entries per 64B line = 196,608
         // entries (Section 5.10).
         let cfg = SystemConfig::isca25();
+        assert_eq!(cfg.llc.sets(), LLC_SETS, "the table's sets are the LLC's");
         let one_mb_ways = (1024 * 1024) / (cfg.llc.sets() as u64 * 64);
-        assert_eq!(one_mb_ways, 8);
+        assert_eq!(one_mb_ways, MAX_META_WAYS as u64);
         assert_eq!(cfg.llc.sets() as u64 * one_mb_ways * 12, 196_608);
     }
 

@@ -40,7 +40,7 @@ pub mod replacement;
 pub use addr::{Addr, Cycle, Line, Pc, LINE_BYTES, LINE_SHIFT};
 pub use bloom::CountingBloom;
 pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats, LineState};
-pub use config::{CoreConfig, SystemConfig};
+pub use config::{CoreConfig, SystemConfig, LLC_SETS, MAX_META_WAYS};
 pub use dram::{Dram, DramConfig, DramSnapshot, DramStats};
 pub use flat::{find_first_u16, find_first_u64, FlatMap, InflightTable};
 pub use hierarchy::{

@@ -92,7 +92,7 @@ impl TemporalConfig {
                 repl: crate::metadata::MetaRepl::Lru,
                 ..MetaTableConfig::default()
             },
-            initial_ways: 8,
+            initial_ways: prophet_sim_mem::MAX_META_WAYS,
         }
     }
 }

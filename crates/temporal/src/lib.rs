@@ -16,11 +16,11 @@
 //! # Example
 //!
 //! ```
-//! use prophet_temporal::{Triangel, TriangelConfig};
+//! use prophet_temporal::Triangel;
 //! use prophet_prefetch::L2Prefetcher;
 //! use prophet_sim_mem::{hierarchy::L2Event, Line, Pc};
 //!
-//! let mut tp = Triangel::new(TriangelConfig::default());
+//! let mut tp = Triangel::default();
 //! let ev = |line| L2Event {
 //!     pc: Pc(1), line: Line(line), l2_hit: false,
 //!     from_l1_prefetch: false, now: 0,
@@ -49,9 +49,9 @@ pub use engine::{
 };
 pub use metadata::{
     EvictedMeta, InsertOutcome, MetaRepl, MetaSlotSnapshot, MetaTableConfig, MetaTableSnapshot,
-    MetadataTable, ENTRIES_PER_LINE, TAG_BITS, TARGET_BITS,
+    MetadataTable, ENTRIES_PER_LINE, MAX_META_ENTRIES, TAG_BITS, TARGET_BITS,
 };
-pub use offchip::{OffChipConfig, OffChipTemporal};
+pub use offchip::OffChipTemporal;
 pub use training::{MarkovCensus, TrainingSnapshot, TrainingUnit};
-pub use triage::{Triage, TriageConfig};
+pub use triage::Triage;
 pub use triangel::{Triangel, TriangelConfig};

@@ -2,9 +2,10 @@
 //!
 //! Format per the paper (Section 3.1): the table lives in reserved LLC ways;
 //! each 64-byte cache line packs **12 compressed entries**, each a **10-bit
-//! tag** plus a **31-bit target address**. With the Table 1 LLC (2048 sets),
-//! one reserved way holds 2048 × 12 = 24,576 entries and the 1 MB maximum
-//! (8 ways) holds 196,608 entries (Section 5.10).
+//! tag** plus a **31-bit target address**. With the Table 1 LLC
+//! ([`LLC_SETS`] sets), one reserved way holds 24,576 entries and the 1 MB
+//! maximum ([`MAX_META_WAYS`] ways) holds [`MAX_META_ENTRIES`]
+//! (Section 5.10).
 //!
 //! Replacement is pluggable:
 //!
@@ -16,9 +17,14 @@
 
 use prophet_prefetch::MetaTableStats;
 use prophet_sim_mem::addr::{Line, Pc};
+use prophet_sim_mem::{LLC_SETS, MAX_META_WAYS};
 
 /// Entries packed into one 64-byte metadata line (paper: 12).
 pub const ENTRIES_PER_LINE: usize = 12;
+
+/// Entries of the largest (1 MB) table: every set of the LLC, at most
+/// [`MAX_META_WAYS`] ways, [`ENTRIES_PER_LINE`] entries per line.
+pub const MAX_META_ENTRIES: usize = LLC_SETS * MAX_META_WAYS * ENTRIES_PER_LINE;
 
 /// Tag width in bits (paper: 10).
 pub const TAG_BITS: u32 = 10;
@@ -145,8 +151,8 @@ pub struct MetaTableConfig {
 impl Default for MetaTableConfig {
     fn default() -> Self {
         MetaTableConfig {
-            sets: 2048,
-            max_ways: 8,
+            sets: LLC_SETS,
+            max_ways: MAX_META_WAYS,
             repl: MetaRepl::Srrip,
             priority_replacement: false,
         }

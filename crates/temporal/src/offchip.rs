@@ -12,7 +12,7 @@
 //! Model: an unbounded in-memory Markov map (capacity is not the
 //! constraint for DRAM-resident metadata); each triggering miss costs one
 //! metadata-row read, and a small write buffer flushes one metadata-row
-//! write per `writes_per_flush` insertions. The rows occupy real DRAM
+//! write per eight insertions. The rows occupy real DRAM
 //! bandwidth through [`prophet_prefetch::L2Decision::metadata_dram_accesses`].
 
 use crate::training::TrainingUnit;
@@ -21,27 +21,15 @@ use prophet_sim_mem::hierarchy::L2Event;
 use prophet_sim_mem::Line;
 use std::collections::HashMap;
 
-/// Configuration of the off-chip temporal prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OffChipConfig {
-    /// Chained prefetch degree (each chain step is another metadata read).
-    pub degree: usize,
-    /// Insertions amortized per metadata write-back (write combining).
-    pub writes_per_flush: u32,
-}
+/// Chained prefetch degree (each chain step is another metadata read).
+const DEGREE: usize = 1;
 
-impl Default for OffChipConfig {
-    fn default() -> Self {
-        OffChipConfig {
-            degree: 1,
-            writes_per_flush: 8,
-        }
-    }
-}
+/// Insertions amortized per metadata write-back (write combining).
+const WRITES_PER_FLUSH: u32 = 8;
 
 /// The DRAM-metadata temporal prefetcher.
+#[derive(Default)]
 pub struct OffChipTemporal {
-    cfg: OffChipConfig,
     map: HashMap<Line, Line>,
     trainer: TrainingUnit,
     pending_writes: u32,
@@ -49,26 +37,9 @@ pub struct OffChipTemporal {
 }
 
 impl OffChipTemporal {
-    /// Builds the prefetcher.
-    pub fn new(cfg: OffChipConfig) -> Self {
-        OffChipTemporal {
-            cfg,
-            map: HashMap::new(),
-            trainer: TrainingUnit::default(),
-            pending_writes: 0,
-            stats: MetaTableStats::default(),
-        }
-    }
-
     /// Distinct metadata entries currently stored (unbounded, DRAM-backed).
     pub fn entries(&self) -> usize {
         self.map.len()
-    }
-}
-
-impl Default for OffChipTemporal {
-    fn default() -> Self {
-        Self::new(OffChipConfig::default())
     }
 }
 
@@ -91,7 +62,7 @@ impl L2Prefetcher for OffChipTemporal {
             }
             self.stats.insertions += 1;
             self.pending_writes += 1;
-            if self.pending_writes >= self.cfg.writes_per_flush {
+            if self.pending_writes >= WRITES_PER_FLUSH {
                 self.pending_writes = 0;
                 metadata_dram += 1;
             }
@@ -100,7 +71,7 @@ impl L2Prefetcher for OffChipTemporal {
         // Predict: every chain step reads one Markov row from DRAM.
         let mut targets = Vec::new();
         let mut cur = ev.line;
-        for _ in 0..self.cfg.degree {
+        for _ in 0..DEGREE {
             self.stats.lookups += 1;
             metadata_dram += 1;
             match self.map.get(&cur) {
@@ -170,7 +141,7 @@ mod tests {
             p.on_l2_access(&ev(l));
         }
         assert!(
-            p.entries() > 196_608,
+            p.entries() > crate::MAX_META_ENTRIES,
             "DRAM metadata exceeds any on-chip table: {}",
             p.entries()
         );
@@ -178,15 +149,12 @@ mod tests {
 
     #[test]
     fn writes_are_amortized() {
-        let mut p = OffChipTemporal::new(OffChipConfig {
-            degree: 1,
-            writes_per_flush: 4,
-        });
+        let mut p = OffChipTemporal::default();
         let mut dram = 0u32;
         for l in 0..100u64 {
             dram += p.on_l2_access(&ev(l * 7)).metadata_dram_accesses;
         }
-        // ~1 read per event + 1 write per 4 insertions.
+        // ~1 read per event + 1 write per WRITES_PER_FLUSH (8) insertions.
         assert!(dram > 100, "reads dominate: {dram}");
         assert!(dram < 140, "writes are combined: {dram}");
     }

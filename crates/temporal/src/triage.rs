@@ -6,70 +6,39 @@
 //! [`Triage::degree4`].
 
 use crate::engine::{InsertionPolicy, ResizePolicy, TemporalConfig, TemporalEngine};
-use crate::metadata::{MetaRepl, MetaTableConfig};
+use crate::metadata::MetaTableConfig;
 use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
 use prophet_sim_mem::hierarchy::L2Event;
 
-/// Triage configuration.
-#[derive(Debug, Clone)]
-pub struct TriageConfig {
-    /// Prefetch degree (1 in the original; 4 for the ablation baseline).
-    pub degree: usize,
-    /// Events between Bloom-filter resizing decisions.
-    pub resize_window: u64,
-    /// Initial LLC ways for metadata.
-    pub initial_ways: usize,
-    /// LLC sets (table geometry must match the LLC).
-    pub llc_sets: usize,
-}
+/// Chained prefetch degree of the ablation baseline (Section 5.9).
+const DEGREE: usize = 4;
 
-impl Default for TriageConfig {
-    fn default() -> Self {
-        TriageConfig {
-            degree: 1,
-            resize_window: 100_000,
-            initial_ways: 4,
-            llc_sets: 2048,
-        }
-    }
-}
+/// Events between Bloom-filter resizing decisions.
+const RESIZE_WINDOW: u64 = 100_000;
+
+/// LLC ways the metadata table occupies before the first resize.
+const INITIAL_WAYS: usize = 4;
 
 /// The Triage temporal prefetcher.
 pub struct Triage {
     engine: TemporalEngine,
-    name: &'static str,
 }
 
 impl Triage {
-    /// Builds Triage from a configuration.
-    pub fn new(cfg: TriageConfig) -> Self {
-        let name = if cfg.degree >= 4 { "triage4" } else { "triage" };
-        Triage {
-            engine: TemporalEngine::new(TemporalConfig {
-                degree: cfg.degree,
-                insertion: InsertionPolicy::Always,
-                resize: ResizePolicy::Bloom {
-                    window: cfg.resize_window,
-                },
-                table: MetaTableConfig {
-                    sets: cfg.llc_sets,
-                    max_ways: 8,
-                    repl: MetaRepl::Srrip,
-                    priority_replacement: false,
-                },
-                initial_ways: cfg.initial_ways,
-            }),
-            name,
-        }
-    }
-
     /// The Section 5.9 ablation baseline: degree 4 with Triangel's
     /// metadata format (SRRIP replacement, as every Triage here uses).
     pub fn degree4() -> Self {
-        Triage::new(TriageConfig {
-            degree: 4,
-            ..TriageConfig::default()
-        })
+        Triage {
+            engine: TemporalEngine::new(TemporalConfig {
+                degree: DEGREE,
+                insertion: InsertionPolicy::Always,
+                resize: ResizePolicy::Bloom {
+                    window: RESIZE_WINDOW,
+                },
+                table: MetaTableConfig::default(),
+                initial_ways: INITIAL_WAYS,
+            }),
+        }
     }
 
     /// Access to the engine (instrumentation in tests/figures).
@@ -84,15 +53,9 @@ impl Triage {
     }
 }
 
-impl Default for Triage {
-    fn default() -> Self {
-        Triage::new(TriageConfig::default())
-    }
-}
-
 impl L2Prefetcher for Triage {
     fn name(&self) -> &'static str {
-        self.name
+        "triage4"
     }
 
     fn on_l2_access(&mut self, ev: &L2Event) -> L2Decision {
@@ -138,14 +101,8 @@ mod tests {
     }
 
     #[test]
-    fn names_reflect_degree() {
-        assert_eq!(Triage::default().name(), "triage");
-        assert_eq!(Triage::degree4().name(), "triage4");
-    }
-
-    #[test]
     fn prefetches_learned_successors() {
-        let mut t = Triage::default();
+        let mut t = Triage::degree4();
         for _ in 0..2 {
             for l in [10u64, 20, 30] {
                 t.on_l2_access(&event(1, l));
@@ -160,7 +117,7 @@ mod tests {
 
     #[test]
     fn no_insertion_filter_trains_noise() {
-        let mut t = Triage::default();
+        let mut t = Triage::degree4();
         for i in 0..100u64 {
             t.on_l2_access(&event(1, (i * 7919) % 100_000));
         }

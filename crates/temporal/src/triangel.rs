@@ -17,40 +17,28 @@
 //!   paper's analysis credits with most of Triangel's gains.
 
 use crate::engine::{InsertionPolicy, ResizePolicy, TemporalConfig, TemporalEngine};
-use crate::metadata::{MetaRepl, MetaTableConfig};
+use crate::metadata::MetaTableConfig;
 use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
 use prophet_sim_mem::hierarchy::L2Event;
-use prophet_sim_mem::Pc;
+use prophet_sim_mem::{Pc, MAX_META_WAYS};
 
-/// Triangel configuration.
-#[derive(Debug, Clone)]
-pub struct TriangelConfig {
-    /// Chained prefetch degree (4: the aggressive setting).
-    pub degree: usize,
-    /// PatternConf insertion threshold (of a 4-bit counter starting at 8).
-    pub pattern_threshold: u8,
-    /// ReuseConf insertion threshold.
-    pub reuse_threshold: u8,
-    /// Events between Set-Dueller decisions.
-    pub dueller_window: u64,
-    /// Initial LLC ways for metadata.
-    pub initial_ways: usize,
-    /// LLC sets.
-    pub llc_sets: usize,
-}
+/// Chained prefetch degree (4: the aggressive setting).
+const DEGREE: usize = 4;
 
-impl Default for TriangelConfig {
-    fn default() -> Self {
-        TriangelConfig {
-            degree: 4,
-            pattern_threshold: 4,
-            reuse_threshold: 1,
-            dueller_window: 50_000,
-            initial_ways: 8,
-            llc_sets: 2048,
-        }
-    }
-}
+/// PatternConf insertion threshold (of a 4-bit counter starting at 8).
+const PATTERN_THRESHOLD: u8 = 4;
+
+/// ReuseConf insertion threshold.
+const REUSE_THRESHOLD: u8 = 1;
+
+/// Events between Set-Dueller decisions.
+const DUELLER_WINDOW: u64 = 50_000;
+
+/// Triangel has no settings: every parameter above is fixed, as in the
+/// original design. The type remains so existing
+/// `Triangel::new(TriangelConfig::default())` calls keep building.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TriangelConfig {}
 
 /// The Triangel temporal prefetcher.
 pub struct Triangel {
@@ -58,25 +46,20 @@ pub struct Triangel {
 }
 
 impl Triangel {
-    /// Builds Triangel from a configuration.
-    pub fn new(cfg: TriangelConfig) -> Self {
+    /// Builds Triangel; it starts with the full [`MAX_META_WAYS`]-way table.
+    pub fn new(_: TriangelConfig) -> Self {
         Triangel {
             engine: TemporalEngine::new(TemporalConfig {
-                degree: cfg.degree,
+                degree: DEGREE,
                 insertion: InsertionPolicy::PatternConf {
-                    pattern_threshold: cfg.pattern_threshold,
-                    reuse_threshold: cfg.reuse_threshold,
+                    pattern_threshold: PATTERN_THRESHOLD,
+                    reuse_threshold: REUSE_THRESHOLD,
                 },
                 resize: ResizePolicy::Dueller {
-                    window: cfg.dueller_window,
+                    window: DUELLER_WINDOW,
                 },
-                table: MetaTableConfig {
-                    sets: cfg.llc_sets,
-                    max_ways: 8,
-                    repl: MetaRepl::Srrip,
-                    priority_replacement: false,
-                },
-                initial_ways: cfg.initial_ways,
+                table: MetaTableConfig::default(),
+                initial_ways: MAX_META_WAYS,
             }),
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests on the core data structures and equations.
 
 use prophet::PcProfile;
-use prophet::{AnalysisConfig, MultiPathVictimBuffer, MvbConfig, ProfileCounters};
+use prophet::{AnalysisConfig, MultiPathVictimBuffer, ProfileCounters};
 use prophet_sim_mem::{CountingBloom, Line, Pc};
 use prophet_temporal::{InsertOutcome, MetaRepl, MetaTableConfig, MetadataTable};
 use proptest::prelude::*;
@@ -114,11 +114,7 @@ proptest! {
         target in 0u64..1 << 20,
         priority in 0u8..4,
     ) {
-        let mut m = MultiPathVictimBuffer::new(MvbConfig {
-            entries: 256,
-            ways: 4,
-            candidates: 1,
-        });
+        let mut m = MultiPathVictimBuffer::new(1);
         m.insert(key, Line(target), priority);
         let found = m.lookup(key, Some(Line(target + 1)));
         if priority == 0 {
