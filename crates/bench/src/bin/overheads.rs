@@ -1,4 +1,5 @@
-//! Section 5.4: profiling, analysis and instruction overheads.
+//! Section 5.4: profiling, analysis and instruction overheads. The
+//! `analysis[<mix>]` lines print measured wall time, so they go to stderr.
 
 use prophet::{
     measure_analysis_seconds, AnalysisConfig, InjectionMethod, InstructionOverhead, LearnedProfile,
@@ -34,7 +35,9 @@ fn main() {
         ));
         let (hints, secs) =
             measure_analysis_seconds(|| learned.build_hints(&AnalysisConfig::default()));
-        println!(
+        // Wall time varies run to run, so it goes to stderr: stdout stays
+        // byte-stable.
+        eprintln!(
             "analysis[{name}]: {:.6} s for {} PC hints + CSR (paper: <1 s)",
             secs,
             hints.pc_hints.len()

@@ -6,6 +6,7 @@
 //!   workload: any paper workload name (mcf, gcc_expr, bfs_100000_16, ...)
 //!   schemes:  baseline | triage4 | triangel | rpg2 | prophet (default: all)
 //!   --store   share one warm-up checkpoint across the all-schemes matrix
+//!             (no scheme named; with named schemes it exits 2)
 //!
 //! prophet_cli profile <workload> --store DIR [--insts N] [--warmup N] [--hints-out FILE]
 //!   Step 1/3 (offline): run the simplified profiling prefetcher, merge the
@@ -473,6 +474,12 @@ fn main() {
                 Scheme::ALL.map(Scheme::name).join("|")
             )),
         }
+    }
+
+    if !wanted.is_empty() && args.store.is_some() {
+        // Named schemes run cold one by one; only the all-schemes matrix
+        // shares a warm-up through the store.
+        die("--store works only without named schemes (it shares the all-schemes warm-up)");
     }
 
     let h = args.harness(Harness::default());

@@ -1,8 +1,9 @@
 //! Binaries reject arguments they do not use: a fixed-window binary exits
 //! 2 on any argument, and a windowed one exits 2 on a flag only another
-//! binary understands, instead of silently ignoring it. `fig15_crono`
-//! also rejects a pair of its own flags that cannot work together, and
-//! every windowed binary rejects an empty `--insts 0` window.
+//! binary understands, instead of silently ignoring it. `fig15_crono` and
+//! `prophet_cli` also reject pairs of their own flags that cannot work
+//! together, and every windowed binary rejects an empty `--insts 0`
+//! window.
 
 use std::process::Command;
 
@@ -74,26 +75,50 @@ fn zero_insts_is_rejected() {
     }
 }
 
+/// Runs `exe args --store <fresh dir>`, asserts the run is rejected (exit
+/// 2, no stdout) without creating the store, and returns its stderr.
+fn rejected_with_store(exe: &str, args: &[&str]) -> String {
+    let name = exe.rsplit('/').next().unwrap();
+    let dir = std::env::temp_dir().join(format!("{name}-store-{}", std::process::id()));
+    let out = Command::new(exe)
+        .args(args)
+        .arg("--store")
+        .arg(&dir)
+        .output()
+        .unwrap_or_else(|e| panic!("failed to launch {exe}: {e}"));
+    let created = dir.exists();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(2), "{exe} {args:?}");
+    assert!(out.stdout.is_empty(), "a rejected run must print no table");
+    assert!(!created, "a rejected run must not open the store");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
 #[test]
 fn fig15_rejects_vertices_with_a_store() {
     // Store keys name the workload, which `--vertices` leaves unchanged, so
     // a shared store would serve another graph size's artifacts.
-    let dir = std::env::temp_dir().join(format!("fig15-vertices-store-{}", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_fig15_crono"))
-        .args(["--vertices", "5", "--insts", "1000", "--warmup", "1000"])
-        .arg("--store")
-        .arg(&dir)
-        .output()
-        .expect("failed to launch fig15_crono");
-    let created = dir.exists();
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(out.stdout.is_empty(), "a rejected run must print no table");
-    assert!(!created, "a rejected run must not open the store");
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = rejected_with_store(
+        env!("CARGO_BIN_EXE_fig15_crono"),
+        &["--vertices", "5", "--insts", "1000", "--warmup", "1000"],
+    );
     assert!(
         stderr.contains("--vertices") && stderr.contains("--store"),
         "stderr must name both flags:\n{stderr}"
+    );
+}
+
+#[test]
+fn prophet_cli_rejects_a_store_with_named_schemes() {
+    // Only the all-schemes matrix shares a warm-up through the store; a
+    // named-scheme run used to ignore `--store` and run cold.
+    let stderr = rejected_with_store(
+        env!("CARGO_BIN_EXE_prophet_cli"),
+        &["mcf", "baseline", "--insts", "1000", "--warmup", "1000"],
+    );
+    assert!(
+        stderr.contains("--store") && stderr.contains("usage: prophet_cli"),
+        "missing usage line:\n{stderr}"
     );
 }
 

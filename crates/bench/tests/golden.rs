@@ -3,8 +3,11 @@
 //! Each test runs the real binary (Cargo exposes the path via
 //! `CARGO_BIN_EXE_*`) and diffs its stdout against a checked-in snapshot
 //! under `tests/golden/`. The windowed binaries run at a short, fixed
-//! window; `fig01_metadata_pattern`, `fig06_accuracy_levels` and
-//! `tab_storage` take no arguments. The Figure 10, 11 and 12 tests share
+//! window; `tab01_config`, `fig01_metadata_pattern`,
+//! `fig06_accuracy_levels`, `fig08_markov_targets`, `overheads` and
+//! `tab_storage` take no arguments. The two fixed-window study binaries,
+//! `spec_studies` and `fig13_14_learning`, take too long for this suite;
+//! CI diffs them against their snapshots in release instead. The Figure 10, 11 and 12 tests share
 //! one run of `fig10_12_spec` and each diffs its own table of
 //! `fig10_12_spec.txt`. The simulator, generators, and harness are
 //! deterministic end to end, so any diff means a refactor shifted results
@@ -171,5 +174,37 @@ fn tab_storage_matches_snapshot() {
         env!("CARGO_BIN_EXE_tab_storage"),
         &[],
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tab_storage.txt"),
+    );
+}
+
+#[test]
+fn tab01_config_matches_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_tab01_config"),
+        &[],
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tab01_config.txt"),
+    );
+}
+
+#[test]
+fn fig08_markov_targets_matches_snapshot() {
+    run_golden(
+        env!("CARGO_BIN_EXE_fig08_markov_targets"),
+        &[],
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/fig08_markov_targets.txt"
+        ),
+    );
+}
+
+#[test]
+fn overheads_matches_snapshot() {
+    // The wall-time `analysis[<mix>]` lines go to stderr, so stdout is
+    // byte-stable.
+    run_golden(
+        env!("CARGO_BIN_EXE_overheads"),
+        &[],
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/overheads.txt"),
     );
 }

@@ -84,7 +84,7 @@ const RUNTIME_WAYS: usize = 4;
 const RUNTIME_RESIZE_WINDOW: u64 = 100_000;
 
 /// Prophet configuration: the two knobs the paper's studies vary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProphetConfig {
     /// Figure 19's ablation axes.
     pub features: ProphetFeatures,

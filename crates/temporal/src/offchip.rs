@@ -7,7 +7,8 @@
 //! DRAM consumes a substantial amount of memory bandwidth that could
 //! otherwise be used for demand memory accesses". Triage moved the table
 //! on-chip precisely to eliminate that traffic; this implementation exists
-//! so the motivation can be *measured* (the `motivation_offchip` harness).
+//! so the motivation can be *measured* (the §2.1 table of the
+//! `spec_studies` binary).
 //!
 //! Model: an unbounded in-memory Markov map (capacity is not the
 //! constraint for DRAM-resident metadata); each triggering miss costs one
