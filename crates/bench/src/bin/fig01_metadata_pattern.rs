@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    prophet_bench::expect_no_args("fig01_metadata_pattern");
+    prophet_bench::RunArgs::parse_or_exit("fig01_metadata_pattern", &[]);
     let mut rng = StdRng::seed_from_u64(0x0F16_0001);
     // Dense red bursts, as in the paper's Figure 1 trace.
     let spec = PatternSpec::InterleavedBursts {

@@ -5,7 +5,7 @@ use prophet_bench::Harness;
 use prophet_workloads::workload;
 
 fn main() {
-    prophet_bench::expect_no_args("fig06_accuracy_levels");
+    prophet_bench::RunArgs::parse_or_exit("fig06_accuracy_levels", &[]);
     let h = Harness::default();
     let report = h.profile(workload("omnetpp").as_ref());
     println!("Figure 6: per-PC prefetching accuracy under the simplified TP (omnetpp)");

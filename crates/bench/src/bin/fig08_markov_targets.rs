@@ -6,7 +6,7 @@ use prophet_temporal::{MarkovCensus, TrainingUnit};
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
 fn main() {
-    prophet_bench::expect_no_args("fig08_markov_targets");
+    prophet_bench::RunArgs::parse_or_exit("fig08_markov_targets", &[]);
     println!("Figure 8: Markov target multiplicity (fraction of addresses with T targets)");
     println!(
         "{:<18} {:>7} {:>7} {:>7} {:>7} {:>7}",

@@ -10,53 +10,23 @@
 //! fig10_12_spec [--insts N] [--warmup N] [--jobs N] [--store DIR]
 //! ```
 
-use prophet_bench::{print_speedup_table, Harness, RunArgs, SchemeRow};
-use prophet_sim_core::{geomean, TraceSource};
-use prophet_workloads::{workload_sized, SPEC_WORKLOADS};
+use prophet_bench::{print_scheme_table, print_speedup_table, Flag, Harness, RunArgs, SchemeRow};
+use prophet_workloads::SPEC_WORKLOADS;
 
 fn main() {
-    let args = RunArgs::parse_or_exit(
-        std::env::args().skip(1),
-        "usage: fig10_12_spec [--insts N] [--warmup N] [--jobs N] [--store DIR]",
-        false,
-    );
+    let args = RunArgs::parse_or_exit("fig10_12_spec", &Flag::GRID);
     let h = args.harness(Harness::default());
-    let workloads: Vec<Box<dyn TraceSource + Send + Sync>> = SPEC_WORKLOADS
-        .iter()
-        .map(|name| workload_sized(name, h.warmup + h.measure))
-        .collect();
-    let rows = args.run_grid(&h, &workloads);
+    let rows = args.run_grid(&h, &SPEC_WORKLOADS);
     print_speedup_table(
         "Figure 10: IPC speedup (paper geomeans: RPG2 1.001, Triangel 1.204, Prophet 1.346)",
         &rows,
     );
-    print_traffic_table(&rows);
+    print_scheme_table(
+        "Figure 11: normalized DRAM traffic (paper: RPG2 ~1.00, Triangel ~1.10, Prophet ~1.19)",
+        &rows,
+        SchemeRow::traffic,
+    );
     print_coverage_accuracy_table(&rows);
-}
-
-fn print_traffic_table(rows: &[SchemeRow]) {
-    println!(
-        "Figure 11: normalized DRAM traffic (paper: RPG2 ~1.00, Triangel ~1.10, Prophet ~1.19)"
-    );
-    println!(
-        "{:<18} {:>8} {:>10} {:>9}",
-        "workload", "RPG2", "Triangel", "Prophet"
-    );
-    let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for row in rows {
-        let (a, b, c) = row.traffic();
-        cols[0].push(a);
-        cols[1].push(b);
-        cols[2].push(c);
-        println!("{:<18} {:>8.3} {:>10.3} {:>9.3}", row.workload, a, b, c);
-    }
-    println!(
-        "{:<18} {:>8.3} {:>10.3} {:>9.3}",
-        "geomean",
-        geomean(&cols[0]),
-        geomean(&cols[1]),
-        geomean(&cols[2])
-    );
 }
 
 fn print_coverage_accuracy_table(rows: &[SchemeRow]) {

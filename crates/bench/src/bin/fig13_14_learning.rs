@@ -10,7 +10,7 @@
 //! counters.
 
 use prophet::{AnalysisConfig, HintSet, LearnedProfile, ProfileCounters, ProphetConfig};
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{parallel_tasks, Harness, Scheme, Start};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, GCC_INPUTS};
 
@@ -19,53 +19,56 @@ use prophet_workloads::{workload, GCC_INPUTS};
 /// column per bar. `stages` are the inputs learned in order, each with its
 /// column label.
 fn learning(h: &Harness, inputs: &[&str], stages: &[(&str, &str)], width: usize, trim: &str) {
-    let run = |name: &str, scheme| {
-        h.run(scheme, workload(name).as_ref(), Start::Cold)
-            .into_report()
-    };
-    let base: Vec<_> = inputs.iter().map(|n| run(n, Scheme::Baseline)).collect();
-    let mut profiled: Vec<(&str, ProfileCounters)> = Vec::new();
-    for &name in inputs.iter().chain(stages.iter().map(|(n, _)| n)) {
-        if profiled.iter().all(|(p, _)| *p != name) {
-            let report = h.profile(workload(name).as_ref());
-            profiled.push((name, ProfileCounters::from_report(&report)));
+    let n = inputs.len();
+    let mut profiled: Vec<&str> = inputs.to_vec();
+    for (name, _) in stages {
+        if !profiled.contains(name) {
+            profiled.push(name);
         }
     }
+    // Every pass fans across all cores in two rounds: first each input's
+    // baseline and each profiling pass, then each column's passes.
+    let reports = parallel_tasks(n + profiled.len(), 0, |i| match inputs.get(i) {
+        Some(name) => h
+            .run(Scheme::Baseline, workload(name).as_ref(), Start::Cold)
+            .into_report(),
+        None => h.profile(workload(profiled[i - n]).as_ref()),
+    });
+    let (base, profiles) = reports.split_at(n);
     let counters = |name: &str| {
-        let (_, c) = profiled.iter().find(|(p, _)| *p == name).expect("profiled");
-        c.clone()
-    };
-    let speedups = |hints: &dyn Fn(&str) -> HintSet| -> Vec<f64> {
-        inputs
-            .iter()
-            .zip(&base)
-            .map(|(n, b)| {
-                h.optimized(workload(n).as_ref(), &hints(n), &ProphetConfig::default())
-                    .speedup_over(b)
-            })
-            .collect()
+        let i = profiled.iter().position(|p| *p == name).expect("profiled");
+        ProfileCounters::from_report(&profiles[i])
     };
 
-    let mut columns: Vec<(String, Vec<f64>)> = vec![(
-        "Disable".into(),
-        inputs
-            .iter()
-            .zip(&base)
-            .map(|(n, b)| run(n, Scheme::Triage4).speedup_over(b))
-            .collect(),
-    )];
+    // Per column, the hints each input runs under; `None` runs Triage4.
+    let mut passes: Vec<(String, Vec<Option<HintSet>>)> = vec![("Disable".into(), vec![None; n])];
     let mut learned = LearnedProfile::new();
     for (input, label) in stages {
         learned.learn(counters(input));
         let hints = learned.build_hints(&AnalysisConfig::default());
-        columns.push((format!("+{label}"), speedups(&|_| hints.clone())));
+        passes.push((format!("+{label}"), vec![Some(hints); n]));
     }
-    let direct = |n: &str| {
+    let direct = inputs.iter().map(|name| {
         let mut alone = LearnedProfile::new();
-        alone.learn(counters(n));
-        alone.build_hints(&AnalysisConfig::default())
-    };
-    columns.push(("Direct".into(), speedups(&direct)));
+        alone.learn(counters(name));
+        Some(alone.build_hints(&AnalysisConfig::default()))
+    });
+    passes.push(("Direct".into(), direct.collect()));
+    let speedups = parallel_tasks(passes.len() * n, 0, |i| {
+        let (k, w) = (i % n, workload(inputs[i % n]));
+        let report = match &passes[i / n].1[k] {
+            None => h
+                .run(Scheme::Triage4, w.as_ref(), Start::Cold)
+                .into_report(),
+            Some(hints) => h.optimized(w.as_ref(), hints, &ProphetConfig::default()),
+        };
+        report.speedup_over(&base[k])
+    });
+    let columns: Vec<(String, &[f64])> = passes
+        .into_iter()
+        .map(|(label, _)| label)
+        .zip(speedups.chunks(n))
+        .collect();
 
     print!("{:<width$}", "input");
     for (label, _) in &columns {
@@ -87,7 +90,7 @@ fn learning(h: &Harness, inputs: &[&str], stages: &[(&str, &str)], width: usize,
 }
 
 fn main() {
-    prophet_bench::expect_no_args("fig13_14_learning");
+    prophet_bench::RunArgs::parse_or_exit("fig13_14_learning", &[]);
     let h = Harness::default();
 
     println!("Figure 13: Prophet learning across gcc inputs (speedup over no-TP baseline)");

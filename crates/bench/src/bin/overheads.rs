@@ -9,7 +9,7 @@ use prophet_bench::Harness;
 use prophet_workloads::{workload, SPEC_WORKLOADS};
 
 fn main() {
-    prophet_bench::expect_no_args("overheads");
+    prophet_bench::RunArgs::parse_or_exit("overheads", &[]);
     println!("Section 5.4: Prophet overheads\n");
 
     // 5.4.1 Profiling overhead: PEBS/PMU event model.
@@ -29,6 +29,7 @@ fn main() {
     // 5.4.2 Analysis overhead: wall-clock of the real Analysis step.
     let h = Harness::default();
     for name in SPEC_WORKLOADS {
+        println!("[{name}]");
         let mut learned = LearnedProfile::new();
         learned.learn(ProfileCounters::from_report(
             &h.profile(workload(name).as_ref()),

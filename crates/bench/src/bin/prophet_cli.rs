@@ -2,11 +2,11 @@
 //! offline/online workflow over the persistent artifact store.
 //!
 //! ```text
-//! prophet_cli <workload> [scheme ...] [--insts N] [--warmup N] [--jobs N] [--store DIR]
+//! prophet_cli <workload> [scheme ...] [--insts N] [--warmup N] [--jobs N]
 //!   workload: any paper workload name (mcf, gcc_expr, bfs_100000_16, ...)
 //!   schemes:  baseline | triage4 | triangel | rpg2 | prophet (default: all)
-//!   --store   share one warm-up checkpoint across the all-schemes matrix
-//!             (no scheme named; with named schemes it exits 2)
+//!   --jobs    workers the baseline and scheme runs fan across (default:
+//!             all cores); reports print in the order above either way
 //!
 //! prophet_cli profile <workload> --store DIR [--insts N] [--warmup N] [--hints-out FILE]
 //!   Step 1/3 (offline): run the simplified profiling prefetcher, merge the
@@ -30,9 +30,9 @@
 //! prophet_cli submit <workload> --addr HOST:PORT [--insts N] [--warmup N]
 //!   Profile the workload locally and submit the counters to a daemon.
 //!
-//! prophet_cli fetch <workload> --addr HOST:PORT [--hints-out FILE]
-//!   Fetch the daemon's analyzed hint set (raw bytes are the hint-file
-//!   format `run --hints` reads).
+//! prophet_cli fetch <workload> --addr HOST:PORT [--insts N] [--warmup N] [--hints-out FILE]
+//!   Fetch the daemon's analyzed hint set for the workload at this window
+//!   (raw bytes are the hint-file format `run --hints` reads).
 //!
 //! prophet_cli metrics --addr HOST:PORT
 //!   Dump the daemon's plaintext metrics.
@@ -46,53 +46,102 @@
 //!
 //! Windows default to 650 000 measured / 200 000 warm-up instructions;
 //! workloads are sized to cover `warmup + insts` via streaming generation.
+//! Every mode exits 2 on a flag it does not read (the `MODES` table).
 
 use prophet::analysis::{MIN_ISSUED, THRASH_REPLACEMENT_FRAC};
 use prophet::hints::HINT_BUFFER_ENTRIES;
-use prophet::{analyze, AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
-use prophet_bench::{take_flag, Harness, Outcome, RunArgs, Scheme, Start};
-use prophet_rpg2::Rpg2Result;
+use prophet::{analyze, AnalysisConfig, HintSet, LearnedProfile, ProfileCounters, ProphetConfig};
+use prophet_bench::Flag::{
+    self, Addr, Hints, HintsOut, Insts, Jobs, ServiceThreads, Store, Warmup,
+};
+use prophet_bench::{parallel_tasks, Harness, Outcome, RunArgs, Scheme, Start};
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
 use prophet_sim_core::SimReport;
-use prophet_store::{
-    read_hints_file, write_hints_file, ArtifactStore, ProfileArtifact, StoreError,
-};
+use prophet_store::{read_hints_file, write_hints_file, ProfileArtifact, StoreError};
 use prophet_workloads::workload_sized;
 
-const USAGE: &str = "usage: prophet_cli <workload> [baseline|triage4|triangel|rpg2|prophet ...] \
-     [--insts N] [--warmup N] [--jobs N] [--store DIR]
-       prophet_cli profile  <workload> --store DIR [--insts N] [--warmup N] [--hints-out FILE]
-       prophet_cli optimize <workload> --store DIR [--insts N] [--warmup N] [--hints-out FILE]
-       prophet_cli run      <workload> --hints FILE [--insts N] [--warmup N]
-       prophet_cli serve    --store DIR [--addr HOST:PORT] [--service-threads N]
-       prophet_cli submit   <workload> --addr HOST:PORT [--insts N] [--warmup N]
-       prophet_cli fetch    <workload> --addr HOST:PORT [--hints-out FILE]
-       prophet_cli metrics  --addr HOST:PORT
-       prophet_cli explain  <workload> [--insts N] [--warmup N]";
+/// One `prophet_cli` mode: its keyword, whether it takes a workload, the
+/// flags it reads, those of them it needs, and what runs it with the
+/// workload (`""` when it takes none).
+struct Mode {
+    name: &'static str,
+    workload: bool,
+    reads: &'static [Flag],
+    needs: &'static [Flag],
+    run: fn(&RunArgs, &str),
+}
+
+/// Every mode. The first, scheme mode, has no keyword: it runs when the
+/// first argument names no other mode, and scheme names may follow its
+/// workload.
+#[rustfmt::skip]
+static MODES: [Mode; 9] = [
+    Mode { name: "scheme mode", workload: true, run: cmd_schemes,
+           reads: &[Insts, Warmup, Jobs], needs: &[] },
+    Mode { name: "profile", workload: true, run: cmd_profile,
+           reads: &[Store, Insts, Warmup, HintsOut], needs: &[Store] },
+    Mode { name: "optimize", workload: true, run: cmd_optimize,
+           reads: &[Store, Insts, Warmup, HintsOut], needs: &[Store] },
+    Mode { name: "run", workload: true, run: cmd_run,
+           reads: &[Hints, Insts, Warmup], needs: &[Hints] },
+    Mode { name: "serve", workload: false, run: cmd_serve,
+           reads: &[Store, Addr, ServiceThreads], needs: &[Store] },
+    Mode { name: "submit", workload: true, run: cmd_submit,
+           reads: &[Addr, Insts, Warmup], needs: &[Addr] },
+    Mode { name: "fetch", workload: true, run: cmd_fetch,
+           reads: &[Addr, Insts, Warmup, HintsOut], needs: &[Addr] },
+    Mode { name: "metrics", workload: false, run: cmd_metrics,
+           reads: &[Addr], needs: &[Addr] },
+    Mode { name: "explain", workload: true, run: cmd_explain,
+           reads: &[Insts, Warmup], needs: &[] },
+];
+
+/// The usage text, one line per mode, built from [`MODES`].
+fn usage() -> String {
+    let schemes = Scheme::ALL.map(Scheme::name).join("|");
+    let mut text = String::from("usage:");
+    for (i, m) in MODES.iter().enumerate() {
+        text += &match (i, m.workload) {
+            (0, _) => format!(" prophet_cli <workload> [{schemes} ...]"),
+            (_, true) => format!("\n       prophet_cli {:<8} <workload>", m.name),
+            (_, false) => format!("\n       prophet_cli {:<8}", m.name),
+        };
+        for f in m.reads {
+            let (open, close) = if m.needs.contains(f) {
+                ("", "")
+            } else {
+                ("[", "]")
+            };
+            text += &format!(" {open}{}{close}", f.usage());
+        }
+    }
+    text
+}
 
 fn die(msg: &str) -> ! {
-    eprintln!("{msg}\n{USAGE}");
+    eprintln!("{msg}\n{}", usage());
     std::process::exit(2);
 }
 
-fn print_rpg2(r: &Rpg2Result, base: &SimReport) {
+/// The value of a flag the mode table marks as needed (`main` checks it).
+fn needed(value: &Option<String>) -> &str {
+    value.as_deref().expect("a needed flag")
+}
+
+/// One line on `hints`: `{verb} {name}: ...`.
+fn print_hints(verb: &str, name: &str, hints: &HintSet) {
     println!(
-        "qualified {:?} distance {:?} speedup {:.3}\n{}",
-        r.qualified_pcs,
-        r.distance,
-        r.report.speedup_over(base),
-        r.report
+        "{verb} {name}: {} hinted PCs ({} hint instructions), csr enabled={} meta_ways={}",
+        hints.pc_hints.len(),
+        hints.instruction_overhead(),
+        hints.csr.enabled,
+        hints.csr.meta_ways
     );
 }
 
-fn require_store(args: &RunArgs) -> ArtifactStore {
-    args.open_store()
-        .unwrap_or_else(|| die("this subcommand needs --store DIR"))
-}
-
 /// Step 1/3: profile `name` and merge into the store's artifact.
-fn cmd_profile(args: &RunArgs, name: &str, hints_out: Option<String>) {
-    let store = require_store(args);
+fn cmd_profile(args: &RunArgs, name: &str) {
+    let store = args.open_store().expect("a needed flag");
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
     let key = h.profile_key(w.as_ref());
@@ -142,16 +191,16 @@ fn cmd_profile(args: &RunArgs, name: &str, hints_out: Option<String>) {
         hints.csr.enabled,
         hints.csr.meta_ways
     );
-    if let Some(out) = hints_out {
-        write_hints_file(&out, &key, &hints)
+    if let Some(out) = &args.hints_out {
+        write_hints_file(out, &key, &hints)
             .unwrap_or_else(|e| die(&format!("cannot write hints file {out}: {e}")));
         println!("hints written to {out}");
     }
 }
 
 /// Step 2: analysis only — stored profile in, hint artifact out.
-fn cmd_optimize(args: &RunArgs, name: &str, hints_out: Option<String>) {
-    let store = require_store(args);
+fn cmd_optimize(args: &RunArgs, name: &str) {
+    let store = args.open_store().expect("a needed flag");
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
     let key = h.profile_key(w.as_ref());
@@ -168,9 +217,9 @@ fn cmd_optimize(args: &RunArgs, name: &str, hints_out: Option<String>) {
         Err(e) => die(&format!("unreadable profile artifact: {e}")),
     };
     let hints = analyze(&artifact.counters, &AnalysisConfig::default());
-    let path = match hints_out {
+    let path = match &args.hints_out {
         Some(out) => {
-            write_hints_file(&out, &key, &hints)
+            write_hints_file(out, &key, &hints)
                 .unwrap_or_else(|e| die(&format!("cannot write hints file {out}: {e}")));
             std::path::PathBuf::from(out)
         }
@@ -178,31 +227,18 @@ fn cmd_optimize(args: &RunArgs, name: &str, hints_out: Option<String>) {
             .save_hints(&key, &hints)
             .unwrap_or_else(|e| die(&format!("cannot save hints: {e}"))),
     };
-    println!(
-        "optimized {name}: {} hinted PCs ({} hint instructions), csr enabled={} meta_ways={}",
-        hints.pc_hints.len(),
-        hints.instruction_overhead(),
-        hints.csr.enabled,
-        hints.csr.meta_ways
-    );
+    print_hints("optimized", name, &hints);
     println!("hints written to {}", path.display());
 }
 
 /// Fleet mode: run the hint-serving daemon over the store directory.
-fn cmd_serve(args: &RunArgs, addr: Option<String>, threads: Option<String>) {
-    let Some(dir) = &args.store else {
-        die("serve needs --store DIR");
-    };
+fn cmd_serve(args: &RunArgs, _: &str) {
+    let dir = needed(&args.store);
     let state = ServiceState::open(dir)
         .unwrap_or_else(|e| die(&format!("cannot open service store at {dir}: {e}")));
     let cfg = ServeConfig {
-        addr: addr.unwrap_or_else(|| "127.0.0.1:7071".into()),
-        threads: threads
-            .map(|t| {
-                t.parse()
-                    .unwrap_or_else(|_| die(&format!("--service-threads: not a number: {t}")))
-            })
-            .unwrap_or(8),
+        addr: args.addr.clone().unwrap_or_else(|| "127.0.0.1:7071".into()),
+        threads: args.service_threads.unwrap_or(8),
         ..ServeConfig::default()
     };
     let server =
@@ -216,19 +252,21 @@ fn cmd_serve(args: &RunArgs, addr: Option<String>, threads: Option<String>) {
     }
 }
 
-fn connect_daemon(addr: &str) -> ServiceClient {
+/// Connects to the `--addr` daemon of a mode that requires it.
+fn connect_daemon(args: &RunArgs) -> ServiceClient {
+    let addr = needed(&args.addr);
     ServiceClient::connect(addr)
         .unwrap_or_else(|e| die(&format!("cannot connect to daemon at {addr}: {e}")))
 }
 
 /// Profile `name` locally and submit the counters to a daemon.
-fn cmd_submit(args: &RunArgs, name: &str, addr: &str) {
+fn cmd_submit(args: &RunArgs, name: &str) {
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
     let key = h.profile_key(w.as_ref());
     let report = h.profile(w.as_ref());
     let counters = ProfileCounters::from_report(&report);
-    let mut client = connect_daemon(addr);
+    let mut client = connect_daemon(args);
     let ack = client
         .submit(&key, &counters)
         .unwrap_or_else(|e| die(&format!("submit failed: {e}")));
@@ -246,33 +284,36 @@ fn cmd_submit(args: &RunArgs, name: &str, addr: &str) {
 }
 
 /// Fetch the daemon's analyzed hints for `name` at this window.
-fn cmd_fetch(args: &RunArgs, name: &str, addr: &str, hints_out: Option<String>) {
+fn cmd_fetch(args: &RunArgs, name: &str) {
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
     let key = h.profile_key(w.as_ref());
-    let mut client = connect_daemon(addr);
+    let mut client = connect_daemon(args);
     let bytes = client
         .fetch_hints_bytes(&key)
         .unwrap_or_else(|e| die(&format!("fetch failed: {e}")));
     let (_, hints) = prophet_store::decode_hints(&bytes)
         .unwrap_or_else(|e| die(&format!("daemon returned undecodable hints: {e}")));
-    println!(
-        "fetched {name}: {} hinted PCs ({} hint instructions), csr enabled={} meta_ways={}",
-        hints.pc_hints.len(),
-        hints.instruction_overhead(),
-        hints.csr.enabled,
-        hints.csr.meta_ways
-    );
-    if let Some(out) = hints_out {
+    print_hints("fetched", name, &hints);
+    if let Some(out) = &args.hints_out {
         // The wire bytes are the hint-file format `run --hints` reads.
-        std::fs::write(&out, &bytes)
+        std::fs::write(out, &bytes)
             .unwrap_or_else(|e| die(&format!("cannot write hints file {out}: {e}")));
         println!("hints written to {out}");
     }
 }
 
+/// Dump the daemon's plaintext metrics.
+fn cmd_metrics(args: &RunArgs, _: &str) {
+    let text = connect_daemon(args)
+        .metrics()
+        .unwrap_or_else(|e| die(&format!("metrics failed: {e}")));
+    print!("{text}");
+}
+
 /// Online phase: run full Prophet from an exported hint file.
-fn cmd_run(args: &RunArgs, name: &str, hints_path: &str) {
+fn cmd_run(args: &RunArgs, name: &str) {
+    let hints_path = needed(&args.hints);
     let (key, hints) = read_hints_file(hints_path)
         .unwrap_or_else(|e| die(&format!("cannot read hints file {hints_path}: {e}")));
     let h = args.harness(Harness::default());
@@ -379,147 +420,63 @@ fn cmd_explain(args: &RunArgs, name: &str) {
     );
 }
 
-fn main() {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let flags: Vec<String> = raw
+/// Scheme mode: the baseline and every wanted scheme (the named ones, or
+/// all) fan across `--jobs` workers, then print in [`Scheme::ALL`] order.
+fn cmd_schemes(args: &RunArgs, name: &str) {
+    let named: Vec<Scheme> = args.rest[1..]
         .iter()
-        .filter(|a| a.starts_with("--"))
-        .cloned()
+        .map(|s| {
+            Scheme::parse(s).unwrap_or_else(|| {
+                let all = Scheme::ALL.map(Scheme::name).join("|");
+                die(&format!("unknown scheme: {s} (expected one of {all})"))
+            })
+        })
         .collect();
-    let hints_out = take_flag(&mut raw, "--hints-out", USAGE);
-    let hints_in = take_flag(&mut raw, "--hints", USAGE);
-    let addr = take_flag(&mut raw, "--addr", USAGE);
-    let service_threads = take_flag(&mut raw, "--service-threads", USAGE);
-    let args = RunArgs::parse_or_exit(raw.into_iter(), USAGE, true);
-    let Some((first, rest)) = args.rest.split_first() else {
-        die("missing workload");
-    };
-
-    match first.as_str() {
-        "serve" => {
-            if !rest.is_empty() {
-                die("serve takes no workload");
-            }
-            cmd_serve(&args, addr, service_threads);
-            return;
-        }
-        "metrics" => {
-            if !rest.is_empty() {
-                die("metrics takes no workload");
-            }
-            let Some(addr) = addr else {
-                die("metrics needs --addr HOST:PORT");
-            };
-            let text = connect_daemon(&addr)
-                .metrics()
-                .unwrap_or_else(|e| die(&format!("metrics failed: {e}")));
-            print!("{text}");
-            return;
-        }
-        "submit" | "fetch" => {
-            let [name] = rest else {
-                die(&format!("{first} needs exactly one workload"));
-            };
-            let Some(addr) = addr else {
-                die(&format!("{first} needs --addr HOST:PORT"));
-            };
-            match first.as_str() {
-                "submit" => cmd_submit(&args, name, &addr),
-                "fetch" => cmd_fetch(&args, name, &addr, hints_out),
-                _ => unreachable!(),
-            }
-            return;
-        }
-        "explain" => {
-            let [name] = rest else {
-                die("explain needs exactly one workload");
-            };
-            if let Some(f) = flags
-                .iter()
-                .find(|f| !matches!(f.as_str(), "--insts" | "--warmup"))
-            {
-                die(&format!("explain takes only --insts and --warmup, not {f}"));
-            }
-            cmd_explain(&args, name);
-            return;
-        }
-        "profile" | "optimize" | "run" => {
-            let [name] = rest else {
-                die(&format!("{first} needs exactly one workload"));
-            };
-            match first.as_str() {
-                "profile" => cmd_profile(&args, name, hints_out),
-                "optimize" => cmd_optimize(&args, name, hints_out),
-                "run" => {
-                    let Some(hints) = hints_in else {
-                        die("run needs --hints FILE");
-                    };
-                    cmd_run(&args, name, &hints);
-                }
-                _ => unreachable!(),
-            }
-            return;
-        }
-        _ => {}
-    }
-
-    // Legacy scheme mode.
-    let (name, schemes) = (first, rest);
-    let mut wanted = Vec::new();
-    for s in schemes {
-        match Scheme::parse(s) {
-            Some(scheme) => wanted.push(scheme),
-            None => die(&format!(
-                "unknown scheme: {s} (expected one of {})",
-                Scheme::ALL.map(Scheme::name).join("|")
-            )),
-        }
-    }
-
-    if !wanted.is_empty() && args.store.is_some() {
-        // Named schemes run cold one by one; only the all-schemes matrix
-        // shares a warm-up through the store.
-        die("--store works only without named schemes (it shares the all-schemes warm-up)");
-    }
-
+    let wanted = |s: Scheme| named.is_empty() || named.contains(&s);
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
-
-    if wanted.is_empty() {
-        // The four comparison schemes as one matrix row, fanned across the
-        // parallel harness (sharing one warm-up when a store is given);
-        // triage4 runs separately (it is not a matrix column).
-        let row = &args.run_grid(&h, std::slice::from_ref(&w))[0];
-        println!("{}", row.base);
-        let r = h
-            .run(Scheme::Triage4, w.as_ref(), Start::Cold)
-            .into_report();
-        println!("speedup {:.3}\n{r}", r.speedup_over(&row.base));
-        println!(
-            "speedup {:.3}\n{}",
-            row.triangel.speedup_over(&row.base),
-            row.triangel
-        );
-        print_rpg2(&row.rpg2, &row.base);
-        println!(
-            "speedup {:.3}\n{}",
-            row.prophet.speedup_over(&row.base),
-            row.prophet
-        );
-        return;
-    }
-
-    let base = h
-        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
-        .into_report();
-    for scheme in Scheme::ALL.into_iter().filter(|s| wanted.contains(s)) {
-        if scheme == Scheme::Baseline {
-            println!("{base}");
-            continue;
-        }
-        match h.run(scheme, w.as_ref(), Start::Cold) {
-            Outcome::Rpg2(r) => print_rpg2(&r, &base),
+    // The baseline always runs: it is every speedup's denominator.
+    let runs: Vec<Scheme> = Scheme::ALL
+        .into_iter()
+        .filter(|&s| s == Scheme::Baseline || wanted(s))
+        .collect();
+    let outcomes = parallel_tasks(runs.len(), args.jobs, |i| {
+        h.run(runs[i], w.as_ref(), Start::Cold)
+    });
+    let base = outcomes[0].clone().into_report();
+    for (scheme, outcome) in runs.into_iter().zip(outcomes) {
+        match outcome {
+            _ if !wanted(scheme) => {}
+            Outcome::Rpg2(r) => println!(
+                "qualified {:?} distance {:?} speedup {:.3}\n{}",
+                r.qualified_pcs,
+                r.distance,
+                r.report.speedup_over(&base),
+                r.report
+            ),
+            Outcome::Sim(r) if scheme == Scheme::Baseline => println!("{r}"),
             Outcome::Sim(r) => println!("speedup {:.3}\n{r}", r.speedup_over(&base)),
         }
+    }
+}
+
+fn main() {
+    let args = RunArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| die(&e));
+    let Some(first) = args.rest.first() else {
+        die("missing workload");
+    };
+    let (mode, operands) = match MODES[1..].iter().find(|m| m.name == first) {
+        Some(mode) => (mode, &args.rest[1..]),
+        // Scheme mode reads its scheme names itself.
+        None => (&MODES[0], &args.rest[..1]),
+    };
+    if let Err(e) = args.check(mode.name, mode.reads, mode.needs) {
+        die(&e);
+    }
+    match (mode.workload, operands) {
+        (true, [name]) => (mode.run)(&args, name),
+        (false, []) => (mode.run)(&args, ""),
+        (true, _) => die(&format!("{} needs exactly one workload", mode.name)),
+        (false, _) => die(&format!("{} takes no workload", mode.name)),
     }
 }

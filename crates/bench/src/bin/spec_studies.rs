@@ -20,7 +20,7 @@
 //! Prophet.
 
 use prophet::{analyze, AnalysisConfig, ProfileCounters, ProphetConfig, ProphetFeatures};
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{parallel_tasks, Harness, Scheme, Start};
 use prophet_energy::{energy_of, EnergyModel};
 use prophet_prefetch::StridePrefetcher;
 use prophet_sim_core::{geomean, simulate, SimReport};
@@ -159,7 +159,7 @@ fn fig19_stages() -> Vec<Column> {
 }
 
 fn main() {
-    prophet_bench::expect_no_args("spec_studies");
+    prophet_bench::RunArgs::parse_or_exit("spec_studies", &[]);
     let h = Harness::default();
     let panels = fig16_panels();
     let stages = fig19_stages();
@@ -175,10 +175,9 @@ fn main() {
             configs.push(config.clone());
         }
     }
-    let mixes: Vec<Mix> = SPEC_WORKLOADS
-        .iter()
-        .map(|&name| Mix::simulate(&h, name, &configs))
-        .collect();
+    let mixes = parallel_tasks(SPEC_WORKLOADS.len(), 0, |i| {
+        Mix::simulate(&h, SPEC_WORKLOADS[i], &configs)
+    });
 
     let speedup = SimReport::speedup_over;
     for (title, cols) in &panels {

@@ -3,7 +3,7 @@
 use prophet_sim_mem::SystemConfig;
 
 fn main() {
-    prophet_bench::expect_no_args("tab01_config");
+    prophet_bench::RunArgs::parse_or_exit("tab01_config", &[]);
     println!("Table 1: System Configuration");
     println!("{}", SystemConfig::isca25().table1());
 }

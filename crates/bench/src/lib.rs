@@ -21,6 +21,7 @@ use prophet_store::{
     store_warn, ArtifactStore, ProfileArtifact, StoreKey, WarmupCheckpoint,
 };
 use prophet_temporal::{TemporalConfig, TemporalEngine, Triage, Triangel};
+use prophet_workloads::workload_sized;
 
 /// Which L1 prefetcher a run uses (Figure 17 swaps stride for IPCP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -504,11 +505,21 @@ impl Harness {
     }
 }
 
-/// Fans `count` independent tasks across `jobs` scoped worker threads and
-/// returns the results in task order. Tasks must be order-independent —
-/// the determinism tests pin that `jobs = 1` and `jobs = N` agree.
-fn parallel_tasks<T: Send>(count: usize, jobs: usize, run: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let jobs = jobs.min(count).max(1);
+/// Fans `count` independent tasks across `jobs` scoped worker threads
+/// (`0` = every core the host reports) and returns the results in task
+/// order. Tasks must be order-independent — the determinism tests pin
+/// that `jobs = 1` and `jobs = N` agree.
+pub fn parallel_tasks<T: Send>(
+    count: usize,
+    jobs: usize,
+    run: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let jobs = match jobs {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        n => n,
+    }
+    .min(count)
+    .max(1);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let results: Vec<std::sync::Mutex<Option<T>>> =
         (0..count).map(|_| std::sync::Mutex::new(None)).collect();
@@ -530,14 +541,6 @@ fn parallel_tasks<T: Send>(count: usize, jobs: usize, run: impl Fn(usize) -> T +
 }
 
 impl Harness {
-    /// Worker count used when the caller passes `jobs = 0`: every core the
-    /// host reports.
-    pub fn default_jobs() -> usize {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
     /// Runs the full scheme×workload grid, fanning the cells (one
     /// simulation per scheme per workload) across `jobs` scoped threads,
     /// and returns one [`SchemeRow`] per workload *in input order*.
@@ -546,8 +549,7 @@ impl Harness {
     /// workload on a fresh machine, so no cell depends on which worker runs
     /// it or when — `jobs = 1` and `jobs = N` produce bit-identical rows
     /// (the integration test in `crates/bench/tests/determinism.rs` pins
-    /// this, with and without a store). `jobs = 0` means
-    /// [`Harness::default_jobs`].
+    /// this, with and without a store). `jobs = 0` means every core.
     ///
     /// With a store, the grid shares **one scheme-independent warm-up per
     /// workload**: phase 1 loads (or builds and saves) each workload's
@@ -564,11 +566,6 @@ impl Harness {
         jobs: usize,
         store: Option<&ArtifactStore>,
     ) -> Vec<SchemeRow> {
-        let jobs = if jobs == 0 {
-            Self::default_jobs()
-        } else {
-            jobs
-        };
         let ckpts: Option<Vec<WarmupCheckpoint>> = store.map(|store| {
             parallel_tasks(workloads.len(), jobs, |i| {
                 self.checkpoint_via_store(store, &workloads[i])
@@ -633,52 +630,144 @@ impl SchemeRow {
     }
 }
 
-/// Windowing/parallelism/persistence flags shared by the experiment
-/// binaries: `--insts N` (measured instructions), `--warmup N`, `--jobs N`
-/// (`0` = all cores), `--store DIR` (artifact store for checkpointed
-/// warm-up reuse). Positional arguments pass through in `rest`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A command-line flag, which takes one value ([`Flag::usage`]). Every
+/// binary and `prophet_cli` mode declares the flags it reads and rejects
+/// the rest ([`RunArgs::check`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    Insts,
+    Warmup,
+    Jobs,
+    Store,
+    Hints,
+    HintsOut,
+    Addr,
+    ServiceThreads,
+}
+
+/// Every flag as typed and its value as usage lines show it, in [`Flag`]
+/// order.
+const FLAGS: [(Flag, &str, &str); 8] = [
+    (Flag::Insts, "--insts", "N"),
+    (Flag::Warmup, "--warmup", "N"),
+    (Flag::Jobs, "--jobs", "N"),
+    (Flag::Store, "--store", "DIR"),
+    (Flag::Hints, "--hints", "FILE"),
+    (Flag::HintsOut, "--hints-out", "FILE"),
+    (Flag::Addr, "--addr", "HOST:PORT"),
+    (Flag::ServiceThreads, "--service-threads", "N"),
+];
+
+impl Flag {
+    /// What a figure grid reads: the window, `--jobs` and `--store`.
+    pub const GRID: [Flag; 4] = [Flag::Insts, Flag::Warmup, Flag::Jobs, Flag::Store];
+
+    /// The flag as typed, e.g. `--insts`.
+    pub fn name(self) -> &'static str {
+        FLAGS[self as usize].1
+    }
+
+    /// The flag and its value as a usage line shows them, e.g. `--insts N`.
+    pub fn usage(self) -> String {
+        let (_, name, value) = FLAGS[self as usize];
+        format!("{name} {value}")
+    }
+}
+
+/// The parsed command line: one field per [`Flag`], positional arguments
+/// in `rest`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunArgs {
     pub insts: Option<u64>,
     pub warmup: Option<u64>,
     pub jobs: usize,
     pub store: Option<String>,
+    pub hints: Option<String>,
+    pub hints_out: Option<String>,
+    pub addr: Option<String>,
+    pub service_threads: Option<usize>,
     pub rest: Vec<String>,
+    /// The flags given, in order.
+    given: Vec<Flag>,
 }
 
 impl RunArgs {
     /// Parses `args` (without the program name). Returns an error message
-    /// for an unknown `--flag`, a malformed value, or `--insts 0` (a run
-    /// must measure something; `--warmup 0` is fine).
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<RunArgs, String> {
-        let mut out = RunArgs {
-            insts: None,
-            warmup: None,
-            jobs: 0,
-            store: None,
-            rest: Vec::new(),
-        };
-        let mut args = args.peekable();
+    /// for an unknown `--flag`, a missing or malformed value, or
+    /// `--insts 0` (a run must measure something; `--warmup 0` is fine).
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<RunArgs, String> {
+        let mut out = RunArgs::default();
         while let Some(a) = args.next() {
-            let mut take = |name: &str| -> Result<u64, String> {
-                let v = args.next().ok_or_else(|| format!("{name} needs a value"))?;
-                v.parse().map_err(|_| format!("{name}: not a number: {v}"))
-            };
-            match a.as_str() {
-                "--insts" => match take("--insts")? {
+            if !a.starts_with("--") {
+                out.rest.push(a);
+                continue;
+            }
+            let (flag, ..) = FLAGS
+                .into_iter()
+                .find(|(_, name, _)| *name == a)
+                .ok_or_else(|| format!("unknown flag: {a}"))?;
+            let v = args.next().ok_or_else(|| format!("{a} needs a value"))?;
+            let number = |v: &str| v.parse().map_err(|_| format!("{a}: not a number: {v}"));
+            match flag {
+                Flag::Insts => match number(&v)? {
                     0 => return Err("--insts must be at least 1".into()),
                     n => out.insts = Some(n),
                 },
-                "--warmup" => out.warmup = Some(take("--warmup")?),
-                "--jobs" => out.jobs = take("--jobs")? as usize,
-                "--store" => {
-                    out.store = Some(args.next().ok_or("--store needs a directory")?);
-                }
-                f if f.starts_with("--") => return Err(format!("unknown flag: {f}")),
-                _ => out.rest.push(a),
+                Flag::Warmup => out.warmup = Some(number(&v)?),
+                Flag::Jobs => out.jobs = number(&v)? as usize,
+                Flag::ServiceThreads => out.service_threads = Some(number(&v)? as usize),
+                Flag::Store => out.store = Some(v),
+                Flag::Hints => out.hints = Some(v),
+                Flag::HintsOut => out.hints_out = Some(v),
+                Flag::Addr => out.addr = Some(v),
             }
+            out.given.push(flag);
         }
         Ok(out)
+    }
+
+    /// Checks that `cmd` reads every flag given and was given every flag
+    /// it `needs`. The error names the first flag it does not read, and
+    /// the flags it does, or the first flag it needs.
+    pub fn check(&self, cmd: &str, reads: &[Flag], needs: &[Flag]) -> Result<(), String> {
+        let Some(f) = self.given.iter().find(|f| !reads.contains(f)) else {
+            return match needs.iter().find(|f| !self.given.contains(f)) {
+                Some(f) => Err(format!("{cmd} needs {}", f.usage())),
+                None => Ok(()),
+            };
+        };
+        let names: Vec<_> = reads.iter().map(|r| r.name()).collect();
+        Err(match names.split_last() {
+            None => format!("unexpected argument: {}", f.name()),
+            Some((last, [])) => format!("{cmd} takes only {last}, not {}", f.name()),
+            Some((last, init)) => format!(
+                "{cmd} takes only {} and {last}, not {}",
+                init.join(", "),
+                f.name()
+            ),
+        })
+    }
+
+    /// The command line of binary `cmd`, which reads the flags `reads` and
+    /// no positional argument. Anything else prints the error and a usage
+    /// line built from `reads`, and exits 2.
+    pub fn parse_or_exit(cmd: &str, reads: &[Flag]) -> RunArgs {
+        let parsed = RunArgs::parse(std::env::args().skip(1)).and_then(|args| {
+            args.check(cmd, reads, &[])?;
+            match args.rest.first() {
+                Some(a) => Err(format!("unexpected argument: {a}")),
+                None => Ok(args),
+            }
+        });
+        parsed.unwrap_or_else(|e| {
+            let flags: Vec<_> = reads.iter().map(|f| format!("[{}]", f.usage())).collect();
+            if flags.is_empty() {
+                eprintln!("{e}\nusage: {cmd} (takes no arguments)");
+            } else {
+                eprintln!("{e}\nusage: {cmd} {}", flags.join(" "));
+            }
+            std::process::exit(2);
+        })
     }
 
     /// Opens the `--store` directory, if one was given; prints the error
@@ -695,15 +784,18 @@ impl RunArgs {
             })
     }
 
-    /// Runs the scheme×workload grid under `h` with `--jobs` workers,
-    /// sharing warm-ups through the `--store` directory when one was given
-    /// (see [`Harness::run_matrix_stored`]); exits 2 when the store cannot
-    /// be opened. The store's activity goes to **stderr**: stdout
+    /// Runs the scheme×workload grid over the workloads `names`, sized to
+    /// `h`'s window, with `--jobs` workers, sharing warm-ups through the
+    /// `--store` directory when one was given (see
+    /// [`Harness::run_matrix_stored`]); exits 2 when the store cannot be
+    /// opened. The store's activity goes to **stderr**: stdout
     /// is reserved for figure tables, which must stay bit-identical between
     /// cold and warm runs.
-    pub fn run_grid<W: TraceSource + Sync>(&self, h: &Harness, workloads: &[W]) -> Vec<SchemeRow> {
+    pub fn run_grid(&self, h: &Harness, names: &[&str]) -> Vec<SchemeRow> {
+        let size = h.warmup + h.measure;
+        let workloads: Vec<_> = names.iter().map(|n| workload_sized(n, size)).collect();
         let store = self.open_store();
-        let rows = h.run_matrix_stored(workloads, self.jobs, store.as_ref());
+        let rows = h.run_matrix_stored(&workloads, self.jobs, store.as_ref());
         if let Some(store) = &store {
             let a = store.activity();
             eprintln!(
@@ -718,27 +810,6 @@ impl RunArgs {
         rows
     }
 
-    /// [`RunArgs::parse`] for binary `main`s: prints the error plus
-    /// `usage` and exits 2 on a bad flag — and, unless
-    /// `allow_positionals`, on any positional argument too.
-    pub fn parse_or_exit(
-        args: impl Iterator<Item = String>,
-        usage: &str,
-        allow_positionals: bool,
-    ) -> RunArgs {
-        match RunArgs::parse(args) {
-            Ok(a) if allow_positionals || a.rest.is_empty() => a,
-            Ok(a) => {
-                eprintln!("unexpected argument: {}\n{usage}", a.rest[0]);
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("{e}\n{usage}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// A harness with this window applied over `default` (flags that were
     /// not given keep the default's values).
     pub fn harness(&self, default: Harness) -> Harness {
@@ -750,42 +821,28 @@ impl RunArgs {
     }
 }
 
-/// Removes `--flag VALUE` from `raw` and returns the value: a flag only
-/// one binary understands, taken out before [`RunArgs::parse_or_exit`]
-/// rejects it as unknown. Prints `usage` and exits 2 when the value is
-/// missing.
-pub fn take_flag(raw: &mut Vec<String>, flag: &str, usage: &str) -> Option<String> {
-    let i = raw.iter().position(|a| a == flag)?;
-    if i + 1 >= raw.len() {
-        eprintln!("{flag} needs a value\n{usage}");
-        std::process::exit(2);
-    }
-    let v = raw.remove(i + 1);
-    raw.remove(i);
-    Some(v)
-}
-
-/// For binaries whose window and configuration are fixed: prints a usage
-/// line and exits 2 if any argument was given, so a flag such as
-/// `--insts` is rejected instead of silently ignored.
-pub fn expect_no_args(bin: &str) {
-    if let Some(a) = std::env::args().nth(1) {
-        eprintln!("unexpected argument: {a}\nusage: {bin} (takes no arguments)");
-        std::process::exit(2);
-    }
-}
-
-/// Formats a header + rows + geomean table the way the paper's bar charts
-/// read (one row per workload, one column per scheme).
+/// Prints the speedups of `rows` under a `=== title ===` banner (see
+/// [`print_scheme_table`]).
 pub fn print_speedup_table(title: &str, rows: &[SchemeRow]) {
-    println!("\n=== {title} ===");
+    print_scheme_table(&format!("\n=== {title} ==="), rows, SchemeRow::speedups);
+}
+
+/// Prints `title`, then one row per workload and a geomean row of
+/// `metric`'s `(rpg2, triangel, prophet)` values, the way the paper's bar
+/// charts read (one row per workload, one column per scheme).
+pub fn print_scheme_table(
+    title: &str,
+    rows: &[SchemeRow],
+    metric: fn(&SchemeRow) -> (f64, f64, f64),
+) {
+    println!("{title}");
     println!(
         "{:<18} {:>8} {:>10} {:>9}",
         "workload", "RPG2", "Triangel", "Prophet"
     );
     let mut cols: Vec<Vec<f64>> = vec![Vec::new(); 3];
     for r in rows {
-        let (a, b, c) = r.speedups();
+        let (a, b, c) = metric(r);
         cols[0].push(a);
         cols[1].push(b);
         cols[2].push(c);

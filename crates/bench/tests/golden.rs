@@ -3,7 +3,8 @@
 //! Each test runs the real binary (Cargo exposes the path via
 //! `CARGO_BIN_EXE_*`) and diffs its stdout against a checked-in snapshot
 //! under `tests/golden/`. The windowed binaries run at a short, fixed
-//! window; `tab01_config`, `fig01_metadata_pattern`,
+//! window, as does `prophet_cli mcf` (scheme mode, every scheme);
+//! `tab01_config`, `fig01_metadata_pattern`,
 //! `fig06_accuracy_levels`, `fig08_markov_targets`, `overheads` and
 //! `tab_storage` take no arguments. The two fixed-window study binaries,
 //! `spec_studies` and `fig13_14_learning`, take too long for this suite;
@@ -206,5 +207,18 @@ fn overheads_matches_snapshot() {
         env!("CARGO_BIN_EXE_overheads"),
         &[],
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/overheads.txt"),
+    );
+}
+
+#[test]
+fn prophet_cli_mcf_matches_snapshot() {
+    // Scheme mode with no scheme named: the baseline and all four schemes.
+    run_golden(
+        env!("CARGO_BIN_EXE_prophet_cli"),
+        &["mcf", "--insts", "60000", "--warmup", "30000"],
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/prophet_cli_mcf.txt"
+        ),
     );
 }
