@@ -421,7 +421,8 @@ fn cmd_explain(args: &RunArgs, name: &str) {
 }
 
 /// Scheme mode: the baseline and every wanted scheme (the named ones, or
-/// all) fan across `--jobs` workers, then print in [`Scheme::ALL`] order.
+/// all) fan across `--jobs` workers as [`Harness::cells`], so a wanted RPG2
+/// rides the baseline's cell, then print in [`Scheme::ALL`] order.
 fn cmd_schemes(args: &RunArgs, name: &str) {
     let named: Vec<Scheme> = args.rest[1..]
         .iter()
@@ -440,11 +441,18 @@ fn cmd_schemes(args: &RunArgs, name: &str) {
         .into_iter()
         .filter(|&s| s == Scheme::Baseline || wanted(s))
         .collect();
-    let outcomes = parallel_tasks(runs.len(), args.jobs, |i| {
-        h.run(runs[i], w.as_ref(), Start::Cold)
+    let cells = h.cells(&runs, Start::Cold);
+    let outcomes = parallel_tasks(cells.len(), args.jobs, |i| {
+        h.run_cell(&cells[i], w.as_ref(), Start::Cold)
     });
-    let base = outcomes[0].clone().into_report();
-    for (scheme, outcome) in runs.into_iter().zip(outcomes) {
+    let mut outcomes: Vec<(Scheme, Outcome)> = cells
+        .into_iter()
+        .flatten()
+        .zip(outcomes.into_iter().flatten())
+        .collect();
+    outcomes.sort_by_key(|&(scheme, _)| scheme as usize);
+    let base = outcomes[0].1.clone().into_report();
+    for (scheme, outcome) in outcomes {
         match outcome {
             _ if !wanted(scheme) => {}
             Outcome::Rpg2(r) => println!(

@@ -45,32 +45,59 @@ struct Mix {
     optimized: Vec<(Config, SimReport)>,
 }
 
+/// The passes of a mix that need no profile, in task order: the profiling
+/// pass itself, the baseline, Triage4, Triangel and the off-chip scheme.
+const RUNTIME_PASSES: usize = 5;
+
 impl Mix {
-    fn simulate(h: &Harness, name: &'static str, configs: &[Config]) -> Mix {
-        let w = workload(name);
-        let run = |scheme| h.run(scheme, w.as_ref(), Start::Cold).into_report();
-        let counters = ProfileCounters::from_report(&h.profile(w.as_ref()));
-        Mix {
-            name,
-            base: run(Scheme::Baseline),
-            triage4: run(Scheme::Triage4),
-            triangel: run(Scheme::Triangel),
-            offchip: simulate(
-                &h.sys,
-                w.as_ref(),
-                Box::new(StridePrefetcher::default()),
-                Box::new(OffChipTemporal::default()),
-                h.warmup,
-                h.measure,
-            ),
-            optimized: configs
-                .iter()
-                .map(|(a, c)| {
-                    let r = h.optimized(w.as_ref(), &analyze(&counters, a), c);
-                    ((*a, c.clone()), r)
-                })
-                .collect(),
-        }
+    /// Simulates every mix. Every pass fans across all cores in two rounds:
+    /// first each mix's [`RUNTIME_PASSES`], then its optimized passes, one
+    /// per config, from that mix's profile.
+    fn simulate_all(h: &Harness, configs: &[Config]) -> Vec<Mix> {
+        let names = SPEC_WORKLOADS;
+        let runtime = parallel_tasks(names.len() * RUNTIME_PASSES, 0, |i| {
+            let w = workload(names[i / RUNTIME_PASSES]);
+            let run = |scheme| h.run(scheme, w.as_ref(), Start::Cold).into_report();
+            match i % RUNTIME_PASSES {
+                0 => h.profile(w.as_ref()),
+                1 => run(Scheme::Baseline),
+                2 => run(Scheme::Triage4),
+                3 => run(Scheme::Triangel),
+                _ => simulate(
+                    &h.sys,
+                    w.as_ref(),
+                    Box::new(StridePrefetcher::default()),
+                    Box::new(OffChipTemporal::default()),
+                    h.warmup,
+                    h.measure,
+                ),
+            }
+        });
+        let counters: Vec<ProfileCounters> = runtime
+            .chunks(RUNTIME_PASSES)
+            .map(|passes| ProfileCounters::from_report(&passes[0]))
+            .collect();
+        let optimized = parallel_tasks(names.len() * configs.len(), 0, |i| {
+            let (m, (a, c)) = (i / configs.len(), &configs[i % configs.len()]);
+            h.optimized(workload(names[m]).as_ref(), &analyze(&counters[m], a), c)
+        });
+        let mut optimized = optimized.into_iter();
+        let mut runtime = runtime.into_iter();
+        names
+            .iter()
+            .map(|&name| {
+                let mut next = || runtime.next().expect("every runtime pass ran");
+                next(); // the profiling pass, read into `counters`
+                Mix {
+                    name,
+                    base: next(),
+                    triage4: next(),
+                    triangel: next(),
+                    offchip: next(),
+                    optimized: configs.iter().cloned().zip(optimized.by_ref()).collect(),
+                }
+            })
+            .collect()
     }
 
     fn report(&self, pass: &Pass) -> &SimReport {
@@ -175,9 +202,7 @@ fn main() {
             configs.push(config.clone());
         }
     }
-    let mixes = parallel_tasks(SPEC_WORKLOADS.len(), 0, |i| {
-        Mix::simulate(&h, SPEC_WORKLOADS[i], &configs)
-    });
+    let mixes = Mix::simulate_all(&h, &configs);
 
     let speedup = SimReport::speedup_over;
     for (title, cols) in &panels {

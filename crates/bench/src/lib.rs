@@ -172,8 +172,9 @@ impl Outcome {
 }
 
 impl Harness {
-    /// Runs `scheme` on `w` from `start`: the one primitive every matrix
-    /// cell and CLI scheme run goes through.
+    /// Runs `scheme` on `w` from `start`: the one primitive every scheme
+    /// run goes through (a cell of [`Harness::cells`] runs each of its
+    /// schemes with it, except where RPG2 rides the baseline).
     pub fn run(&self, scheme: Scheme, w: &dyn TraceSource, start: Start) -> Outcome {
         let seed = start.ckpt().map(|c| &c.temporal);
         let l2: Box<dyn L2Prefetcher> = match scheme {
@@ -234,13 +235,60 @@ impl Harness {
     /// cache-resident, so regeneration is cheaper than replaying a
     /// materialized multi-megabyte instruction buffer from DRAM.
     pub fn rpg2(&self, w: &dyn TraceSource) -> Rpg2Result {
-        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure).run(w)
+        self.rpg2_pipeline().run(w)
     }
 
     /// RPG2's pipeline from a shared warm-up checkpoint (every internal
     /// pass warm-starts).
     pub fn rpg2_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> Rpg2Result {
-        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure).run_warm(w, &ckpt.warm)
+        self.rpg2_pipeline().run_warm(w, &ckpt.warm)
+    }
+
+    fn rpg2_pipeline(&self) -> Rpg2Pipeline {
+        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure)
+    }
+
+    /// Whether RPG2's identification pass (stride L1, no L2 prefetcher,
+    /// this window, from a cold start) is the Baseline run from `start`.
+    fn rpg2_rides_baseline(&self, start: Start) -> bool {
+        self.l1 == L1Scheme::Stride && matches!(start, Start::Cold)
+    }
+
+    /// The cells that run `schemes` on one workload from `start`, in
+    /// order, each as the schemes it runs: one cell per scheme, except that
+    /// RPG2 rides the Baseline cell when `schemes` holds both and RPG2's
+    /// identification pass is that very baseline run (a cold start under
+    /// the stride L1). From a checkpoint, or under IPCP, RPG2 keeps a cell
+    /// and a baseline pass of its own.
+    pub fn cells(&self, schemes: &[Scheme], start: Start) -> Vec<Vec<Scheme>> {
+        let rides = self.rpg2_rides_baseline(start)
+            && schemes.contains(&Scheme::Baseline)
+            && schemes.contains(&Scheme::Rpg2);
+        let mut cells: Vec<Vec<Scheme>> = Vec::with_capacity(schemes.len());
+        for &s in schemes {
+            match s {
+                Scheme::Rpg2 if rides => {}
+                Scheme::Baseline if rides => cells.push(vec![s, Scheme::Rpg2]),
+                _ => cells.push(vec![s]),
+            }
+        }
+        cells
+    }
+
+    /// Runs one cell of [`Harness::cells`] on `w` from `start`: one
+    /// outcome per scheme, in the cell's order. A Baseline cell that
+    /// carries RPG2 simulates the baseline once, through
+    /// [`Rpg2Pipeline::baseline`], and hands it to RPG2's distance sweep.
+    pub fn run_cell(&self, cell: &[Scheme], w: &dyn TraceSource, start: Start) -> Vec<Outcome> {
+        match cell {
+            [Scheme::Baseline, Scheme::Rpg2] if self.rpg2_rides_baseline(start) => {
+                let pipeline = self.rpg2_pipeline();
+                let (base, analysis) = pipeline.baseline(w);
+                let rpg2 = pipeline.sweep(w, base.clone(), &analysis);
+                vec![Outcome::Sim(base), Outcome::Rpg2(rpg2)]
+            }
+            _ => cell.iter().map(|&s| self.run(s, w, start)).collect(),
+        }
     }
 
     /// Prophet's Step 1 from a cold start: the profiling pass, under the
@@ -541,9 +589,11 @@ pub fn parallel_tasks<T: Send>(
 }
 
 impl Harness {
-    /// Runs the full scheme×workload grid, fanning the cells (one
-    /// simulation per scheme per workload) across `jobs` scoped threads,
-    /// and returns one [`SchemeRow`] per workload *in input order*.
+    /// Runs the full scheme×workload grid, fanning the cells
+    /// ([`Harness::cells`] of [`MATRIX_SCHEMES`] per workload) across
+    /// `jobs` scoped threads, and returns one [`SchemeRow`] per workload
+    /// *in input order*. Without a store, under the stride L1, RPG2 rides
+    /// the Baseline cell: its identification pass is that baseline run.
     ///
     /// Determinism: every cell simulates a fresh cursor of a deterministic
     /// workload on a fresh machine, so no cell depends on which worker runs
@@ -554,9 +604,9 @@ impl Harness {
     /// With a store, the grid shares **one scheme-independent warm-up per
     /// workload**: phase 1 loads (or builds and saves) each workload's
     /// [`WarmupCheckpoint`], phase 2 fans the scheme cells out from those
-    /// checkpoints — instead of re-simulating the warm-up up to six times
-    /// per workload (baseline, Triangel, Prophet's two passes, RPG2's
-    /// identification + distance sweep). A later run against the same
+    /// checkpoints — instead of re-simulating the warm-up in every pass
+    /// (baseline, Triangel, Prophet's two passes, and RPG2's candidate
+    /// distances when something qualifies). A later run against the same
     /// store skips phase 1's simulations entirely and, because cold runs
     /// round-trip their checkpoints through the codec before use, produces
     /// bit-identical rows.
@@ -571,22 +621,29 @@ impl Harness {
                 self.checkpoint_via_store(store, &workloads[i])
             })
         });
-        let n = MATRIX_SCHEMES.len();
-        let mut cells = parallel_tasks(workloads.len() * n, jobs, |cell| {
-            let start = match &ckpts {
-                None => Start::Cold,
-                Some(ckpts) => Start::Checkpoint {
-                    ckpt: &ckpts[cell / n],
-                    store,
-                },
-            };
-            self.run(MATRIX_SCHEMES[cell % n], &workloads[cell / n], start)
+        let start = |i: usize| match &ckpts {
+            None => Start::Cold,
+            Some(ckpts) => Start::Checkpoint {
+                ckpt: &ckpts[i],
+                store,
+            },
+        };
+        let cells: Vec<(usize, Vec<Scheme>)> = (0..workloads.len())
+            .flat_map(|i| {
+                let cells = self.cells(&MATRIX_SCHEMES, start(i));
+                cells.into_iter().map(move |cell| (i, cell))
+            })
+            .collect();
+        let mut outcomes = parallel_tasks(cells.len(), jobs, |t| {
+            let (i, cell) = &cells[t];
+            self.run_cell(cell, &workloads[*i], start(*i))
         })
-        .into_iter();
+        .into_iter()
+        .flatten();
         workloads
             .iter()
             .map(|w| {
-                let mut next = || cells.next().expect("one outcome per cell");
+                let mut next = || outcomes.next().expect("one outcome per scheme");
                 SchemeRow {
                     workload: w.name(),
                     base: next().into_report(),

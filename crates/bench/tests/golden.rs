@@ -3,7 +3,8 @@
 //! Each test runs the real binary (Cargo exposes the path via
 //! `CARGO_BIN_EXE_*`) and diffs its stdout against a checked-in snapshot
 //! under `tests/golden/`. The windowed binaries run at a short, fixed
-//! window, as does `prophet_cli mcf` (scheme mode, every scheme);
+//! window, as does `prophet_cli` scheme mode with every scheme on `mcf`
+//! and on `pagerank_100000_100`;
 //! `tab01_config`, `fig01_metadata_pattern`,
 //! `fig06_accuracy_levels`, `fig08_markov_targets`, `overheads` and
 //! `tab_storage` take no arguments. The two fixed-window study binaries,
@@ -219,6 +220,28 @@ fn prophet_cli_mcf_matches_snapshot() {
         concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/tests/golden/prophet_cli_mcf.txt"
+        ),
+    );
+}
+
+#[test]
+fn prophet_cli_pagerank_matches_snapshot() {
+    // Scheme mode where RPG2 qualifies a PC and sweeps its distance, and
+    // the schemes' speedups differ (mcf's window pins every speedup at 1).
+    run_golden(
+        env!("CARGO_BIN_EXE_prophet_cli"),
+        &[
+            "pagerank_100000_100",
+            "--insts",
+            "120000",
+            "--warmup",
+            "150000",
+            "--jobs",
+            "2",
+        ],
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/prophet_cli_pagerank.txt"
         ),
     );
 }

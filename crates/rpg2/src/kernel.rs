@@ -24,7 +24,7 @@ pub const MISS_SHARE_THRESHOLD: f64 = 0.10;
 pub const STRIDE_MODE_THRESHOLD: f64 = 0.5;
 
 /// Per-PC stream statistics gathered by one trace scan.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PcStream {
     /// Total loads from this PC.
     pub loads: u64,
@@ -48,7 +48,7 @@ impl PcStream {
 }
 
 /// Result of kernel identification for one workload.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelAnalysis {
     /// Per-PC stream statistics.
     pub streams: HashMap<u64, PcStream>,
@@ -84,9 +84,10 @@ struct RingSlot {
 
 /// Incremental trace scanner: feed instructions with [`KernelScan::observe`]
 /// in trace order, then [`KernelScan::finish`]. `KernelAnalysis::scan` is a
-/// one-call wrapper; the shared-sweep pipeline instead fuses the scan into
-/// the streaming pass it already makes (warm-up simulation + window
-/// materialization), so the trace is generated once, not once per analysis.
+/// one-call wrapper; the pipeline instead fuses the scan into the stream it
+/// already reads (the baseline pass's cursor, or the checkpointed sweep's
+/// warm-up skip and window materialization), so the trace is generated
+/// once, not once per analysis.
 #[derive(Debug)]
 pub struct KernelScan {
     pcs: FlatMap<ScanState>,

@@ -3,7 +3,9 @@
 use crate::kernel::{KernelAnalysis, KernelScan};
 use crate::swpf::Rpg2Prefetcher;
 use prophet_prefetch::{L2Prefetcher, NoL2Prefetch, StridePrefetcher};
-use prophet_sim_core::{simulate, SimReport, TraceSource, WarmStart};
+use prophet_sim_core::{
+    simulate, SimReport, Simulator, TraceCursor, TraceInst, TraceSource, WarmStart,
+};
 use prophet_sim_mem::SystemConfig;
 use std::collections::HashMap;
 
@@ -42,24 +44,45 @@ impl Rpg2Pipeline {
         }
     }
 
-    /// Identification: miss profile (baseline run) + trace scan.
-    pub fn identify(&self, workload: &dyn TraceSource) -> Vec<u64> {
-        let base = simulate(
-            &self.sys,
-            workload,
+    /// Identification's two inputs from one trace stream: the baseline
+    /// miss profile (stride L1, no L2 prefetcher, this window) and the
+    /// kernel scan. The scan rides the baseline pass's cursor and, after
+    /// the pass, reads on to the end of the trace, so it sees every
+    /// instruction [`KernelAnalysis::scan`] sees. The report is the plain
+    /// stride-L1 baseline run, bit for bit, so a harness that already
+    /// needs that baseline gets RPG2's identification with it.
+    pub fn baseline(&self, workload: &dyn TraceSource) -> (SimReport, KernelAnalysis) {
+        let mut cursor = Scanning {
+            inner: workload.cursor(),
+            scan: KernelScan::new(),
+        };
+        let report = Simulator::new(
+            self.sys.clone(),
             Box::new(StridePrefetcher::default()),
             Box::new(NoL2Prefetch),
-            self.warmup,
-            self.measure,
-        );
-        KernelAnalysis::scan(workload).qualify(&l2_misses(&base))
+        )
+        .run_cursor(&mut cursor, workload.name(), self.warmup, self.measure);
+        while cursor.next_inst().is_some() {}
+        (report, cursor.scan.finish())
     }
 
-    /// The full pipeline: identify, tune the distance by sweeping the
-    /// candidates, return the best run. With no qualified PCs the result is
-    /// the plain baseline (RPG2 inserts nothing — footnote 6's case).
-    pub fn run(&self, workload: &dyn TraceSource) -> Rpg2Result {
-        tune(&KernelAnalysis::scan(workload), |l2| {
+    /// Identification: the PCs that qualify on the baseline miss profile.
+    pub fn identify(&self, workload: &dyn TraceSource) -> Vec<u64> {
+        let (base, analysis) = self.baseline(workload);
+        analysis.qualify(&l2_misses(&base))
+    }
+
+    /// The rest of the pipeline after [`Rpg2Pipeline::baseline`]: qualify,
+    /// tune the distance by sweeping the candidates, return the best run.
+    /// With no qualified PCs the result is the baseline itself (RPG2
+    /// inserts nothing — footnote 6's case).
+    pub fn sweep(
+        &self,
+        workload: &dyn TraceSource,
+        base: SimReport,
+        analysis: &KernelAnalysis,
+    ) -> Rpg2Result {
+        tune(analysis, base, |l2| {
             simulate(
                 &self.sys,
                 workload,
@@ -71,18 +94,24 @@ impl Rpg2Pipeline {
         })
     }
 
+    /// The full pipeline: [`Rpg2Pipeline::baseline`], then
+    /// [`Rpg2Pipeline::sweep`].
+    pub fn run(&self, workload: &dyn TraceSource) -> Rpg2Result {
+        let (base, analysis) = self.baseline(workload);
+        self.sweep(workload, base, &analysis)
+    }
+
     /// The full pipeline launched from a shared warm-up checkpoint: the
     /// identification baseline and every distance candidate reuse the
     /// checkpointed machine state instead of re-simulating the warm-up
-    /// (RPG2 is the worst offender of the cold path — up to six warm-ups
-    /// per workload).
+    /// (the cold path simulates it once more per distance candidate).
     ///
     /// One streaming pass over the trace replaces the cold path's
-    /// per-pass cursor regeneration *and* the separate `scan` stream: the
-    /// warm-up prefix feeds the kernel scanner while being skipped, the
-    /// measurement window is materialized once, and every pass replays it
-    /// (bit-identical to the cursor path — see
-    /// `WarmStart::simulate_window`).
+    /// per-pass cursor regeneration: the warm-up prefix feeds the kernel
+    /// scanner while being skipped, the measurement window is
+    /// materialized once, and every pass replays it (bit-identical to the
+    /// cursor path — see `WarmStart::simulate_window`). Unlike
+    /// [`Rpg2Pipeline::baseline`], the scan stops at the window's end.
     pub fn run_warm(&self, workload: &dyn TraceSource, warm: &WarmStart) -> Rpg2Result {
         let mut scan = KernelScan::new();
         let mut cursor = workload.cursor();
@@ -105,7 +134,7 @@ impl Rpg2Pipeline {
             }
         }
         let name = workload.name();
-        tune(&scan.finish(), |l2| {
+        let pass = |l2: Box<dyn L2Prefetcher>| {
             warm.simulate_window(
                 &self.sys,
                 &name,
@@ -113,7 +142,22 @@ impl Rpg2Pipeline {
                 Box::new(StridePrefetcher::default()),
                 l2,
             )
-        })
+        };
+        tune(&scan.finish(), pass(Box::new(NoL2Prefetch)), pass)
+    }
+}
+
+/// A trace cursor that feeds every instruction it yields to a kernel scan.
+struct Scanning<'a> {
+    inner: Box<dyn TraceCursor + 'a>,
+    scan: KernelScan,
+}
+
+impl TraceCursor for Scanning<'_> {
+    fn next_inst(&mut self) -> Option<TraceInst> {
+        let inst = self.inner.next_inst()?;
+        self.scan.observe(&inst);
+        Some(inst)
     }
 }
 
@@ -126,16 +170,16 @@ fn l2_misses(base: &SimReport) -> HashMap<u64, u64> {
         .collect()
 }
 
-/// Baseline pass, qualification, then the distance sweep (every candidate,
-/// strict improvement wins, the first candidate takes ties). `pass` runs
-/// one measured simulation under the stride L1 and the given L2
-/// prefetcher. One baseline simulation serves identification and, when
+/// Qualification on the `base` miss profile, then the distance sweep
+/// (every candidate, strict improvement wins, the first candidate takes
+/// ties). `pass` runs one measured simulation under the stride L1 and the
+/// given L2 prefetcher. The baseline serves identification and, when
 /// nothing qualifies, *is* the result.
 fn tune(
     analysis: &KernelAnalysis,
+    mut base: SimReport,
     pass: impl Fn(Box<dyn L2Prefetcher>) -> SimReport,
 ) -> Rpg2Result {
-    let mut base = pass(Box::new(NoL2Prefetch));
     let qualified = analysis.qualify(&l2_misses(&base));
     if qualified.is_empty() {
         base.scheme = "rpg2".into();
@@ -197,6 +241,32 @@ mod tests {
         let pl = Rpg2Pipeline::new(SystemConfig::isca25(), 20_000, 120_000);
         let q = pl.identify(&crono_like());
         assert!(q.contains(&2), "the indirect PC must qualify, got {q:?}");
+    }
+
+    /// `baseline` is a plain stride-L1, no-L2 run plus a whole-trace
+    /// [`KernelAnalysis::scan`], from one stream: on a trace longer than
+    /// warm-up + measure (the scan must read on past the window) and on one
+    /// shorter than the warm-up.
+    #[test]
+    fn baseline_is_the_plain_run_and_the_whole_trace_scan() {
+        let (warmup, measure) = (20_000, 120_000);
+        let pl = Rpg2Pipeline::new(SystemConfig::isca25(), warmup, measure);
+        let long = crono_like();
+        let short = VecTrace::new("short", long.insts[..15_000].to_vec());
+        assert!(long.insts.len() as u64 > warmup + measure);
+        for w in [long, short] {
+            let (report, analysis) = pl.baseline(&w);
+            let plain = simulate(
+                &SystemConfig::isca25(),
+                &w,
+                Box::new(StridePrefetcher::default()),
+                Box::new(NoL2Prefetch),
+                warmup,
+                measure,
+            );
+            assert_eq!(report, plain, "{}", w.label);
+            assert_eq!(analysis, KernelAnalysis::scan(&w), "{}", w.label);
+        }
     }
 
     #[test]

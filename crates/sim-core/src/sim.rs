@@ -8,7 +8,7 @@
 
 use crate::engine::{Engine, EngineSnapshot, MemBackend};
 use crate::report::SimReport;
-use crate::trace::{TraceInst, TraceSource};
+use crate::trace::{TraceCursor, TraceInst, TraceSource};
 use prophet_prefetch::{L1Prefetcher, L2Prefetcher, RecentFilter};
 use prophet_sim_mem::addr::{Addr, Cycle, Pc};
 use prophet_sim_mem::config::SystemConfig;
@@ -109,6 +109,20 @@ impl Simulator {
     /// after warm-up.
     pub fn run(&mut self, source: &dyn TraceSource, warmup: u64, measure: u64) -> SimReport {
         let mut cursor = source.cursor();
+        self.run_cursor(&mut *cursor, source.name(), warmup, measure)
+    }
+
+    /// [`Simulator::run`] over a cursor the caller owns, reporting under
+    /// `name`. The cursor is left just past the measured window, so a
+    /// caller that observes every instruction it yields (RPG2's kernel
+    /// scan) can read on to the end of the trace.
+    pub fn run_cursor(
+        &mut self,
+        cursor: &mut dyn TraceCursor,
+        name: String,
+        warmup: u64,
+        measure: u64,
+    ) -> SimReport {
         let mut fed = 0u64;
         while fed < warmup {
             match cursor.next_inst() {
@@ -126,7 +140,7 @@ impl Simulator {
             }
             measured += 1;
         }
-        self.report(source.name())
+        self.report(name)
     }
 
     /// Restores the scheme-independent machine state of a warm-up
