@@ -10,9 +10,9 @@ use prophet::{
 use prophet_prefetch::{
     IpcpPrefetcher, L1Prefetcher, L2Prefetcher, NoL2Prefetch, StridePrefetcher,
 };
-use prophet_rpg2::{Rpg2Pipeline, Rpg2Result};
+use prophet_rpg2::{tune, KernelAnalysis, KernelScan, Rpg2Result};
 use prophet_sim_core::{
-    simulate, Engine, MemBackend, SimReport, TraceInst, TraceSource, WarmStart,
+    simulate, Engine, MemBackend, SimReport, Simulator, TraceInst, TraceSource, WarmStart,
 };
 use prophet_sim_mem::addr::{Addr, Cycle, Pc};
 use prophet_sim_mem::{Hierarchy, SystemConfig};
@@ -228,40 +228,62 @@ impl Harness {
         }
     }
 
-    /// RPG2 with its identify → instrument → tune pipeline.
+    /// RPG2's identification inputs from one trace stream: the baseline
+    /// miss profile (this harness's L1, no L2 prefetcher, this window, from
+    /// a cold start) and the kernel scan. The scan rides the pass's cursor
+    /// and, after the pass, reads on to the end of the trace, so it sees
+    /// every instruction [`KernelAnalysis::scan`] sees. The report is the
+    /// cold [`Scheme::Baseline`] run, bit for bit, so a Baseline cell gets
+    /// RPG2's identification with it.
+    pub fn rpg2_identify(&self, w: &dyn TraceSource) -> (SimReport, KernelAnalysis) {
+        let mut scan = KernelScan::new();
+        let mut cursor = w.cursor();
+        let mut insts = std::iter::from_fn(|| cursor.next_inst()).inspect(|i| scan.observe(i));
+        let report = Simulator::new(self.sys.clone(), self.l1.build(), Box::new(NoL2Prefetch))
+            .run_cursor(&mut insts, w.name(), self.warmup, self.measure);
+        insts.for_each(drop);
+        (report, scan.finish())
+    }
+
+    /// RPG2 from a cold start: [`Harness::rpg2_identify`], then [`tune`]
+    /// over cold passes on this harness's machine.
     ///
     /// Multi-pass pipelines deliberately re-stream the generator on every
     /// pass: the synthetic workloads' working set (the graph itself) is
     /// cache-resident, so regeneration is cheaper than replaying a
     /// materialized multi-megabyte instruction buffer from DRAM.
     pub fn rpg2(&self, w: &dyn TraceSource) -> Rpg2Result {
-        self.rpg2_pipeline().run(w)
+        let (base, analysis) = self.rpg2_identify(w);
+        tune(&analysis, base, |l2| {
+            self.pass(w, Start::Cold, None, self.l1.build(), l2)
+        })
     }
 
-    /// RPG2's pipeline from a shared warm-up checkpoint (every internal
-    /// pass warm-starts).
+    /// RPG2 from a shared warm-up checkpoint: one stream feeds the kernel
+    /// scan while it skips the warm-up and materializes the measurement
+    /// window, and the identification baseline and every distance
+    /// candidate replay that window from the checkpointed machine. Unlike
+    /// [`Harness::rpg2_identify`], the scan stops at the window's end.
     pub fn rpg2_warm(&self, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> Rpg2Result {
-        self.rpg2_pipeline().run_warm(w, &ckpt.warm)
-    }
-
-    fn rpg2_pipeline(&self) -> Rpg2Pipeline {
-        Rpg2Pipeline::new(self.sys.clone(), self.warmup, self.measure)
-    }
-
-    /// Whether RPG2's identification pass (stride L1, no L2 prefetcher,
-    /// this window, from a cold start) is the Baseline run from `start`.
-    fn rpg2_rides_baseline(&self, start: Start) -> bool {
-        self.l1 == L1Scheme::Stride && matches!(start, Start::Cold)
+        let mut scan = KernelScan::new();
+        let mut cursor = w.cursor();
+        let insts = std::iter::from_fn(|| cursor.next_inst()).inspect(|i| scan.observe(i));
+        let window = self.window(insts, ckpt.warm.warmup);
+        let name = w.name();
+        let pass = |l2: Box<dyn L2Prefetcher>| {
+            ckpt.warm
+                .simulate_window(&self.sys, &name, &window, self.l1.build(), l2)
+        };
+        tune(&scan.finish(), pass(Box::new(NoL2Prefetch)), pass)
     }
 
     /// The cells that run `schemes` on one workload from `start`, in
     /// order, each as the schemes it runs: one cell per scheme, except that
-    /// RPG2 rides the Baseline cell when `schemes` holds both and RPG2's
-    /// identification pass is that very baseline run (a cold start under
-    /// the stride L1). From a checkpoint, or under IPCP, RPG2 keeps a cell
-    /// and a baseline pass of its own.
+    /// RPG2 rides the Baseline cell when `schemes` holds both and the start
+    /// is cold, where RPG2's identification pass is that very baseline run.
+    /// From a checkpoint RPG2 keeps a cell and a baseline pass of its own.
     pub fn cells(&self, schemes: &[Scheme], start: Start) -> Vec<Vec<Scheme>> {
-        let rides = self.rpg2_rides_baseline(start)
+        let rides = matches!(start, Start::Cold)
             && schemes.contains(&Scheme::Baseline)
             && schemes.contains(&Scheme::Rpg2);
         let mut cells: Vec<Vec<Scheme>> = Vec::with_capacity(schemes.len());
@@ -278,13 +300,14 @@ impl Harness {
     /// Runs one cell of [`Harness::cells`] on `w` from `start`: one
     /// outcome per scheme, in the cell's order. A Baseline cell that
     /// carries RPG2 simulates the baseline once, through
-    /// [`Rpg2Pipeline::baseline`], and hands it to RPG2's distance sweep.
+    /// [`Harness::rpg2_identify`], and hands it to RPG2's distance sweep.
     pub fn run_cell(&self, cell: &[Scheme], w: &dyn TraceSource, start: Start) -> Vec<Outcome> {
         match cell {
-            [Scheme::Baseline, Scheme::Rpg2] if self.rpg2_rides_baseline(start) => {
-                let pipeline = self.rpg2_pipeline();
-                let (base, analysis) = pipeline.baseline(w);
-                let rpg2 = pipeline.sweep(w, base.clone(), &analysis);
+            [Scheme::Baseline, Scheme::Rpg2] if matches!(start, Start::Cold) => {
+                let (base, analysis) = self.rpg2_identify(w);
+                let rpg2 = tune(&analysis, base.clone(), |l2| {
+                    self.pass(w, Start::Cold, None, self.l1.build(), l2)
+                });
                 vec![Outcome::Sim(base), Outcome::Rpg2(rpg2)]
             }
             _ => cell.iter().map(|&s| self.run(s, w, start)).collect(),
@@ -476,13 +499,8 @@ impl Harness {
             observer: TemporalEngine::new(TemporalConfig::simplified_profiling()),
         };
         let mut cursor = w.cursor();
-        let mut fed = 0u64;
-        while fed < self.warmup {
-            match cursor.next_inst() {
-                Some(inst) => engine.step(&inst, &mut machine),
-                None => break,
-            }
-            fed += 1;
+        for inst in std::iter::from_fn(|| cursor.next_inst()).take(self.warmup as usize) {
+            engine.step(&inst, &mut machine);
         }
         WarmupCheckpoint {
             warm: WarmStart {
@@ -533,22 +551,15 @@ impl Harness {
     /// scheme-independent work out of the cell wall clocks.
     pub fn materialize_window(&self, w: &dyn TraceSource, skip: u64) -> Vec<TraceInst> {
         let mut cursor = w.cursor();
-        let mut skipped = 0u64;
-        while skipped < skip {
-            if cursor.next_inst().is_none() {
-                break;
-            }
-            skipped += 1;
-        }
+        self.window(std::iter::from_fn(|| cursor.next_inst()), skip)
+    }
+
+    /// Skips `skip` instructions of `insts`, then collects up to
+    /// `self.measure`.
+    fn window(&self, mut insts: impl Iterator<Item = TraceInst>, skip: u64) -> Vec<TraceInst> {
+        for _ in insts.by_ref().take(skip as usize) {}
         let mut window = Vec::with_capacity(self.measure.min(1 << 24) as usize);
-        let mut got = 0u64;
-        while got < self.measure {
-            match cursor.next_inst() {
-                Some(inst) => window.push(inst),
-                None => break,
-            }
-            got += 1;
-        }
+        window.extend(insts.take(self.measure as usize));
         window
     }
 }
@@ -592,8 +603,8 @@ impl Harness {
     /// Runs the full scheme×workload grid, fanning the cells
     /// ([`Harness::cells`] of [`MATRIX_SCHEMES`] per workload) across
     /// `jobs` scoped threads, and returns one [`SchemeRow`] per workload
-    /// *in input order*. Without a store, under the stride L1, RPG2 rides
-    /// the Baseline cell: its identification pass is that baseline run.
+    /// *in input order*. Without a store RPG2 rides the Baseline cell: its
+    /// identification pass is that baseline run.
     ///
     /// Determinism: every cell simulates a fresh cursor of a deterministic
     /// workload on a fresh machine, so no cell depends on which worker runs

@@ -1,7 +1,6 @@
 //! The cold grid shares one simulation between the Baseline cell and RPG2's
-//! identification pass when the harness L1 is stride, and keeps them apart
-//! under IPCP. Either way every row must equal what the two schemes give
-//! when run on their own: `Harness::run(Scheme::Baseline, ..)` and
+//! identification pass, under either L1. Every row must equal what the two
+//! schemes give when run on their own: `Harness::run(Scheme::Baseline, ..)` and
 //! `Harness::rpg2`. The workloads cover both RPG2 outcomes: on
 //! `pagerank_100000_100` a PC qualifies and the distance sweep runs, on
 //! `mcf` nothing qualifies and the result is the baseline itself.
@@ -47,23 +46,21 @@ fn grid_rows_equal_the_standalone_baseline_and_rpg2() {
 }
 
 #[test]
-fn rpg2_rides_the_baseline_cell_only_from_a_cold_start_under_stride() {
+fn rpg2_rides_the_baseline_cell_only_from_a_cold_start() {
     let stride = Harness::default();
     let ipcp = Harness {
         l1: L1Scheme::Ipcp,
         ..Harness::default()
     };
     let matrix = MATRIX_SCHEMES;
-    assert_eq!(
-        stride.cells(&matrix, Start::Cold),
-        [
-            vec![Scheme::Baseline, Scheme::Rpg2],
-            vec![Scheme::Triangel],
-            vec![Scheme::Prophet],
-        ]
-    );
+    let shared = [
+        vec![Scheme::Baseline, Scheme::Rpg2],
+        vec![Scheme::Triangel],
+        vec![Scheme::Prophet],
+    ];
+    assert_eq!(stride.cells(&matrix, Start::Cold), shared);
+    assert_eq!(ipcp.cells(&matrix, Start::Cold), shared);
     let apart: Vec<Vec<Scheme>> = matrix.iter().map(|&s| vec![s]).collect();
-    assert_eq!(ipcp.cells(&matrix, Start::Cold), apart);
     let short = Harness {
         warmup: 1_000,
         ..Harness::default()
@@ -74,6 +71,11 @@ fn rpg2_rides_the_baseline_cell_only_from_a_cold_start_under_stride() {
         store: None,
     };
     assert_eq!(short.cells(&matrix, warm), apart);
+    let short_ipcp = Harness {
+        l1: L1Scheme::Ipcp,
+        ..short.clone()
+    };
+    assert_eq!(short_ipcp.cells(&matrix, warm), apart);
     assert_eq!(
         stride.cells(&[Scheme::Baseline, Scheme::Triage4], Start::Cold),
         [vec![Scheme::Baseline], vec![Scheme::Triage4]],

@@ -1,5 +1,5 @@
 //! Reference test for the checkpoint-shared RPG2 tune path: the shared
-//! sweep (`Rpg2Pipeline::run_warm` — one warm-up, one materialized
+//! sweep (`Harness::rpg2_warm` — one warm-up, one materialized
 //! window, every pass replayed from the snapshot) must be **bit-identical**
 //! to a reference that launches every pass through `WarmStart::simulate`'s
 //! cursor path (fresh trace re-stream + skip per pass) from the same
@@ -8,11 +8,14 @@
 //! test is what pins the construction — for a workload whose distance
 //! sweep actually runs, and for one where nothing qualifies.
 
+use prophet_bench::Harness;
 use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
-use prophet_rpg2::{KernelScan, Rpg2Pipeline, Rpg2Prefetcher, Rpg2Result, DISTANCE_CANDIDATES};
+use prophet_rpg2::{KernelScan, Rpg2Prefetcher, Rpg2Result, DISTANCE_CANDIDATES};
 use prophet_sim_core::trace::{TraceInst, VecTrace};
 use prophet_sim_core::{Simulator, TraceSource, WarmStart};
 use prophet_sim_mem::{Addr, Pc, SystemConfig};
+use prophet_store::WarmupCheckpoint;
+use prophet_temporal::{TemporalConfig, TemporalEngine};
 use prophet_workloads::workload_sized;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,6 +114,29 @@ fn reference(
     (result, warm)
 }
 
+/// The subject: `Harness::rpg2_warm` from the reference's warm-up, wrapped
+/// in a checkpoint whose temporal half (which RPG2 never reads) is an
+/// untrained engine's.
+fn shared(
+    sys: SystemConfig,
+    warmup: u64,
+    measure: u64,
+    w: &dyn TraceSource,
+    warm: WarmStart,
+) -> Rpg2Result {
+    let h = Harness {
+        sys,
+        warmup,
+        measure,
+        ..Harness::default()
+    };
+    let ckpt = WarmupCheckpoint {
+        warm,
+        temporal: TemporalEngine::new(TemporalConfig::simplified_profiling()).warmup_snapshot(),
+    };
+    h.rpg2_warm(w, &ckpt)
+}
+
 /// A CRONO-flavoured indirect workload (strided kernel feeding locally
 /// clustered indirect targets) that is known to qualify and tune.
 fn qualifying_workload() -> VecTrace {
@@ -135,7 +161,7 @@ fn shared_sweep_matches_cursor_path_reference_when_tuning() {
     let (warmup, measure) = (20_000u64, 120_000u64);
     let w = qualifying_workload();
     let (reference, warm) = reference(&sys, warmup, measure, &w);
-    let shared = Rpg2Pipeline::new(sys, warmup, measure).run_warm(&w, &warm);
+    let shared = shared(sys, warmup, measure, &w, warm);
     assert!(
         shared.distance.is_some(),
         "the workload must exercise the distance sweep for this test to bite"
@@ -152,7 +178,7 @@ fn shared_sweep_matches_cursor_path_reference_without_qualifiers() {
     let (warmup, measure) = (20_000u64, 60_000u64);
     let w = workload_sized("bfs_80000_8", warmup + measure);
     let (reference, warm) = reference(&sys, warmup, measure, w.as_ref());
-    let shared = Rpg2Pipeline::new(sys, warmup, measure).run_warm(w.as_ref(), &warm);
+    let shared = shared(sys, warmup, measure, w.as_ref(), warm);
     assert_eq!(shared, reference);
     assert_eq!(
         shared.report.scheme, "rpg2",

@@ -84,7 +84,7 @@ struct RingSlot {
 
 /// Incremental trace scanner: feed instructions with [`KernelScan::observe`]
 /// in trace order, then [`KernelScan::finish`]. `KernelAnalysis::scan` is a
-/// one-call wrapper; the pipeline instead fuses the scan into the stream it
+/// one-call wrapper; the harness instead fuses the scan into the stream it
 /// already reads (the baseline pass's cursor, or the checkpointed sweep's
 /// warm-up skip and window materialization), so the trace is generated
 /// once, not once per analysis.

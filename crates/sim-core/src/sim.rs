@@ -113,9 +113,10 @@ impl Simulator {
     }
 
     /// [`Simulator::run`] over a cursor the caller owns, reporting under
-    /// `name`. The cursor is left just past the measured window, so a
-    /// caller that observes every instruction it yields (RPG2's kernel
-    /// scan) can read on to the end of the trace.
+    /// `name`: the one measurement loop (a warm start restores its machine
+    /// and calls it with `warmup` 0). The cursor is left just past the
+    /// measured window, so a caller that observes every instruction it
+    /// yields (RPG2's kernel scan) can read on to the end of the trace.
     pub fn run_cursor(
         &mut self,
         cursor: &mut dyn TraceCursor,
@@ -155,46 +156,6 @@ impl Simulator {
         let now = self.engine.now();
         let k = self.memsys.l2pf.meta_ways().min(MAX_META_WAYS);
         self.memsys.mem.set_llc_meta_ways(k, now);
-    }
-
-    /// Runs the measurement phase of a warm-started simulation: fast-forwards
-    /// `skip` instructions of the trace *without simulating them* (they are
-    /// the warm-up the restored state already accounts for), then measures
-    /// `measure` instructions. Statistics are reset at the boundary exactly
-    /// as [`Simulator::run`] does.
-    pub fn run_measure(&mut self, source: &dyn TraceSource, skip: u64, measure: u64) -> SimReport {
-        let mut cursor = source.cursor();
-        let mut skipped = 0u64;
-        while skipped < skip {
-            if cursor.next_inst().is_none() {
-                break;
-            }
-            skipped += 1;
-        }
-        self.reset_stats();
-        let mut measured = 0u64;
-        while measured < measure {
-            match cursor.next_inst() {
-                Some(inst) => self.step(&inst),
-                None => break,
-            }
-            measured += 1;
-        }
-        self.report(source.name())
-    }
-
-    /// Measures a pre-materialized instruction window: resets statistics
-    /// (the warm-up boundary) and feeds every instruction of `window`.
-    /// Feeding a slice is bit-identical to feeding the same instructions
-    /// from a cursor — sweeps that measure one window many times (RPG2's
-    /// distance tuner, Prophet's profile + optimized passes) materialize
-    /// it once instead of regenerating the whole trace per pass.
-    pub fn run_measure_window(&mut self, name: &str, window: &[TraceInst]) -> SimReport {
-        self.reset_stats();
-        for inst in window {
-            self.step(inst);
-        }
-        self.report(name.to_string())
     }
 
     /// Feeds a single instruction (exposed for incremental drivers/tests).
@@ -277,15 +238,17 @@ impl WarmStart {
         l2pf: Box<dyn L2Prefetcher>,
         measure: u64,
     ) -> SimReport {
+        let mut cursor = source.cursor();
+        for _ in std::iter::from_fn(|| cursor.next_inst()).take(self.warmup as usize) {}
         let mut sim = Simulator::new(cfg.clone(), l1pf, l2pf);
         sim.restore_warmup(&self.engine, &self.memory);
-        sim.run_measure(source, self.warmup, measure)
+        sim.run_cursor(&mut *cursor, source.name(), 0, measure)
     }
 
     /// [`WarmStart::simulate`] over a pre-materialized measurement window
     /// (the `measure` instructions that follow the warm-up). Bit-identical
-    /// to the cursor path — `run_measure`'s fast-forward does not simulate
-    /// the skipped instructions, so only the fed window matters — while
+    /// to the cursor path — [`WarmStart::simulate`] skips the warm-up
+    /// without simulating it, so only the fed window matters — while
     /// letting a multi-pass sweep regenerate the trace once instead of
     /// once per pass.
     pub fn simulate_window(
@@ -298,7 +261,8 @@ impl WarmStart {
     ) -> SimReport {
         let mut sim = Simulator::new(cfg.clone(), l1pf, l2pf);
         sim.restore_warmup(&self.engine, &self.memory);
-        sim.run_measure_window(name, window)
+        let measure = window.len() as u64;
+        sim.run_cursor(&mut window.iter().copied(), name.to_string(), 0, measure)
     }
 }
 

@@ -601,12 +601,6 @@ impl Hierarchy {
     /// here — `Cache::fill` debug-asserts the invariant.
     fn fill_l2(&mut self, state: LineState, now: Cycle) {
         if let Some(ev) = self.l2.fill(state) {
-            if ev.state.prefetched {
-                if let Some(trigger) = ev.state.trigger_pc {
-                    // Useless prefetch: evicted before any demand touch.
-                    let _ = trigger; // per-PC uselessness = issued - useful
-                }
-            }
             self.fill_llc(ev.state, now);
         }
     }

@@ -153,8 +153,6 @@ pub struct TemporalEngine {
     seq: u64,
     bloom: CountingBloom,
     window_events: u64,
-    window_lookups: u64,
-    window_hits: u64,
     /// The Set Dueller's sampled shadow: a full-size (8-way) miniature
     /// table covering 1/32 of the sets, estimating the hit rate a
     /// maximum-size table would achieve regardless of the current size.
@@ -188,8 +186,6 @@ impl TemporalEngine {
             seq: 0,
             bloom: CountingBloom::new(1 << 16, 3),
             window_events: 0,
-            window_lookups: 0,
-            window_hits: 0,
             shadow,
             shadow_lookups: 0,
             shadow_hits: 0,
@@ -390,7 +386,6 @@ impl TemporalEngine {
         // Predict: chained lookups up to the degree.
         let mut targets = SmallList::default();
         if allow_prefetch && self.table.ways() > 0 {
-            let before = self.table.stats();
             let mut cur = line;
             for _ in 0..self.cfg.degree {
                 match self.table.lookup(cur) {
@@ -401,9 +396,6 @@ impl TemporalEngine {
                     None => break,
                 }
             }
-            let after = self.table.stats();
-            self.window_lookups += after.lookups - before.lookups;
-            self.window_hits += after.hits - before.hits;
         }
         // Resize policy.
         let resize = self.maybe_resize();
@@ -435,11 +427,8 @@ impl TemporalEngine {
                     return None;
                 }
                 self.window_events = 0;
-                let rate_cur = self.window_hits as f64 / self.window_lookups.max(1) as f64;
                 let rate_full = self.shadow_hits as f64 / self.shadow_lookups.max(1) as f64;
                 let sampled = self.shadow_lookups;
-                self.window_lookups = 0;
-                self.window_hits = 0;
                 self.shadow_lookups = 0;
                 self.shadow_hits = 0;
                 let cur = self.table.ways();
@@ -452,7 +441,6 @@ impl TemporalEngine {
                 // Proportional target, one doubling/halving step per
                 // window for hysteresis. The floor of 2 ways matches
                 // Triangel's smallest duelled configuration.
-                let _ = rate_cur;
                 let target = ((self.cfg.table.max_ways as f64) * rate_full).round() as usize;
                 let target = target.clamp(2, self.cfg.table.max_ways);
                 let ways = if sampled < 64 {
