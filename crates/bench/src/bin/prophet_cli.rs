@@ -140,6 +140,10 @@ fn print_hints(verb: &str, name: &str, hints: &HintSet) {
 }
 
 /// Step 1/3: profile `name` and merge into the store's artifact.
+///
+/// The load → learn → save cycle takes no lock: two concurrent `profile`
+/// runs on one key can both resume loop `l`, and the later save drops the
+/// other's loop. Each save still publishes a whole artifact.
 fn cmd_profile(args: &RunArgs, name: &str) {
     let store = args.open_store().expect("a needed flag");
     let h = args.harness(Harness::default());

@@ -27,11 +27,6 @@ impl Rpg2Prefetcher {
         }
     }
 
-    /// Number of instrumented PCs.
-    pub fn instrumented_pcs(&self) -> usize {
-        self.distances.len()
-    }
-
     /// Software prefetches issued.
     pub fn issued(&self) -> u64 {
         self.issued
@@ -104,7 +99,6 @@ mod tests {
     #[test]
     fn zero_table_means_no_prefetches() {
         let mut p = Rpg2Prefetcher::default();
-        assert_eq!(p.instrumented_pcs(), 0);
         assert!(p.on_l2_access(&event(1, 1)).prefetches.is_empty());
         assert_eq!(p.meta_stats(), MetaTableStats::default());
     }

@@ -20,8 +20,8 @@
 //!   (and therefore hint sets byte-identical to the offline
 //!   `prophet_cli profile → optimize` pipeline);
 //! * [`state`] — [`ServiceState`]: the per-workload registry, two-level
-//!   locking (registry lookup lock + per-key entry locks + the store's
-//!   per-key advisory file locks), generation rules, startup recovery;
+//!   locking (registry lookup lock + per-key entry locks; the store's
+//!   atomic renames need none), generation rules, startup recovery;
 //! * [`server`] — [`Server`]: `TcpListener` + a fixed worker-thread pool
 //!   (std-only; the build environment is offline);
 //! * [`client`] — [`ServiceClient`]: the blocking client library under

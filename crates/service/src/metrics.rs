@@ -65,7 +65,6 @@ pub struct ServiceMetrics {
     submissions_fresh: AtomicU64,
     submissions_duplicate: AtomicU64,
     merges_total: AtomicU64,
-    optimizes_total: AtomicU64,
     fetches_served: AtomicU64,
     fetch_store_fallbacks: AtomicU64,
     recovered_submissions: AtomicU64,
@@ -88,11 +87,6 @@ impl ServiceMetrics {
         self.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Connections currently being served.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-
     /// One request of kind `op` finished after `took`.
     pub fn record_request(&self, op: Op, took: Duration) {
         Self::inc(&self.requests_total[op.index()]);
@@ -109,14 +103,9 @@ impl ServiceMetrics {
         });
     }
 
-    /// A canonical re-merge was written to the store.
+    /// A canonical re-merge was written to the store and re-analyzed.
     pub fn record_merge(&self) {
         Self::inc(&self.merges_total);
-    }
-
-    /// An analysis (optimize) pass ran.
-    pub fn record_optimize(&self) {
-        Self::inc(&self.optimizes_total);
     }
 
     /// A hint set was served; `fallback` = from the store rather than the
@@ -136,11 +125,6 @@ impl ServiceMetrics {
     /// A request was answered with the given error code.
     pub fn record_error(&self, code: ErrorCode) {
         Self::inc(&self.errors_total[code as u8 as usize - 1]);
-    }
-
-    /// Total submissions seen (fresh + duplicate).
-    pub fn submissions_total(&self) -> u64 {
-        self.submissions_total.load(Ordering::Relaxed)
     }
 
     /// Appends the service-level metrics lines (store and per-key lines
@@ -188,7 +172,6 @@ impl ServiceMetrics {
             g(&self.submissions_duplicate),
         );
         line("prophet_service_merges_total", g(&self.merges_total));
-        line("prophet_service_optimizes_total", g(&self.optimizes_total));
         line("prophet_service_fetches_served", g(&self.fetches_served));
         line(
             "prophet_service_fetch_store_fallbacks",

@@ -2,12 +2,12 @@
 //!
 //! Locking is two-level. The registry lock (a plain mutex over the
 //! `BTreeMap`) is held only to look up or create an entry `Arc`; all real
-//! work — deduplication, the canonical merge, analysis — happens under the
-//! *per-key* entry mutex, so submissions to different workloads never
-//! contend. Store writes additionally go through the store's per-key
-//! advisory file lock ([`ArtifactStore::update_profile`]), which extends
-//! the no-lost-update guarantee across daemon *processes* sharing one
-//! store directory.
+//! work — deduplication, the canonical merge, analysis, and the store
+//! writes — happens under the *per-key* entry mutex, so submissions to
+//! different workloads never contend. The store itself takes no lock: the
+//! merged profile is rebuilt from the submission set on every generation,
+//! not merged into what is on disk, so [`ArtifactStore::save_profile`]'s
+//! atomic last-writer-wins rename is all it needs.
 //!
 //! Generation rule: a key's generation equals its number of *distinct*
 //! submissions (byte-identical resubmissions dedup, see
@@ -20,8 +20,8 @@ use crate::proto::{ErrorCode, SubmitAck};
 use crate::PROFILE_SUB_TAG;
 use prophet::{analyze, AnalysisConfig, ProfileCounters};
 use prophet_store::{
-    decode_profile, encode_counters, encode_hints, fnv1a, store_warn, ArtifactStore,
-    ProfileArtifact, StoreError, StoreKey,
+    decode_profile, encode_counters, encode_hints, fnv1a, ArtifactStore, ProfileArtifact,
+    StoreError, StoreKey,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -219,25 +219,18 @@ impl ServiceState {
             .cloned()
     }
 
-    /// Re-merges the entry's submissions canonically, persists the merged
-    /// artifact under the store's per-key lock, re-analyzes, and refreshes
-    /// the hint cache. Requires at least one submission.
+    /// Re-merges the entry's submissions canonically, publishes the merged
+    /// profile under the plain key, re-analyzes, and refreshes the hint
+    /// cache. Requires at least one submission.
     fn reoptimize(&self, e: &mut WorkloadEntry) -> Result<(), ServiceError> {
         let merged = merge_canonical(&e.submissions).expect("reoptimize on empty submission set");
-        self.store.update_profile(&e.key, |_| merged.clone())?;
+        self.store.save_profile(&e.key, &merged)?;
         self.metrics.record_merge();
         let hints = analyze(&merged.counters, &self.analysis);
-        if let Err(err) = self.store.save_hints(&e.key, &hints) {
-            store_warn(format_args!(
-                "warning: failed to persist hints for '{}': {err}",
-                e.key.workload
-            ));
-        }
         e.hints = Some(HintsCache {
             generation: e.generation,
             bytes: encode_hints(&e.key, &hints),
         });
-        self.metrics.record_optimize();
         Ok(())
     }
 

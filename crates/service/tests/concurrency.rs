@@ -8,7 +8,7 @@ use prophet::{analyze, AnalysisConfig, PcProfile, ProfileCounters};
 use prophet_service::{
     merge_profiles, ServeConfig, Server, ServerHandle, ServiceClient, ServiceState,
 };
-use prophet_store::{encode_hints, StoreKey};
+use prophet_store::{encode_hints, ArtifactKind, ArtifactStore, StoreKey};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 
@@ -205,8 +205,16 @@ fn restart_recovers_submissions_from_the_store() {
         drop(client);
         stop_daemon(handle, join);
     }
+    // A writer killed mid-write leaves debris beside the merged profile: a
+    // fresh `.lock` file and a temp file that was never renamed into place.
+    let merged = ArtifactStore::open(&dir)
+        .unwrap()
+        .path_for(ArtifactKind::Profile, &k);
+    std::fs::write(merged.with_extension("lock"), b"").unwrap();
+    std::fs::write(merged.with_extension("tmp.4242"), b"PRPHSTOR half-writ").unwrap();
     // A fresh daemon over the same store dir resumes at generation 3 and
     // serves identical bytes.
+    let restarted = std::time::Instant::now();
     let (handle, join) = start_daemon(&dir, 4);
     let mut client = ServiceClient::connect(handle.addr()).unwrap();
     assert_eq!(client.fetch_hints_bytes(&k).unwrap(), reference);
@@ -220,6 +228,20 @@ fn restart_recovers_submissions_from_the_store() {
     assert!(
         metrics.contains("prophet_service_recovered_submissions 3"),
         "{metrics}"
+    );
+    // The debris neither blocks nor corrupts the next generation.
+    let ack = client.submit(&k, &profile(3)).unwrap();
+    let took = restarted.elapsed();
+    assert!(ack.fresh);
+    assert_eq!(ack.generation, 4);
+    assert!(
+        took < std::time::Duration::from_secs(5),
+        "generation 4 came {took:?} after the restart"
+    );
+    let all: Vec<_> = (0..4).map(profile).collect();
+    assert_eq!(
+        client.fetch_hints_bytes(&k).unwrap(),
+        serial_reference(&k, &all)
     );
     stop_daemon(handle, join);
     std::fs::remove_dir_all(dir).ok();

@@ -30,12 +30,6 @@ impl Addr {
         Line(self.0 >> LINE_SHIFT)
     }
 
-    /// Offset of this byte within its cache line.
-    #[inline]
-    pub fn line_offset(self) -> u64 {
-        self.0 & (LINE_BYTES - 1)
-    }
-
     /// The byte address `delta` bytes away (wrapping; the simulated address
     /// space is a plain `u64`).
     #[inline]
@@ -67,12 +61,6 @@ impl fmt::LowerHex for Addr {
 pub struct Line(pub u64);
 
 impl Line {
-    /// First byte address of this line.
-    #[inline]
-    pub fn base_addr(self) -> Addr {
-        Addr(self.0 << LINE_SHIFT)
-    }
-
     /// The line `delta` lines away (wrapping).
     #[inline]
     pub fn offset(self, delta: i64) -> Line {
@@ -133,21 +121,6 @@ mod tests {
         assert_eq!(Addr(63).line(), Line(0));
         assert_eq!(Addr(64).line(), Line(1));
         assert_eq!(Addr(0x1_0040).line(), Line(0x401));
-    }
-
-    #[test]
-    fn line_offset_within_line() {
-        assert_eq!(Addr(0).line_offset(), 0);
-        assert_eq!(Addr(63).line_offset(), 63);
-        assert_eq!(Addr(64).line_offset(), 0);
-        assert_eq!(Addr(100).line_offset(), 36);
-    }
-
-    #[test]
-    fn line_base_addr_roundtrip() {
-        let l = Line(0x1234);
-        assert_eq!(l.base_addr().line(), l);
-        assert_eq!(l.base_addr().line_offset(), 0);
     }
 
     #[test]

@@ -62,7 +62,5 @@ pub use artifact::{
 };
 pub use codec::{DecodeError, Decoder, Encoder};
 pub use key::{config_digest, fnv1a, StoreKey};
-pub use store::{
-    read_hints_file, write_hints_file, ArtifactStore, KeyLockGuard, StoreActivity, StoreError,
-};
+pub use store::{read_hints_file, write_hints_file, ArtifactStore, StoreActivity, StoreError};
 pub use warn::store_warn;

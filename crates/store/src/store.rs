@@ -1,12 +1,13 @@
 //! The on-disk, content-addressed artifact cache.
 //!
 //! A store is a flat directory of `<kind>-<digest>.bin` files. Saves are
-//! atomic (write to a `.tmp` sibling, then rename) so a crashed or
-//! concurrent run never leaves a half-written artifact where a later run
-//! would trip over it. Loads are forgiving: a missing file, a key echo
-//! that does not match (digest collision), or an unreadable/corrupt file
-//! all degrade to `Ok(None)` misses or typed errors — never a panic — so a
-//! polluted store costs a recompute, not an experiment.
+//! atomic (write to a temp sibling unique to the write, then rename), so a
+//! crashed or concurrent run never leaves a half-written artifact where a
+//! later run would trip over it, and concurrent writers of one artifact
+//! resolve last-writer-wins. Loads are forgiving: a missing file, a key
+//! echo that does not match (digest collision), or an unreadable/corrupt
+//! file all degrade to `Ok(None)` misses or typed errors — never a panic —
+//! so a polluted store costs a recompute, not an experiment.
 
 use crate::artifact::{
     decode_checkpoint, decode_hints, decode_profile, encode_checkpoint, encode_hints,
@@ -14,12 +15,10 @@ use crate::artifact::{
 };
 use crate::codec::DecodeError;
 use crate::key::StoreKey;
-use crate::warn::store_warn;
 use prophet::HintSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Anything that can go wrong talking to a store.
 #[derive(Debug)]
@@ -69,48 +68,44 @@ pub struct StoreActivity {
     pub hints_reused: u64,
 }
 
-/// How long a per-key lock file may sit untouched before waiters treat its
-/// holder as dead, break the lock (with a [`store_warn`] advisory), and
-/// proceed. Every legitimate critical section is a read-merge-write of one
-/// small artifact — microseconds, not seconds.
-const LOCK_STALE_AFTER: Duration = Duration::from_secs(10);
-
-/// Back-off between lock acquisition attempts.
-const LOCK_RETRY_EVERY: Duration = Duration::from_micros(200);
-
-/// An acquired per-key advisory lock (see [`ArtifactStore::lock_key`]).
-/// Released on drop by removing the lock file; a crashed holder's file is
-/// reclaimed by waiters once its mtime is more than ten seconds old.
-#[derive(Debug)]
-pub struct KeyLockGuard {
-    path: PathBuf,
+/// One artifact kind's counters.
+#[derive(Debug, Default)]
+struct KindCounters {
+    reused: AtomicU64,
+    created: AtomicU64,
+    missed: AtomicU64,
 }
 
-impl Drop for KeyLockGuard {
-    fn drop(&mut self) {
-        if let Err(e) = std::fs::remove_file(&self.path) {
-            if e.kind() != std::io::ErrorKind::NotFound {
-                store_warn(format_args!(
-                    "warning: failed to release store lock {}: {e}",
-                    self.path.display()
-                ));
-            }
-        }
-    }
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// A content-addressed artifact cache rooted at one directory.
 #[derive(Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
-    ckpt_hits: AtomicU64,
-    ckpt_saves: AtomicU64,
-    prof_hits: AtomicU64,
-    prof_saves: AtomicU64,
-    ckpt_misses: AtomicU64,
-    prof_misses: AtomicU64,
-    hint_hits: AtomicU64,
-    hint_saves: AtomicU64,
+    /// Indexed by `ArtifactKind as usize - 1`.
+    counters: [KindCounters; 3],
+}
+
+/// Numbers every temp file this process writes, so two threads writing
+/// the same artifact never share (or rename away) one temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes `bytes` to `path` atomically: to a temp sibling named by the
+/// process id and a process-wide sequence number, then renamed over
+/// `path`. The name is unique to the write, so concurrent writers of the
+/// same file — threads or processes — each publish a whole file and the
+/// last rename wins. A failed write removes its temp file; a writer
+/// killed mid-write can leave one behind, which no load ever reads.
+fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    Ok(written?)
 }
 
 impl ArtifactStore {
@@ -120,14 +115,7 @@ impl ArtifactStore {
         std::fs::create_dir_all(&dir)?;
         Ok(ArtifactStore {
             dir,
-            ckpt_hits: AtomicU64::new(0),
-            ckpt_saves: AtomicU64::new(0),
-            prof_hits: AtomicU64::new(0),
-            prof_saves: AtomicU64::new(0),
-            ckpt_misses: AtomicU64::new(0),
-            prof_misses: AtomicU64::new(0),
-            hint_hits: AtomicU64::new(0),
-            hint_saves: AtomicU64::new(0),
+            counters: Default::default(),
         })
     }
 
@@ -136,17 +124,23 @@ impl ArtifactStore {
         &self.dir
     }
 
+    fn counters(&self, kind: ArtifactKind) -> &KindCounters {
+        &self.counters[kind as usize - 1]
+    }
+
     /// Activity counters since open.
     pub fn activity(&self) -> StoreActivity {
+        let [profile, checkpoint, hints] = &self.counters;
+        let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StoreActivity {
-            checkpoints_reused: self.ckpt_hits.load(Ordering::Relaxed),
-            checkpoints_created: self.ckpt_saves.load(Ordering::Relaxed),
-            profiles_reused: self.prof_hits.load(Ordering::Relaxed),
-            profiles_created: self.prof_saves.load(Ordering::Relaxed),
-            checkpoints_missed: self.ckpt_misses.load(Ordering::Relaxed),
-            profiles_missed: self.prof_misses.load(Ordering::Relaxed),
-            hints_created: self.hint_saves.load(Ordering::Relaxed),
-            hints_reused: self.hint_hits.load(Ordering::Relaxed),
+            checkpoints_reused: n(&checkpoint.reused),
+            checkpoints_created: n(&checkpoint.created),
+            profiles_reused: n(&profile.reused),
+            profiles_created: n(&profile.created),
+            checkpoints_missed: n(&checkpoint.missed),
+            profiles_missed: n(&profile.missed),
+            hints_created: n(&hints.created),
+            hints_reused: n(&hints.reused),
         }
     }
 
@@ -156,22 +150,48 @@ impl ArtifactStore {
             .join(format!("{}-{:016x}.bin", kind.prefix(), key.digest()))
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
-        // Unique temp sibling: concurrent writers of the *same* artifact
-        // (two sweeps sharing a store) must not interleave into one file.
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        std::fs::write(&tmp, bytes)?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+    /// The one write path: publishes `bytes` as the `kind` artifact at
+    /// `key` and counts the save.
+    fn save(
+        &self,
+        kind: ArtifactKind,
+        key: &StoreKey,
+        bytes: &[u8],
+    ) -> Result<PathBuf, StoreError> {
+        let path = self.path_for(kind, key);
+        write_atomic(&path, bytes)?;
+        bump(&self.counters(kind).created);
+        Ok(path)
     }
 
-    /// Reads `path`, returning `Ok(None)` when it does not exist.
-    fn read_opt(path: &Path) -> Result<Option<Vec<u8>>, StoreError> {
-        match std::fs::read(path) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(StoreError::Io(e)),
+    /// The one read path: decodes the `kind` artifact at `key`, counting a
+    /// hit, or a miss when the file is absent or its key echo does not
+    /// match (digest collision).
+    fn load<T, D>(
+        &self,
+        kind: ArtifactKind,
+        key: &StoreKey,
+        decode: D,
+    ) -> Result<Option<T>, StoreError>
+    where
+        D: Fn(&[u8]) -> Result<(StoreKey, T), DecodeError>,
+    {
+        let counters = self.counters(kind);
+        let bytes = match std::fs::read(self.path_for(kind, key)) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                bump(&counters.missed);
+                return Ok(None);
+            }
+            Err(e) => return Err(StoreError::Io(e)),
+        };
+        let (embedded, artifact) = decode(&bytes)?;
+        if embedded != *key {
+            bump(&counters.missed);
+            return Ok(None);
         }
+        bump(&counters.reused);
+        Ok(Some(artifact))
     }
 
     /// Saves a warm-up checkpoint, returning its path.
@@ -180,169 +200,61 @@ impl ArtifactStore {
         key: &StoreKey,
         ckpt: &WarmupCheckpoint,
     ) -> Result<PathBuf, StoreError> {
-        let path = self.path_for(ArtifactKind::Checkpoint, key);
-        self.write_atomic(&path, &encode_checkpoint(key, ckpt))?;
-        self.ckpt_saves.fetch_add(1, Ordering::Relaxed);
-        Ok(path)
+        self.save(ArtifactKind::Checkpoint, key, &encode_checkpoint(key, ckpt))
     }
 
     /// Loads the checkpoint at `key`; `Ok(None)` when absent or when the
     /// file's key echo does not match (digest collision → miss).
     pub fn load_checkpoint(&self, key: &StoreKey) -> Result<Option<WarmupCheckpoint>, StoreError> {
-        let Some(bytes) = Self::read_opt(&self.path_for(ArtifactKind::Checkpoint, key))? else {
-            self.ckpt_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        };
-        let (embedded, ckpt) = decode_checkpoint(&bytes)?;
-        if embedded != *key {
-            self.ckpt_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        self.ckpt_hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(ckpt))
+        self.load(ArtifactKind::Checkpoint, key, decode_checkpoint)
     }
 
-    /// Saves a profile artifact, returning its path.
+    /// Saves a profile artifact, returning its path. Concurrent saves to
+    /// one key are last-writer-wins: nothing locks a read-modify-write
+    /// cycle, so callers that merge into the stored artifact serialize
+    /// themselves (the service under its per-key entry mutex).
     pub fn save_profile(
         &self,
         key: &StoreKey,
         artifact: &ProfileArtifact,
     ) -> Result<PathBuf, StoreError> {
-        let path = self.path_for(ArtifactKind::Profile, key);
-        self.write_atomic(&path, &encode_profile(key, artifact))?;
-        self.prof_saves.fetch_add(1, Ordering::Relaxed);
-        Ok(path)
+        self.save(ArtifactKind::Profile, key, &encode_profile(key, artifact))
     }
 
     /// Loads the profile artifact at `key`; `Ok(None)` when absent or on a
     /// key-echo mismatch.
     pub fn load_profile(&self, key: &StoreKey) -> Result<Option<ProfileArtifact>, StoreError> {
-        let Some(bytes) = Self::read_opt(&self.path_for(ArtifactKind::Profile, key))? else {
-            self.prof_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        };
-        let (embedded, artifact) = decode_profile(&bytes)?;
-        if embedded != *key {
-            self.prof_misses.fetch_add(1, Ordering::Relaxed);
-            return Ok(None);
-        }
-        self.prof_hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(artifact))
+        self.load(ArtifactKind::Profile, key, decode_profile)
     }
 
     /// Saves a hint set inside the store, returning its path.
     pub fn save_hints(&self, key: &StoreKey, hints: &HintSet) -> Result<PathBuf, StoreError> {
-        let path = self.path_for(ArtifactKind::Hints, key);
-        self.write_atomic(&path, &encode_hints(key, hints))?;
-        self.hint_saves.fetch_add(1, Ordering::Relaxed);
-        Ok(path)
+        self.save(ArtifactKind::Hints, key, &encode_hints(key, hints))
     }
 
     /// Loads the hint set at `key`; `Ok(None)` when absent or on a key-echo
     /// mismatch.
     pub fn load_hints(&self, key: &StoreKey) -> Result<Option<HintSet>, StoreError> {
-        let Some(bytes) = Self::read_opt(&self.path_for(ArtifactKind::Hints, key))? else {
-            return Ok(None);
-        };
-        let (embedded, hints) = decode_hints(&bytes)?;
-        if embedded != *key {
-            return Ok(None);
-        }
-        self.hint_hits.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(hints))
-    }
-
-    /// Acquires the per-key advisory lock for `(kind, key)`, spinning (with
-    /// back-off) until the lock file can be created exclusively.
-    ///
-    /// The lock is a `<kind>-<digest>.lock` sibling created with
-    /// `create_new` (atomic on every platform the store targets) and
-    /// removed when the returned guard drops. It serializes *read-merge-
-    /// write* cycles on one artifact across threads and processes — the
-    /// existing temp-file + rename dance already keeps individual writes
-    /// atomic, but without the lock two concurrent mergers could both read
-    /// generation *g* and the second rename would silently drop the first
-    /// merge (the classic lost update). A lock file untouched for more
-    /// than ten seconds is presumed abandoned by a crashed holder and
-    /// is broken with a warning.
-    pub fn lock_key(&self, kind: ArtifactKind, key: &StoreKey) -> Result<KeyLockGuard, StoreError> {
-        let path = self.path_for(kind, key).with_extension("lock");
-        loop {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(_) => return Ok(KeyLockGuard { path }),
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let stale = std::fs::metadata(&path)
-                        .and_then(|md| md.modified())
-                        .ok()
-                        .and_then(|at| at.elapsed().ok())
-                        .is_some_and(|age| age > LOCK_STALE_AFTER);
-                    if stale {
-                        store_warn(format_args!(
-                            "warning: breaking stale store lock {} (holder presumed dead)",
-                            path.display()
-                        ));
-                        // Best-effort: if the holder woke up and released
-                        // in the meantime this is a no-op, and the retry
-                        // loop re-arbitrates via create_new either way.
-                        std::fs::remove_file(&path).ok();
-                    } else {
-                        std::thread::sleep(LOCK_RETRY_EVERY);
-                    }
-                }
-                Err(e) => return Err(StoreError::Io(e)),
-            }
-        }
-    }
-
-    /// Atomically read-merge-writes the profile at `key` under the per-key
-    /// lock, returning the artifact that was stored.
-    ///
-    /// `f` receives the current artifact (`None` when absent; a corrupt
-    /// artifact degrades to `None` with a warning, matching the store's
-    /// miss-on-corruption policy) and returns the replacement. The lock
-    /// spans read *and* write, so concurrent updaters serialize and no
-    /// merge is lost.
-    pub fn update_profile<F>(&self, key: &StoreKey, f: F) -> Result<ProfileArtifact, StoreError>
-    where
-        F: FnOnce(Option<ProfileArtifact>) -> ProfileArtifact,
-    {
-        let _lock = self.lock_key(ArtifactKind::Profile, key)?;
-        let current = match self.load_profile(key) {
-            Ok(cur) => cur,
-            Err(StoreError::Decode(e)) => {
-                store_warn(format_args!(
-                    "warning: profile at {} is corrupt ({e}); rebuilding",
-                    self.path_for(ArtifactKind::Profile, key).display()
-                ));
-                None
-            }
-            Err(e) => return Err(e),
-        };
-        let next = f(current);
-        self.save_profile(key, &next)?;
-        Ok(next)
+        self.load(ArtifactKind::Hints, key, decode_hints)
     }
 }
 
 /// Writes a standalone hint-set file (the artifact `prophet_cli optimize`
 /// exports and `prophet_cli run --hints` consumes — the paper's "optimized
-/// binary" handed from the offline to the online phase).
+/// binary" handed from the offline to the online phase), atomically like
+/// every store write.
 pub fn write_hints_file(
     path: impl AsRef<Path>,
     key: &StoreKey,
     hints: &HintSet,
 ) -> Result<(), StoreError> {
-    if let Some(parent) = path.as_ref().parent() {
+    let path = path.as_ref();
+    if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, encode_hints(key, hints))?;
-    Ok(())
+    write_atomic(path, &encode_hints(key, hints))
 }
 
 /// Reads a standalone hint-set file, returning the embedded key alongside

@@ -1,12 +1,10 @@
-//! Concurrent-writer regression suite: the per-key advisory lock and the
-//! read-merge-write API must make a lost update impossible — the failure
-//! mode where two writers both read generation *g* and the second rename
-//! silently discards the first merge.
+//! Concurrent-writer regression suite: saves racing on one key must each
+//! publish a whole artifact (last writer wins) and leave no temp file.
 
 use prophet::{PcProfile, ProfileCounters};
-use prophet_store::{ArtifactKind, ArtifactStore, ProfileArtifact, StoreKey};
+use prophet_store::{ArtifactStore, ProfileArtifact, StoreKey};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::Barrier;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("prophet-store-conc-{tag}-{}", std::process::id()))
@@ -21,96 +19,66 @@ fn key(workload: &str) -> StoreKey {
     }
 }
 
-fn pc_profile(v: f64) -> PcProfile {
-    PcProfile {
-        accuracy: v,
-        issued: 100.0,
-        l2_misses: 10.0,
+/// A distinct artifact per `(writer, round)`: one PC and a loop count
+/// that name both.
+fn artifact(writer: u64, round: u64) -> ProfileArtifact {
+    let mut counters = ProfileCounters::default();
+    counters.per_pc.insert(
+        writer,
+        PcProfile {
+            accuracy: round as f64 / 100.0,
+            issued: 100.0,
+            l2_misses: 10.0,
+        },
+    );
+    ProfileArtifact {
+        counters,
+        loops: (writer * 1_000 + round) as u32,
     }
 }
 
 #[test]
-fn concurrent_rmw_loses_no_update() {
-    let dir = temp_dir("rmw");
-    let store = Arc::new(ArtifactStore::open(&dir).unwrap());
+fn same_key_saves_from_many_threads_all_succeed_and_leave_no_temp_file() {
+    let dir = temp_dir("same-key");
+    let store = ArtifactStore::open(&dir).unwrap();
     let k = key("shared");
     const WRITERS: u64 = 8;
-    const ROUNDS: u64 = 4;
+    const ROUNDS: u64 = 50;
+    let start = Barrier::new(WRITERS as usize);
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let store = store.clone();
-            let k = k.clone();
+            let (store, k, start) = (&store, &k, &start);
             scope.spawn(move || {
+                start.wait();
                 for r in 0..ROUNDS {
-                    // Each round contributes one distinct PC; if any
-                    // read-merge-write raced, some PC would be missing.
-                    let pc = w * ROUNDS + r;
                     store
-                        .update_profile(&k, |current| {
-                            let mut artifact = current.unwrap_or(ProfileArtifact {
-                                counters: ProfileCounters::default(),
-                                loops: 0,
-                            });
-                            artifact
-                                .counters
-                                .per_pc
-                                .insert(pc, pc_profile(pc as f64 / 100.0));
-                            artifact.loops += 1;
-                            artifact
-                        })
-                        .unwrap();
+                        .save_profile(k, &artifact(w, r))
+                        .unwrap_or_else(|e| panic!("writer {w} round {r}: {e}"));
                 }
             });
         }
     });
-    let merged = store.load_profile(&k).unwrap().unwrap();
-    assert_eq!(
-        merged.loops,
-        (WRITERS * ROUNDS) as u32,
-        "every RMW must be counted"
+    let stored = store.load_profile(&k).unwrap().expect("a saved profile");
+    let (w, r) = (stored.loops as u64 / 1_000, stored.loops as u64 % 1_000);
+    assert!(
+        w < WRITERS && r < ROUNDS,
+        "loops {} names no save",
+        stored.loops
     );
-    for pc in 0..WRITERS * ROUNDS {
-        assert!(
-            merged.counters.per_pc.contains_key(&pc),
-            "update for PC {pc} was lost"
-        );
-    }
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn lock_is_exclusive_and_released_on_drop() {
-    let dir = temp_dir("lock");
-    let store = ArtifactStore::open(&dir).unwrap();
-    let k = key("lock");
-    let lock_path = store
-        .path_for(ArtifactKind::Profile, &k)
-        .with_extension("lock");
-    let guard = store.lock_key(ArtifactKind::Profile, &k).unwrap();
-    assert!(lock_path.exists(), "holding the lock leaves a lock file");
-    drop(guard);
-    assert!(!lock_path.exists(), "dropping the guard removes it");
-    // Re-acquisition after release is immediate.
-    let _guard = store.lock_key(ArtifactKind::Profile, &k).unwrap();
-    std::fs::remove_dir_all(dir).ok();
-}
-
-#[test]
-fn stale_lock_from_a_dead_holder_is_broken() {
-    let dir = temp_dir("stale");
-    let store = ArtifactStore::open(&dir).unwrap();
-    let k = key("stale");
-    let lock_path = store
-        .path_for(ArtifactKind::Profile, &k)
-        .with_extension("lock");
-    // Simulate a crashed holder: a lock file whose mtime is far in the
-    // past (no process will ever remove it).
-    let file = std::fs::File::create(&lock_path).unwrap();
-    file.set_modified(std::time::SystemTime::now() - std::time::Duration::from_secs(3600))
-        .unwrap();
-    drop(file);
-    let _guard = store
-        .lock_key(ArtifactKind::Profile, &k)
-        .expect("stale lock must be broken, not waited on forever");
+    assert_eq!(
+        stored,
+        artifact(w, r),
+        "the file is one whole written artifact"
+    );
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|d| d.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.contains(".tmp."))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
+    );
+    assert_eq!(store.activity().profiles_created, WRITERS * ROUNDS);
     std::fs::remove_dir_all(dir).ok();
 }

@@ -26,11 +26,6 @@ impl Graph {
         self.offsets.len() - 1
     }
 
-    /// Number of edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// The neighbours of `u`.
     pub fn neighbors(&self, u: usize) -> &[u32] {
         &self.edges[self.offsets[u] as usize..self.offsets[u + 1] as usize]
@@ -88,7 +83,6 @@ mod tests {
     fn geometry_is_consistent() {
         let g = Graph::clustered(1_000, 8, 1);
         assert_eq!(g.vertices(), 1_000);
-        assert_eq!(g.edge_count(), 8_000);
         for u in 0..g.vertices() {
             assert_eq!(g.neighbors(u).len(), 8);
         }
