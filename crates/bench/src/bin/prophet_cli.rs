@@ -9,12 +9,15 @@
 //!             all cores); reports print in the order above either way
 //!
 //! prophet_cli profile <workload> --store DIR [--insts N] [--warmup N] [--hints-out FILE]
-//!   Step 1/3 (offline): run the simplified profiling prefetcher, merge the
-//!   counters into the store's profile artifact (Eq. 4/5 across repeated
-//!   invocations), and optionally export the analyzed hints.
+//!   Step 1/3 (offline): run the simplified profiling prefetcher and submit
+//!   the counters, in-process, to the service state over the store, as a
+//!   daemon over DIR would take them; the profile is the canonical Eq. 4/5
+//!   fold of the key's submissions (a repeat of one key deduplicates).
+//!   Optionally export the analyzed hints.
 //!
 //! prophet_cli optimize <workload> --store DIR [--insts N] [--warmup N] [--hints-out FILE]
-//!   Step 2 (offline): analysis only — read the stored profile, emit the
+//!   Step 2 (offline): analysis only — fetch the hints a daemon over DIR
+//!   would serve, written to FILE or else beside the profile as the store's
 //!   hint-set artifact (the "optimized binary" payload). No simulation.
 //!
 //! prophet_cli run <workload> --hints FILE [--insts N] [--warmup N]
@@ -25,7 +28,7 @@
 //!   Fleet mode: run the hint-serving daemon over the store. Concurrent
 //!   profile submissions merge under the canonical content order, so the
 //!   served hints are byte-identical to the offline profile→optimize
-//!   pipeline for the same submissions, in any arrival order.
+//!   pipeline, which runs the same service state, in any arrival order.
 //!
 //! prophet_cli submit <workload> --addr HOST:PORT [--insts N] [--warmup N]
 //!   Profile the workload locally and submit the counters to a daemon.
@@ -50,15 +53,16 @@
 
 use prophet::analysis::{MIN_ISSUED, THRASH_REPLACEMENT_FRAC};
 use prophet::hints::HINT_BUFFER_ENTRIES;
-use prophet::{analyze, AnalysisConfig, HintSet, LearnedProfile, ProfileCounters, ProphetConfig};
+use prophet::{analyze, AnalysisConfig, ProfileCounters, ProphetConfig};
 use prophet_bench::Flag::{
     self, Addr, Hints, HintsOut, Insts, Jobs, ServiceThreads, Store, Warmup,
 };
 use prophet_bench::{parallel_tasks, Harness, Outcome, RunArgs, Scheme, Start};
-use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
+use prophet_service::{ServeConfig, Server, ServiceClient, ServiceError, ServiceState, SubmitAck};
 use prophet_sim_core::SimReport;
-use prophet_store::{read_hints_file, write_hints_file, ProfileArtifact, StoreError};
+use prophet_store::{decode_hints, read_hints_file, write_hints_file, ArtifactKind};
 use prophet_workloads::workload_sized;
+use std::path::Path;
 
 /// One `prophet_cli` mode: its keyword, whether it takes a workload, the
 /// flags it reads, those of them it needs, and what runs it with the
@@ -128,8 +132,11 @@ fn needed(value: &Option<String>) -> &str {
     value.as_deref().expect("a needed flag")
 }
 
-/// One line on `hints`: `{verb} {name}: ...`.
-fn print_hints(verb: &str, name: &str, hints: &HintSet) {
+/// Prints one line on the encoded hint set `bytes`, `{verb} {name}: ...`,
+/// and writes them to `out`, when given, through the store's atomic write.
+fn emit_hints(verb: &str, name: &str, bytes: &[u8], out: Option<&Path>) {
+    let (_, hints) =
+        decode_hints(bytes).unwrap_or_else(|e| die(&format!("undecodable hints: {e}")));
     println!(
         "{verb} {name}: {} hinted PCs ({} hint instructions), csr enabled={} meta_ways={}",
         hints.pc_hints.len(),
@@ -137,109 +144,94 @@ fn print_hints(verb: &str, name: &str, hints: &HintSet) {
         hints.csr.enabled,
         hints.csr.meta_ways
     );
-}
-
-/// Step 1/3: profile `name` and merge into the store's artifact.
-///
-/// The load → learn → save cycle takes no lock: two concurrent `profile`
-/// runs on one key can both resume loop `l`, and the later save drops the
-/// other's loop. Each save still publishes a whole artifact.
-fn cmd_profile(args: &RunArgs, name: &str) {
-    let store = args.open_store().expect("a needed flag");
-    let h = args.harness(Harness::default());
-    let w = workload_sized(name, h.warmup + h.measure);
-    let key = h.profile_key(w.as_ref());
-
-    let mut learned = match store.load_profile(&key) {
-        Ok(Some(ProfileArtifact { counters, loops })) => {
-            eprintln!("store: resuming profile artifact at loop {loops}");
-            LearnedProfile::resume(counters, loops)
-        }
-        Ok(None) => LearnedProfile::new(),
-        // A decode failure means the file is junk (corrupt, foreign,
-        // old format) — restarting the merge is the only option. An I/O
-        // failure may be transient (permissions, network filesystem);
-        // overwriting would clobber irreplaceable merged loop history,
-        // so abort instead.
-        Err(e @ StoreError::Decode(_)) => {
-            eprintln!("store: restarting over undecodable profile artifact: {e}");
-            LearnedProfile::new()
-        }
-        Err(e) => die(&format!(
-            "cannot read existing profile artifact (not overwriting \
-             merged loop history): {e}"
-        )),
-    };
-    let report = h.profile(w.as_ref());
-    learned.learn(ProfileCounters::from_report(&report));
-    let artifact = ProfileArtifact {
-        counters: learned.counters().expect("just learned").clone(),
-        loops: learned.loops(),
-    };
-    let path = store
-        .save_profile(&key, &artifact)
-        .unwrap_or_else(|e| die(&format!("cannot save profile artifact: {e}")));
-
-    let hints = learned.build_hints(&AnalysisConfig::default());
-    println!("{report}");
-    println!(
-        "profiled {name}: {} PCs, {:.0} allocated entries, loop {} -> {}",
-        artifact.counters.per_pc.len(),
-        artifact.counters.allocated_entries(),
-        artifact.loops,
-        path.display()
-    );
-    println!(
-        "analysis: {} hinted PCs, csr enabled={} meta_ways={}",
-        hints.pc_hints.len(),
-        hints.csr.enabled,
-        hints.csr.meta_ways
-    );
-    if let Some(out) = &args.hints_out {
-        write_hints_file(out, &key, &hints)
-            .unwrap_or_else(|e| die(&format!("cannot write hints file {out}: {e}")));
-        println!("hints written to {out}");
+    if let Some(out) = out {
+        write_hints_file(out, bytes)
+            .unwrap_or_else(|e| die(&format!("cannot write hints file {}: {e}", out.display())));
+        println!("hints written to {}", out.display());
     }
 }
 
-/// Step 2: analysis only — stored profile in, hint artifact out.
-fn cmd_optimize(args: &RunArgs, name: &str) {
-    let store = args.open_store().expect("a needed flag");
+/// The acknowledgement as `generation G (N submission(s), fresh content)`,
+/// or `duplicate content, deduplicated` for a resubmission.
+fn describe(ack: &SubmitAck) -> String {
+    format!(
+        "generation {} ({} submission(s), {})",
+        ack.generation,
+        ack.submissions,
+        if ack.fresh {
+            "fresh content"
+        } else {
+            "duplicate content, deduplicated"
+        }
+    )
+}
+
+/// Opens the service state over the `--store` directory a mode requires.
+fn open_state(args: &RunArgs) -> ServiceState {
+    let dir = needed(&args.store);
+    ServiceState::open(dir)
+        .unwrap_or_else(|e| die(&format!("cannot open service store at {dir}: {e}")))
+}
+
+/// Step 1/3: profile `name` and submit the counters to the service state
+/// over the store, then fetch the hints it now serves.
+fn cmd_profile(args: &RunArgs, name: &str) {
+    let state = open_state(args);
     let h = args.harness(Harness::default());
     let w = workload_sized(name, h.warmup + h.measure);
     let key = h.profile_key(w.as_ref());
-    let artifact = match store.load_profile(&key) {
-        Ok(Some(a)) => a,
-        Ok(None) => {
+    let report = h.profile(w.as_ref());
+    let counters = ProfileCounters::from_report(&report);
+    let (pcs, entries) = (counters.per_pc.len(), counters.allocated_entries());
+    let ack = state
+        .submit(&key, counters)
+        .unwrap_or_else(|e| die(&format!("cannot submit the profile: {e}")));
+    let bytes = state
+        .fetch(&key)
+        .unwrap_or_else(|e| die(&format!("cannot fetch the hints: {e}")));
+    println!("{report}");
+    println!(
+        "profiled {name}: {pcs} PCs, {entries:.0} allocated entries; {}",
+        describe(&ack)
+    );
+    emit_hints(
+        "analyzed",
+        name,
+        &bytes,
+        args.hints_out.as_deref().map(Path::new),
+    );
+}
+
+/// Step 2: analysis only — the hints a daemon over the store would serve,
+/// out as the hint artifact.
+fn cmd_optimize(args: &RunArgs, name: &str) {
+    let state = open_state(args);
+    let h = args.harness(Harness::default());
+    let w = workload_sized(name, h.warmup + h.measure);
+    let key = h.profile_key(w.as_ref());
+    let bytes = match state.fetch(&key) {
+        Ok(bytes) => bytes,
+        Err(ServiceError::UnknownWorkload(_)) => {
             eprintln!(
-                "no profile artifact for {name} at this window; run \
+                "no profile for {name} at this window; run \
                  `prophet_cli profile {name} --store {}` first",
-                store.dir().display()
+                state.store().dir().display()
             );
             std::process::exit(1);
         }
-        Err(e) => die(&format!("unreadable profile artifact: {e}")),
+        Err(e) => die(&format!("unreadable profile: {e}")),
     };
-    let hints = analyze(&artifact.counters, &AnalysisConfig::default());
-    let path = match &args.hints_out {
-        Some(out) => {
-            write_hints_file(out, &key, &hints)
-                .unwrap_or_else(|e| die(&format!("cannot write hints file {out}: {e}")));
-            std::path::PathBuf::from(out)
-        }
-        None => store
-            .save_hints(&key, &hints)
-            .unwrap_or_else(|e| die(&format!("cannot save hints: {e}"))),
+    let out = match &args.hints_out {
+        Some(out) => out.into(),
+        None => state.store().path_for(ArtifactKind::Hints, &key),
     };
-    print_hints("optimized", name, &hints);
-    println!("hints written to {}", path.display());
+    emit_hints("optimized", name, &bytes, Some(&out));
 }
 
 /// Fleet mode: run the hint-serving daemon over the store directory.
 fn cmd_serve(args: &RunArgs, _: &str) {
     let dir = needed(&args.store);
-    let state = ServiceState::open(dir)
-        .unwrap_or_else(|e| die(&format!("cannot open service store at {dir}: {e}")));
+    let state = open_state(args);
     let cfg = ServeConfig {
         addr: args.addr.clone().unwrap_or_else(|| "127.0.0.1:7071".into()),
         threads: args.service_threads.unwrap_or(8),
@@ -275,16 +267,7 @@ fn cmd_submit(args: &RunArgs, name: &str) {
         .submit(&key, &counters)
         .unwrap_or_else(|e| die(&format!("submit failed: {e}")));
     println!("{report}");
-    println!(
-        "submitted {name}: generation {} ({} submission(s), {})",
-        ack.generation,
-        ack.submissions,
-        if ack.fresh {
-            "fresh content"
-        } else {
-            "duplicate content, deduplicated"
-        }
-    );
+    println!("submitted {name}: {}", describe(&ack));
 }
 
 /// Fetch the daemon's analyzed hints for `name` at this window.
@@ -296,15 +279,13 @@ fn cmd_fetch(args: &RunArgs, name: &str) {
     let bytes = client
         .fetch_hints_bytes(&key)
         .unwrap_or_else(|e| die(&format!("fetch failed: {e}")));
-    let (_, hints) = prophet_store::decode_hints(&bytes)
-        .unwrap_or_else(|e| die(&format!("daemon returned undecodable hints: {e}")));
-    print_hints("fetched", name, &hints);
-    if let Some(out) = &args.hints_out {
-        // The wire bytes are the hint-file format `run --hints` reads.
-        std::fs::write(out, &bytes)
-            .unwrap_or_else(|e| die(&format!("cannot write hints file {out}: {e}")));
-        println!("hints written to {out}");
-    }
+    // The wire bytes are the hint-file format `run --hints` reads.
+    emit_hints(
+        "fetched",
+        name,
+        &bytes,
+        args.hints_out.as_deref().map(Path::new),
+    );
 }
 
 /// Dump the daemon's plaintext metrics.

@@ -6,7 +6,9 @@
 //! Uses a real profiled workload (not synthetic counters): the same
 //! `Harness::profile` pass the CLI's `profile` subcommand runs, submitted
 //! to an in-process daemon by racing clients, then compared byte-for-byte
-//! against the offline analysis of the identical counters.
+//! against the offline analysis of the identical counters. The offline
+//! `prophet_cli profile` itself must leave a submission a daemon over the
+//! same store recovers.
 
 use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters};
 use prophet_bench::Harness;
@@ -14,6 +16,7 @@ use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
 use prophet_store::encode_hints;
 use prophet_workloads::workload_sized;
 use std::path::PathBuf;
+use std::process::Command;
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("prophet-bench-svc-{tag}-{}", std::process::id()))
@@ -77,5 +80,43 @@ fn daemon_serves_offline_pipeline_bytes() {
 
     handle.shutdown();
     join.join().unwrap();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Two `prophet_cli profile` runs of one key are one submission: a
+/// service state opened over their store recovers it at generation 1 and
+/// serves exactly the bytes the runs exported.
+#[test]
+fn daemon_recovers_offline_profile_runs() {
+    let dir = temp_dir("offline");
+    std::fs::remove_dir_all(&dir).ok();
+    let out = dir.join("offline.hints");
+    for _ in 0..2 {
+        let run = Command::new(env!("CARGO_BIN_EXE_prophet_cli"))
+            .args([
+                "profile", "mcf", "--insts", "40000", "--warmup", "20000", "--store",
+            ])
+            .arg(&dir)
+            .arg("--hints-out")
+            .arg(&out)
+            .output()
+            .expect("failed to launch prophet_cli");
+        assert!(run.status.success(), "{run:?}");
+    }
+    let h = Harness {
+        warmup: 20_000,
+        measure: 40_000,
+        ..Harness::default()
+    };
+    let key = h.profile_key(workload_sized("mcf", h.warmup + h.measure).as_ref());
+    let state = ServiceState::open(&dir).unwrap();
+    let generation = format!(
+        "prophet_profile_generation{{key=\"{}|{:016x}|{}|{}\"}} 1\n",
+        key.workload, key.config, key.warmup, key.measure
+    );
+    let metrics = state.render_metrics();
+    assert!(metrics.contains(&generation), "{metrics}");
+    assert_eq!(state.fetch(&key).unwrap(), std::fs::read(&out).unwrap());
+    drop(state);
     std::fs::remove_dir_all(dir).ok();
 }

@@ -27,17 +27,6 @@ impl LearnedProfile {
         Self::default()
     }
 
-    /// Rebuilds learned state from a persisted profile artifact (merged
-    /// counters + completed loop count), so the Prophet loop can continue
-    /// across process lifetimes — the paper's profile-as-persistent-
-    /// artifact workflow (`prophet_cli profile` invoked once per input).
-    pub fn resume(counters: ProfileCounters, loops: u32) -> Self {
-        LearnedProfile {
-            counters: Some(counters),
-            loops,
-        }
-    }
-
     /// Number of completed Prophet loops.
     pub fn loops(&self) -> u32 {
         self.loops
@@ -172,25 +161,6 @@ mod tests {
             a.counters().unwrap(),
             b.counters().unwrap(),
             "default() must merge with the same loop cap L as new()"
-        );
-    }
-
-    #[test]
-    fn resume_continues_the_loop_count() {
-        let mut lp = LearnedProfile::new();
-        lp.learn(profile(&[(1, 0.9)]));
-        lp.learn(profile(&[(1, 0.5)]));
-        let resumed = LearnedProfile::resume(lp.counters().unwrap().clone(), lp.loops());
-        assert_eq!(resumed.loops(), 2);
-        assert!(resumed.is_trained());
-        let mut a = lp;
-        let mut b = resumed;
-        a.learn(profile(&[(1, 0.2)]));
-        b.learn(profile(&[(1, 0.2)]));
-        assert_eq!(
-            a.counters().unwrap(),
-            b.counters().unwrap(),
-            "resumed state merges exactly like the uninterrupted loop"
         );
     }
 

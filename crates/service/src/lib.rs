@@ -16,12 +16,14 @@
 //!   + payloads in the `prophet-store` codec; total decoding, typed
 //!   [`proto::ErrorCode`]s, never a daemon panic);
 //! * [`merge`] — the canonical content-ordered Eq. 4/5 fold that makes
-//!   any submission interleaving produce bit-identical merged profiles
-//!   (and therefore hint sets byte-identical to the offline
-//!   `prophet_cli profile → optimize` pipeline);
+//!   any submission interleaving produce bit-identical merged profiles,
+//!   and therefore bit-identical hint sets;
 //! * [`state`] — [`ServiceState`]: the per-workload registry, two-level
-//!   locking (registry lookup lock + per-key entry locks; the store's
-//!   atomic renames need none), generation rules, startup recovery;
+//!   poison-tolerant locking (registry lookup lock + per-key entry locks;
+//!   the store's atomic renames need none), generation rules, startup
+//!   recovery. It is also the offline path: `prophet_cli profile` and
+//!   `optimize` open it in-process over their `--store`, so offline and
+//!   served hint bytes are equal by construction;
 //! * [`server`] — [`Server`]: `TcpListener` + a fixed worker-thread pool
 //!   (std-only; the build environment is offline);
 //! * [`client`] — [`ServiceClient`]: the blocking client library under

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// How a daemon listens.
@@ -130,14 +130,18 @@ impl Server {
                 scope.spawn(move || loop {
                     // Fairness: exactly one worker blocks on the channel
                     // at a time; the rest queue on the mutex.
-                    let Ok(stream) = rx.lock().unwrap().recv() else {
+                    let Ok(stream) = rx.lock().unwrap_or_else(PoisonError::into_inner).recv()
+                    else {
                         return; // all senders gone: shutting down
                     };
                     // Register a clone so shutdown can force-close a
                     // connection this worker is blocked reading.
                     let token = next_token.fetch_add(1, Ordering::Relaxed);
                     if let Ok(clone) = stream.try_clone() {
-                        active.lock().unwrap().insert(token, clone);
+                        active
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .insert(token, clone);
                     }
                     if stop.load(Ordering::SeqCst) {
                         // Shutdown raced the hand-off: this stream was
@@ -147,7 +151,10 @@ impl Server {
                         let _ = stream.shutdown(Shutdown::Both);
                     }
                     handle_connection(&state, stream, max_frame);
-                    active.lock().unwrap().remove(&token);
+                    active
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .remove(&token);
                 });
             }
             for stream in self.listener.incoming() {
@@ -170,7 +177,11 @@ impl Server {
             // Force-close in-flight connections: without this, a worker
             // blocked in `read_frame` on an idle client would keep the
             // scope (and `run`) from returning until that client hung up.
-            for stream in active.lock().unwrap().values() {
+            for stream in active
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .values()
+            {
                 let _ = stream.shutdown(Shutdown::Both);
             }
         });

@@ -1,18 +1,29 @@
 //! The daemon's shared state: the per-workload registry over the store.
 //!
+//! It is the one profile path: the daemon serves it over TCP, and the
+//! offline `prophet_cli profile`/`optimize` open it in-process over the
+//! same store directory, so offline and served hint bytes are equal by
+//! construction.
+//!
 //! Locking is two-level. The registry lock (a plain mutex over the
 //! `BTreeMap`) is held only to look up or create an entry `Arc`; all real
 //! work — deduplication, the canonical merge, analysis, and the store
 //! writes — happens under the *per-key* entry mutex, so submissions to
-//! different workloads never contend. The store itself takes no lock: the
-//! merged profile is rebuilt from the submission set on every generation,
-//! not merged into what is on disk, so [`ArtifactStore::save_profile`]'s
-//! atomic last-writer-wins rename is all it needs.
+//! different workloads never contend. Both locks are poison-tolerant: an
+//! entry stays consistent across a panic (see [`ServiceState::submit`]),
+//! so a panicking handler costs its own request only. The store itself
+//! takes no lock: the merged profile is rebuilt from the submission set
+//! on every generation, not merged into what is on disk, so
+//! [`ArtifactStore::save_profile`]'s atomic last-writer-wins rename is
+//! all it needs.
 //!
 //! Generation rule: a key's generation equals its number of *distinct*
 //! submissions (byte-identical resubmissions dedup, see
-//! [`crate::merge`]). Every generation advance re-merges and re-analyzes
-//! eagerly, so a fetch is a cache read.
+//! [`crate::merge`]). Only a generation advance writes: it persists the
+//! submission, re-merges, re-analyzes and publishes the merged profile,
+//! so a fetch is a cache read. A restarted daemon recovers the
+//! submissions and re-merges on its first fetch of a key without
+//! writing anything.
 
 use crate::merge::{merge_canonical, SubmissionSet};
 use crate::metrics::ServiceMetrics;
@@ -26,7 +37,7 @@ use prophet_store::{
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Why a request could not be served.
 #[derive(Debug)]
@@ -189,7 +200,7 @@ impl ServiceState {
                 ..key.clone()
             };
             let entry = self.entry(&base);
-            let mut e = entry.lock().unwrap();
+            let mut e = entry.lock().unwrap_or_else(PoisonError::into_inner);
             if e.submissions
                 .insert(encode_counters(&artifact.counters), artifact.counters)
                 .is_none()
@@ -203,7 +214,7 @@ impl ServiceState {
 
     /// Looks up the entry for `key`, creating it if absent.
     fn entry(&self, key: &StoreKey) -> Arc<Mutex<WorkloadEntry>> {
-        let mut registry = self.registry.lock().unwrap();
+        let mut registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         registry
             .entry(registry_key(key))
             .or_insert_with(|| Arc::new(Mutex::new(WorkloadEntry::new(key.clone()))))
@@ -214,41 +225,44 @@ impl ServiceState {
     fn lookup(&self, key: &StoreKey) -> Option<Arc<Mutex<WorkloadEntry>>> {
         self.registry
             .lock()
-            .unwrap()
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&registry_key(key))
             .cloned()
     }
 
-    /// Re-merges the entry's submissions canonically, publishes the merged
-    /// profile under the plain key, re-analyzes, and refreshes the hint
-    /// cache. Requires at least one submission.
-    fn reoptimize(&self, e: &mut WorkloadEntry) -> Result<(), ServiceError> {
-        let merged = merge_canonical(&e.submissions).expect("reoptimize on empty submission set");
-        self.store.save_profile(&e.key, &merged)?;
+    /// Folds the entry's submissions canonically, re-analyzes, and caches
+    /// the hints at the entry's generation; returns the merged profile.
+    /// Writes nothing. Requires at least one submission.
+    fn merge(&self, e: &mut WorkloadEntry) -> ProfileArtifact {
+        let merged = merge_canonical(&e.submissions).expect("merge on empty submission set");
         self.metrics.record_merge();
         let hints = analyze(&merged.counters, &self.analysis);
         e.hints = Some(HintsCache {
             generation: e.generation,
             bytes: encode_hints(&e.key, &hints),
         });
-        Ok(())
+        merged
     }
 
     /// Accepts one profiling run's counters for `key`.
     ///
     /// A byte-identical duplicate of an earlier submission is
     /// acknowledged without advancing anything; fresh content persists a
-    /// submission artifact, advances the generation, and eagerly re-merges
-    /// and re-analyzes. The persist happens *before* the in-memory insert,
-    /// so a store failure surfaces as a typed error with the registry
-    /// unchanged.
+    /// submission artifact, advances the generation, eagerly re-merges and
+    /// re-analyzes, and publishes the merged profile under the plain key.
+    /// The persist happens *before* the in-memory insert, so a store
+    /// failure surfaces as a typed error with the registry unchanged. The
+    /// insert and the advance happen *before* the merge, so a panic in it
+    /// leaves a cache behind the generation, which the next fetch
+    /// re-merges; a failed publish leaves the stored merged profile behind
+    /// until the next advance, and fetches still serve the cache.
     pub fn submit(
         &self,
         key: &StoreKey,
         counters: ProfileCounters,
     ) -> Result<SubmitAck, ServiceError> {
         let entry = self.entry(key);
-        let mut e = entry.lock().unwrap();
+        let mut e = entry.lock().unwrap_or_else(PoisonError::into_inner);
         let bytes = encode_counters(&counters);
         if e.submissions.contains_key(&bytes) {
             self.metrics.record_submission(false);
@@ -269,7 +283,8 @@ impl ServiceState {
         e.submissions.insert(bytes, counters);
         e.generation += 1;
         self.metrics.record_submission(true);
-        self.reoptimize(&mut e)?;
+        let merged = self.merge(&mut e);
+        self.store.save_profile(key, &merged)?;
         Ok(SubmitAck {
             generation: e.generation,
             submissions: e.submissions.len() as u64,
@@ -279,33 +294,29 @@ impl ServiceState {
 
     /// Serves the analyzed hint-set artifact bytes for `key`.
     ///
-    /// Preference order: the live registry (hints re-derived if the cache
-    /// is behind the generation), then a profile the offline
-    /// `prophet_cli profile` pipeline left in the store, then a bare hints
-    /// artifact. A key known nowhere is a typed
-    /// [`ServiceError::UnknownWorkload`].
+    /// Preference order: the live registry (hints re-merged, without a
+    /// write, if the cache is behind the generation), then a profile stored
+    /// under the plain key with no submissions beside it (a `--store` grid
+    /// run caches its profiling counters there). A key known nowhere is a
+    /// typed [`ServiceError::UnknownWorkload`].
     pub fn fetch(&self, key: &StoreKey) -> Result<Vec<u8>, ServiceError> {
         if let Some(entry) = self.lookup(key) {
-            let mut e = entry.lock().unwrap();
+            let mut e = entry.lock().unwrap_or_else(PoisonError::into_inner);
             if !e.submissions.is_empty() {
                 if e.hints.as_ref().map(|h| h.generation) != Some(e.generation) {
-                    self.reoptimize(&mut e)?;
+                    self.merge(&mut e);
                 }
                 self.metrics.record_fetch(false);
                 return Ok(e
                     .hints
                     .as_ref()
-                    .expect("reoptimize filled cache")
+                    .expect("merge filled the cache")
                     .bytes
                     .clone());
             }
         }
         if let Some(artifact) = self.store.load_profile(key)? {
             let hints = analyze(&artifact.counters, &self.analysis);
-            self.metrics.record_fetch(true);
-            return Ok(encode_hints(key, &hints));
-        }
-        if let Some(hints) = self.store.load_hints(key)? {
             self.metrics.record_fetch(true);
             return Ok(encode_hints(key, &hints));
         }
@@ -327,14 +338,12 @@ impl ServiceState {
             ("prophet_store_profiles_reused", a.profiles_reused),
             ("prophet_store_profiles_created", a.profiles_created),
             ("prophet_store_profiles_missed", a.profiles_missed),
-            ("prophet_store_hints_created", a.hints_created),
-            ("prophet_store_hints_reused", a.hints_reused),
         ] {
             let _ = writeln!(out, "{name} {v}");
         }
-        let registry = self.registry.lock().unwrap();
+        let registry = self.registry.lock().unwrap_or_else(PoisonError::into_inner);
         for (rkey, entry) in registry.iter() {
-            let e = entry.lock().unwrap();
+            let e = entry.lock().unwrap_or_else(PoisonError::into_inner);
             let _ = writeln!(
                 out,
                 "prophet_profile_generation{{key=\"{rkey}\"}} {}",
@@ -354,5 +363,63 @@ impl ServiceState {
     /// guarantee depends on).
     pub fn analysis(&self) -> &AnalysisConfig {
         &self.analysis
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::merge::merge_profiles;
+    use prophet::PcProfile;
+
+    fn profile(seed: u64) -> ProfileCounters {
+        let mut c = ProfileCounters::default();
+        for i in 0..4 {
+            c.per_pc.insert(
+                0x4000 + (seed + i) % 6,
+                PcProfile {
+                    accuracy: ((seed * 3 + i) % 10) as f64 / 10.0,
+                    issued: 100.0 + seed as f64,
+                    l2_misses: 40.0 + i as f64,
+                },
+            );
+        }
+        c.insertions = 1_000.0 + seed as f64;
+        c
+    }
+
+    /// A handler that panics while holding a key's entry poisons its
+    /// mutex; later submits and fetches on that key must still serve the
+    /// serial reference bytes.
+    #[test]
+    fn a_poisoned_entry_still_serves_the_serial_reference() {
+        let dir =
+            std::env::temp_dir().join(format!("prophet-service-poison-{}", std::process::id()));
+        let state = ServiceState::open(&dir).unwrap();
+        let k = StoreKey {
+            workload: "poison+l1=stride".into(),
+            config: 0xC0FFEE,
+            warmup: 2_000,
+            measure: 4_000,
+        };
+        state.submit(&k, profile(0)).unwrap();
+        let entry = state.lookup(&k).expect("submitted key");
+        std::thread::spawn(move || {
+            let _held = entry.lock().unwrap();
+            panic!("a handler panics while holding the entry");
+        })
+        .join()
+        .expect_err("the holder panicked");
+        assert!(state.lookup(&k).unwrap().is_poisoned());
+
+        let ack = state.submit(&k, profile(1)).unwrap();
+        assert_eq!((ack.generation, ack.fresh), (2, true));
+        let merged = merge_profiles(&[profile(0), profile(1)]).unwrap();
+        let reference = encode_hints(&k, &analyze(&merged.counters, &AnalysisConfig::default()));
+        assert_eq!(state.fetch(&k).unwrap(), reference);
+        assert!(state
+            .render_metrics()
+            .contains("prophet_profile_generation{key=\""));
+        std::fs::remove_dir_all(dir).ok();
     }
 }

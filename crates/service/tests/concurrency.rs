@@ -229,6 +229,11 @@ fn restart_recovers_submissions_from_the_store() {
         metrics.contains("prophet_service_recovered_submissions 3"),
         "{metrics}"
     );
+    // Recovery, the first fetch and a duplicate write nothing.
+    assert!(
+        metrics.contains("\nprophet_store_profiles_created 0\n"),
+        "{metrics}"
+    );
     // The debris neither blocks nor corrupts the next generation.
     let ack = client.submit(&k, &profile(3)).unwrap();
     let took = restarted.elapsed();

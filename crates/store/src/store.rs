@@ -10,8 +10,8 @@
 //! so a polluted store costs a recompute, not an experiment.
 
 use crate::artifact::{
-    decode_checkpoint, decode_hints, decode_profile, encode_checkpoint, encode_hints,
-    encode_profile, ArtifactKind, ProfileArtifact, WarmupCheckpoint,
+    decode_checkpoint, decode_hints, decode_profile, encode_checkpoint, encode_profile,
+    ArtifactKind, ProfileArtifact, WarmupCheckpoint,
 };
 use crate::codec::DecodeError;
 use crate::key::StoreKey;
@@ -63,9 +63,6 @@ pub struct StoreActivity {
     /// Lookups that found no artifact (absent file or key-echo mismatch).
     pub checkpoints_missed: u64,
     pub profiles_missed: u64,
-    /// Hint sets written into / served from the store.
-    pub hints_created: u64,
-    pub hints_reused: u64,
 }
 
 /// One artifact kind's counters.
@@ -84,8 +81,9 @@ fn bump(counter: &AtomicU64) {
 #[derive(Debug)]
 pub struct ArtifactStore {
     dir: PathBuf,
-    /// Indexed by `ArtifactKind as usize - 1`.
-    counters: [KindCounters; 3],
+    /// Indexed by `ArtifactKind as usize - 1`: profiles and checkpoints.
+    /// Hint files are written (see [`write_hints_file`]) but not counted.
+    counters: [KindCounters; 2],
 }
 
 /// Numbers every temp file this process writes, so two threads writing
@@ -130,7 +128,7 @@ impl ArtifactStore {
 
     /// Activity counters since open.
     pub fn activity(&self) -> StoreActivity {
-        let [profile, checkpoint, hints] = &self.counters;
+        let [profile, checkpoint] = &self.counters;
         let n = |c: &AtomicU64| c.load(Ordering::Relaxed);
         StoreActivity {
             checkpoints_reused: n(&checkpoint.reused),
@@ -139,8 +137,6 @@ impl ArtifactStore {
             profiles_created: n(&profile.created),
             checkpoints_missed: n(&checkpoint.missed),
             profiles_missed: n(&profile.missed),
-            hints_created: n(&hints.created),
-            hints_reused: n(&hints.reused),
         }
     }
 
@@ -210,9 +206,8 @@ impl ArtifactStore {
     }
 
     /// Saves a profile artifact, returning its path. Concurrent saves to
-    /// one key are last-writer-wins: nothing locks a read-modify-write
-    /// cycle, so callers that merge into the stored artifact serialize
-    /// themselves (the service under its per-key entry mutex).
+    /// one key are last-writer-wins; no caller merges into a stored profile
+    /// (the service rebuilds its merged profile from the submissions).
     pub fn save_profile(
         &self,
         key: &StoreKey,
@@ -226,35 +221,21 @@ impl ArtifactStore {
     pub fn load_profile(&self, key: &StoreKey) -> Result<Option<ProfileArtifact>, StoreError> {
         self.load(ArtifactKind::Profile, key, decode_profile)
     }
-
-    /// Saves a hint set inside the store, returning its path.
-    pub fn save_hints(&self, key: &StoreKey, hints: &HintSet) -> Result<PathBuf, StoreError> {
-        self.save(ArtifactKind::Hints, key, &encode_hints(key, hints))
-    }
-
-    /// Loads the hint set at `key`; `Ok(None)` when absent or on a key-echo
-    /// mismatch.
-    pub fn load_hints(&self, key: &StoreKey) -> Result<Option<HintSet>, StoreError> {
-        self.load(ArtifactKind::Hints, key, decode_hints)
-    }
 }
 
 /// Writes a standalone hint-set file (the artifact `prophet_cli optimize`
 /// exports and `prophet_cli run --hints` consumes — the paper's "optimized
-/// binary" handed from the offline to the online phase), atomically like
-/// every store write.
-pub fn write_hints_file(
-    path: impl AsRef<Path>,
-    key: &StoreKey,
-    hints: &HintSet,
-) -> Result<(), StoreError> {
+/// binary" handed from the offline to the online phase) from its encoded
+/// `bytes`, as [`encode_hints`](crate::encode_hints) returns them,
+/// atomically like every store write.
+pub fn write_hints_file(path: impl AsRef<Path>, bytes: &[u8]) -> Result<(), StoreError> {
     let path = path.as_ref();
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    write_atomic(path, &encode_hints(key, hints))
+    write_atomic(path, bytes)
 }
 
 /// Reads a standalone hint-set file, returning the embedded key alongside
