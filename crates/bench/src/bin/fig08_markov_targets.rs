@@ -12,7 +12,7 @@ fn main() {
         "{:<18} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "workload", "T=1", "T=2", "T=3", "T=4", "T=5"
     );
-    let mut sums = vec![0.0f64; 5];
+    let mut sums = [0.0f64; 5];
     let mut n = 0;
     for name in SPEC_WORKLOADS {
         let w = workload(name);

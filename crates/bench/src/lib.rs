@@ -107,7 +107,7 @@ impl Scheme {
     }
 }
 
-/// The scheme columns of a Figure 10/11/12-style matrix, in cell order.
+/// The scheme columns of a Figure 10/11/12-style matrix, in column order.
 pub const MATRIX_SCHEMES: [Scheme; 4] = [
     Scheme::Baseline,
     Scheme::Rpg2,
@@ -604,7 +604,10 @@ impl Harness {
     /// ([`Harness::cells`] of [`MATRIX_SCHEMES`] per workload) across
     /// `jobs` scoped threads, and returns one [`SchemeRow`] per workload
     /// *in input order*. Without a store RPG2 rides the Baseline cell: its
-    /// identification pass is that baseline run.
+    /// identification pass is that baseline run. Each workload's
+    /// multi-pass cells are queued first — Prophet's two passes, then the
+    /// cell carrying RPG2, whose distance sweep can add five more — so the
+    /// grid does not end on one long cell while the other workers idle.
     ///
     /// Determinism: every cell simulates a fresh cursor of a deterministic
     /// workload on a fresh machine, so no cell depends on which worker runs
@@ -639,28 +642,47 @@ impl Harness {
                 store,
             },
         };
+        let passes_rank = |cell: &Vec<Scheme>| {
+            if cell.contains(&Scheme::Prophet) {
+                0
+            } else if cell.contains(&Scheme::Rpg2) {
+                1
+            } else {
+                2
+            }
+        };
         let cells: Vec<(usize, Vec<Scheme>)> = (0..workloads.len())
             .flat_map(|i| {
-                let cells = self.cells(&MATRIX_SCHEMES, start(i));
+                let mut cells = self.cells(&MATRIX_SCHEMES, start(i));
+                cells.sort_by_key(passes_rank);
                 cells.into_iter().map(move |cell| (i, cell))
             })
             .collect();
-        let mut outcomes = parallel_tasks(cells.len(), jobs, |t| {
+        let outcomes = parallel_tasks(cells.len(), jobs, |t| {
             let (i, cell) = &cells[t];
             self.run_cell(cell, &workloads[*i], start(*i))
-        })
-        .into_iter()
-        .flatten();
+        });
+        // Back from queue order to one slot per workload and scheme.
+        let mut slots: Vec<[Option<Outcome>; MATRIX_SCHEMES.len()]> =
+            workloads.iter().map(|_| Default::default()).collect();
+        for ((i, cell), outs) in cells.iter().zip(outcomes) {
+            for (scheme, out) in cell.iter().zip(outs) {
+                let col = MATRIX_SCHEMES.iter().position(|s| s == scheme);
+                slots[*i][col.expect("a matrix scheme")] = Some(out);
+            }
+        }
         workloads
             .iter()
-            .map(|w| {
-                let mut next = || outcomes.next().expect("one outcome per scheme");
+            .zip(slots)
+            .map(|(w, row)| {
+                let [base, rpg2, triangel, prophet] =
+                    row.map(|out| out.expect("one outcome per scheme"));
                 SchemeRow {
                     workload: w.name(),
-                    base: next().into_report(),
-                    rpg2: next().into_rpg2(),
-                    triangel: next().into_report(),
-                    prophet: next().into_report(),
+                    base: base.into_report(),
+                    rpg2: rpg2.into_rpg2(),
+                    triangel: triangel.into_report(),
+                    prophet: prophet.into_report(),
                 }
             })
             .collect()

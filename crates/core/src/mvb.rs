@@ -20,11 +20,11 @@
 use prophet_prefetch::SmallList;
 use prophet_sim_mem::{find_first_u64, Line};
 
-/// Key-mirror sentinel for an empty MVB slot. Real keys are
+/// Key-array sentinel for an empty MVB slot. Real keys are
 /// `(tag << set_bits) | set` with a 16-bit tag, far below `u64::MAX`.
 const NO_KEY: u64 = u64::MAX;
 
-/// Inline target capacity per entry. Figure 16c evaluates 1/2/4
+/// Inline capacity of a lookup's target list. Figure 16c evaluates 1/2/4
 /// candidates, so the hot path never spills to the heap; larger
 /// experimental configs degrade gracefully through `SmallList`'s spill.
 pub const MVB_INLINE_CANDIDATES: usize = 4;
@@ -41,31 +41,31 @@ const _: () = assert!(
     "MVB sets must be a power of two"
 );
 
-#[derive(Debug, Clone)]
-struct MvbEntry {
-    key: u64,
-    /// `(target, 2-bit use counter)`, at most `candidates` of them.
-    targets: SmallList<(Line, u8), MVB_INLINE_CANDIDATES>,
-    stamp: u64,
-}
+/// Words of one entry before its targets: the LRU stamp, then the target
+/// count (low byte) with a 2-bit use counter per target above it.
+const HEAD_WORDS: usize = 2;
+const STAMP: usize = 0;
+const COUNTS: usize = 1;
 
-impl MvbEntry {
-    /// Entry priority for replacement: the maximal target counter.
-    fn priority(&self) -> u8 {
-        self.targets.iter().map(|&(_, c)| c).max().unwrap_or(0)
-    }
-}
+/// Most candidates per entry: 2-bit counters above the count byte.
+const MAX_CANDIDATES: usize = (64 - 8) / 2;
 
 /// The Multi-path Victim Buffer.
+///
+/// Each entry is one packed record of `HEAD_WORDS + candidates` words in
+/// `entries` — stamp, count and counters, then the targets in insertion
+/// order — beside a key array that is the primary record of which slots
+/// are live (`NO_KEY` when empty). A default one-candidate entry is 24
+/// bytes, where a boxed-list entry took 120.
 #[derive(Debug, Clone)]
 pub struct MultiPathVictimBuffer {
     /// Markov-target candidates stored per entry (Figure 16c).
     candidates: usize,
-    slots: Vec<Option<MvbEntry>>,
-    /// Packed key mirror of `slots` (`NO_KEY` for empty), so the per-lookup
-    /// set probe is one batched scan over contiguous words instead of a
-    /// walk across the full entries.
+    /// Each slot's key, or `NO_KEY` for an empty slot; the per-lookup set
+    /// probe is one batched scan over contiguous words.
     keys: Vec<u64>,
+    /// `HEAD_WORDS + candidates` words per slot.
+    entries: Vec<u64>,
     clock: u64,
     inserted: u64,
     hits: u64,
@@ -75,13 +75,18 @@ impl MultiPathVictimBuffer {
     /// Builds the buffer with `candidates` Markov targets per entry.
     ///
     /// # Panics
-    /// Panics if `candidates` is zero.
+    /// Panics if `candidates` is zero or above 28 (the use counters of an
+    /// entry share one word).
     pub fn new(candidates: usize) -> Self {
         assert!(candidates > 0, "an MVB entry needs a candidate");
+        assert!(
+            candidates <= MAX_CANDIDATES,
+            "an MVB entry holds at most {MAX_CANDIDATES} candidates"
+        );
         MultiPathVictimBuffer {
             candidates,
-            slots: vec![None; MVB_ENTRIES],
             keys: vec![NO_KEY; MVB_ENTRIES],
+            entries: vec![0; MVB_ENTRIES * (HEAD_WORDS + candidates)],
             clock: 0,
             inserted: 0,
             hits: 0,
@@ -110,6 +115,26 @@ impl MultiPathVictimBuffer {
         set * MVB_WAYS..(set + 1) * MVB_WAYS
     }
 
+    /// The packed record of slot `i`.
+    fn entry(&self, i: usize) -> &[u64] {
+        let stride = HEAD_WORDS + self.candidates;
+        &self.entries[i * stride..(i + 1) * stride]
+    }
+
+    fn entry_mut(&mut self, i: usize) -> &mut [u64] {
+        let stride = HEAD_WORDS + self.candidates;
+        &mut self.entries[i * stride..(i + 1) * stride]
+    }
+
+    /// Entry priority for replacement: the maximal target counter.
+    fn priority(&self, i: usize) -> u8 {
+        let counts = self.entry(i)[COUNTS];
+        (0..len(counts))
+            .map(|t| counter(counts, t))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Buffers an evicted Markov target. Per the insertion rule, callers
     /// must only pass victims with priority level > 0; this method enforces
     /// it by ignoring level-0 victims.
@@ -119,52 +144,47 @@ impl MultiPathVictimBuffer {
         }
         self.clock += 1;
         let clock = self.clock;
+        let candidates = self.candidates;
         let range = self.set_range(key);
         let base = range.start;
 
         // Existing entry for the key: add/refresh the target.
         if let Some(i) = find_first_u64(&self.keys[range.clone()], key) {
-            let e = self.slots[base + i].as_mut().expect("mirrored key is live");
-            e.stamp = clock;
-            if let Some(t) = e.targets.iter_mut().find(|(l, _)| *l == target) {
-                t.1 = (t.1 + 1).min(3);
-            } else if e.targets.len() < self.candidates {
-                e.targets.push((target, 0));
+            let e = self.entry_mut(base + i);
+            e[STAMP] = clock;
+            let n = len(e[COUNTS]);
+            let targets = &e[HEAD_WORDS..HEAD_WORDS + n];
+            if let Some(t) = targets.iter().position(|&l| l == target.0) {
+                let c = counter(e[COUNTS], t);
+                e[COUNTS] = with_counter(e[COUNTS], t, (c + 1).min(3));
+            } else if n < candidates {
+                e[HEAD_WORDS + n] = target.0;
+                e[COUNTS] = with_counter(e[COUNTS] + 1, n, 0);
             } else {
-                // Replace the least-used candidate.
-                let weakest = e
-                    .targets
-                    .iter_mut()
-                    .min_by_key(|(_, c)| *c)
+                // Replace the least-used candidate (the first of equals).
+                let weakest = (0..n)
+                    .min_by_key(|&t| counter(e[COUNTS], t))
                     .expect("candidates is positive");
-                *weakest = (target, 0);
+                e[HEAD_WORDS + weakest] = target.0;
+                e[COUNTS] = with_counter(e[COUNTS], weakest, 0);
             }
             return;
         }
 
         self.inserted += 1;
-        let mut targets = SmallList::new();
-        targets.push((target, 0));
-        let fresh = MvbEntry {
-            key,
-            targets,
-            stamp: clock,
+        // Empty slot, or Prophet replacement: lowest priority (max
+        // counter), LRU tiebreak.
+        let slot = match find_first_u64(&self.keys[range.clone()], NO_KEY) {
+            Some(i) => base + i,
+            None => range
+                .min_by_key(|&i| (self.priority(i), self.entry(i)[STAMP]))
+                .expect("ways > 0"),
         };
-        // Empty slot?
-        if let Some(i) = find_first_u64(&self.keys[range.clone()], NO_KEY) {
-            self.slots[base + i] = Some(fresh);
-            self.keys[base + i] = key;
-            return;
-        }
-        // Prophet replacement: lowest priority (max counter), LRU tiebreak.
-        let victim = range
-            .min_by_key(|&i| {
-                let e = self.slots[i].as_ref().expect("set is full");
-                (e.priority(), e.stamp)
-            })
-            .expect("ways > 0");
-        self.slots[victim] = Some(fresh);
-        self.keys[victim] = key;
+        self.keys[slot] = key;
+        let e = self.entry_mut(slot);
+        e[STAMP] = clock;
+        e[COUNTS] = 1;
+        e[HEAD_WORDS] = target.0;
     }
 
     /// Looks up extra Markov targets for `key`, excluding `table_target`
@@ -177,16 +197,17 @@ impl MultiPathVictimBuffer {
     ) -> SmallList<Line, MVB_INLINE_CANDIDATES> {
         let range = self.set_range(key);
         let base = range.start;
-        let Some(i) = find_first_u64(&self.keys[range], key) else {
-            return SmallList::new();
-        };
-        let e = self.slots[base + i].as_mut().expect("mirrored key is live");
-        debug_assert_eq!(e.key, key, "MVB key mirror out of sync");
         let mut out = SmallList::new();
-        for (line, counter) in e.targets.as_mut_slice() {
-            if Some(*line) != table_target {
-                *counter = (*counter + 1).min(3);
-                out.push(*line);
+        let Some(i) = find_first_u64(&self.keys[range], key) else {
+            return out;
+        };
+        let e = self.entry_mut(base + i);
+        for t in 0..len(e[COUNTS]) {
+            let line = Line(e[HEAD_WORDS + t]);
+            if Some(line) != table_target {
+                let c = counter(e[COUNTS], t);
+                e[COUNTS] = with_counter(e[COUNTS], t, (c + 1).min(3));
+                out.push(line);
             }
         }
         if !out.is_empty() {
@@ -194,6 +215,25 @@ impl MultiPathVictimBuffer {
         }
         out
     }
+}
+
+/// Targets held, from an entry's count word.
+#[inline]
+fn len(counts: u64) -> usize {
+    (counts & 0xFF) as usize
+}
+
+/// Use counter of target `t`, from an entry's count word.
+#[inline]
+fn counter(counts: u64, t: usize) -> u8 {
+    (counts >> (8 + 2 * t) & 3) as u8
+}
+
+/// `counts` with target `t`'s use counter set to `c`.
+#[inline]
+fn with_counter(counts: u64, t: usize, c: u8) -> u64 {
+    let shift = 8 + 2 * t;
+    counts & !(3 << shift) | (c as u64) << shift
 }
 
 #[cfg(test)]

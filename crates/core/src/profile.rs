@@ -50,8 +50,8 @@ impl L2Prefetcher for SimplifiedTp {
         L2Decision {
             prefetches: d
                 .targets
-                .into_iter()
-                .map(|line| PrefetchRequest {
+                .iter()
+                .map(|&line| PrefetchRequest {
                     line,
                     trigger_pc: ev.pc,
                 })

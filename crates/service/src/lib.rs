@@ -13,7 +13,7 @@
 //! The pieces:
 //!
 //! * [`proto`] — the length-prefixed wire protocol (a `u32` frame header
-//!   + payloads in the `prophet-store` codec; total decoding, typed
+//!   plus payloads in the `prophet-store` codec; total decoding, typed
 //!   [`proto::ErrorCode`]s, never a daemon panic);
 //! * [`merge`] — the canonical content-ordered Eq. 4/5 fold that makes
 //!   any submission interleaving produce bit-identical merged profiles,

@@ -38,7 +38,9 @@ impl MemSystem {
                 self.mem.set_llc_meta_ways(k, ev.now);
             }
         }
-        for req in decision.prefetches {
+        // By reference: moving the inline list into an owning iterator
+        // copies its whole buffer on every event.
+        for req in &decision.prefetches {
             // The issue variant checks the O(1) inflight probe before the
             // residency way scans; exact (see its docs).
             if self.filter.admit(req.line) {
@@ -63,7 +65,7 @@ impl MemBackend for MemSystem {
         // that propagate past the L1 also appear in the L2 stream and train
         // the temporal prefetcher (Section 5.1).
         let l1_reqs = self.l1pf.on_l1_access(pc, addr, out.l1_hit);
-        for target in l1_reqs {
+        for &target in &l1_reqs {
             if let Some(ev) = self.mem.l1_prefetch(pc, target.line(), now) {
                 self.handle_l2_event(&ev);
             }

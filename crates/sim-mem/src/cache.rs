@@ -9,7 +9,8 @@
 //! Prophet's profile-guided CSR) moves this boundary at runtime.
 
 use crate::addr::{Line, Pc};
-use crate::replacement::{FlatRepl, ReplKind, ReplSnapshot};
+use crate::flat::{LineAligned, HOST_LINE_BYTES};
+use crate::replacement::{ReplKind, ReplSnapshot, SetRepl};
 
 /// Static geometry and policy of one cache level.
 #[derive(Debug, Clone)]
@@ -107,56 +108,111 @@ impl CacheStats {
     }
 }
 
-/// Tag value marking an empty slot in the flat tag array. Line addresses
-/// are byte addresses shifted right by 6, so `u64::MAX` can never be a
-/// real resident line.
-const NO_TAG: u64 = u64::MAX;
+/// Tag of an empty way.
+const NO_TAG: u32 = u32::MAX;
+/// Tag of a way whose line is too far up the address space for a 32-bit
+/// tag; its full address is kept out of line (`Cache::wide`).
+const WIDE_TAG: u32 = u32::MAX - 1;
+
+/// Per-set state words after the tags: the dirty, prefetched and
+/// has-trigger masks, bit `way` each.
+const DIRTY: usize = 0;
+const PREFETCHED: usize = 1;
+const TRIGGER: usize = 2;
+const STATE_WORDS: usize = 3;
+
+/// `u32` words per host cache line.
+const HOST_LINE_WORDS: usize = HOST_LINE_BYTES / 4;
+
+/// Words in one set's block: tags, state masks and replacement state,
+/// padded so no block straddles a host line it does not need (a power of
+/// two up to one line, whole lines beyond).
+const fn block_words(ways: usize, repl: ReplKind) -> usize {
+    let words = ways + STATE_WORDS + SetRepl::words(repl, ways);
+    if words <= HOST_LINE_WORDS {
+        words.next_power_of_two()
+    } else {
+        words.next_multiple_of(HOST_LINE_WORDS)
+    }
+}
+
+// A Table 1 set takes half a host line in the L1D, one in the L2 and two
+// in the LLC; a new per-set field must not quietly push them over.
+const _: () = assert!(block_words(4, ReplKind::Plru) * 4 == 32);
+const _: () = assert!(block_words(8, ReplKind::Plru) * 4 == 64);
+const _: () = assert!(block_words(16, ReplKind::Srrip) * 4 == 128);
 
 /// A set-associative, write-back, write-allocate cache with an optional way
 /// partition reserving the low ways of every set.
 ///
-/// Residency is tracked twice: `lines` holds the full per-line state, and
-/// `tags` mirrors just the line addresses in a dense `u64` array (with
-/// `NO_TAG` for empty slots) so the per-access way scan reads 8
-/// contiguous words instead of walking `Option<LineState>` entries. Every
-/// mutation that changes *which* line a slot holds updates both
-/// (`debug_assert`ed in `find_way`).
+/// Each set is one block of `u32` words, aligned to host cache lines:
+///
+/// ```text
+/// [ tag × ways | dirty mask | prefetched mask | trigger mask | replacement | pad ]
+/// ```
+///
+/// The tags are the primary residency record: a resident line's address
+/// with the set-index bits dropped (they are implied by the set), or
+/// `NO_TAG` for an empty way. Bit `way` of each mask carries that way's
+/// [`LineState`] flags, and the replacement words are [`SetRepl`]'s
+/// encoding. A probe, the hit or fill that follows it and the victim read
+/// all stay inside the set's block — half a host line, one and two for the
+/// Table 1 L1D, L2 and LLC. Two per-line fields live out of line, read only
+/// when flagged: the trigger PC of a prefetched line (`triggers`, flagged
+/// by its mask bit) and the full address of a line whose tag does not fit
+/// in 32 bits (`wide`, flagged by `WIDE_TAG`; no workload address reaches
+/// that far, but the cache stays exact for every `u64` line).
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
     ways: usize,
-    /// `sets × ways` entries, way-major within a set.
-    lines: Vec<Option<LineState>>,
-    /// Flat residency mirror of `lines`: the line address per slot, or
-    /// `NO_TAG`.
-    tags: Vec<u64>,
-    /// Replacement state for every set, flattened into contiguous per-kind
-    /// arrays (one cache runs one policy).
-    repl: FlatRepl,
+    repl: SetRepl,
+    /// `log2(sets)`: the address bits a tag leaves out.
+    set_bits: u32,
+    /// Set blocks back to back, `stride` words each.
+    words: LineAligned<u32>,
+    stride: usize,
+    /// Trigger PC per slot (`set * ways + way`); meaningful only while the
+    /// slot's trigger bit is set.
+    triggers: Vec<u64>,
+    /// Full line address per slot; meaningful only where the tag is
+    /// `WIDE_TAG`.
+    wide: Vec<u64>,
     /// Data occupies ways `[way_lo, ways)`; `[0, way_lo)` is reserved for the
     /// (externally modeled) metadata table.
     way_lo: usize,
-    /// Per-set count of valid data-partition lines, so `fill` can skip the
-    /// invalid-way scan once a set is full (the steady state). Derived
-    /// state: recomputed on restore and partition changes.
-    filled: Vec<u32>,
     stats: CacheStats,
 }
 
 impl Cache {
     /// Builds an empty cache from its configuration.
+    ///
+    /// # Panics
+    /// Panics if the geometry does not divide into power-of-two sets, or
+    /// if a set has more than 32 ways (one mask word per flag).
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         let ways = cfg.ways;
+        assert!(ways <= 32, "a set holds at most 32 ways");
+        let repl = SetRepl::new(cfg.repl, ways);
+        let stride = block_words(ways, cfg.repl);
+        let mut words = LineAligned::new(sets * stride, 0);
+        for set in 0..sets {
+            let base = set * stride;
+            words[base..base + ways].fill(NO_TAG);
+            repl.init(&mut words[base + ways + STATE_WORDS..base + stride]);
+        }
         Cache {
-            repl: FlatRepl::new(cfg.repl, sets, ways),
-            lines: vec![None; sets * ways],
-            tags: vec![NO_TAG; sets * ways],
+            repl,
+            words,
+            stride,
+            triggers: vec![0; sets * ways],
+            wide: vec![0; sets * ways],
+            set_bits: sets.trailing_zeros(),
             sets,
             ways,
             way_lo: 0,
-            filled: vec![0; sets],
             stats: CacheStats::default(),
             cfg,
         }
@@ -202,9 +258,99 @@ impl Cache {
         (line.0 as usize) & (self.sets - 1)
     }
 
+    /// Word index of `set`'s block.
     #[inline]
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+    fn block(&self, set: usize) -> usize {
+        set * self.stride
+    }
+
+    /// The state word `which` (`DIRTY`, `PREFETCHED` or `TRIGGER`) of the
+    /// set whose block starts at `base`.
+    #[inline]
+    fn mask(&mut self, base: usize, which: usize) -> &mut u32 {
+        &mut self.words[base + self.ways + which]
+    }
+
+    /// Records a hit or fill on `way` in the replacement state.
+    #[inline]
+    fn repl_touch(&mut self, base: usize, way: usize, fill: bool) {
+        let st = &mut self.words[base + self.ways + STATE_WORDS..base + self.stride];
+        if fill {
+            self.repl.on_fill(st, way);
+        } else {
+            self.repl.on_hit(st, way);
+        }
+    }
+
+    /// The tag `line` is stored under in its set.
+    #[inline]
+    fn tag_of(&self, line: Line) -> u32 {
+        let tag = line.0 >> self.set_bits;
+        if tag < WIDE_TAG as u64 {
+            tag as u32
+        } else {
+            WIDE_TAG
+        }
+    }
+
+    /// The line held in valid `way` of `set`.
+    fn resident(&self, set: usize, way: usize) -> Line {
+        match self.words[self.block(set) + way] {
+            WIDE_TAG => Line(self.wide[set * self.ways + way]),
+            tag => Line((tag as u64) << self.set_bits | set as u64),
+        }
+    }
+
+    /// The full state of the valid line in `way` of `set`.
+    fn line_state(&self, set: usize, way: usize) -> LineState {
+        let base = self.block(set);
+        let flag = |which: usize| self.words[base + self.ways + which] >> way & 1 == 1;
+        LineState {
+            line: self.resident(set, way),
+            dirty: flag(DIRTY),
+            prefetched: flag(PREFETCHED),
+            trigger_pc: flag(TRIGGER).then(|| Pc(self.triggers[set * self.ways + way])),
+        }
+    }
+
+    /// Writes `state` into `way` of `set` (tag, flags and trigger PC).
+    fn put(&mut self, set: usize, way: usize, state: LineState) {
+        let base = self.block(set);
+        let bit = 1u32 << way;
+        let tag = self.tag_of(state.line);
+        self.words[base + way] = tag;
+        if tag == WIDE_TAG {
+            self.wide[set * self.ways + way] = state.line.0;
+        }
+        for (which, on) in [
+            (DIRTY, state.dirty),
+            (PREFETCHED, state.prefetched),
+            (TRIGGER, state.trigger_pc.is_some()),
+        ] {
+            let m = self.mask(base, which);
+            *m = if on { *m | bit } else { *m & !bit };
+        }
+        if let Some(pc) = state.trigger_pc {
+            self.triggers[set * self.ways + way] = pc.0;
+        }
+    }
+
+    /// Clears the prefetched bit of `way` in the set at `base`; if it was
+    /// set, also takes the trigger PC (the prefetch has just been used).
+    #[inline]
+    fn take_prefetch(&mut self, set: usize, base: usize, way: usize) -> Option<Pc> {
+        let bit = 1u32 << way;
+        let prefetched = self.mask(base, PREFETCHED);
+        if *prefetched & bit == 0 {
+            return None;
+        }
+        *prefetched &= !bit;
+        let trigger = self.mask(base, TRIGGER);
+        if *trigger & bit == 0 {
+            return None;
+        }
+        *trigger &= !bit;
+        Some(Pc(self.triggers[set * self.ways + way]))
     }
 
     /// Reserves the first `k` ways of every set (for the metadata table),
@@ -219,9 +365,10 @@ impl Cache {
         if k > self.way_lo {
             for set in 0..self.sets {
                 for way in self.way_lo..k {
-                    let slot = self.slot(set, way);
-                    if let Some(state) = self.lines[slot].take() {
-                        self.tags[slot] = NO_TAG;
+                    let slot = self.block(set) + way;
+                    if self.words[slot] != NO_TAG {
+                        let state = self.line_state(set, way);
+                        self.words[slot] = NO_TAG;
                         self.note_eviction(&state);
                         evicted.push(Evicted { state });
                     }
@@ -229,20 +376,7 @@ impl Cache {
             }
         }
         self.way_lo = k;
-        self.recount_filled();
         evicted
-    }
-
-    /// Recomputes the per-set fill counts from `lines` (after a restore or
-    /// a partition change, where slots change wholesale).
-    fn recount_filled(&mut self) {
-        for set in 0..self.sets {
-            let base = set * self.ways;
-            self.filled[set] = self.lines[base + self.way_lo..base + self.ways]
-                .iter()
-                .filter(|l| l.is_some())
-                .count() as u32;
-        }
     }
 
     /// Number of ways currently reserved for metadata.
@@ -255,31 +389,38 @@ impl Cache {
         self.find_way(line).is_some()
     }
 
+    /// The set, its block and the data way holding `line`, if resident.
+    #[inline]
+    fn find(&self, line: Line) -> (usize, usize, Option<usize>) {
+        let set = self.set_index(line);
+        let base = self.block(set);
+        let tag = self.tag_of(line);
+        let way = if tag == WIDE_TAG {
+            (self.way_lo..self.ways).find(|&w| {
+                self.words[base + w] == WIDE_TAG && self.wide[set * self.ways + w] == line.0
+            })
+        } else {
+            let tags = &self.words[base + self.way_lo..base + self.ways];
+            crate::flat::find_first_u32(tags, tag).map(|i| self.way_lo + i)
+        };
+        (set, base, way)
+    }
+
     #[inline]
     fn find_way(&self, line: Line) -> Option<usize> {
-        let set = self.set_index(line);
-        let base = set * self.ways;
-        let tags = &self.tags[base + self.way_lo..base + self.ways];
-        let i = crate::flat::find_first_u64(tags, line.0)?;
-        let way = self.way_lo + i;
-        debug_assert!(
-            matches!(self.lines[base + way], Some(s) if s.line == line),
-            "tag mirror out of sync at set {set} way {way}"
-        );
-        Some(way)
+        self.find(line).2
     }
 
     /// Prefetch-side lookup: updates replacement state on a hit but does not
     /// touch demand counters or the prefetch-usefulness bit (only demand
     /// accesses make a prefetch "useful"). Returns whether the line hit.
     pub fn touch(&mut self, line: Line) -> bool {
-        match self.find_way(line) {
-            Some(way) => {
-                let set = self.set_index(line);
-                self.repl.on_hit(set, way);
+        match self.find(line) {
+            (_, base, Some(way)) => {
+                self.repl_touch(base, way, false);
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
@@ -287,45 +428,32 @@ impl Cache {
     /// PC if the bit was set (the caller is crediting the prefetch as used
     /// through a non-demand path, e.g. an L1-prefetch hit).
     pub fn consume_prefetch_bit(&mut self, line: Line) -> Option<Pc> {
-        let way = self.find_way(line)?;
-        let set = self.set_index(line);
-        let slot = self.slot(set, way);
-        let state = self.lines[slot].as_mut().expect("way is valid");
-        if state.prefetched {
-            state.prefetched = false;
-            state.trigger_pc.take()
-        } else {
-            None
-        }
+        let (set, base, way) = self.find(line);
+        self.take_prefetch(set, base, way?)
     }
 
     /// Demand access (load or store). Updates replacement state and the
     /// prefetch-usefulness bit; sets the dirty bit when `is_store`.
     pub fn access(&mut self, line: Line, is_store: bool) -> AccessResult {
-        let set = self.set_index(line);
-        if let Some(way) = self.find_way(line) {
-            self.stats.demand_hits += 1;
-            self.repl.on_hit(set, way);
-            let slot = self.slot(set, way);
-            let state = self.lines[slot].as_mut().expect("hit way must be valid");
-            let first_use = if state.prefetched {
-                state.prefetched = false;
-                state.trigger_pc.take()
-            } else {
-                None
-            };
-            if is_store {
-                state.dirty = true;
+        match self.find(line) {
+            (set, base, Some(way)) => {
+                self.stats.demand_hits += 1;
+                self.repl_touch(base, way, false);
+                let first_use = self.take_prefetch(set, base, way);
+                if is_store {
+                    *self.mask(base, DIRTY) |= 1 << way;
+                }
+                AccessResult {
+                    hit: true,
+                    first_use_of_prefetch: first_use,
+                }
             }
-            AccessResult {
-                hit: true,
-                first_use_of_prefetch: first_use,
-            }
-        } else {
-            self.stats.demand_misses += 1;
-            AccessResult {
-                hit: false,
-                first_use_of_prefetch: None,
+            _ => {
+                self.stats.demand_misses += 1;
+                AccessResult {
+                    hit: false,
+                    first_use_of_prefetch: None,
+                }
             }
         }
     }
@@ -352,61 +480,58 @@ impl Cache {
             self.stats.demand_fills += 1;
         }
         let set = self.set_index(state.line);
-        let base = set * self.ways;
-        // Prefer an invalid way; the per-set fill count skips the scan
-        // entirely once the set is full (the steady state).
-        let data_ways = (self.ways - self.way_lo) as u32;
-        let way = if self.filled[set] < data_ways {
-            let data_tags = &self.tags[base + self.way_lo..base + self.ways];
-            match crate::flat::find_first_u64(data_tags, NO_TAG) {
-                Some(i) => self.way_lo + i,
-                None => self.repl.victim(set, self.way_lo, self.ways),
+        let base = self.block(set);
+        // Prefer an invalid way. Every caller has just probed this set, so
+        // the scan reads host lines the probe already brought in.
+        let data_tags = &self.words[base + self.way_lo..base + self.ways];
+        let (way, victim) = match crate::flat::find_first_u32(data_tags, NO_TAG) {
+            Some(i) => (self.way_lo + i, None),
+            None => {
+                let st = &mut self.words[base + self.ways + STATE_WORDS..base + self.stride];
+                let way = self.repl.victim(st, self.way_lo, self.ways);
+                let old = self.line_state(set, way);
+                self.note_eviction(&old);
+                (way, Some(Evicted { state: old }))
             }
-        } else {
-            self.repl.victim(set, self.way_lo, self.ways)
         };
-        let slot = base + way;
-        let victim = self.lines[slot].take().map(|old| {
-            self.note_eviction(&old);
-            Evicted { state: old }
-        });
-        if victim.is_none() {
-            self.filled[set] += 1;
-        }
-        self.lines[slot] = Some(state);
-        self.tags[slot] = state.line.0;
-        self.repl.on_fill(set, way);
+        self.put(set, way, state);
+        self.repl_touch(base, way, true);
         victim
     }
 
     /// Removes `line` if resident (e.g. promotion out of a mostly-exclusive
     /// LLC) and returns its state.
     pub fn invalidate(&mut self, line: Line) -> Option<LineState> {
-        let way = self.find_way(line)?;
-        let set = self.set_index(line);
-        let slot = self.slot(set, way);
-        self.tags[slot] = NO_TAG;
-        self.filled[set] -= 1;
-        self.lines[slot].take()
+        let (set, base, way) = self.find(line);
+        let way = way?;
+        let state = self.line_state(set, way);
+        self.words[base + way] = NO_TAG;
+        Some(state)
     }
 
     /// Marks a resident line dirty (write-back arriving from an upper level).
     /// Returns `false` if the line is not resident.
     pub fn mark_dirty(&mut self, line: Line) -> bool {
-        match self.find_way(line) {
-            Some(way) => {
-                let set = self.set_index(line);
-                let slot = self.slot(set, way);
-                self.lines[slot].as_mut().expect("way is valid").dirty = true;
+        match self.find(line) {
+            (_, base, Some(way)) => {
+                *self.mask(base, DIRTY) |= 1 << way;
                 true
             }
-            None => false,
+            _ => false,
         }
     }
 
     /// Number of currently valid data lines (O(capacity); for tests/reports).
     pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|l| l.is_some()).count()
+        (0..self.sets)
+            .map(|set| {
+                let base = self.block(set);
+                self.words[base..base + self.ways]
+                    .iter()
+                    .filter(|&&t| t != NO_TAG)
+                    .count()
+            })
+            .sum()
     }
 
     fn note_eviction(&mut self, state: &LineState) {
@@ -426,8 +551,7 @@ impl Cache {
 /// every counter is reset anyway.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheSnapshot {
-    /// `sets × ways` entries, way-major within a set (same layout as the
-    /// live cache).
+    /// `sets × ways` entries, way-major within a set.
     pub lines: Vec<Option<LineState>>,
     /// One replacement-state image per set.
     pub repl: Vec<ReplSnapshot>,
@@ -438,9 +562,21 @@ pub struct CacheSnapshot {
 impl Cache {
     /// Captures contents, replacement state and the partition boundary.
     pub fn snapshot(&self) -> CacheSnapshot {
+        let mut lines = Vec::with_capacity(self.sets * self.ways);
+        let mut repl = Vec::with_capacity(self.sets);
+        for set in 0..self.sets {
+            let base = self.block(set);
+            for way in 0..self.ways {
+                lines.push((self.words[base + way] != NO_TAG).then(|| self.line_state(set, way)));
+            }
+            repl.push(
+                self.repl
+                    .snapshot(&self.words[base + self.ways + STATE_WORDS..base + self.stride]),
+            );
+        }
         CacheSnapshot {
-            lines: self.lines.clone(),
-            repl: (0..self.sets).map(|s| self.repl.snapshot_set(s)).collect(),
+            lines,
+            repl,
             way_lo: self.way_lo,
         }
     }
@@ -449,7 +585,7 @@ impl Cache {
     /// Statistics are reset (snapshots mark the warm-up boundary).
     ///
     /// # Panics
-    /// Panics on a geometry mismatch (the store keys checkpoints by system
+    /// Panics on a geometry mismatch (the store keys checkpoints by
     /// configuration digest, so this indicates caller error, not bad data).
     pub fn restore(&mut self, snap: &CacheSnapshot) {
         assert_eq!(
@@ -463,15 +599,20 @@ impl Cache {
             "cache snapshot geometry mismatch"
         );
         assert!(snap.way_lo <= self.ways, "cache snapshot geometry mismatch");
-        self.lines.clone_from(&snap.lines);
-        for (slot, l) in self.lines.iter().enumerate() {
-            self.tags[slot] = l.map_or(NO_TAG, |s| s.line.0);
-        }
-        for (set, r) in snap.repl.iter().enumerate() {
-            self.repl.restore_set(set, r);
+        for set in 0..self.sets {
+            let base = self.block(set);
+            for way in 0..self.ways {
+                match snap.lines[set * self.ways + way] {
+                    Some(state) => self.put(set, way, state),
+                    None => self.words[base + way] = NO_TAG,
+                }
+            }
+            self.repl.restore(
+                &mut self.words[base + self.ways + STATE_WORDS..base + self.stride],
+                &snap.repl[set],
+            );
         }
         self.way_lo = snap.way_lo;
-        self.recount_filled();
         self.stats = CacheStats::default();
     }
 }

@@ -3,18 +3,22 @@
 //! The per-instruction loop used to lean on `std::collections::HashMap` for
 //! two kinds of state: sparse per-PC tables and the in-flight miss set.
 //! SipHash plus per-entry boxing dominated the simulator's profile, so this
-//! module provides the two shapes those users actually need:
+//! module provides the shapes those users actually need:
 //!
 //! * [`FlatMap`] — an open-addressed, linear-probed table keyed by `u64`
 //!   with a fixed multiply-shift hash. It never deletes (none of the hot
 //!   users delete), grows at ¾ load, and keeps its capacity across
 //!   [`FlatMap::clear`], so steady-state use performs no heap allocation.
+//! * [`LineAligned`] — a fixed-length array starting on a host cache
+//!   line, for fixed-stride per-set records.
 //! * [`InflightTable`] — the hierarchy's pending-miss set: a dense
 //!   insertion-ordered vector of `(line, ready)` pairs plus a `FlatMap`
-//!   index, replacing per-access map churn with O(1) probes and a linear
-//!   sweep for the MSHR scan.
+//!   index, replacing per-access map churn with O(1) probes, and a sorted
+//!   copy of the ready cycles that answers the MSHR query by binary
+//!   search.
 //!
-//! Both are drop-in *behavioral* equivalents of the maps they replaced:
+//! The map and the table are drop-in *behavioral* equivalents of the maps
+//! they replaced:
 //! lookups, overwrites, and retain-style purges produce the same results
 //! for any operation sequence (pinned by `tests/flat_equivalence.rs`).
 //! Iteration order differs from `HashMap` (it is deterministic here), so
@@ -95,6 +99,13 @@ batched_find_first!(
      than it saves."
 );
 batched_find_first!(
+    find_first_u32,
+    u32,
+    "First index in `hay` holding `needle`, over 32-bit lanes.\n\nSee \
+     [`find_first_u16`] — identical comparison structure over `u32` \
+     elements."
+);
+batched_find_first!(
     find_first_u64,
     u64,
     "First index in `hay` holding `needle`, over 64-bit lanes.\n\nSee \
@@ -112,28 +123,34 @@ batched_find_first!(
 ///   only way to forget keys — so a probe chain never crosses a tombstone
 ///   and `get` can stop at the first free slot;
 /// * `clear` keeps the allocation and is O(1): occupancy is an epoch
-///   stamp per slot (`stamp[i] == epoch` means live), so clearing bumps
+///   stamp per slot (`stamp == epoch` means live), so clearing bumps
 ///   the epoch instead of sweeping the table. Clear-heavy users — the
 ///   inflight purge re-index runs once every few dozen DRAM fills —
 ///   stop paying a capacity-sized memset per purge.
+///
+/// A slot keeps its key, stamp and value together, so a probe reads one
+/// host line where three parallel arrays cost three.
 #[derive(Debug, Clone)]
 pub struct FlatMap<V> {
-    keys: Vec<u64>,
-    vals: Vec<V>,
-    /// Slot `i` is live iff `stamp[i] == epoch`. Stamps start at 0 and
-    /// `epoch` at 1, so a fresh table is empty.
-    stamp: Vec<u32>,
+    slots: Vec<MapSlot<V>>,
     epoch: u32,
     len: usize,
+}
+
+/// One [`FlatMap`] slot. It is live iff `stamp == epoch`; stamps start at
+/// 0 and the epoch at 1, so a fresh table is empty.
+#[derive(Debug, Clone, Default)]
+struct MapSlot<V> {
+    key: u64,
+    stamp: u32,
+    val: V,
 }
 
 impl<V: Default + Clone> FlatMap<V> {
     /// An empty map that allocates on first insertion.
     pub fn new() -> Self {
         FlatMap {
-            keys: Vec::new(),
-            vals: Vec::new(),
-            stamp: Vec::new(),
+            slots: Vec::new(),
             epoch: 1,
             len: 0,
         }
@@ -164,7 +181,7 @@ impl<V: Default + Clone> FlatMap<V> {
     pub fn clear(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.stamp.fill(0);
+            self.slots.iter_mut().for_each(|s| s.stamp = 0);
             self.epoch = 1;
         }
         self.len = 0;
@@ -172,7 +189,7 @@ impl<V: Default + Clone> FlatMap<V> {
 
     #[inline]
     fn mask(&self) -> usize {
-        self.keys.len().wrapping_sub(1)
+        self.slots.len().wrapping_sub(1)
     }
 
     /// Probes for `key`: `(slot, true)` on a match, `(slot, false)` with
@@ -182,10 +199,11 @@ impl<V: Default + Clone> FlatMap<V> {
         let mask = self.mask();
         let mut i = slot_of(key, mask);
         loop {
-            if self.stamp[i] != self.epoch {
+            let slot = &self.slots[i];
+            if slot.stamp != self.epoch {
                 return (i, false);
             }
-            if self.keys[i] == key {
+            if slot.key == key {
                 return (i, true);
             }
             i = (i + 1) & mask;
@@ -196,29 +214,28 @@ impl<V: Default + Clone> FlatMap<V> {
     fn rebuild(&mut self, cap: usize) {
         debug_assert!(cap.is_power_of_two() && cap * 3 / 4 >= self.len);
         let old_epoch = self.epoch;
-        let old_keys = std::mem::replace(&mut self.keys, vec![0; cap]);
-        let old_vals = std::mem::replace(&mut self.vals, vec![V::default(); cap]);
-        let old_stamp = std::mem::replace(&mut self.stamp, vec![0; cap]);
+        let old = std::mem::replace(&mut self.slots, vec![MapSlot::default(); cap]);
         self.epoch = 1;
         let mask = cap - 1;
-        for ((k, v), u) in old_keys.into_iter().zip(old_vals).zip(old_stamp) {
-            if u != old_epoch {
+        for slot in old {
+            if slot.stamp != old_epoch {
                 continue;
             }
-            let mut i = slot_of(k, mask);
-            while self.stamp[i] == self.epoch {
+            let mut i = slot_of(slot.key, mask);
+            while self.slots[i].stamp == self.epoch {
                 i = (i + 1) & mask;
             }
-            self.keys[i] = k;
-            self.vals[i] = v;
-            self.stamp[i] = self.epoch;
+            self.slots[i] = MapSlot {
+                stamp: self.epoch,
+                ..slot
+            };
         }
     }
 
     /// Grows if inserting one more entry would exceed ¾ load.
     #[inline]
     fn reserve_one(&mut self) {
-        let cap = self.keys.len();
+        let cap = self.slots.len();
         if (self.len + 1) * 4 > cap * 3 {
             self.rebuild((cap * 2).max(16));
         }
@@ -231,7 +248,7 @@ impl<V: Default + Clone> FlatMap<V> {
             return None;
         }
         match self.probe(key) {
-            (i, true) => Some(&self.vals[i]),
+            (i, true) => Some(&self.slots[i].val),
             _ => None,
         }
     }
@@ -243,7 +260,7 @@ impl<V: Default + Clone> FlatMap<V> {
             return None;
         }
         match self.probe(key) {
-            (i, true) => Some(&mut self.vals[i]),
+            (i, true) => Some(&mut self.slots[i].val),
             _ => None,
         }
     }
@@ -259,11 +276,13 @@ impl<V: Default + Clone> FlatMap<V> {
         self.reserve_one();
         let (i, found) = self.probe(key);
         if found {
-            Some(std::mem::replace(&mut self.vals[i], val))
+            Some(std::mem::replace(&mut self.slots[i].val, val))
         } else {
-            self.keys[i] = key;
-            self.vals[i] = val;
-            self.stamp[i] = self.epoch;
+            self.slots[i] = MapSlot {
+                key,
+                stamp: self.epoch,
+                val,
+            };
             self.len += 1;
             None
         }
@@ -275,24 +294,24 @@ impl<V: Default + Clone> FlatMap<V> {
         self.reserve_one();
         let (i, found) = self.probe(key);
         if !found {
-            self.keys[i] = key;
-            self.vals[i] = make();
-            self.stamp[i] = self.epoch;
+            self.slots[i] = MapSlot {
+                key,
+                stamp: self.epoch,
+                val: make(),
+            };
             self.len += 1;
         }
-        &mut self.vals[i]
+        &mut self.slots[i].val
     }
 
     /// Iterates live `(key, &value)` pairs in slot order (deterministic
     /// for a given insertion history, but *not* insertion order).
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
         let epoch = self.epoch;
-        self.keys
+        self.slots
             .iter()
-            .zip(&self.vals)
-            .zip(&self.stamp)
-            .filter(move |&(_, &u)| u == epoch)
-            .map(|((&k, v), _)| (k, v))
+            .filter(move |s| s.stamp == epoch)
+            .map(|s| (s.key, &s.val))
     }
 }
 
@@ -302,17 +321,78 @@ impl<V: Default + Clone> Default for FlatMap<V> {
     }
 }
 
+/// Bytes per host cache line.
+pub const HOST_LINE_BYTES: usize = 64;
+
+/// A fixed-length array whose first element starts on a host cache line,
+/// so fixed-stride records laid out in it (a cache set's block, a metadata
+/// set's tags) occupy the fewest host lines. Dereferences to a slice. The
+/// element size must divide the line.
+#[derive(Debug)]
+pub struct LineAligned<T> {
+    /// Holds the array at `origin..origin + len`, with up to one host line
+    /// of slack in front.
+    buf: Vec<T>,
+    origin: usize,
+    len: usize,
+}
+
+impl<T: Copy> LineAligned<T> {
+    /// `len` copies of `fill`.
+    pub fn new(len: usize, fill: T) -> Self {
+        let size = std::mem::size_of::<T>().max(1);
+        assert_eq!(
+            HOST_LINE_BYTES % size,
+            0,
+            "element size must divide a host line"
+        );
+        let buf = vec![fill; len + HOST_LINE_BYTES / size];
+        let misalign = buf.as_ptr() as usize % HOST_LINE_BYTES;
+        let origin = (HOST_LINE_BYTES - misalign) % HOST_LINE_BYTES / size;
+        LineAligned { buf, origin, len }
+    }
+}
+
+impl<T: Copy> Clone for LineAligned<T> {
+    /// A copy aligned within its own allocation.
+    fn clone(&self) -> Self {
+        let mut copy = LineAligned::new(self.len, self.buf[0]);
+        copy.copy_from_slice(self);
+        copy
+    }
+}
+
+impl<T> std::ops::Deref for LineAligned<T> {
+    type Target = [T];
+    #[inline]
+    fn deref(&self) -> &[T] {
+        &self.buf[self.origin..self.origin + self.len]
+    }
+}
+
+impl<T> std::ops::DerefMut for LineAligned<T> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.buf[self.origin..self.origin + self.len]
+    }
+}
+
 /// The hierarchy's pending-miss set (`line → ready cycle`), flattened.
 ///
-/// Entries live densely in insertion order so the MSHR-pressure scan
-/// (count outstanding, min ready) is a cache-friendly sweep, with a
-/// [`FlatMap`] index for O(1) lookup and overwrite. The periodic purge
+/// Entries live densely in insertion order (the snapshot and purge order),
+/// with a [`FlatMap`] index for O(1) lookup and overwrite. Beside them,
+/// `ready` holds the same ready cycles as a sorted multiset, so the MSHR
+/// question — how many fills complete after `now`, and the earliest of
+/// those — is answered by position for any `now`, earlier or later than
+/// the last ([`InflightTable::mshr_wait`]). The periodic purge
 /// (`retain_ready_after`) compacts in place and re-indexes without
 /// allocating.
 #[derive(Debug, Clone, Default)]
 pub struct InflightTable {
     entries: Vec<(Line, Cycle)>,
     index: FlatMap<u32>,
+    /// Every entry's ready cycle, ascending.
+    ready: Vec<Cycle>,
 }
 
 impl InflightTable {
@@ -321,6 +401,7 @@ impl InflightTable {
         InflightTable {
             entries: Vec::with_capacity(1024),
             index: FlatMap::with_capacity(1024),
+            ready: Vec::with_capacity(1024),
         }
     }
 
@@ -344,14 +425,48 @@ impl InflightTable {
     #[inline]
     pub fn insert(&mut self, line: Line, ready: Cycle) {
         if let Some(&i) = self.index.get(line.0) {
-            self.entries[i as usize].1 = ready;
+            let old = std::mem::replace(&mut self.entries[i as usize].1, ready);
+            let at = self.ready.partition_point(|&r| r < old);
+            self.ready.remove(at);
         } else {
             self.index.insert(line.0, self.entries.len() as u32);
             self.entries.push((line, ready));
         }
+        // Fills complete roughly in issue order, so the new cycle's place
+        // is found walking back from the end.
+        self.ready.push(ready);
+        let mut at = self.ready.len() - 1;
+        while at > 0 && self.ready[at - 1] > ready {
+            self.ready[at] = self.ready[at - 1];
+            at -= 1;
+        }
+        self.ready[at] = ready;
     }
 
-    /// The dense entry slice, for linear scans (MSHR pressure, snapshots).
+    /// Every entry's ready cycle, ascending.
+    pub fn ready_cycles(&self) -> &[Cycle] {
+        &self.ready
+    }
+
+    /// Cycles a new request issued at `now` waits when `mshrs` registers
+    /// bound the outstanding fills (`ready > now`): none while fewer than
+    /// `mshrs` are outstanding, otherwise until the earliest of them
+    /// completes. In the sorted cycles, at least `mshrs` are outstanding
+    /// exactly when the `mshrs`-th latest is, and the earliest outstanding
+    /// one follows the last completed.
+    #[inline]
+    pub fn mshr_wait(&self, now: Cycle, mshrs: usize) -> Cycle {
+        let ready = &self.ready;
+        if ready.len() < mshrs || (mshrs > 0 && ready[ready.len() - mshrs] <= now) {
+            return 0;
+        }
+        match ready.get(ready.partition_point(|&r| r <= now)) {
+            Some(&first) => first - now,
+            None => 0,
+        }
+    }
+
+    /// The dense entry slice, in insertion order (snapshots, tests).
     pub fn entries(&self) -> &[(Line, Cycle)] {
         &self.entries
     }
@@ -362,6 +477,8 @@ impl InflightTable {
     /// vector.
     pub fn retain_ready_after(&mut self, now: Cycle) {
         self.entries.retain(|&(_, ready)| ready > now);
+        let done = self.ready.partition_point(|&r| r <= now);
+        self.ready.drain(..done);
         self.index.clear();
         for (i, &(line, _)) in self.entries.iter().enumerate() {
             self.index.insert(line.0, i as u32);
@@ -372,6 +489,7 @@ impl InflightTable {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.index.clear();
+        self.ready.clear();
     }
 }
 
@@ -410,6 +528,19 @@ mod tests {
         hay[21] = 9;
         assert_eq!(find_first_u16(&hay, 9), Some(3));
         assert_eq!(find_first_u64(&[5u64, 5, 5], 5), Some(0));
+    }
+
+    #[test]
+    fn line_aligned_starts_on_a_host_line() {
+        for len in [1usize, 7, 100, 4096] {
+            let mut a = LineAligned::new(len, 3u16);
+            assert_eq!(a.len(), len);
+            assert_eq!(a.as_ptr() as usize % HOST_LINE_BYTES, 0);
+            a[len - 1] = 9;
+            let b = a.clone();
+            assert_eq!(b.as_ptr() as usize % HOST_LINE_BYTES, 0);
+            assert_eq!(&b[..], &a[..]);
+        }
     }
 
     #[test]
@@ -463,10 +594,10 @@ mod tests {
         for k in 0..48u64 {
             m.insert(k, k);
         }
-        let cap = m.keys.len();
+        let cap = m.slots.len();
         m.clear();
         assert!(m.is_empty());
-        assert_eq!(m.keys.len(), cap);
+        assert_eq!(m.slots.len(), cap);
         assert_eq!(m.get(3), None);
     }
 

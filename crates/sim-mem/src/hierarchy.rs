@@ -13,9 +13,9 @@
 //!   L1/L2 like demands and appear in the L2 access stream, which is what
 //!   the temporal prefetchers train on ("including prefetch requests
 //!   generated by L1 stride prefetchers", Section 5.1).
-//! * [`Hierarchy::l2_prefetch`] — temporal (or RPG2 software) prefetches into
-//!   the L2; these carry a trigger PC so per-PC accuracy (the PEBS events of
-//!   Section 4.1) can be accounted.
+//! * [`Hierarchy::l2_prefetch_issue`] — temporal (or RPG2 software)
+//!   prefetches into the L2; these carry a trigger PC so per-PC accuracy
+//!   (the PEBS events of Section 4.1) can be accounted.
 
 use crate::addr::{Cycle, Line, Pc};
 use crate::cache::{demand_line, prefetched_line, Cache, CacheSnapshot, CacheStats, LineState};
@@ -316,31 +316,10 @@ impl Hierarchy {
     }
 
     /// MSHR pressure: when too many fills are outstanding, a new DRAM
-    /// request waits until the oldest completes.
-    ///
-    /// The sweep of the dense in-flight entries only runs when it can
-    /// matter: outstanding fills (`ready > now`) are a subset of the
-    /// table, so `len() < mshrs` already proves the answer is zero. The
-    /// purge threshold bounds the table at `4 × mshrs` entries, so the
-    /// remaining sweeps stay short; together the two bounds batch the
-    /// per-access cost into one compare on the common path.
+    /// request waits until the earliest of them completes
+    /// ([`InflightTable::mshr_wait`], exact for any `now`; DESIGN.md §7).
     fn mshr_delay(&self, now: Cycle) -> Cycle {
-        if self.inflight.len() < self.l2.config().mshrs {
-            return 0;
-        }
-        let mut outstanding = 0usize;
-        let mut min_ready: Option<Cycle> = None;
-        for &(_, ready) in self.inflight.entries() {
-            if ready > now {
-                outstanding += 1;
-                min_ready = Some(min_ready.map_or(ready, |m| m.min(ready)));
-            }
-        }
-        if outstanding < self.l2.config().mshrs {
-            0
-        } else {
-            min_ready.map(|r| r.saturating_sub(now)).unwrap_or(0)
-        }
+        self.inflight.mshr_wait(now, self.l2.config().mshrs)
     }
 
     /// A demand load/store from the core at time `now`.
@@ -367,11 +346,13 @@ impl Hierarchy {
             };
         }
 
-        // L2 lookup.
-        let pcs = self.stats.pc(pc);
-        pcs.l2_accesses += 1;
+        // L2 lookup. The PC's counters are created before the trigger's
+        // (credited below), keeping the per-PC table's insertion order.
         let l2_lat = l1_lat + self.l2.hit_latency();
         let r2 = self.l2.access(line, false);
+        let pcs = self.stats.pc(pc);
+        pcs.l2_accesses += 1;
+        pcs.l2_misses += u64::from(!r2.hit);
         if let Some(trigger) = r2.first_use_of_prefetch {
             self.credit_useful_prefetch(trigger, line, now);
         }
@@ -393,7 +374,6 @@ impl Hierarchy {
                 }),
             };
         }
-        self.stats.pc(pc).l2_misses += 1;
 
         // LLC lookup (mostly exclusive: hit promotes the line to L2/L1).
         let llc_lat = l2_lat + self.llc.hit_latency();
@@ -513,33 +493,15 @@ impl Hierarchy {
 
     /// An L2 prefetch for `line` with trigger PC `trigger` (temporal
     /// prefetcher or RPG2 software prefetch).
-    pub fn l2_prefetch(&mut self, trigger: Pc, line: Line, now: Cycle) -> PrefetchOutcome {
-        self.purge_inflight(now);
-        if self.l2.contains(line) || self.l1d.contains(line) {
-            return PrefetchOutcome::DroppedResident;
-        }
-        if self.inflight_penalty(line, now).is_some() {
-            return PrefetchOutcome::DroppedInflight;
-        }
-        self.issue_l2_prefetch(trigger, line, now)
-    }
-
-    /// Issue-loop variant of [`Hierarchy::l2_prefetch`]: same behavior,
-    /// cheapest-check-first drop classification.
     ///
-    /// Exactness argument (DESIGN.md §7): the O(1) inflight probe runs
-    /// *before* the L1/L2 residency way scans, so duplicate-heavy
-    /// prefetch traffic (Prophet degree chains re-requesting lines whose
-    /// fill is still outstanding) drops without touching the tag arrays.
-    /// The purge is the *same* `purge_inflight` call `l2_prefetch` makes
-    /// (purge timing is behavior — `now` is not monotone across
-    /// interleaved events, so it must not be skipped or deferred). The
-    /// only observable difference from `l2_prefetch` is *which* dropped
-    /// variant is reported when a line is both resident and inflight
-    /// (a just-filled line is both until its ready cycle); both drop
-    /// paths are side-effect free, so any caller that only distinguishes
-    /// dropped from issued — the issue loop does — sees identical
-    /// hierarchy state, stats, and timing either way.
+    /// The O(1) in-flight probe runs *before* the L1/L2 residency way
+    /// scans, so duplicate-heavy prefetch traffic (Prophet degree chains
+    /// re-requesting lines whose fill is still outstanding) drops without
+    /// touching the tag arrays. A just-filled line is both resident and in
+    /// flight until its ready cycle and is reported as
+    /// [`PrefetchOutcome::DroppedInflight`]; both drop paths are side-effect
+    /// free. The purge runs first on every call: purge timing is behavior,
+    /// since `now` is not monotone across interleaved events.
     pub fn l2_prefetch_issue(&mut self, trigger: Pc, line: Line, now: Cycle) -> PrefetchOutcome {
         self.purge_inflight(now);
         if self.inflight_penalty(line, now).is_some() {
@@ -551,9 +513,8 @@ impl Hierarchy {
         self.issue_l2_prefetch(trigger, line, now)
     }
 
-    /// The issue tail shared by [`Hierarchy::l2_prefetch`] and
-    /// [`Hierarchy::l2_prefetch_issue`]: the line is known to be
-    /// non-resident and not inflight.
+    /// The issue tail of [`Hierarchy::l2_prefetch_issue`]: the line is
+    /// known to be non-resident and not inflight.
     fn issue_l2_prefetch(&mut self, trigger: Pc, line: Line, now: Cycle) -> PrefetchOutcome {
         self.stats.issued_prefetches += 1;
         self.stats.pc(trigger).issued_prefetches += 1;
@@ -661,7 +622,7 @@ mod tests {
     #[test]
     fn prefetch_then_demand_is_useful_and_cheap() {
         let mut h = hierarchy();
-        let outc = h.l2_prefetch(Pc(9), Line(7), 0);
+        let outc = h.l2_prefetch_issue(Pc(9), Line(7), 0);
         assert_eq!(outc, PrefetchOutcome::FilledFromDram);
         // Demand long after the prefetch completed: L2 hit latency.
         let out = h.demand_access(Pc(9), Line(7), false, 5_000);
@@ -675,7 +636,7 @@ mod tests {
     #[test]
     fn late_prefetch_pays_partial_latency() {
         let mut h = hierarchy();
-        h.l2_prefetch(Pc(9), Line(7), 0);
+        h.l2_prefetch_issue(Pc(9), Line(7), 0);
         // Demand 10 cycles later: prefetch still in flight.
         let out = h.demand_access(Pc(9), Line(7), false, 10);
         assert!(out.latency > 11, "late prefetch only partially covers");
@@ -686,71 +647,23 @@ mod tests {
     #[test]
     fn duplicate_prefetch_dropped() {
         let mut h = hierarchy();
-        assert!(h.l2_prefetch(Pc(1), Line(3), 0).issued());
+        assert!(h.l2_prefetch_issue(Pc(1), Line(3), 0).issued());
         assert_eq!(
-            h.l2_prefetch(Pc(1), Line(3), 1),
+            h.l2_prefetch_issue(Pc(1), Line(3), 1),
+            PrefetchOutcome::DroppedInflight
+        );
+        // Once the fill completes the line is simply resident.
+        assert_eq!(
+            h.l2_prefetch_issue(Pc(1), Line(3), 10_000),
             PrefetchOutcome::DroppedResident
         );
         assert_eq!(h.stats().issued_prefetches, 1);
     }
 
     #[test]
-    fn inflight_first_issue_path_is_exact() {
-        // The inflight-first variant the simulator's issue loop uses must
-        // leave the hierarchy in exactly the state plain l2_prefetch calls
-        // would — including purge timing under non-monotone `now` and
-        // duplicate-heavy traffic that actually takes the fast path. The
-        // two may only disagree on *which* dropped variant they report.
-        let mut plain = hierarchy();
-        let mut probed = hierarchy();
-        let mut seed = 0x1234_5678_9ABC_DEF0u64;
-        let mut rng = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        let mut fast_drops = 0u64;
-        for i in 0..20_000u64 {
-            let r = rng();
-            // Jittered clock: occasionally steps backwards, like events
-            // drained out of order.
-            let now = i * 4 + (r % 7);
-            let line = Line(r % 512);
-            if r % 3 == 0 {
-                let a = plain.demand_access(Pc(r % 9), line, r % 11 == 0, now);
-                let b = probed.demand_access(Pc(r % 9), line, r % 11 == 0, now);
-                assert_eq!(a, b, "demand divergence at step {i}");
-            } else {
-                let out = plain.l2_prefetch(Pc(1), line, now);
-                let fast = probed.l2_prefetch_issue(Pc(1), line, now);
-                if fast == PrefetchOutcome::DroppedInflight {
-                    fast_drops += 1;
-                    assert!(
-                        matches!(
-                            out,
-                            PrefetchOutcome::DroppedResident | PrefetchOutcome::DroppedInflight
-                        ),
-                        "issue path said drop but plain path issued at step {i}"
-                    );
-                } else {
-                    assert_eq!(fast, out, "outcome divergence at step {i}");
-                }
-            }
-        }
-        assert!(fast_drops > 100, "traffic never exercised the fast path");
-        assert_eq!(
-            plain.stats().issued_prefetches,
-            probed.stats().issued_prefetches
-        );
-        assert_eq!(plain.dram_stats(), probed.dram_stats());
-        assert_eq!(plain.snapshot(), probed.snapshot());
-    }
-
-    #[test]
     fn unused_prefetch_counts_against_accuracy() {
         let mut h = hierarchy();
-        h.l2_prefetch(Pc(4), Line(1), 0);
+        h.l2_prefetch_issue(Pc(4), Line(1), 0);
         let s = &h.stats().per_pc[&Pc(4)];
         assert_eq!(s.issued_prefetches, 1);
         assert_eq!(s.useful_prefetches, 0);
@@ -816,7 +729,7 @@ mod tests {
             h.demand_access(Pc(i % 7), Line((i * 97) % 4096), i % 5 == 0, i * 3);
         }
         h.set_llc_meta_ways(4, 6_000);
-        h.l2_prefetch(Pc(9), Line(70_000), 6_100);
+        h.l2_prefetch_issue(Pc(9), Line(70_000), 6_100);
         h.l1_prefetch(Pc(3), Line(80_000), 6_200);
         let snap = h.snapshot();
 

@@ -35,150 +35,135 @@ pub const SRRIP_LONG: u8 = 2;
 /// Maximum (distant) RRPV with 2-bit counters.
 pub const SRRIP_MAX: u8 = 3;
 
-/// Replacement state for *every* set of one cache, flattened into
-/// contiguous arrays.
+/// One cache's replacement policy, applied to one set's state words at a
+/// time.
 ///
-/// A cache runs one policy across all sets, so the per-set state
-/// concatenates into single arrays indexed by `set * ways + way` (PLRU:
-/// `set * (leaves - 1) + node`) — one predictable stride instead of a
-/// pointer chase into a per-set allocation. Each set's state evolves
-/// independently; `tests/flat_equivalence.rs` checks every victim choice
-/// and [`ReplSnapshot`] image against a per-set reference model.
-#[derive(Debug, Clone)]
-pub struct FlatRepl {
+/// The state itself lives in the cache, inside each set's block beside its
+/// tags (see [`crate::cache::Cache`]), so a probe and the replacement
+/// update after it touch the same host cache lines. This type holds only
+/// the geometry and knows the encoding:
+///
+/// * PLRU: one `u32` word; bit `node` is tree node `node` (`leaves - 1`
+///   nodes, so at most 32 leaves), set when the colder half is the right
+///   child.
+/// * SRRIP: `ceil(ways / 4)` words; byte `way % 4` of word `way / 4` is
+///   that way's re-reference prediction value.
+///
+/// Each set's state evolves independently; `tests/flat_equivalence.rs`
+/// checks every victim choice and [`ReplSnapshot`] image against a per-set
+/// reference model.
+#[derive(Debug, Clone, Copy)]
+pub struct SetRepl {
     kind: ReplKind,
     ways: usize,
     /// PLRU tree leaves (`ways.next_power_of_two().max(2)`).
     leaves: usize,
-    /// PLRU: `sets × (leaves − 1)` tree bits; `true` points to the right
-    /// child as the colder half.
-    bits: Vec<bool>,
-    /// SRRIP: `sets × ways` re-reference prediction values.
-    rrpv: Vec<u8>,
+    /// PLRU tree depth, `log2(leaves)`.
+    depth: u32,
 }
 
-impl FlatRepl {
-    /// Fresh state for `sets` sets of `ways` ways each.
-    pub fn new(kind: ReplKind, sets: usize, ways: usize) -> Self {
+impl SetRepl {
+    /// The policy `kind` over sets of `ways` ways.
+    ///
+    /// # Panics
+    /// Panics if PLRU's tree would need more than one word (over 32 ways).
+    pub fn new(kind: ReplKind, ways: usize) -> Self {
         let leaves = ways.next_power_of_two().max(2);
-        let mut r = FlatRepl {
+        assert!(
+            kind != ReplKind::Plru || leaves <= 32,
+            "PLRU state is one word per set: at most 32 ways"
+        );
+        SetRepl {
             kind,
             ways,
             leaves,
-            bits: Vec::new(),
-            rrpv: Vec::new(),
-        };
+            depth: leaves.trailing_zeros(),
+        }
+    }
+
+    /// State words per set.
+    pub const fn words(kind: ReplKind, ways: usize) -> usize {
         match kind {
-            ReplKind::Plru => r.bits = vec![false; sets * (leaves - 1)],
-            ReplKind::Srrip => r.rrpv = vec![SRRIP_MAX; sets * ways],
+            ReplKind::Plru => 1,
+            ReplKind::Srrip => ways.div_ceil(4),
         }
-        r
     }
 
-    #[inline]
-    fn base(&self, set: usize) -> usize {
-        set * self.ways
+    /// State words per set of this policy.
+    pub fn set_words(&self) -> usize {
+        Self::words(self.kind, self.ways)
     }
 
-    /// Records a demand hit on `way` of `set`.
-    #[inline]
-    pub fn on_hit(&mut self, set: usize, way: usize) {
+    /// Writes a fresh set's state into `st`.
+    pub fn init(&self, st: &mut [u32]) {
         match self.kind {
-            ReplKind::Plru => self.plru_touch(set, way),
-            ReplKind::Srrip => self.rrpv[set * self.ways + way] = 0,
+            ReplKind::Plru => st[0] = 0,
+            ReplKind::Srrip => {
+                for w in 0..self.ways {
+                    set_byte(st, w, SRRIP_MAX);
+                }
+            }
         }
     }
 
-    /// Records a fill into `way` of `set` (after victim selection).
+    /// Records a demand hit on `way`.
     #[inline]
-    pub fn on_fill(&mut self, set: usize, way: usize) {
+    pub fn on_hit(&self, st: &mut [u32], way: usize) {
         match self.kind {
-            ReplKind::Plru => self.plru_touch(set, way),
-            ReplKind::Srrip => self.rrpv[set * self.ways + way] = SRRIP_LONG,
+            ReplKind::Plru => self.plru_touch(st, way),
+            ReplKind::Srrip => set_byte(st, way, 0),
         }
     }
 
-    /// Selects a victim among ways `[lo, hi)` of `set`. The caller
-    /// guarantees the range is non-empty and that every way in it holds a
-    /// valid line (invalid ways are preferred by the cache before asking
-    /// the policy).
+    /// Records a fill into `way` (after victim selection).
     #[inline]
-    pub fn victim(&mut self, set: usize, lo: usize, hi: usize) -> usize {
+    pub fn on_fill(&self, st: &mut [u32], way: usize) {
+        match self.kind {
+            ReplKind::Plru => self.plru_touch(st, way),
+            ReplKind::Srrip => set_byte(st, way, SRRIP_LONG),
+        }
+    }
+
+    /// Selects a victim among ways `[lo, hi)`. The caller guarantees the
+    /// range is non-empty and that every way in it holds a valid line
+    /// (invalid ways are preferred by the cache before asking the policy).
+    #[inline]
+    pub fn victim(&self, st: &mut [u32], lo: usize, hi: usize) -> usize {
         debug_assert!(lo < hi);
         match self.kind {
-            ReplKind::Plru => self.plru_victim(set, lo, hi),
-            ReplKind::Srrip => self.srrip_aged_victim(set, lo, hi),
+            ReplKind::Plru => self.plru_victim(st, lo, hi),
+            ReplKind::Srrip => srrip_aged_victim(st, lo, hi),
         }
     }
 
-    /// SRRIP aging collapsed to two sweeps. The textbook loop repeats
-    /// (scan for `SRRIP_MAX`, increment every way) until a way reaches the
-    /// maximum; after `SRRIP_MAX - max_rrpv` rounds the first way holding
-    /// the maximum RRPV is the victim and every counter has gained exactly
-    /// that many rounds (none saturate, since all values are ≤ the max).
-    /// Computing the max in one sweep and applying the bump in a second
-    /// produces bit-identical state and the identical victim index.
-    fn srrip_aged_victim(&mut self, set: usize, lo: usize, hi: usize) -> usize {
-        let base = self.base(set);
-        let mut max_w = lo;
-        let mut max_v = self.rrpv[base + lo];
-        for w in (lo + 1)..hi {
-            let v = self.rrpv[base + w];
-            if v > max_v {
-                max_v = v;
-                max_w = w;
-            }
-        }
-        let bump = SRRIP_MAX - max_v;
-        if bump > 0 {
-            for w in lo..hi {
-                self.rrpv[base + w] += bump;
-            }
-        }
-        max_w
-    }
-
-    fn plru_touch(&mut self, set: usize, way: usize) {
+    fn plru_touch(&self, st: &mut [u32], way: usize) {
         debug_assert!(way < self.ways);
         // Walk from the root to the leaf, flipping each node away from the
-        // path taken so the tree points at the colder sibling.
-        let tree = set * (self.leaves - 1);
+        // path taken so the tree points at the colder sibling. The path is
+        // the way's bits from the top: 0 goes left (and marks the right
+        // half cold), 1 goes right.
+        let mut bits = st[0];
         let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.leaves;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if way < mid {
-                self.bits[tree + node] = true; // cold side is the right half
-                node = 2 * node + 1;
-                hi = mid;
-            } else {
-                self.bits[tree + node] = false;
-                node = 2 * node + 2;
-                lo = mid;
-            }
+        for level in (0..self.depth).rev() {
+            let right = (way >> level) & 1;
+            bits = (bits & !(1 << node)) | ((right as u32 ^ 1) << node);
+            node = 2 * node + 1 + right;
         }
+        st[0] = bits;
     }
 
-    fn plru_victim(&self, set: usize, lo_way: usize, hi_way: usize) -> usize {
+    fn plru_victim(&self, st: &[u32], lo_way: usize, hi_way: usize) -> usize {
         // Follow the cold pointers; if the tree leads outside the allowed
         // way range (possible with partitioned or non-power-of-two sets),
         // fall back to a deterministic rotation through the range.
-        let tree = set * (self.leaves - 1);
+        let bits = st[0];
         let mut node = 0usize;
-        let mut lo = 0usize;
-        let mut hi = self.leaves;
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if self.bits[tree + node] {
-                node = 2 * node + 2;
-                lo = mid;
-            } else {
-                node = 2 * node + 1;
-                hi = mid;
-            }
+        let mut candidate = 0usize;
+        for _ in 0..self.depth {
+            let right = (bits >> node & 1) as usize;
+            candidate = 2 * candidate + right;
+            node = 2 * node + 1 + right;
         }
-        let candidate = lo;
         if candidate >= lo_way && candidate < hi_way {
             candidate
         } else {
@@ -189,17 +174,13 @@ impl FlatRepl {
 
     /// Captures one set's state as the [`ReplSnapshot`] image the store
     /// serializes.
-    pub fn snapshot_set(&self, set: usize) -> ReplSnapshot {
-        let base = self.base(set);
+    pub fn snapshot(&self, st: &[u32]) -> ReplSnapshot {
         match self.kind {
-            ReplKind::Plru => {
-                let tree = set * (self.leaves - 1);
-                ReplSnapshot::Plru {
-                    bits: self.bits[tree..tree + self.leaves - 1].to_vec(),
-                }
-            }
+            ReplKind::Plru => ReplSnapshot::Plru {
+                bits: (0..self.leaves - 1).map(|n| st[0] >> n & 1 == 1).collect(),
+            },
             ReplKind::Srrip => ReplSnapshot::Srrip {
-                rrpv: self.rrpv[base..base + self.ways].to_vec(),
+                rrpv: (0..self.ways).map(|w| byte(st, w)).collect(),
             },
         }
     }
@@ -211,119 +192,200 @@ impl FlatRepl {
     /// Panics if the snapshot's policy family or per-way vectors do not
     /// match this cache's configuration (the store keys checkpoints by
     /// configuration digest, so this indicates caller error).
-    pub fn restore_set(&mut self, set: usize, snap: &ReplSnapshot) {
-        let base = self.base(set);
+    pub fn restore(&self, st: &mut [u32], snap: &ReplSnapshot) {
         match (self.kind, snap) {
             (ReplKind::Plru, ReplSnapshot::Plru { bits }) => {
-                let tree = set * (self.leaves - 1);
                 assert_eq!(
                     bits.len(),
                     self.leaves - 1,
                     "PLRU snapshot geometry mismatch"
                 );
-                self.bits[tree..tree + self.leaves - 1].copy_from_slice(bits);
+                st[0] = bits
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (n, &b)| acc | (b as u32) << n);
             }
             (ReplKind::Srrip, ReplSnapshot::Srrip { rrpv }) => {
                 assert_eq!(rrpv.len(), self.ways, "SRRIP snapshot geometry mismatch");
-                self.rrpv[base..base + self.ways].copy_from_slice(rrpv);
+                for (w, &v) in rrpv.iter().enumerate() {
+                    set_byte(st, w, v);
+                }
             }
             (kind, snap) => panic!("replacement snapshot policy mismatch: {kind:?} vs {snap:?}"),
         }
     }
 }
 
+/// Byte `i` of a little-endian byte array packed into words.
+#[inline]
+fn byte(st: &[u32], i: usize) -> u8 {
+    (st[i / 4] >> (8 * (i % 4))) as u8
+}
+
+#[inline]
+fn set_byte(st: &mut [u32], i: usize, v: u8) {
+    let shift = 8 * (i % 4);
+    let w = &mut st[i / 4];
+    *w = (*w & !(0xFF << shift)) | (v as u32) << shift;
+}
+
+/// One `0x01` in every byte of a word.
+const BYTE_ONES: u32 = 0x0101_0101;
+
+/// The bytes of word `j` that fall in ways `[lo, hi)`, as `0xFF` lanes.
+#[inline]
+fn byte_range(j: usize, lo: usize, hi: usize) -> u32 {
+    let below = |n: usize| match n.saturating_sub(4 * j) {
+        0 => 0,
+        n @ 1..=3 => (1u32 << (8 * n)) - 1,
+        _ => u32::MAX,
+    };
+    below(hi) & !below(lo)
+}
+
+/// SRRIP aging collapsed to two sweeps. The textbook loop repeats (scan
+/// for `SRRIP_MAX`, increment every way) until a way reaches the maximum;
+/// after `SRRIP_MAX - max_rrpv` rounds the first way holding the maximum
+/// RRPV is the victim and every counter has gained exactly that many
+/// rounds (none saturate, since all values are ≤ the max). Computing the
+/// max in one sweep and applying the bump in a second produces
+/// bit-identical state and the identical victim index.
+///
+/// Both sweeps work a word (four ways) at a time. RRPVs are 2-bit
+/// values, so "byte ≥ v" is a bit test per lane: both bits for 3, the
+/// high bit for 2, either bit for 1. Testing levels from the top, the
+/// first level with a lane in range is the maximum and its lowest lane
+/// the victim; the bump adds to every in-range lane at once, carry-free
+/// because no lane passes 3.
+fn srrip_aged_victim(st: &mut [u32], lo: usize, hi: usize) -> usize {
+    let words = lo / 4..hi.div_ceil(4);
+    let mut victim = (0, lo);
+    'levels: for v in (1..=SRRIP_MAX).rev() {
+        for j in words.clone() {
+            let x = st[j];
+            let at_least = match v {
+                3 => x & (x >> 1),
+                2 => x >> 1,
+                _ => x | (x >> 1),
+            } & BYTE_ONES
+                & byte_range(j, lo, hi);
+            if at_least != 0 {
+                victim = (v, 4 * j + at_least.trailing_zeros() as usize / 8);
+                break 'levels;
+            }
+        }
+    }
+    let (max_v, max_w) = victim;
+    let bump = (SRRIP_MAX - max_v) as u32;
+    if bump > 0 {
+        for j in words {
+            st[j] += bump * (BYTE_ONES & byte_range(j, lo, hi));
+        }
+    }
+    max_w
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A policy over `ways` ways with one fresh set's state.
+    fn fresh(kind: ReplKind, ways: usize) -> (SetRepl, Vec<u32>) {
+        let r = SetRepl::new(kind, ways);
+        let mut st = vec![0; r.set_words()];
+        r.init(&mut st);
+        (r, st)
+    }
+
     #[test]
     fn plru_victim_is_not_most_recent() {
-        let mut s = FlatRepl::new(ReplKind::Plru, 1, 4);
+        let (r, mut s) = fresh(ReplKind::Plru, 4);
         for w in 0..4 {
-            s.on_fill(0, w);
+            r.on_fill(&mut s, w);
         }
-        s.on_hit(0, 2);
-        let v = s.victim(0, 0, 4);
+        r.on_hit(&mut s, 2);
+        let v = r.victim(&mut s, 0, 4);
         assert_ne!(v, 2, "PLRU must never evict the most recently used way");
     }
 
     #[test]
     fn plru_tracks_single_hot_way() {
-        let mut s = FlatRepl::new(ReplKind::Plru, 1, 8);
+        let (r, mut s) = fresh(ReplKind::Plru, 8);
         for _ in 0..100 {
-            s.on_hit(0, 3);
+            r.on_hit(&mut s, 3);
         }
-        assert_ne!(s.victim(0, 0, 8), 3);
+        assert_ne!(r.victim(&mut s, 0, 8), 3);
     }
 
     #[test]
     fn plru_non_power_of_two() {
-        let mut s = FlatRepl::new(ReplKind::Plru, 1, 6);
+        let (r, mut s) = fresh(ReplKind::Plru, 6);
         for w in 0..6 {
-            s.on_fill(0, w);
+            r.on_fill(&mut s, w);
         }
-        let v = s.victim(0, 0, 6);
+        let v = r.victim(&mut s, 0, 6);
         assert!(v < 6);
     }
 
     #[test]
     fn srrip_new_lines_evicted_before_reused_lines() {
-        let mut s = FlatRepl::new(ReplKind::Srrip, 1, 4);
+        let (r, mut s) = fresh(ReplKind::Srrip, 4);
         for w in 0..4 {
-            s.on_fill(0, w);
+            r.on_fill(&mut s, w);
         }
-        s.on_hit(0, 0);
-        s.on_hit(0, 1);
+        r.on_hit(&mut s, 0);
+        r.on_hit(&mut s, 1);
         // Ways 2,3 still at long RRPV; aging promotes them to MAX first.
-        let v = s.victim(0, 0, 4);
+        let v = r.victim(&mut s, 0, 4);
         assert!(v == 2 || v == 3);
     }
 
     #[test]
     fn srrip_aging_terminates() {
-        let mut s = FlatRepl::new(ReplKind::Srrip, 1, 2);
-        s.on_hit(0, 0);
-        s.on_hit(0, 1);
-        let v = s.victim(0, 0, 2);
+        let (r, mut s) = fresh(ReplKind::Srrip, 2);
+        r.on_hit(&mut s, 0);
+        r.on_hit(&mut s, 1);
+        let v = r.victim(&mut s, 0, 2);
         assert!(v < 2);
     }
 
     #[test]
     fn snapshot_round_trips_every_policy() {
         for kind in [ReplKind::Plru, ReplKind::Srrip] {
-            let mut s = FlatRepl::new(kind, 2, 6);
+            let (r, mut s) = fresh(kind, 6);
             for w in 0..6 {
-                s.on_fill(1, w);
+                r.on_fill(&mut s, w);
             }
-            s.on_hit(1, 2);
-            s.on_hit(1, 4);
-            let snap = s.snapshot_set(1);
-            let mut restored = FlatRepl::new(kind, 2, 6);
-            restored.restore_set(1, &snap);
-            assert_eq!(
-                restored.snapshot_set(1),
-                snap,
-                "{kind:?} snapshot is lossless"
-            );
+            r.on_hit(&mut s, 2);
+            r.on_hit(&mut s, 4);
+            let snap = r.snapshot(&s);
+            let (_, mut restored) = fresh(kind, 6);
+            r.restore(&mut restored, &snap);
+            assert_eq!(r.snapshot(&restored), snap, "{kind:?} snapshot is lossless");
             // Identical state ⇒ identical victim choice.
-            assert_eq!(restored.victim(1, 0, 6), s.victim(1, 0, 6), "{kind:?}");
+            assert_eq!(
+                r.victim(&mut restored, 0, 6),
+                r.victim(&mut s, 0, 6),
+                "{kind:?}"
+            );
         }
     }
 
     #[test]
     #[should_panic(expected = "geometry mismatch")]
     fn restore_rejects_wrong_geometry() {
-        let s = FlatRepl::new(ReplKind::Plru, 1, 4);
-        FlatRepl::new(ReplKind::Plru, 1, 8).restore_set(0, &s.snapshot_set(0));
+        let (r, s) = fresh(ReplKind::Plru, 4);
+        let (wide, mut t) = fresh(ReplKind::Plru, 8);
+        wide.restore(&mut t, &r.snapshot(&s));
     }
 
     #[test]
     fn repl_state_dispatch_smoke() {
         for kind in [ReplKind::Plru, ReplKind::Srrip] {
-            let mut s = FlatRepl::new(kind, 2, 8);
-            s.on_fill(1, 0);
-            s.on_hit(1, 0);
-            let v = s.victim(1, 0, 8);
+            let (r, mut s) = fresh(kind, 8);
+            r.on_fill(&mut s, 0);
+            r.on_hit(&mut s, 0);
+            let v = r.victim(&mut s, 0, 8);
             assert!(v < 8, "{kind:?} victim out of range");
         }
     }

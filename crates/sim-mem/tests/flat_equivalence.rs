@@ -1,18 +1,24 @@
-//! Equivalence suite for the flattened hot-path structures.
+//! Equivalence suite for the flattened and packed hot-path structures.
 //!
-//! The per-instruction rewrite replaced `HashMap`-backed state with
-//! index-addressed structures: [`FlatMap`], [`InflightTable`] and
-//! [`FlatRepl`]. Figures are pinned bit-identical by the golden tests;
-//! this suite pins the *structural* claim directly by replaying randomized
-//! operation streams against reference models kept here and asserting
-//! identical observable decisions — every lookup, victim choice, and
-//! snapshot image.
+//! The per-instruction rewrites replaced `HashMap`-backed and per-line
+//! record state with index-addressed, packed structures: [`FlatMap`],
+//! [`InflightTable`] (with its sorted ready cycles), [`SetRepl`] over
+//! in-block state words, and [`Cache`]'s per-set blocks. Figures are
+//! pinned bit-identical by the golden tests; this suite pins the
+//! *structural* claim directly by replaying randomized operation streams
+//! against reference models kept here — including the `Option<LineState>`
+//! cache the packed one replaced — and asserting identical observable
+//! decisions: every lookup, victim, counter and snapshot image.
 
 use std::collections::HashMap;
 
-use prophet_sim_mem::addr::Line;
+use prophet_sim_mem::addr::{Line, Pc};
+use prophet_sim_mem::cache::{AccessResult, CacheConfig, Evicted};
 use prophet_sim_mem::replacement::{SRRIP_LONG, SRRIP_MAX};
-use prophet_sim_mem::{FlatMap, FlatRepl, InflightTable, ReplKind, ReplSnapshot};
+use prophet_sim_mem::{
+    Cache, CacheSnapshot, CacheStats, FlatMap, InflightTable, LineState, ReplKind, ReplSnapshot,
+    SetRepl,
+};
 
 /// Deterministic splitmix64 stream — the tests need reproducible
 /// randomness without a dev-dependency.
@@ -225,13 +231,17 @@ fn inflight_table_matches_reference_model() {
 }
 
 /// The hierarchy's MSHR-delay computation, replayed both ways: the full
-/// sweep over the in-flight entries, and the batched fast path that skips
-/// the sweep whenever `len() < mshrs` (outstanding fills are a subset of
-/// the table, so the length alone proves the delay is zero). The two must
-/// agree on every query of a random insert/purge/query stream.
+/// sweep over the in-flight entries the simulator once ran, and today's
+/// answer read off the table's sorted ready cycles
+/// ([`InflightTable::mshr_wait`]). The two must agree — and the sorted
+/// cycles must give the sweep's outstanding count and earliest ready
+/// cycle — on every query of a random insert/overwrite/purge stream, at
+/// query times that step backwards as well as forwards (`now` is not
+/// monotone in the simulator) and for register counts from zero up.
 #[test]
 fn mshr_delay_fast_path_matches_full_sweep() {
-    fn full_sweep(entries: &[(Line, u64)], now: u64, mshrs: usize) -> u64 {
+    /// Outstanding count and earliest ready cycle after `now`, by sweep.
+    fn sweep(entries: &[(Line, u64)], now: u64) -> (usize, Option<u64>) {
         let mut outstanding = 0usize;
         let mut min_ready: Option<u64> = None;
         for &(_, ready) in entries {
@@ -240,14 +250,15 @@ fn mshr_delay_fast_path_matches_full_sweep() {
                 min_ready = Some(min_ready.map_or(ready, |m| m.min(ready)));
             }
         }
-        if outstanding < mshrs {
-            0
-        } else {
-            min_ready.map(|r| r.saturating_sub(now)).unwrap_or(0)
+        (outstanding, min_ready)
+    }
+    fn full_sweep(entries: &[(Line, u64)], now: u64, mshrs: usize) -> u64 {
+        match sweep(entries, now) {
+            (outstanding, _) if outstanding < mshrs => 0,
+            (_, min_ready) => min_ready.map(|r| r.saturating_sub(now)).unwrap_or(0),
         }
     }
 
-    const MSHRS: usize = 16;
     for seed in 0..4u64 {
         let mut rng = Rng(0x0517 ^ seed);
         let mut table = InflightTable::new();
@@ -255,20 +266,27 @@ fn mshr_delay_fast_path_matches_full_sweep() {
         for step in 0..30_000u64 {
             now += rng.below(3);
             match rng.below(100) {
+                // A small line universe makes overwrites common.
                 0..=69 => table.insert(Line(rng.below(600)), now + rng.below(300)),
                 70..=79 => table.retain_ready_after(now),
                 _ => {
-                    let fast = if table.len() < MSHRS {
-                        0
-                    } else {
-                        full_sweep(table.entries(), now, MSHRS)
-                    };
+                    let at = (now + rng.below(200)).saturating_sub(rng.below(200));
+                    let ready = table.ready_cycles();
+                    let done = ready.partition_point(|&r| r <= at);
                     assert_eq!(
-                        fast,
-                        full_sweep(table.entries(), now, MSHRS),
-                        "fast path diverged at step {step} (seed {seed}, len {})",
+                        (ready.len() - done, ready.get(done).copied()),
+                        sweep(table.entries(), at),
+                        "sorted cycles diverged at step {step} (seed {seed}, len {})",
                         table.len()
                     );
+                    for mshrs in [0, 1, 16, 64] {
+                        assert_eq!(
+                            table.mshr_wait(at, mshrs),
+                            full_sweep(table.entries(), at, mshrs),
+                            "MSHR wait diverged at step {step} (seed {seed}, len {}, {mshrs} MSHRs)",
+                            table.len()
+                        );
+                    }
                 }
             }
         }
@@ -276,11 +294,11 @@ fn mshr_delay_fast_path_matches_full_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// FlatRepl vs per-set ReplState
+// SetRepl vs per-set ReplState
 // ---------------------------------------------------------------------------
 
 /// Per-set reference model: one policy object per set, each holding its
-/// own small vectors — the layout `FlatRepl` flattened.
+/// own small vectors — the layout `SetRepl` packs into state words.
 #[derive(Debug, Clone)]
 enum ReplState {
     Plru(PlruState),
@@ -413,10 +431,22 @@ impl SrripState {
 
 const REPL_KINDS: [ReplKind; 2] = [ReplKind::Plru, ReplKind::Srrip];
 
+/// `sets` fresh sets of `repl`'s state words.
+fn fresh_words(repl: &SetRepl, sets: usize) -> Vec<Vec<u32>> {
+    (0..sets)
+        .map(|_| {
+            let mut st = vec![0; repl.set_words()];
+            repl.init(&mut st);
+            st
+        })
+        .collect()
+}
+
 /// Replays one random stream of hit/fill/victim/snapshot operations
 /// against both implementations and asserts identical behavior.
 fn check_flat_repl(kind: ReplKind, sets: usize, ways: usize, seed: u64) {
-    let mut flat = FlatRepl::new(kind, sets, ways);
+    let repl = SetRepl::new(kind, ways);
+    let mut flat = fresh_words(&repl, sets);
     let mut reference: Vec<ReplState> = (0..sets).map(|_| ReplState::new(kind, ways)).collect();
     let mut rng = Rng(0xBEEF ^ seed ^ ((ways as u64) << 32));
     for step in 0..20_000u64 {
@@ -424,11 +454,11 @@ fn check_flat_repl(kind: ReplKind, sets: usize, ways: usize, seed: u64) {
         let way = rng.below(ways as u64) as usize;
         match rng.below(10) {
             0..=3 => {
-                flat.on_hit(set, way);
+                repl.on_hit(&mut flat[set], way);
                 reference[set].on_hit(way);
             }
             4..=6 => {
-                flat.on_fill(set, way);
+                repl.on_fill(&mut flat[set], way);
                 reference[set].on_fill(way);
             }
             7..=8 => {
@@ -438,14 +468,14 @@ fn check_flat_repl(kind: ReplKind, sets: usize, ways: usize, seed: u64) {
                 let lo = rng.below(ways as u64) as usize;
                 let hi = lo + 1 + rng.below((ways - lo) as u64) as usize;
                 assert_eq!(
-                    flat.victim(set, lo, hi),
+                    repl.victim(&mut flat[set], lo, hi),
                     reference[set].victim(lo, hi),
                     "victim diverged at step {step} ({kind:?}, set {set}, [{lo},{hi}))"
                 );
             }
             _ => {
                 assert_eq!(
-                    flat.snapshot_set(set),
+                    repl.snapshot(&flat[set]),
                     reference[set].snapshot(),
                     "snapshot diverged at step {step} ({kind:?}, set {set})"
                 );
@@ -453,11 +483,11 @@ fn check_flat_repl(kind: ReplKind, sets: usize, ways: usize, seed: u64) {
         }
     }
     // Full-state sweep, then a restore round-trip into fresh instances.
-    let mut flat2 = FlatRepl::new(kind, sets, ways);
-    for set in 0..sets {
-        let snap = reference[set].snapshot();
-        assert_eq!(flat.snapshot_set(set), snap, "final snapshot, set {set}");
-        flat2.restore_set(set, &snap);
+    let mut flat2 = fresh_words(&repl, sets);
+    for ((st, st2), r) in flat.iter().zip(&mut flat2).zip(&reference) {
+        let snap = r.snapshot();
+        assert_eq!(repl.snapshot(st), snap, "final snapshot");
+        repl.restore(st2, &snap);
     }
     // Restored state must continue identically (victim permutes SRRIP
     // aging state, so run a post-restore stream too).
@@ -465,9 +495,12 @@ fn check_flat_repl(kind: ReplKind, sets: usize, ways: usize, seed: u64) {
         let set = rng.below(sets as u64) as usize;
         let lo = rng.below(ways as u64) as usize;
         let hi = lo + 1 + rng.below((ways - lo) as u64) as usize;
-        assert_eq!(flat2.victim(set, lo, hi), reference[set].victim(lo, hi));
+        assert_eq!(
+            repl.victim(&mut flat2[set], lo, hi),
+            reference[set].victim(lo, hi)
+        );
         let way = rng.below(ways as u64) as usize;
-        flat2.on_fill(set, way);
+        repl.on_fill(&mut flat2[set], way);
         reference[set].on_fill(way);
     }
 }
@@ -489,4 +522,302 @@ fn flat_repl_matches_on_non_power_of_two_ways() {
         check_flat_repl(kind, 8, 6, 7);
         check_flat_repl(kind, 4, 12, 11);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Cache vs the Option<LineState> cache it replaced
+// ---------------------------------------------------------------------------
+
+/// The cache before its sets were packed into blocks: one
+/// `Option<LineState>` record per slot, a per-set policy object, and
+/// residency found by walking the records.
+struct RefCache {
+    sets: usize,
+    ways: usize,
+    lines: Vec<Option<LineState>>,
+    repl: Vec<ReplState>,
+    way_lo: usize,
+    stats: CacheStats,
+}
+
+impl RefCache {
+    fn new(sets: usize, ways: usize, kind: ReplKind) -> Self {
+        RefCache {
+            sets,
+            ways,
+            lines: vec![None; sets * ways],
+            repl: (0..sets).map(|_| ReplState::new(kind, ways)).collect(),
+            way_lo: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn set_of(&self, line: Line) -> usize {
+        line.0 as usize & (self.sets - 1)
+    }
+
+    fn find_way(&self, line: Line) -> Option<usize> {
+        let base = self.set_of(line) * self.ways;
+        (self.way_lo..self.ways)
+            .find(|&w| matches!(self.lines[base + w], Some(s) if s.line == line))
+    }
+
+    fn state_mut(&mut self, line: Line) -> Option<&mut LineState> {
+        let slot = self.set_of(line) * self.ways + self.find_way(line)?;
+        self.lines[slot].as_mut()
+    }
+
+    fn contains(&self, line: Line) -> bool {
+        self.find_way(line).is_some()
+    }
+
+    fn touch(&mut self, line: Line) -> bool {
+        let set = self.set_of(line);
+        match self.find_way(line) {
+            Some(way) => {
+                self.repl[set].on_hit(way);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn consume_prefetch_bit(&mut self, line: Line) -> Option<Pc> {
+        let state = self.state_mut(line)?;
+        if state.prefetched {
+            state.prefetched = false;
+            state.trigger_pc.take()
+        } else {
+            None
+        }
+    }
+
+    fn access(&mut self, line: Line, is_store: bool) -> AccessResult {
+        let set = self.set_of(line);
+        let Some(way) = self.find_way(line) else {
+            self.stats.demand_misses += 1;
+            return AccessResult {
+                hit: false,
+                first_use_of_prefetch: None,
+            };
+        };
+        self.stats.demand_hits += 1;
+        self.repl[set].on_hit(way);
+        let state = self.lines[set * self.ways + way].as_mut().unwrap();
+        let first_use = if state.prefetched {
+            state.prefetched = false;
+            state.trigger_pc.take()
+        } else {
+            None
+        };
+        state.dirty |= is_store;
+        AccessResult {
+            hit: true,
+            first_use_of_prefetch: first_use,
+        }
+    }
+
+    fn fill(&mut self, state: LineState) -> Option<Evicted> {
+        if state.prefetched {
+            self.stats.prefetch_fills += 1;
+        } else {
+            self.stats.demand_fills += 1;
+        }
+        let set = self.set_of(state.line);
+        let base = set * self.ways;
+        let way = (self.way_lo..self.ways)
+            .find(|&w| self.lines[base + w].is_none())
+            .unwrap_or_else(|| self.repl[set].victim(self.way_lo, self.ways));
+        let victim = self.lines[base + way].take().map(|old| {
+            self.note_eviction(&old);
+            Evicted { state: old }
+        });
+        self.lines[base + way] = Some(state);
+        self.repl[set].on_fill(way);
+        victim
+    }
+
+    fn invalidate(&mut self, line: Line) -> Option<LineState> {
+        let slot = self.set_of(line) * self.ways + self.find_way(line)?;
+        self.lines[slot].take()
+    }
+
+    fn mark_dirty(&mut self, line: Line) -> bool {
+        match self.state_mut(line) {
+            Some(state) => {
+                state.dirty = true;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn set_reserved_ways(&mut self, k: usize) -> Vec<Evicted> {
+        let mut evicted = Vec::new();
+        if k > self.way_lo {
+            for set in 0..self.sets {
+                for way in self.way_lo..k {
+                    if let Some(state) = self.lines[set * self.ways + way].take() {
+                        self.note_eviction(&state);
+                        evicted.push(Evicted { state });
+                    }
+                }
+            }
+        }
+        self.way_lo = k;
+        evicted
+    }
+
+    fn note_eviction(&mut self, state: &LineState) {
+        self.stats.evictions += 1;
+        self.stats.dirty_evictions += state.dirty as u64;
+        self.stats.unused_prefetch_evictions += state.prefetched as u64;
+    }
+
+    fn snapshot(&self) -> CacheSnapshot {
+        CacheSnapshot {
+            lines: self.lines.clone(),
+            repl: self.repl.iter().map(ReplState::snapshot).collect(),
+            way_lo: self.way_lo,
+        }
+    }
+}
+
+/// Replays a random op stream on the packed cache and the reference,
+/// comparing every result, victim, counter and the full snapshot after
+/// each op; then restores the final snapshot into a fresh packed cache and
+/// continues the stream on it.
+fn check_cache(sets: usize, ways: usize, kind: ReplKind, seed: u64) {
+    let cfg = CacheConfig {
+        name: "T",
+        size_bytes: (sets * ways * 64) as u64,
+        ways,
+        hit_latency: 1,
+        repl: kind,
+        mshrs: 4,
+    };
+    let mut cache = Cache::new(cfg.clone());
+    let mut reference = RefCache::new(sets, ways, kind);
+    let mut rng = Rng(0xCAC4E ^ seed ^ ((ways as u64) << 40));
+    // About five lines per way slot, so sets overflow and lines recur;
+    // some lines carry high address bits (up to the very top, where a
+    // 32-bit tag cannot hold them).
+    let universe = (sets * ways * 5) as u64;
+    let line = |rng: &mut Rng| {
+        let l = rng.below(universe);
+        Line(match rng.below(16) {
+            0 | 1 => l | 1 << 50,
+            2 => u64::MAX - l,
+            _ => l,
+        })
+    };
+    for step in 0..6_000u64 {
+        let l = line(&mut rng);
+        let ctx = format!("step {step} ({sets}x{ways} {kind:?}, seed {seed}, {l:?})");
+        match rng.below(100) {
+            0..=29 => {
+                let store = rng.below(4) == 0;
+                assert_eq!(
+                    cache.access(l, store),
+                    reference.access(l, store),
+                    "access, {ctx}"
+                );
+            }
+            30..=39 => assert_eq!(cache.touch(l), reference.touch(l), "touch, {ctx}"),
+            40..=64 => {
+                // Fills carry every flag combination, including a trigger
+                // PC without the prefetched bit (the codec admits it).
+                if reference.contains(l) || reference.way_lo == ways {
+                    continue;
+                }
+                let state = LineState {
+                    line: l,
+                    dirty: rng.below(3) == 0,
+                    prefetched: rng.below(2) == 0,
+                    trigger_pc: (rng.below(3) != 0).then(|| Pc(rng.below(1 << 40))),
+                };
+                assert_eq!(cache.fill(state), reference.fill(state), "fill, {ctx}");
+            }
+            65..=74 => assert_eq!(
+                cache.invalidate(l),
+                reference.invalidate(l),
+                "invalidate, {ctx}"
+            ),
+            75..=84 => assert_eq!(
+                cache.mark_dirty(l),
+                reference.mark_dirty(l),
+                "mark_dirty, {ctx}"
+            ),
+            85..=96 => assert_eq!(
+                cache.consume_prefetch_bit(l),
+                reference.consume_prefetch_bit(l),
+                "consume_prefetch_bit, {ctx}"
+            ),
+            _ => {
+                // Mostly small partitions, occasionally all ways.
+                let k = rng.below(ways as u64 / 2 + 1) as usize
+                    + if rng.below(10) == 0 { ways / 2 } else { 0 };
+                assert_eq!(
+                    cache.set_reserved_ways(k.min(ways)),
+                    reference.set_reserved_ways(k.min(ways)),
+                    "set_reserved_ways, {ctx}"
+                );
+            }
+        }
+        assert_eq!(cache.contains(l), reference.contains(l), "contains, {ctx}");
+        assert_eq!(cache.stats(), &reference.stats, "stats, {ctx}");
+        assert_eq!(cache.snapshot(), reference.snapshot(), "snapshot, {ctx}");
+    }
+    assert_eq!(
+        cache.occupancy(),
+        reference.lines.iter().flatten().count(),
+        "occupancy"
+    );
+    // A restored copy continues exactly like the reference.
+    let mut restored = Cache::new(cfg);
+    restored.restore(&reference.snapshot());
+    reference.stats = CacheStats::default();
+    for step in 0..1_000u64 {
+        let l = line(&mut rng);
+        let hit = restored.access(l, false);
+        assert_eq!(
+            hit,
+            reference.access(l, false),
+            "restored access, step {step}"
+        );
+        if !hit.hit && reference.way_lo < ways {
+            let state = LineState {
+                line: l,
+                dirty: false,
+                prefetched: true,
+                trigger_pc: Some(Pc(step)),
+            };
+            assert_eq!(restored.fill(state), reference.fill(state), "restored fill");
+        }
+    }
+    assert_eq!(
+        restored.snapshot(),
+        reference.snapshot(),
+        "restored snapshot"
+    );
+    assert_eq!(restored.clone().snapshot(), reference.snapshot(), "clone");
+}
+
+#[test]
+fn cache_matches_option_record_reference() {
+    for seed in 0..2u64 {
+        // The Table 1 shapes (L1D, L2, LLC) at small set counts.
+        check_cache(16, 4, ReplKind::Plru, seed);
+        check_cache(16, 8, ReplKind::Plru, seed);
+        check_cache(8, 16, ReplKind::Srrip, seed);
+    }
+}
+
+#[test]
+fn cache_matches_reference_on_odd_shapes() {
+    // Direct-mapped, non-power-of-two associativity under both policies.
+    check_cache(8, 1, ReplKind::Plru, 3);
+    check_cache(4, 6, ReplKind::Plru, 4);
+    check_cache(4, 12, ReplKind::Srrip, 5);
+    check_cache(2, 3, ReplKind::Srrip, 6);
 }

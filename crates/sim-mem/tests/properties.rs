@@ -1,7 +1,7 @@
 //! Property-based tests for the memory substrate.
 
 use prophet_sim_mem::cache::{demand_line, Cache, CacheConfig};
-use prophet_sim_mem::replacement::{FlatRepl, ReplKind};
+use prophet_sim_mem::replacement::{ReplKind, SetRepl};
 use prophet_sim_mem::{CountingBloom, Hierarchy, Line, Pc, SystemConfig};
 use proptest::prelude::*;
 
@@ -14,16 +14,18 @@ proptest! {
         lo in 0usize..4,
     ) {
         let kinds = [ReplKind::Plru, ReplKind::Srrip];
-        let mut s = FlatRepl::new(kinds[kind_idx], 1, 8);
+        let r = SetRepl::new(kinds[kind_idx], 8);
+        let mut s = vec![0; r.set_words()];
+        r.init(&mut s);
         for (way, hit) in ops {
             if hit {
-                s.on_hit(0, way);
+                r.on_hit(&mut s, way);
             } else {
-                s.on_fill(0, way);
+                r.on_fill(&mut s, way);
             }
         }
         let hi = 8;
-        let v = s.victim(0, lo, hi);
+        let v = r.victim(&mut s, lo, hi);
         prop_assert!((lo..hi).contains(&v));
     }
 
@@ -31,12 +33,14 @@ proptest! {
     /// node on its path points at the other half.
     #[test]
     fn lru_protects_mru(touches in proptest::collection::vec(0usize..8, 2..100)) {
-        let mut s = FlatRepl::new(ReplKind::Plru, 1, 8);
+        let r = SetRepl::new(ReplKind::Plru, 8);
+        let mut s = vec![0; r.set_words()];
+        r.init(&mut s);
         for &w in &touches {
-            s.on_hit(0, w);
+            r.on_hit(&mut s, w);
         }
         let mru = *touches.last().unwrap();
-        prop_assert_ne!(s.victim(0, 0, 8), mru);
+        prop_assert_ne!(r.victim(&mut s, 0, 8), mru);
     }
 
     /// A cache never holds the same line twice and never exceeds capacity.

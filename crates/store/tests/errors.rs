@@ -139,11 +139,15 @@ fn checkpoint_with(repl: ReplSnapshot) -> Vec<u8> {
     )
 }
 
+/// An artifact kind's name, a valid encoding and whether its decoder
+/// rejects some bytes.
+type DecodeCase = (&'static str, Vec<u8>, fn(&[u8]) -> bool);
+
 /// Every possible truncation of every artifact kind decodes to an error —
 /// no panic, and never a silent partial success.
 #[test]
 fn truncated_files_error_for_every_prefix_length() {
-    let cases: [(&str, Vec<u8>, fn(&[u8]) -> bool); 3] = [
+    let cases: [DecodeCase; 3] = [
         ("profile", sample_profile(), |b| decode_profile(b).is_err()),
         ("hints", sample_hints(), |b| decode_hints(b).is_err()),
         ("checkpoint", sample_checkpoint(), |b| {

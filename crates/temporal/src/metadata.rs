@@ -17,7 +17,7 @@
 
 use prophet_prefetch::MetaTableStats;
 use prophet_sim_mem::addr::{Line, Pc};
-use prophet_sim_mem::{LLC_SETS, MAX_META_WAYS};
+use prophet_sim_mem::{LineAligned, LLC_SETS, MAX_META_WAYS};
 
 /// Entries packed into one 64-byte metadata line (paper: 12).
 pub const ENTRIES_PER_LINE: usize = 12;
@@ -33,9 +33,12 @@ pub const TAG_BITS: u32 = 10;
 /// addresses below 2³¹ so the compressed form is exact.
 pub const TARGET_BITS: u32 = 31;
 
-/// Sentinel in the packed tag mirror for an invalid slot. Real tags are
-/// 10-bit ([`TAG_BITS`]), so `u16::MAX` can never collide.
+/// Sentinel in the tag array for an invalid slot. Real tags are 10-bit
+/// ([`TAG_BITS`]), so `u16::MAX` can never collide.
 const NO_META_TAG: u16 = u16::MAX;
+
+/// Distant re-reference value of the table's 2-bit SRRIP.
+const META_RRPV_MAX: u8 = 3;
 
 /// Runtime replacement policy of the metadata table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,29 +49,28 @@ pub enum MetaRepl {
     Srrip,
 }
 
-/// One (valid) metadata entry.
+/// The replacement and payload fields of one entry. Its tag and validity
+/// live in the table's tag array, and its inserting PC, which only
+/// snapshots read, in a side array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
-    tag: u16,
+    /// LRU recency: the table clock at the last insert or hit.
+    stamp: u64,
     target: u32,
     /// Prophet priority level (Eq. 2); uniform when Prophet is disabled.
     priority: u8,
-    /// Inserting PC (used for accuracy attribution in reports/tests).
-    pc: Pc,
     rrpv: u8,
-    stamp: u64,
-    valid: bool,
 }
+
+// Four slots per host cache line; a new field must not quietly widen it.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
 
 impl Slot {
     const EMPTY: Slot = Slot {
-        tag: 0,
+        stamp: 0,
         target: 0,
         priority: 0,
-        pc: Pc(0),
-        rrpv: 3,
-        stamp: 0,
-        valid: false,
+        rrpv: META_RRPV_MAX,
     };
 }
 
@@ -160,15 +162,22 @@ impl Default for MetaTableConfig {
 }
 
 /// The Markov metadata table.
+///
+/// Three parallel arrays of `sets × max_ways × ENTRIES_PER_LINE` slots:
+/// `tags` is the primary record of which slots are valid and what they
+/// hold (a set's scan reads 2 bytes per entry, 192 B for 8 ways), `slots`
+/// the 16-byte replacement and payload fields read after a tag match or
+/// during victim selection, and `pcs` the inserting PC, written on insert
+/// and read only by [`MetadataTable::snapshot`].
 #[derive(Debug, Clone)]
 pub struct MetadataTable {
     cfg: MetaTableConfig,
     ways: usize,
-    slots: Vec<Slot>,
-    /// Packed mirror of each slot's tag (`NO_META_TAG` when invalid). The
-    /// hot lookup/insert scans walk this 2-byte-per-entry array instead of
-    /// the full `Slot` records — a set scan touches 192 B instead of ~3 KB.
-    tags: Vec<u16>,
+    slots: LineAligned<Slot>,
+    /// Each slot's tag, or `NO_META_TAG` when the slot is invalid.
+    tags: LineAligned<u16>,
+    /// Each valid slot's inserting PC (accuracy attribution in snapshots).
+    pcs: Vec<u64>,
     clock: u64,
     stats: MetaTableStats,
     set_bits: u32,
@@ -186,9 +195,11 @@ impl MetadataTable {
             "set count must be a power of two"
         );
         assert!(ways <= cfg.max_ways, "initial ways exceed the maximum");
+        let len = cfg.sets * cfg.max_ways * ENTRIES_PER_LINE;
         MetadataTable {
-            slots: vec![Slot::EMPTY; cfg.sets * cfg.max_ways * ENTRIES_PER_LINE],
-            tags: vec![NO_META_TAG; cfg.sets * cfg.max_ways * ENTRIES_PER_LINE],
+            slots: LineAligned::new(len, Slot::EMPTY),
+            tags: LineAligned::new(len, NO_META_TAG),
+            pcs: vec![0; len],
             ways,
             clock: 0,
             stats: MetaTableStats::default(),
@@ -220,7 +231,7 @@ impl MetadataTable {
 
     /// Number of valid entries (O(capacity); reports/tests only).
     pub fn occupancy(&self) -> usize {
-        self.slots.iter().filter(|s| s.valid).count()
+        self.tags.iter().filter(|&&t| t != NO_META_TAG).count()
     }
 
     #[inline]
@@ -263,17 +274,11 @@ impl MetadataTable {
     }
 
     /// Finds the absolute index of the valid slot tagged `tag` within
-    /// `range` by scanning the packed tag mirror.
+    /// `range` by scanning the tag array.
     #[inline]
     fn find_slot(&self, range: std::ops::Range<usize>, tag: u16) -> Option<usize> {
         let base = range.start;
-        let i = prophet_sim_mem::find_first_u16(&self.tags[range], tag)?;
-        debug_assert!(
-            self.slots[base + i].valid && self.slots[base + i].tag == tag,
-            "metadata tag mirror out of sync at index {}",
-            base + i
-        );
-        Some(base + i)
+        prophet_sim_mem::find_first_u16(&self.tags[range], tag).map(|i| base + i)
     }
 
     /// Looks up the Markov target recorded for `line`, refreshing the
@@ -332,43 +337,52 @@ impl MetadataTable {
             };
             slot.target = target.0 as u32;
             slot.priority = priority;
-            slot.pc = pc;
             slot.stamp = clock;
             slot.rrpv = 0;
+            self.pcs[idx] = pc.0;
             return InsertOutcome::UpdatedTarget(old);
         }
 
         self.stats.insertions += 1;
         let fresh = Slot {
-            tag,
+            stamp: clock,
             target: target.0 as u32,
             priority,
-            pc,
             rrpv: 2,
-            stamp: clock,
-            valid: true,
         };
 
         // Empty slot?
         let base = range.start;
         if let Some(i) = prophet_sim_mem::find_first_u16(&self.tags[range.clone()], NO_META_TAG) {
-            self.slots[base + i] = fresh;
-            self.tags[base + i] = tag;
+            self.put(base + i, tag, fresh, pc);
             return InsertOutcome::Allocated;
         }
 
         // Replacement.
         self.stats.replacements += 1;
-        let victim_idx = self.pick_victim(range.clone());
-        let victim = &mut self.slots[victim_idx];
+        let victim_idx = self.pick_victim(range);
+        let victim = &self.slots[victim_idx];
         let evicted = EvictedMeta {
-            key: ((victim.tag as u64) << self.set_bits) | set as u64,
+            key: ((self.tags[victim_idx] as u64) << self.set_bits) | set as u64,
             target: Line(victim.target as u64),
             priority: victim.priority,
         };
-        *victim = fresh;
-        self.tags[victim_idx] = tag;
+        self.put(victim_idx, tag, fresh, pc);
         InsertOutcome::Replaced(evicted)
+    }
+
+    /// Writes a valid entry into slot `idx`.
+    #[inline]
+    fn put(&mut self, idx: usize, tag: u16, slot: Slot, pc: Pc) {
+        self.tags[idx] = tag;
+        self.slots[idx] = slot;
+        self.pcs[idx] = pc.0;
+    }
+
+    /// Invalidates slot `idx`.
+    fn clear(&mut self, idx: usize) {
+        self.tags[idx] = NO_META_TAG;
+        self.slots[idx] = Slot::EMPTY;
     }
 
     fn pick_victim(&mut self, range: std::ops::Range<usize>) -> usize {
@@ -396,24 +410,33 @@ impl MetadataTable {
                     .expect("at least one candidate")
             }
             MetaRepl::Srrip => {
-                // Age candidates until one reaches the distant RRPV.
-                loop {
-                    let base = range.start;
-                    if let Some(i) = self.slots[range.clone()]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| candidate(s))
-                        .find(|(_, s)| s.rrpv >= 3)
-                        .map(|(i, _)| base + i)
-                    {
-                        return i;
+                // The textbook loop ages every entry (saturating at the
+                // distant value) until a candidate reaches it. Only full
+                // sets get here, so every slot in `range` is valid. When no
+                // candidate is distant yet, the first to get there is the
+                // first holding the candidates' maximum `m`, after
+                // `3 - m` rounds, which leave each entry at
+                // `min(rrpv + rounds, 3)`: one sweep for the maximum and
+                // one for the bump give the same victim and state.
+                let base = range.start;
+                let mut best: Option<(usize, u8)> = None;
+                for (i, s) in self.slots[range.clone()].iter().enumerate() {
+                    if !candidate(s) {
+                        continue;
                     }
-                    for s in &mut self.slots[range.clone()] {
-                        if s.valid {
-                            s.rrpv = (s.rrpv + 1).min(3);
-                        }
+                    if s.rrpv >= META_RRPV_MAX {
+                        return base + i;
+                    }
+                    if best.map_or(true, |(_, m)| s.rrpv > m) {
+                        best = Some((i, s.rrpv));
                     }
                 }
+                let (i, m) = best.expect("at least one candidate");
+                let rounds = META_RRPV_MAX - m;
+                for s in &mut self.slots[range] {
+                    s.rrpv = s.rrpv.saturating_add(rounds).min(META_RRPV_MAX);
+                }
+                base + i
             }
         }
     }
@@ -439,15 +462,15 @@ impl MetadataTable {
                 let range = self.set_range(set);
                 let (keep, drop) = (range.start + new_per_set, range.end);
                 for idx in keep..drop {
-                    let s = self.slots[idx];
-                    if s.valid {
+                    let tag = self.tags[idx];
+                    if tag != NO_META_TAG {
+                        let s = self.slots[idx];
                         evicted.push(EvictedMeta {
-                            key: ((s.tag as u64) << self.set_bits) | set as u64,
+                            key: ((tag as u64) << self.set_bits) | set as u64,
                             target: Line(s.target as u64),
                             priority: s.priority,
                         });
-                        self.slots[idx] = Slot::EMPTY;
-                        self.tags[idx] = NO_META_TAG;
+                        self.clear(idx);
                     }
                 }
             }
@@ -459,18 +482,21 @@ impl MetadataTable {
     /// are excluded (they reset at the warm-up boundary).
     pub fn snapshot(&self) -> MetaTableSnapshot {
         let entries = self
-            .slots
+            .tags
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.valid)
-            .map(|(i, s)| MetaSlotSnapshot {
-                index: i as u64,
-                tag: s.tag,
-                target: s.target,
-                priority: s.priority,
-                pc: s.pc.0,
-                rrpv: s.rrpv,
-                stamp: s.stamp,
+            .filter(|&(_, &tag)| tag != NO_META_TAG)
+            .map(|(i, &tag)| {
+                let s = &self.slots[i];
+                MetaSlotSnapshot {
+                    index: i as u64,
+                    tag,
+                    target: s.target,
+                    priority: s.priority,
+                    pc: self.pcs[i],
+                    rrpv: s.rrpv,
+                    stamp: s.stamp,
+                }
             })
             .collect();
         MetaTableSnapshot {
@@ -509,7 +535,7 @@ impl MetadataTable {
             snap.max_ways, self.cfg.max_ways as u64,
             "metadata snapshot geometry mismatch"
         );
-        self.slots.iter_mut().for_each(|s| *s = Slot::EMPTY);
+        self.slots.fill(Slot::EMPTY);
         self.tags.fill(NO_META_TAG);
         let per_set_active = self.entries_per_set() as u64;
         let stride = (self.cfg.max_ways * ENTRIES_PER_LINE) as u64;
@@ -522,16 +548,13 @@ impl MetadataTable {
             if e.index % stride >= per_set_active {
                 continue; // beyond this table's current ways — dropped
             }
-            self.slots[e.index as usize] = Slot {
-                tag: e.tag,
+            let slot = Slot {
+                stamp: e.stamp,
                 target: e.target,
                 priority: e.priority,
-                pc: Pc(e.pc),
                 rrpv: e.rrpv,
-                stamp: e.stamp,
-                valid: true,
             };
-            self.tags[e.index as usize] = e.tag;
+            self.put(e.index as usize, e.tag, slot, Pc(e.pc));
             live += 1;
         }
         self.clock = self.clock.max(snap.clock);

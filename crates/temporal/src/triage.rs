@@ -65,8 +65,8 @@ impl L2Prefetcher for Triage {
         L2Decision {
             prefetches: d
                 .targets
-                .into_iter()
-                .map(|line| PrefetchRequest {
+                .iter()
+                .map(|&line| PrefetchRequest {
                     line,
                     trigger_pc: ev.pc,
                 })

@@ -98,8 +98,8 @@ impl L2Prefetcher for Triangel {
         L2Decision {
             prefetches: d
                 .targets
-                .into_iter()
-                .map(|line| PrefetchRequest {
+                .iter()
+                .map(|&line| PrefetchRequest {
                     line,
                     trigger_pc: ev.pc,
                 })

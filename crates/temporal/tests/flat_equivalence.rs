@@ -1,19 +1,23 @@
-//! Equivalence suite for the flattened temporal-metadata structures
-//! (Issue 7).
+//! Equivalence suite for the flattened and packed temporal-metadata
+//! structures.
 //!
-//! The hot-path rewrite gave [`MetadataTable`] a packed tag mirror for its
-//! set scans and moved the census/training bookkeeping onto `FlatMap`. This
-//! suite replays randomized streams against map-based reference models and
-//! asserts the observable behavior — every hit, miss, insert outcome,
-//! eviction, and histogram — is identical. The key property for the table:
-//! the content implied by the `InsertOutcome`/eviction protocol must match
-//! a shadow map exactly at all times, which fails if the tag mirror ever
-//! falls out of sync with the slot records.
+//! The hot-path rewrites split [`MetadataTable`]'s entries into a tag
+//! array, 16-byte slots and a side array of PCs, and moved the
+//! census/training bookkeeping onto `FlatMap`. This suite replays
+//! randomized streams against reference models and asserts the observable
+//! behavior — every hit, miss, insert outcome, eviction, counter, snapshot
+//! and histogram — is identical. Two references check the table: a shadow
+//! map of the content the `InsertOutcome`/eviction protocol implies, and
+//! the table as it was before the split, one 32-byte record per slot.
 
 use std::collections::HashMap;
 
+use prophet_prefetch::MetaTableStats;
 use prophet_sim_mem::addr::{Line, Pc};
-use prophet_temporal::metadata::{InsertOutcome, MetaRepl, MetaTableConfig, MetadataTable};
+use prophet_temporal::metadata::{
+    EvictedMeta, InsertOutcome, MetaRepl, MetaSlotSnapshot, MetaTableConfig, MetaTableSnapshot,
+    MetadataTable, ENTRIES_PER_LINE, TAG_BITS,
+};
 use prophet_temporal::{MarkovCensus, TrainingUnit};
 
 /// Deterministic splitmix64 stream (no dev-dependency needed).
@@ -167,6 +171,312 @@ fn metadata_table_matches_shadow_srrip_priority() {
 fn metadata_table_matches_shadow_lru_priority() {
     for seed in 0..3 {
         check_metadata_table(MetaRepl::Lru, true, seed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MetadataTable vs the one-record-per-slot table it replaced
+// ---------------------------------------------------------------------------
+
+/// One entry as the table kept it before the split: tag, validity and PC
+/// beside the replacement fields, 32 bytes.
+#[derive(Debug, Clone, Copy)]
+struct RefSlot {
+    tag: u16,
+    target: u32,
+    priority: u8,
+    pc: u64,
+    rrpv: u8,
+    stamp: u64,
+    valid: bool,
+}
+
+const REF_EMPTY: RefSlot = RefSlot {
+    tag: 0,
+    target: 0,
+    priority: 0,
+    pc: 0,
+    rrpv: 3,
+    stamp: 0,
+    valid: false,
+};
+
+/// The table before the split, with a linear scan of its records in place
+/// of the tag array and the textbook SRRIP aging loop.
+struct RefTable {
+    cfg: MetaTableConfig,
+    ways: usize,
+    slots: Vec<RefSlot>,
+    clock: u64,
+    stats: MetaTableStats,
+    set_bits: u32,
+}
+
+impl RefTable {
+    fn new(cfg: MetaTableConfig, ways: usize) -> Self {
+        RefTable {
+            slots: vec![REF_EMPTY; cfg.sets * cfg.max_ways * ENTRIES_PER_LINE],
+            ways,
+            clock: 0,
+            stats: MetaTableStats::default(),
+            set_bits: cfg.sets.trailing_zeros(),
+            cfg,
+        }
+    }
+
+    fn set_of(&self, line: Line) -> usize {
+        line.0 as usize & (self.cfg.sets - 1)
+    }
+
+    fn tag_of(&self, line: Line) -> u16 {
+        ((line.0 >> self.set_bits) & ((1 << TAG_BITS) - 1)) as u16
+    }
+
+    fn set_range(&self, set: usize) -> std::ops::Range<usize> {
+        let base = set * self.cfg.max_ways * ENTRIES_PER_LINE;
+        base..base + self.ways * ENTRIES_PER_LINE
+    }
+
+    fn find(&self, line: Line) -> Option<usize> {
+        let tag = self.tag_of(line);
+        self.set_range(self.set_of(line))
+            .find(|&i| self.slots[i].valid && self.slots[i].tag == tag)
+    }
+
+    fn peek(&self, line: Line) -> Option<Line> {
+        if self.ways == 0 {
+            return None;
+        }
+        self.find(line).map(|i| Line(self.slots[i].target as u64))
+    }
+
+    fn lookup(&mut self, line: Line) -> Option<Line> {
+        if self.ways == 0 {
+            return None;
+        }
+        self.stats.lookups += 1;
+        self.clock += 1;
+        let idx = self.find(line)?;
+        let slot = &mut self.slots[idx];
+        slot.rrpv = 0;
+        slot.stamp = self.clock;
+        self.stats.hits += 1;
+        Some(Line(slot.target as u64))
+    }
+
+    fn insert(&mut self, src: Line, target: Line, pc: Pc, priority: u8) -> InsertOutcome {
+        if self.ways == 0 {
+            return InsertOutcome::Unchanged;
+        }
+        let (tag, set) = (self.tag_of(src), self.set_of(src));
+        let key = ((tag as u64) << self.set_bits) | set as u64;
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some(idx) = self.find(src) {
+            let slot = &mut self.slots[idx];
+            if slot.target as u64 == target.0 {
+                slot.stamp = clock;
+                slot.rrpv = 0;
+                return InsertOutcome::Unchanged;
+            }
+            let old = EvictedMeta {
+                key,
+                target: Line(slot.target as u64),
+                priority: slot.priority,
+            };
+            *slot = RefSlot {
+                target: target.0 as u32,
+                priority,
+                pc: pc.0,
+                stamp: clock,
+                rrpv: 0,
+                ..*slot
+            };
+            return InsertOutcome::UpdatedTarget(old);
+        }
+        self.stats.insertions += 1;
+        let fresh = RefSlot {
+            tag,
+            target: target.0 as u32,
+            priority,
+            pc: pc.0,
+            rrpv: 2,
+            stamp: clock,
+            valid: true,
+        };
+        let range = self.set_range(set);
+        if let Some(i) = range.clone().find(|&i| !self.slots[i].valid) {
+            self.slots[i] = fresh;
+            return InsertOutcome::Allocated;
+        }
+        self.stats.replacements += 1;
+        let v = self.pick_victim(range);
+        let old = self.slots[v];
+        self.slots[v] = fresh;
+        InsertOutcome::Replaced(EvictedMeta {
+            key: ((old.tag as u64) << self.set_bits) | set as u64,
+            target: Line(old.target as u64),
+            priority: old.priority,
+        })
+    }
+
+    fn pick_victim(&mut self, range: std::ops::Range<usize>) -> usize {
+        let prio = self.cfg.priority_replacement;
+        let min_priority = if prio {
+            range.clone().map(|i| self.slots[i].priority).min().unwrap()
+        } else {
+            0
+        };
+        let candidate = |s: &RefSlot| !prio || s.priority == min_priority;
+        match self.cfg.repl {
+            MetaRepl::Lru => range
+                .filter(|&i| candidate(&self.slots[i]))
+                .min_by_key(|&i| self.slots[i].stamp)
+                .unwrap(),
+            MetaRepl::Srrip => loop {
+                if let Some(i) = range
+                    .clone()
+                    .find(|&i| candidate(&self.slots[i]) && self.slots[i].rrpv >= 3)
+                {
+                    return i;
+                }
+                for i in range.clone() {
+                    if self.slots[i].valid {
+                        self.slots[i].rrpv = (self.slots[i].rrpv + 1).min(3);
+                    }
+                }
+            },
+        }
+    }
+
+    fn resize_into(&mut self, ways: usize, evicted: &mut Vec<EvictedMeta>) {
+        if ways < self.ways {
+            for set in 0..self.cfg.sets {
+                let range = self.set_range(set);
+                for idx in range.start + ways * ENTRIES_PER_LINE..range.end {
+                    let s = self.slots[idx];
+                    if s.valid {
+                        evicted.push(EvictedMeta {
+                            key: ((s.tag as u64) << self.set_bits) | set as u64,
+                            target: Line(s.target as u64),
+                            priority: s.priority,
+                        });
+                        self.slots[idx] = REF_EMPTY;
+                    }
+                }
+            }
+        }
+        self.ways = ways;
+    }
+
+    fn snapshot(&self) -> MetaTableSnapshot {
+        MetaTableSnapshot {
+            sets: self.cfg.sets as u64,
+            max_ways: self.cfg.max_ways as u64,
+            ways: self.ways as u64,
+            clock: self.clock,
+            entries: self
+                .slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.valid)
+                .map(|(i, s)| MetaSlotSnapshot {
+                    index: i as u64,
+                    tag: s.tag,
+                    target: s.target,
+                    priority: s.priority,
+                    pc: s.pc,
+                    rrpv: s.rrpv,
+                    stamp: s.stamp,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Replays lookups, peeks, inserts and resizes on the table and the
+/// one-record reference, comparing every result, eviction, counter and
+/// the full snapshot after each op; then restores the final snapshot into
+/// a fresh table and checks it continues like the reference.
+fn check_against_record_table(repl: MetaRepl, priority_replacement: bool, seed: u64) {
+    let cfg = MetaTableConfig {
+        sets: 8,
+        max_ways: 2,
+        repl,
+        priority_replacement,
+    };
+    let mut table = MetadataTable::new(cfg, 2);
+    let mut reference = RefTable::new(cfg, 2);
+    let mut rng = Rng(0x5107 ^ seed);
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for step in 0..8_000u64 {
+        // Sources alias on the 10-bit tag beyond 2^13, as in the paper's
+        // compressed format.
+        let src = Line(rng.below(1 << 14));
+        let ctx = format!("step {step} ({repl:?}, priority {priority_replacement}, seed {seed})");
+        match rng.below(100) {
+            0..=49 => {
+                let target = Line(rng.below(1 << 31));
+                // Few distinct targets per source make `Unchanged` common.
+                let target = if rng.below(3) == 0 {
+                    Line(src.0 + 1)
+                } else {
+                    target
+                };
+                let pc = Pc(rng.below(1 << 40));
+                let priority = rng.below(4) as u8;
+                assert_eq!(
+                    table.insert(src, target, pc, priority),
+                    reference.insert(src, target, pc, priority),
+                    "insert, {ctx}"
+                );
+            }
+            50..=79 => assert_eq!(table.lookup(src), reference.lookup(src), "lookup, {ctx}"),
+            80..=97 => assert_eq!(table.peek(src), reference.peek(src), "peek, {ctx}"),
+            _ => {
+                let ways = rng.below(cfg.max_ways as u64 + 1) as usize;
+                got.clear();
+                want.clear();
+                table.resize_into(ways, &mut got);
+                reference.resize_into(ways, &mut want);
+                assert_eq!(got, want, "resize_into({ways}), {ctx}");
+            }
+        }
+        assert_eq!(table.stats(), reference.stats, "stats, {ctx}");
+        assert_eq!(table.snapshot(), reference.snapshot(), "snapshot, {ctx}");
+    }
+    let mut restored = MetadataTable::new(cfg, reference.ways);
+    restored.restore_contents(&reference.snapshot());
+    assert_eq!(restored.snapshot(), reference.snapshot(), "restore");
+    for step in 0..2_000u64 {
+        let src = Line(rng.below(1 << 14));
+        let target = Line(rng.below(1 << 31));
+        let priority = rng.below(4) as u8;
+        assert_eq!(
+            restored.insert(src, target, Pc(step), priority),
+            reference.insert(src, target, Pc(step), priority),
+            "restored insert, step {step}"
+        );
+        assert_eq!(restored.lookup(target), reference.lookup(target));
+    }
+    assert_eq!(
+        restored.snapshot(),
+        reference.snapshot(),
+        "restored snapshot"
+    );
+}
+
+#[test]
+fn metadata_table_matches_record_table() {
+    for (repl, priority) in [
+        (MetaRepl::Lru, false),
+        (MetaRepl::Srrip, false),
+        (MetaRepl::Lru, true),
+        (MetaRepl::Srrip, true),
+    ] {
+        for seed in 0..2 {
+            check_against_record_table(repl, priority, seed);
+        }
     }
 }
 

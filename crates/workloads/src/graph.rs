@@ -100,13 +100,14 @@ mod tests {
     #[test]
     fn neighbors_are_mostly_local() {
         let g = Graph::clustered(10_000, 8, 3);
-        let window = (10_000 / 512).max(8) as i64;
+        let n = g.vertices() as i64;
+        let window = (n / 512).max(8);
         let mut local = 0usize;
         let mut total = 0usize;
         for u in 0..g.vertices() {
             for &v in g.neighbors(u) {
                 let d = (v as i64 - u as i64).abs();
-                let wrapped = d.min(10_000 - d);
+                let wrapped = d.min(n - d);
                 if wrapped <= window {
                     local += 1;
                 }

@@ -100,8 +100,8 @@ pub fn spec_workload(name: &str) -> MixSpec {
     match name {
         "mcf" => mcf(),
         "omnetpp" => omnetpp(),
-        "astar_biglakes" => astar("astar_biglakes", 0xA57A_01, 24_000, 0.22),
-        "astar_rivers" => astar("astar_rivers", 0xA57A_02, 17_000, 0.30),
+        "astar_biglakes" => astar("astar_biglakes", 0xA5_7A_01, 24_000, 0.22),
+        "astar_rivers" => astar("astar_rivers", 0xA5_7A_02, 17_000, 0.30),
         "soplex_pds-50" => soplex("soplex_pds-50", 0x50_01, 30_000, 2),
         "soplex_ref" => soplex("soplex_ref", 0x50_02, 20_000, 2),
         "sphinx3" => sphinx3(),
@@ -315,15 +315,15 @@ fn astar(name: &str, seed: u64, chase_lines: usize, stream_weight: f64) -> MixSp
 fn gcc_family(input: &str) -> (usize, u64) {
     // (family id, per-input seed)
     match input {
-        "gcc_166" => (0, 0x6CC_01),
-        "gcc_200" => (1, 0x6CC_02),
-        "gcc_expr" => (1, 0x6CC_04),
-        "gcc_expr2" => (1, 0x6CC_05),
-        "gcc_cpdecl" => (1, 0x6CC_03),
-        "gcc_typeck" => (2, 0x6CC_09),
-        "gcc_s04" => (2, 0x6CC_07),
-        "gcc_scilab" => (2, 0x6CC_08),
-        "gcc_g23" => (0, 0x6CC_06),
+        "gcc_166" => (0, 0x06_CC_01),
+        "gcc_200" => (1, 0x06_CC_02),
+        "gcc_expr" => (1, 0x06_CC_04),
+        "gcc_expr2" => (1, 0x06_CC_05),
+        "gcc_cpdecl" => (1, 0x06_CC_03),
+        "gcc_typeck" => (2, 0x06_CC_09),
+        "gcc_s04" => (2, 0x06_CC_07),
+        "gcc_scilab" => (2, 0x06_CC_08),
+        "gcc_g23" => (0, 0x06_CC_06),
         other => panic!("unknown gcc input: {other}"),
     }
 }
