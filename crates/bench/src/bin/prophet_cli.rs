@@ -17,8 +17,8 @@
 //!
 //! prophet_cli optimize <workload> --store DIR [--insts N] [--warmup N] [--hints-out FILE]
 //!   Step 2 (offline): analysis only — fetch the hints a daemon over DIR
-//!   would serve, written to FILE or else beside the profile as the store's
-//!   hint-set artifact (the "optimized binary" payload). No simulation.
+//!   would serve and print their summary; with --hints-out, write them to
+//!   FILE (the "optimized binary" payload). No simulation.
 //!
 //! prophet_cli run <workload> --hints FILE [--insts N] [--warmup N]
 //!   Online phase: simulate the workload under full Prophet driven by a
@@ -60,7 +60,7 @@ use prophet_bench::Flag::{
 use prophet_bench::{parallel_tasks, Harness, Outcome, RunArgs, Scheme, Start};
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceError, ServiceState, SubmitAck};
 use prophet_sim_core::SimReport;
-use prophet_store::{decode_hints, read_hints_file, write_hints_file, ArtifactKind};
+use prophet_store::{decode_hints, read_hints_file, write_hints_file};
 use prophet_workloads::workload_sized;
 use std::path::Path;
 
@@ -203,7 +203,7 @@ fn cmd_profile(args: &RunArgs, name: &str) {
 }
 
 /// Step 2: analysis only — the hints a daemon over the store would serve,
-/// out as the hint artifact.
+/// written only where `--hints-out` says.
 fn cmd_optimize(args: &RunArgs, name: &str) {
     let state = open_state(args);
     let h = args.harness(Harness::default());
@@ -221,11 +221,12 @@ fn cmd_optimize(args: &RunArgs, name: &str) {
         }
         Err(e) => die(&format!("unreadable profile: {e}")),
     };
-    let out = match &args.hints_out {
-        Some(out) => out.into(),
-        None => state.store().path_for(ArtifactKind::Hints, &key),
-    };
-    emit_hints("optimized", name, &bytes, Some(&out));
+    emit_hints(
+        "optimized",
+        name,
+        &bytes,
+        args.hints_out.as_deref().map(Path::new),
+    );
 }
 
 /// Fleet mode: run the hint-serving daemon over the store directory.

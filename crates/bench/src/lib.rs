@@ -427,8 +427,7 @@ impl WarmupMachine {
     fn observe(&mut self, ev: &prophet_sim_mem::hierarchy::L2Event) {
         // Train and look up (lookups refresh replacement recency exactly as
         // the profiling prefetcher would) but discard all decisions.
-        let _ = self.observer.on_access(ev, None);
-        self.observer.drain_evictions();
+        let _ = self.observer.decide(ev);
     }
 }
 

@@ -8,12 +8,13 @@
 //! to an in-process daemon by racing clients, then compared byte-for-byte
 //! against the offline analysis of the identical counters. The offline
 //! `prophet_cli profile` itself must leave a submission a daemon over the
-//! same store recovers.
+//! same store recovers, and the service and a grid's `--store` profile
+//! cache must not read each other's profiles.
 
 use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters};
 use prophet_bench::Harness;
-use prophet_service::{ServeConfig, Server, ServiceClient, ServiceState};
-use prophet_store::encode_hints;
+use prophet_service::{ServeConfig, Server, ServiceClient, ServiceError, ServiceState};
+use prophet_store::{encode_hints, ArtifactStore};
 use prophet_workloads::workload_sized;
 use std::path::PathBuf;
 use std::process::Command;
@@ -119,4 +120,50 @@ fn daemon_recovers_offline_profile_runs() {
     assert_eq!(state.fetch(&key).unwrap(), std::fs::read(&out).unwrap());
     drop(state);
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// One owner per profile key: a submission is not a grid's cached
+/// profile, and a grid's cached profile is not a submission. A grid over
+/// a store holding a submitted profile profiles afresh and reports what a
+/// fresh store reports; a service over a store only a grid profiled knows
+/// no hints for the key.
+#[test]
+fn grid_and_service_do_not_share_profiles() {
+    let h = Harness {
+        warmup: 20_000,
+        measure: 40_000,
+        ..Harness::default()
+    };
+    let w = workload_sized("bfs_100000_16", h.warmup + h.measure);
+    let key = h.profile_key(w.as_ref());
+    let (submitted, fresh) = (temp_dir("owner-submitted"), temp_dir("owner-fresh"));
+    for dir in [&submitted, &fresh] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let counters = ProfileCounters::from_report(&h.profile(w.as_ref()));
+    ServiceState::open(&submitted)
+        .unwrap()
+        .submit(&key, counters)
+        .unwrap();
+
+    let grid = |dir: &PathBuf| {
+        let store = ArtifactStore::open(dir).unwrap();
+        let rows = h.run_matrix_stored(std::slice::from_ref(&w), 2, Some(&store));
+        (rows, store.activity().profiles_reused)
+    };
+    let (beside_submission, reused) = grid(&submitted);
+    assert_eq!(reused, 0, "the grid must not reuse a submitted profile");
+    let (from_fresh, _) = grid(&fresh);
+    assert_eq!(beside_submission, from_fresh);
+
+    match ServiceState::open(&fresh).unwrap().fetch(&key) {
+        Err(ServiceError::UnknownWorkload(_)) => {}
+        other => panic!(
+            "a key only the grid profiled must be unknown to the service, got {:?}",
+            other.map(|bytes| bytes.len())
+        ),
+    }
+    for dir in [submitted, fresh] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

@@ -7,7 +7,7 @@
 //! (Section 3.2). The PMU/PEBS counters read out afterwards are the entire
 //! profile artifact.
 
-use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
+use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats};
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_temporal::{TemporalConfig, TemporalEngine};
 
@@ -45,20 +45,7 @@ impl L2Prefetcher for SimplifiedTp {
     }
 
     fn on_l2_access(&mut self, ev: &L2Event) -> L2Decision {
-        let d = self.engine.on_access(ev, None);
-        self.engine.drain_evictions();
-        L2Decision {
-            prefetches: d
-                .targets
-                .iter()
-                .map(|&line| PrefetchRequest {
-                    line,
-                    trigger_pc: ev.pc,
-                })
-                .collect(),
-            resize_meta_ways: d.resize,
-            metadata_dram_accesses: 0,
-        }
+        self.engine.decide(ev)
     }
 
     fn meta_ways(&self) -> usize {

@@ -26,8 +26,7 @@ use crate::mvb::MultiPathVictimBuffer;
 use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_temporal::{
-    ExternalGate, InsertionPolicy, MetaRepl, MetaTableConfig, ResizePolicy, TemporalConfig,
-    TemporalEngine,
+    InsertionPolicy, MetaRepl, MetaTableConfig, ResizePolicy, TemporalConfig, TemporalEngine,
 };
 
 /// Which Prophet features are active (Figure 19 ablation axes).
@@ -133,7 +132,8 @@ impl Prophet {
         };
         let engine = TemporalEngine::new(TemporalConfig {
             degree: DEGREE,
-            insertion: InsertionPolicy::External,
+            // The hint's filter runs before the engine (`on_l2_access`).
+            insertion: InsertionPolicy::Always,
             resize,
             table: MetaTableConfig {
                 // Runtime replacement among Prophet's candidates is LRU
@@ -185,13 +185,7 @@ impl L2Prefetcher for Prophet {
         } else {
             1
         };
-        let d = self.engine.on_access(
-            ev,
-            Some(ExternalGate {
-                allow_insert: true,
-                priority,
-            }),
-        );
+        let d = self.engine.on_access(ev, priority);
 
         // Feed evicted/displaced Markov targets to the MVB (the drain also
         // empties the queue when the MVB is disabled).
@@ -408,5 +402,37 @@ mod tests {
             dec.prefetches.len() <= 1 + 3, /* chain may follow */
             "without the MVB only the table's single path is followed"
         );
+    }
+
+    /// Only Triangel's gate reads per-PC confidence, so only its engine
+    /// keeps any: the profiling engine and Prophet's (whose Eq. 1 filter
+    /// runs before the engine) build no per-PC state.
+    #[test]
+    fn only_triangels_gate_keeps_per_pc_confidence() {
+        use prophet_temporal::Triangel;
+        let hints = hintset(
+            vec![(
+                1,
+                PcHint {
+                    insert: true,
+                    priority: 3,
+                },
+            )],
+            4,
+        );
+        let mut prophet = Prophet::new(ProphetConfig::default(), &hints);
+        let mut always = TemporalEngine::new(TemporalConfig::simplified_profiling());
+        let mut triangel = Triangel::default();
+        for i in 0..64u64 {
+            let ev = event(1 + i % 4, 100 + i);
+            prophet.on_l2_access(&ev);
+            always.on_access(&ev, 1);
+            triangel.on_l2_access(&ev);
+        }
+        for pc in (1..=4).map(Pc) {
+            assert_eq!(always.pattern_conf(pc), None, "profiling engine, {pc:?}");
+            assert_eq!(prophet.engine.pattern_conf(pc), None, "Prophet, {pc:?}");
+            assert!(triangel.pattern_conf(pc).is_some(), "Triangel, {pc:?}");
+        }
     }
 }

@@ -66,7 +66,6 @@ pub struct ServiceMetrics {
     submissions_duplicate: AtomicU64,
     merges_total: AtomicU64,
     fetches_served: AtomicU64,
-    fetch_store_fallbacks: AtomicU64,
     recovered_submissions: AtomicU64,
     errors_total: [AtomicU64; 6],
 }
@@ -103,18 +102,14 @@ impl ServiceMetrics {
         });
     }
 
-    /// A canonical re-merge was written to the store and re-analyzed.
+    /// The submissions were re-merged and re-analyzed.
     pub fn record_merge(&self) {
         Self::inc(&self.merges_total);
     }
 
-    /// A hint set was served; `fallback` = from the store rather than the
-    /// in-memory registry.
-    pub fn record_fetch(&self, fallback: bool) {
+    /// A hint set was served.
+    pub fn record_fetch(&self) {
         Self::inc(&self.fetches_served);
-        if fallback {
-            Self::inc(&self.fetch_store_fallbacks);
-        }
     }
 
     /// `n` submissions were rebuilt from the store at startup.
@@ -173,10 +168,6 @@ impl ServiceMetrics {
         );
         line("prophet_service_merges_total", g(&self.merges_total));
         line("prophet_service_fetches_served", g(&self.fetches_served));
-        line(
-            "prophet_service_fetch_store_fallbacks",
-            g(&self.fetch_store_fallbacks),
-        );
         line(
             "prophet_service_recovered_submissions",
             g(&self.recovered_submissions),

@@ -12,18 +12,17 @@
 //! different workloads never contend. Both locks are poison-tolerant: an
 //! entry stays consistent across a panic (see [`ServiceState::submit`]),
 //! so a panicking handler costs its own request only. The store itself
-//! takes no lock: the merged profile is rebuilt from the submission set
-//! on every generation, not merged into what is on disk, so
-//! [`ArtifactStore::save_profile`]'s atomic last-writer-wins rename is
-//! all it needs.
+//! takes no lock: each submission is its own content-addressed file, so
+//! [`ArtifactStore::save_profile`]'s atomic rename is all it needs.
 //!
 //! Generation rule: a key's generation equals its number of *distinct*
 //! submissions (byte-identical resubmissions dedup, see
 //! [`crate::merge`]). Only a generation advance writes: it persists the
-//! submission, re-merges, re-analyzes and publishes the merged profile,
-//! so a fetch is a cache read. A restarted daemon recovers the
-//! submissions and re-merges on its first fetch of a key without
-//! writing anything.
+//! submission, then re-merges and re-analyzes in memory, so a fetch is a
+//! cache read. The merged profile is never written: the submissions are
+//! the state, and the plain profile key belongs to the grid's `--store`
+//! cache. A restarted daemon recovers the submissions and re-merges on
+//! its first fetch of a key without writing anything.
 
 use crate::merge::{merge_canonical, SubmissionSet};
 use crate::metrics::ServiceMetrics;
@@ -42,7 +41,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Why a request could not be served.
 #[derive(Debug)]
 pub enum ServiceError {
-    /// No profile for the key, in memory or in the store.
+    /// No submission for the key.
     UnknownWorkload(StoreKey),
     /// The artifact store failed under the request.
     Store(StoreError),
@@ -193,7 +192,7 @@ impl ServiceState {
                 continue;
             };
             let Some(base_workload) = split_submission_workload(&key.workload) else {
-                continue; // a merged artifact, not a submission
+                continue; // not a submission
             };
             let base = StoreKey {
                 workload: base_workload.to_string(),
@@ -231,9 +230,9 @@ impl ServiceState {
     }
 
     /// Folds the entry's submissions canonically, re-analyzes, and caches
-    /// the hints at the entry's generation; returns the merged profile.
-    /// Writes nothing. Requires at least one submission.
-    fn merge(&self, e: &mut WorkloadEntry) -> ProfileArtifact {
+    /// the hints at the entry's generation. Writes nothing. Requires at
+    /// least one submission.
+    fn merge(&self, e: &mut WorkloadEntry) {
         let merged = merge_canonical(&e.submissions).expect("merge on empty submission set");
         self.metrics.record_merge();
         let hints = analyze(&merged.counters, &self.analysis);
@@ -241,21 +240,18 @@ impl ServiceState {
             generation: e.generation,
             bytes: encode_hints(&e.key, &hints),
         });
-        merged
     }
 
     /// Accepts one profiling run's counters for `key`.
     ///
     /// A byte-identical duplicate of an earlier submission is
     /// acknowledged without advancing anything; fresh content persists a
-    /// submission artifact, advances the generation, eagerly re-merges and
-    /// re-analyzes, and publishes the merged profile under the plain key.
-    /// The persist happens *before* the in-memory insert, so a store
-    /// failure surfaces as a typed error with the registry unchanged. The
-    /// insert and the advance happen *before* the merge, so a panic in it
-    /// leaves a cache behind the generation, which the next fetch
-    /// re-merges; a failed publish leaves the stored merged profile behind
-    /// until the next advance, and fetches still serve the cache.
+    /// submission artifact, advances the generation, and eagerly re-merges
+    /// and re-analyzes. The persist happens *before* the in-memory insert,
+    /// so a store failure surfaces as a typed error with the registry
+    /// unchanged. The insert and the advance happen *before* the merge, so
+    /// a panic in it leaves a cache behind the generation, which the next
+    /// fetch re-merges.
     pub fn submit(
         &self,
         key: &StoreKey,
@@ -283,8 +279,7 @@ impl ServiceState {
         e.submissions.insert(bytes, counters);
         e.generation += 1;
         self.metrics.record_submission(true);
-        let merged = self.merge(&mut e);
-        self.store.save_profile(key, &merged)?;
+        self.merge(&mut e);
         Ok(SubmitAck {
             generation: e.generation,
             submissions: e.submissions.len() as u64,
@@ -292,35 +287,26 @@ impl ServiceState {
         })
     }
 
-    /// Serves the analyzed hint-set artifact bytes for `key`.
-    ///
-    /// Preference order: the live registry (hints re-merged, without a
-    /// write, if the cache is behind the generation), then a profile stored
-    /// under the plain key with no submissions beside it (a `--store` grid
-    /// run caches its profiling counters there). A key known nowhere is a
-    /// typed [`ServiceError::UnknownWorkload`].
+    /// Serves the analyzed hint-set artifact bytes for `key` from the
+    /// registry, re-merging without a write if the cache is behind the
+    /// generation. A key with no submissions is a typed
+    /// [`ServiceError::UnknownWorkload`].
     pub fn fetch(&self, key: &StoreKey) -> Result<Vec<u8>, ServiceError> {
-        if let Some(entry) = self.lookup(key) {
-            let mut e = entry.lock().unwrap_or_else(PoisonError::into_inner);
-            if !e.submissions.is_empty() {
-                if e.hints.as_ref().map(|h| h.generation) != Some(e.generation) {
-                    self.merge(&mut e);
-                }
-                self.metrics.record_fetch(false);
-                return Ok(e
-                    .hints
-                    .as_ref()
-                    .expect("merge filled the cache")
-                    .bytes
-                    .clone());
-            }
+        let unknown = || ServiceError::UnknownWorkload(key.clone());
+        let entry = self.lookup(key).ok_or_else(unknown)?;
+        let mut e = entry.lock().unwrap_or_else(PoisonError::into_inner);
+        if e.submissions.is_empty() {
+            return Err(unknown());
         }
-        if let Some(artifact) = self.store.load_profile(key)? {
-            let hints = analyze(&artifact.counters, &self.analysis);
-            self.metrics.record_fetch(true);
-            return Ok(encode_hints(key, &hints));
+        if e.hints.as_ref().map(|h| h.generation) != Some(e.generation) {
+            self.merge(&mut e);
         }
-        Err(ServiceError::UnknownWorkload(key.clone()))
+        self.metrics.record_fetch();
+        Ok(e.hints
+            .as_ref()
+            .expect("merge filled the cache")
+            .bytes
+            .clone())
     }
 
     /// Renders the full plaintext metrics snapshot: service counters,

@@ -205,13 +205,13 @@ fn restart_recovers_submissions_from_the_store() {
         drop(client);
         stop_daemon(handle, join);
     }
-    // A writer killed mid-write leaves debris beside the merged profile: a
-    // fresh `.lock` file and a temp file that was never renamed into place.
-    let merged = ArtifactStore::open(&dir)
+    // A writer killed mid-write leaves debris in the store: a fresh
+    // `.lock` file and a temp file that was never renamed into place.
+    let path = ArtifactStore::open(&dir)
         .unwrap()
         .path_for(ArtifactKind::Profile, &k);
-    std::fs::write(merged.with_extension("lock"), b"").unwrap();
-    std::fs::write(merged.with_extension("tmp.4242"), b"PRPHSTOR half-writ").unwrap();
+    std::fs::write(path.with_extension("lock"), b"").unwrap();
+    std::fs::write(path.with_extension("tmp.4242"), b"PRPHSTOR half-writ").unwrap();
     // A fresh daemon over the same store dir resumes at generation 3 and
     // serves identical bytes.
     let restarted = std::time::Instant::now();

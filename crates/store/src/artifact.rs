@@ -307,7 +307,6 @@ fn enc_temporal(e: &mut Encoder, t: &TemporalSnapshot) {
         e.u16(s.tag);
         e.u32(s.target);
         e.u8(s.priority);
-        e.u64(s.pc);
         e.u8(s.rrpv);
         e.u64(s.stamp);
     }
@@ -324,7 +323,7 @@ fn dec_temporal(d: &mut Decoder<'_>) -> Result<TemporalSnapshot, DecodeError> {
     let max_ways = d.u64()?;
     let ways = d.u64()?;
     let clock = d.u64()?;
-    let n = d.len_prefix(32)?;
+    let n = d.len_prefix(24)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         entries.push(MetaSlotSnapshot {
@@ -332,7 +331,6 @@ fn dec_temporal(d: &mut Decoder<'_>) -> Result<TemporalSnapshot, DecodeError> {
             tag: d.u16()?,
             target: d.u32()?,
             priority: d.u8()?,
-            pc: d.u64()?,
             rrpv: d.u8()?,
             stamp: d.u64()?,
         });

@@ -53,7 +53,7 @@ pub mod warn;
 /// Version byte of the on-disk format. Bump on any layout change: files
 /// from other versions decode to [`codec::DecodeError::UnsupportedVersion`]
 /// and therefore read as misses, never as garbage state.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 pub use artifact::{
     decode_checkpoint, decode_counters, decode_hints, decode_profile, encode_checkpoint,

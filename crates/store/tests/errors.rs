@@ -126,7 +126,6 @@ fn checkpoint_with(repl: ReplSnapshot) -> Vec<u8> {
                         tag: 9,
                         target: 1234,
                         priority: 1,
-                        pc: 0x400,
                         rrpv: 2,
                         stamp: 11,
                     }],

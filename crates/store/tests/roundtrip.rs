@@ -143,7 +143,6 @@ proptest! {
                         tag: (t % 1024) as u16,
                         target: t as u32 & ((1 << 31) - 1),
                         priority: (t % 4) as u8,
-                        pc: t.rotate_left(13),
                         rrpv: (t % 4) as u8,
                         stamp: t,
                     })

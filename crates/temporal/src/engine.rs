@@ -4,27 +4,29 @@
 //! metadata replacement, resizing) but share the same machinery (Figure 3):
 //! a PC-localized training unit, the compressed Markov metadata table in
 //! LLC ways, and chained lookups for degree-k prefetching. This engine
-//! implements the machinery with pluggable policies:
+//! implements the machinery with pluggable policies, each owning the state
+//! it reads:
 //!
-//! * [`InsertionPolicy::Always`] — Triage (no filter) and the *simplified*
-//!   profiling prefetcher of Prophet's Step 1;
+//! * [`InsertionPolicy::Always`] — Triage, Prophet and the *simplified*
+//!   profiling prefetcher of Prophet's Step 1 (Prophet's Eq. 1 filter
+//!   discards a PC's events before they reach the engine, Section 4.2);
 //! * [`InsertionPolicy::PatternConf`] — Triangel's PatternConf + ReuseConf
 //!   gate (Section 2.1.1), including the Figure 1 pathology: a burst of
 //!   useless metadata accesses drives the 4-bit counter to zero and
-//!   subsequent insertions (and prefetches) are rejected;
-//! * [`InsertionPolicy::External`] — the gate is decided per event by the
-//!   caller (Prophet's profile-guided hints, Section 4.2).
+//!   subsequent insertions (and prefetches) are rejected. Only this gate
+//!   keeps per-PC confidence state.
 //!
 //! Resizing is likewise pluggable: fixed (profiling and Prophet's CSR),
 //! Bloom-filter driven (Triage) or a Set-Dueller-style hit-rate controller
-//! (Triangel).
+//! (Triangel). Insertion priority (Prophet's Eq. 2) is an argument of
+//! [`TemporalEngine::on_access`], not a policy.
 
 use crate::metadata::{
-    EvictedMeta, InsertOutcome, MetaTableConfig, MetaTableSnapshot, MetadataTable,
+    EvictedMeta, InsertOutcome, MetaTableConfig, MetaTableSnapshot, MetadataTable, ENTRIES_PER_LINE,
 };
 use crate::training::{TrainingSnapshot, TrainingUnit};
 use crate::SatCounter;
-use prophet_prefetch::{MetaTableStats, SmallList};
+use prophet_prefetch::{L2Decision, MetaTableStats, PrefetchRequest, SmallList};
 use prophet_sim_mem::bloom::CountingBloom;
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_sim_mem::{FlatMap, Line, Pc};
@@ -32,7 +34,7 @@ use prophet_sim_mem::{FlatMap, Line, Pc};
 /// Insertion (training-data filtering) policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsertionPolicy {
-    /// Train on everything (Triage; simplified profiling configuration).
+    /// Train on everything (Triage; Prophet; simplified profiling).
     Always,
     /// Triangel's gate: insert (and prefetch) only while the per-PC
     /// PatternConf / ReuseConf counters are at or above the thresholds.
@@ -40,8 +42,6 @@ pub enum InsertionPolicy {
         pattern_threshold: u8,
         reuse_threshold: u8,
     },
-    /// The caller decides per event (Prophet hints).
-    External,
 }
 
 /// Metadata-table resizing policy.
@@ -55,15 +55,6 @@ pub enum ResizePolicy {
     /// Triangel's Set-Dueller-style controller: grow on high metadata hit
     /// rate, shrink on low, evaluated every `window` events.
     Dueller { window: u64 },
-}
-
-/// Per-event external gate (Prophet's hint for the triggering PC).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExternalGate {
-    /// Train/insert metadata for this event?
-    pub allow_insert: bool,
-    /// Replacement priority level recorded on insertion (Eq. 2).
-    pub priority: u8,
 }
 
 /// Engine configuration.
@@ -127,8 +118,8 @@ struct PcState {
     sample: Option<(Line, u64)>,
 }
 
-impl PcState {
-    fn new() -> Self {
+impl Default for PcState {
+    fn default() -> Self {
         PcState {
             pattern: SatCounter::new(4, 8),
             reuse: SatCounter::new(4, 8),
@@ -137,65 +128,95 @@ impl PcState {
     }
 }
 
-impl Default for PcState {
-    fn default() -> Self {
-        PcState::new()
+/// Triangel's PatternConf/ReuseConf gate and the per-PC state it reads.
+#[derive(Debug, Clone)]
+struct ConfGate {
+    pattern_threshold: u8,
+    reuse_threshold: u8,
+    /// Reuse distance (in events) a pattern must fit to be solvable: the
+    /// entries of a maximum-size table. Triangel sizes this against the
+    /// maximum the LLC could host, not the transient dueller size —
+    /// otherwise a small current size would reject the very insertions
+    /// that would justify growing.
+    capacity: u64,
+    pcs: FlatMap<PcState>,
+    /// Events seen, the clock of the reuse samples.
+    seq: u64,
+}
+
+impl ConfGate {
+    /// Trains `ev.pc`'s counters on this event and returns whether the PC
+    /// may insert and whether it may prefetch.
+    ///
+    /// PatternConf is trained on metadata outcomes (Figure 1): if the
+    /// table already holds a correlation for the training pair's `prev`,
+    /// that stored target matching the actual successor is a useful
+    /// metadata access (blue dot, increment), a mismatch is a useless one
+    /// (red dot, decrement), and a missing entry is a first metadata
+    /// access (star: no confidence update).
+    fn judge(
+        &mut self,
+        table: &MetadataTable,
+        ev: &L2Event,
+        pair: Option<(Line, Line)>,
+    ) -> (bool, bool) {
+        self.seq += 1;
+        let st = self.pcs.get_or_insert_with(ev.pc.0, PcState::default);
+        if let Some((prev, cur)) = pair {
+            match table.peek(prev) {
+                Some(t) if t == cur => st.pattern.inc(),
+                Some(_) => st.pattern.dec(),
+                None => {}
+            }
+        }
+
+        // Reuse-distance sampling for ReuseConf.
+        match st.sample {
+            Some((s, t0)) if s == ev.line => {
+                if self.seq - t0 <= self.capacity {
+                    st.reuse.inc();
+                } else {
+                    st.reuse.dec();
+                }
+                st.sample = None;
+            }
+            Some((_, t0)) if self.seq - t0 > 4 * self.capacity => {
+                // Sampled address never re-seen within reach: not solvable.
+                st.reuse.dec();
+                st.sample = None;
+            }
+            None => st.sample = Some((ev.line, self.seq)),
+            _ => {}
+        }
+
+        // Figure 1: below threshold Triangel neither inserts nor
+        // prefetches for the PC.
+        let pattern_ok = st.pattern.at_least(self.pattern_threshold);
+        (
+            pattern_ok && st.reuse.at_least(self.reuse_threshold),
+            pattern_ok,
+        )
     }
 }
 
-/// The temporal-prefetching engine.
+/// The Set Dueller's state: a sampled full-size (8-way) miniature table
+/// covering 1/32 of the sets, estimating the hit rate a maximum-size
+/// table would achieve regardless of the current size.
 #[derive(Debug, Clone)]
-pub struct TemporalEngine {
-    cfg: TemporalConfig,
-    table: MetadataTable,
-    trainer: TrainingUnit,
-    pcs: FlatMap<PcState>,
-    seq: u64,
-    bloom: CountingBloom,
-    window_events: u64,
-    /// The Set Dueller's sampled shadow: a full-size (8-way) miniature
-    /// table covering 1/32 of the sets, estimating the hit rate a
-    /// maximum-size table would achieve regardless of the current size.
-    shadow: Option<MetadataTable>,
-    shadow_lookups: u64,
-    shadow_hits: u64,
-    evictions: Vec<EvictedMeta>,
+struct Dueller {
+    window: u64,
+    events: u64,
+    shadow: MetadataTable,
+    lookups: u64,
+    hits: u64,
 }
 
 /// One in `SHADOW_SAMPLE` sets is mirrored in the dueller's shadow table.
 const SHADOW_SAMPLE: usize = 32;
 
-impl TemporalEngine {
-    /// Builds the engine.
-    pub fn new(cfg: TemporalConfig) -> Self {
-        let shadow = if matches!(cfg.resize, ResizePolicy::Dueller { .. }) {
-            Some(MetadataTable::new(
-                MetaTableConfig {
-                    sets: (cfg.table.sets / SHADOW_SAMPLE).max(1),
-                    ..cfg.table
-                },
-                cfg.table.max_ways,
-            ))
-        } else {
-            None
-        };
-        TemporalEngine {
-            table: MetadataTable::new(cfg.table, cfg.initial_ways),
-            trainer: TrainingUnit::default(),
-            pcs: FlatMap::new(),
-            seq: 0,
-            bloom: CountingBloom::new(1 << 16, 3),
-            window_events: 0,
-            shadow,
-            shadow_lookups: 0,
-            shadow_hits: 0,
-            evictions: Vec::new(),
-            cfg,
-        }
-    }
-
-    /// Whether `line` falls in a set mirrored by the dueller's shadow.
-    fn shadow_sampled(&self, line: Line) -> bool {
+impl Dueller {
+    /// Whether `line` falls in a set mirrored by the shadow.
+    fn sampled(line: Line) -> bool {
         (line.0 as usize) & (SHADOW_SAMPLE - 1) == 0
     }
 
@@ -203,6 +224,78 @@ impl TemporalEngine {
     /// so sampled lines spread over all shadow sets.
     fn shadow_line(line: Line) -> Line {
         Line(line.0 >> SHADOW_SAMPLE.trailing_zeros())
+    }
+}
+
+/// The resizing policy with the state it reads.
+#[derive(Debug, Clone)]
+enum Resizer {
+    Fixed,
+    Bloom {
+        window: u64,
+        events: u64,
+        bloom: CountingBloom,
+    },
+    Dueller(Box<Dueller>),
+}
+
+/// The temporal-prefetching engine.
+#[derive(Debug, Clone)]
+pub struct TemporalEngine {
+    degree: usize,
+    table: MetadataTable,
+    trainer: TrainingUnit,
+    /// Triangel's gate; `None` under [`InsertionPolicy::Always`].
+    conf: Option<ConfGate>,
+    resizer: Resizer,
+    evictions: Vec<EvictedMeta>,
+}
+
+impl TemporalEngine {
+    /// Builds the engine.
+    pub fn new(cfg: TemporalConfig) -> Self {
+        let conf = match cfg.insertion {
+            InsertionPolicy::Always => None,
+            InsertionPolicy::PatternConf {
+                pattern_threshold,
+                reuse_threshold,
+            } => Some(ConfGate {
+                pattern_threshold,
+                reuse_threshold,
+                capacity: ((cfg.table.sets * cfg.table.max_ways * ENTRIES_PER_LINE) as u64).max(1),
+                pcs: FlatMap::new(),
+                seq: 0,
+            }),
+        };
+        let resizer = match cfg.resize {
+            ResizePolicy::Fixed => Resizer::Fixed,
+            ResizePolicy::Bloom { window } => Resizer::Bloom {
+                window,
+                events: 0,
+                bloom: CountingBloom::new(1 << 16, 3),
+            },
+            ResizePolicy::Dueller { window } => Resizer::Dueller(Box::new(Dueller {
+                window,
+                events: 0,
+                shadow: MetadataTable::new(
+                    MetaTableConfig {
+                        sets: (cfg.table.sets / SHADOW_SAMPLE).max(1),
+                        ..cfg.table
+                    },
+                    cfg.table.max_ways,
+                ),
+                lookups: 0,
+                hits: 0,
+            })),
+        };
+        TemporalEngine {
+            degree: cfg.degree,
+            table: MetadataTable::new(cfg.table, cfg.initial_ways),
+            trainer: TrainingUnit::default(),
+            conf,
+            resizer,
+            evictions: Vec::new(),
+        }
     }
 
     /// Current metadata way count.
@@ -222,9 +315,11 @@ impl TemporalEngine {
         self.table.note_rejected_insertion();
     }
 
-    /// Current PatternConf value of `pc` (Figure 1 instrumentation).
+    /// Current PatternConf value of `pc` (Figure 1 instrumentation);
+    /// `None` for a PC the gate has not seen, and always `None` for an
+    /// engine without the PatternConf gate.
     pub fn pattern_conf(&self, pc: Pc) -> Option<u8> {
-        self.pcs.get(pc.0).map(|s| s.pattern.value())
+        self.conf.as_ref()?.pcs.get(pc.0).map(|s| s.pattern.value())
     }
 
     /// Drains metadata evictions accumulated since the last call (consumed
@@ -237,11 +332,6 @@ impl TemporalEngine {
     /// Stable MVB key of a line (delegates to the table's tag/set split).
     pub fn key_of(&self, line: Line) -> u64 {
         self.table.key_of(line)
-    }
-
-    /// The metadata table (diagnostics).
-    pub fn table(&self) -> &MetadataTable {
-        &self.table
     }
 
     /// Captures the scheme-independent warm state (table + trainer) for a
@@ -263,122 +353,61 @@ impl TemporalEngine {
         self.trainer.restore(&snap.trainer);
     }
 
-    /// Processes one L2 event. `gate` must be `Some` iff the insertion
-    /// policy is [`InsertionPolicy::External`].
-    pub fn on_access(&mut self, ev: &L2Event, gate: Option<ExternalGate>) -> TemporalDecision {
-        self.seq += 1;
-        self.window_events += 1;
-        // ReuseConf judges whether a pattern fits the *table* (Triangel
-        // sizes this against the maximum the LLC could host, not the
-        // transient dueller size — otherwise a small current size would
-        // reject the very insertions that would justify growing).
-        let capacity = (self.cfg.table.sets
-            * self.cfg.table.max_ways
-            * crate::metadata::ENTRIES_PER_LINE) as u64;
-        let pc = ev.pc;
-        let line = ev.line;
+    /// The whole L2 decision of a prefetcher without a victim buffer
+    /// (Triage, Triangel, the profiling prefetcher): one
+    /// [`on_access`](Self::on_access) at uniform priority, its evicted
+    /// metadata dropped, and its targets requested on behalf of `ev.pc`.
+    pub fn decide(&mut self, ev: &L2Event) -> L2Decision {
+        let d = self.on_access(ev, 1);
+        self.evictions.clear();
+        L2Decision {
+            prefetches: d
+                .targets
+                .iter()
+                .map(|&line| PrefetchRequest {
+                    line,
+                    trigger_pc: ev.pc,
+                })
+                .collect(),
+            resize_meta_ways: d.resize,
+            metadata_dram_accesses: 0,
+        }
+    }
 
-        // Form the training pair first: PatternConf is trained on metadata
-        // outcomes (Figure 1) — if the table already holds a correlation for
-        // `prev`, that stored target matching the actual successor is a
-        // useful metadata access (blue dot, increment), a mismatch is a
-        // useless one (red dot, decrement), and a missing entry is a first
-        // metadata access (star: no confidence update). Only the miss
-        // stream trains, L1-prefetch requests included (Section 5.1: the L2
-        // access stream carries them). Classic temporal prefetchers
-        // correlate misses; training on L2 hits would let high-locality
-        // traffic shred the miss-correlation context. Lookups still happen
-        // on every event so chains keep running.
+    /// Processes one L2 event, recording any correlation it trains at
+    /// replacement priority level `priority` (Prophet's Eq. 2; every other
+    /// scheme trains at a uniform 1).
+    pub fn on_access(&mut self, ev: &L2Event, priority: u8) -> TemporalDecision {
+        // Form the training pair first. Only the miss stream trains,
+        // L1-prefetch requests included (Section 5.1: the L2 access stream
+        // carries them). Classic temporal prefetchers correlate misses;
+        // training on L2 hits would let high-locality traffic shred the
+        // miss-correlation context. Lookups still happen on every event so
+        // chains keep running.
         let pair = if ev.l2_hit {
             None
         } else {
-            self.trainer.observe(pc, line)
+            self.trainer.observe(ev.pc, ev.line)
         };
-        let verification = pair.map(|(prev, cur)| (self.table.peek(prev), cur));
-
-        let st = self.pcs.get_or_insert_with(pc.0, PcState::new);
-        if let Some((stored, cur)) = verification {
-            match stored {
-                Some(t) if t == cur => st.pattern.inc(),
-                Some(_) => st.pattern.dec(),
-                None => {}
-            }
-        }
-
-        // Reuse-distance sampling for ReuseConf.
-        match st.sample {
-            Some((s, t0)) if s == line => {
-                if self.seq - t0 <= capacity.max(1) {
-                    st.reuse.inc();
-                } else {
-                    st.reuse.dec();
-                }
-                st.sample = None;
-            }
-            Some((_, t0)) if self.seq - t0 > 4 * capacity.max(1) => {
-                // Sampled address never re-seen within reach: not solvable.
-                st.reuse.dec();
-                st.sample = None;
-            }
-            None => st.sample = Some((line, self.seq)),
-            _ => {}
-        }
-
-        // Insertion gate.
-        let (allow_insert, allow_prefetch, priority) = match self.cfg.insertion {
-            InsertionPolicy::Always => (true, true, 1),
-            InsertionPolicy::PatternConf {
-                pattern_threshold,
-                reuse_threshold,
-            } => {
-                let ok =
-                    st.pattern.at_least(pattern_threshold) && st.reuse.at_least(reuse_threshold);
-                // Figure 1: below threshold Triangel neither inserts nor
-                // prefetches for the PC.
-                (ok, st.pattern.at_least(pattern_threshold), 1)
-            }
-            InsertionPolicy::External => {
-                let g = gate.expect("External insertion policy requires a gate");
-                (g.allow_insert, true, g.priority)
-            }
+        let (allow_insert, allow_prefetch) = match &mut self.conf {
+            None => (true, true),
+            Some(g) => g.judge(&self.table, ev, pair),
         };
 
-        // Train.
         if let Some((prev, cur)) = pair {
             if allow_insert {
-                // Mirror sampled sets into the dueller's full-size shadow.
-                if self.shadow_sampled(prev) {
-                    if let Some(shadow) = &mut self.shadow {
-                        shadow.insert(Self::shadow_line(prev), cur, pc, priority);
-                    }
-                }
-                let outcome = self.table.insert(prev, cur, pc, priority);
-                match outcome {
-                    InsertOutcome::Replaced(e) | InsertOutcome::UpdatedTarget(e) => {
-                        self.evictions.push(e)
-                    }
-                    InsertOutcome::Allocated | InsertOutcome::Unchanged => {}
-                }
-                // Triage's Bloom filter tracks distinct *sources* written to
-                // the table (allocations and replacements alike): its
-                // distinct-entry estimate is the footprint the table would
-                // need, not the table's current occupancy.
-                if matches!(self.cfg.resize, ResizePolicy::Bloom { .. })
-                    && !matches!(outcome, InsertOutcome::Unchanged)
-                {
-                    self.bloom.insert(self.table.key_of(prev));
-                }
+                self.train(prev, cur, priority);
             } else {
                 self.table.note_rejected_insertion();
             }
         }
 
         // Shadow lookup for the dueller's full-size hit-rate estimate.
-        if self.shadow_sampled(line) {
-            if let Some(shadow) = &mut self.shadow {
-                self.shadow_lookups += 1;
-                if shadow.lookup(Self::shadow_line(line)).is_some() {
-                    self.shadow_hits += 1;
+        if let Resizer::Dueller(d) = &mut self.resizer {
+            if Dueller::sampled(ev.line) {
+                d.lookups += 1;
+                if d.shadow.lookup(Dueller::shadow_line(ev.line)).is_some() {
+                    d.hits += 1;
                 }
             }
         }
@@ -386,8 +415,8 @@ impl TemporalEngine {
         // Predict: chained lookups up to the degree.
         let mut targets = SmallList::default();
         if allow_prefetch && self.table.ways() > 0 {
-            let mut cur = line;
-            for _ in 0..self.cfg.degree {
+            let mut cur = ev.line;
+            for _ in 0..self.degree {
                 match self.table.lookup(cur) {
                     Some(t) => {
                         targets.push(t);
@@ -397,41 +426,68 @@ impl TemporalEngine {
                 }
             }
         }
-        // Resize policy.
         let resize = self.maybe_resize();
         TemporalDecision { targets, resize }
     }
 
-    fn maybe_resize(&mut self) -> Option<usize> {
-        let per_way = (self.cfg.table.sets * crate::metadata::ENTRIES_PER_LINE) as u64;
-        match self.cfg.resize {
-            ResizePolicy::Fixed => None,
-            ResizePolicy::Bloom { window } => {
-                if self.window_events < window {
-                    return None;
-                }
-                self.window_events = 0;
-                let distinct = self.bloom.distinct_estimate();
-                self.bloom.clear();
-                let needed = distinct.div_ceil(per_way) as usize;
-                let ways = needed.clamp(1, self.cfg.table.max_ways);
-                if ways != self.table.ways() {
-                    self.table.resize_into(ways, &mut self.evictions);
-                    Some(ways)
-                } else {
-                    None
+    /// Inserts the correlation `prev → cur` and keeps the resizer's view of
+    /// the written sources current.
+    fn train(&mut self, prev: Line, cur: Line, priority: u8) {
+        let outcome = self.table.insert(prev, cur, priority);
+        match outcome {
+            InsertOutcome::Replaced(e) | InsertOutcome::UpdatedTarget(e) => self.evictions.push(e),
+            InsertOutcome::Allocated | InsertOutcome::Unchanged => {}
+        }
+        match &mut self.resizer {
+            // Triage's Bloom filter tracks distinct *sources* written to
+            // the table (allocations and replacements alike): its
+            // distinct-entry estimate is the footprint the table would
+            // need, not the table's current occupancy.
+            Resizer::Bloom { bloom, .. } => {
+                if outcome != InsertOutcome::Unchanged {
+                    bloom.insert(self.table.key_of(prev));
                 }
             }
-            ResizePolicy::Dueller { window } => {
-                if self.window_events < window {
+            // Mirror sampled sets into the dueller's full-size shadow.
+            Resizer::Dueller(d) => {
+                if Dueller::sampled(prev) {
+                    d.shadow.insert(Dueller::shadow_line(prev), cur, priority);
+                }
+            }
+            Resizer::Fixed => {}
+        }
+    }
+
+    fn maybe_resize(&mut self) -> Option<usize> {
+        let max_ways = self.table.config().max_ways;
+        let cur = self.table.ways();
+        let ways = match &mut self.resizer {
+            Resizer::Fixed => return None,
+            Resizer::Bloom {
+                window,
+                events,
+                bloom,
+            } => {
+                *events += 1;
+                if *events < *window {
                     return None;
                 }
-                self.window_events = 0;
-                let rate_full = self.shadow_hits as f64 / self.shadow_lookups.max(1) as f64;
-                let sampled = self.shadow_lookups;
-                self.shadow_lookups = 0;
-                self.shadow_hits = 0;
-                let cur = self.table.ways();
+                *events = 0;
+                let per_way = (self.table.config().sets * ENTRIES_PER_LINE) as u64;
+                let distinct = bloom.distinct_estimate();
+                bloom.clear();
+                distinct.div_ceil(per_way).clamp(1, max_ways as u64) as usize
+            }
+            Resizer::Dueller(d) => {
+                d.events += 1;
+                if d.events < d.window {
+                    return None;
+                }
+                d.events = 0;
+                let rate_full = d.hits as f64 / d.lookups.max(1) as f64;
+                let sampled = d.lookups;
+                d.lookups = 0;
+                d.hits = 0;
                 // Set-Dueller controller: the sampled full-size shadow says
                 // what an 8-way table would achieve; grow while it clearly
                 // beats the current size, shrink when even the full table
@@ -441,29 +497,28 @@ impl TemporalEngine {
                 // Proportional target, one doubling/halving step per
                 // window for hysteresis. The floor of 2 ways matches
                 // Triangel's smallest duelled configuration.
-                let target = ((self.cfg.table.max_ways as f64) * rate_full).round() as usize;
-                let target = target.clamp(2, self.cfg.table.max_ways);
-                let ways = if sampled < 64 {
+                let target = ((max_ways as f64) * rate_full).round() as usize;
+                let target = target.clamp(2, max_ways);
+                if sampled < 64 {
                     cur // too few samples to act on
                 } else if rate_full < 0.15 {
                     // Even a full-size table finds no reuse (the ~10% floor
                     // is 10-bit tag aliasing, not real hits).
                     (cur / 2).max(2)
                 } else if target > cur {
-                    (cur * 2).min(self.cfg.table.max_ways)
+                    (cur * 2).min(max_ways)
                 } else if target < cur / 2 && rate_full < 0.30 {
                     (cur / 2).max(2)
                 } else {
                     cur
-                };
-                if ways != cur {
-                    self.table.resize_into(ways, &mut self.evictions);
-                    Some(ways)
-                } else {
-                    None
                 }
             }
+        };
+        if ways == cur {
+            return None;
         }
+        self.table.resize_into(ways, &mut self.evictions);
+        Some(ways)
     }
 }
 
@@ -503,12 +558,12 @@ mod tests {
         let seq = [10u64, 20, 30, 40];
         // First pass trains.
         for &l in &seq {
-            e.on_access(&event(1, l), None);
+            e.on_access(&event(1, l), 1);
         }
         // Second pass predicts the successor of each access.
         let mut predicted = Vec::new();
         for &l in &seq {
-            let d = e.on_access(&event(1, l), None);
+            let d = e.on_access(&event(1, l), 1);
             predicted.extend(d.targets);
         }
         assert!(predicted.contains(&Line(20)));
@@ -522,10 +577,10 @@ mod tests {
         let seq = [10u64, 20, 30, 40, 50];
         for _ in 0..2 {
             for &l in &seq {
-                e.on_access(&event(1, l), None);
+                e.on_access(&event(1, l), 1);
             }
         }
-        let d = e.on_access(&event(1, 10), None);
+        let d = e.on_access(&event(1, 10), 1);
         assert_eq!(d.targets, vec![Line(20), Line(30), Line(40)]);
     }
 
@@ -542,7 +597,7 @@ mod tests {
         let seq: Vec<u64> = (0..16).map(|i| 100 + i).collect();
         for _ in 0..3 {
             for &l in &seq {
-                e.on_access(&event(1, l), None);
+                e.on_access(&event(1, l), 1);
             }
         }
         assert!(e.pattern_conf(Pc(1)).unwrap() >= 6);
@@ -553,7 +608,7 @@ mod tests {
         for round in 0..12usize {
             let step = [1usize, 3, 5, 7][round % 4];
             for j in 0..pool.len() {
-                e.on_access(&event(1, pool[(j * step) % pool.len()]), None);
+                e.on_access(&event(1, pool[(j * step) % pool.len()]), 1);
             }
         }
         assert!(
@@ -563,7 +618,7 @@ mod tests {
         );
         let rejected_before = e.meta_stats().rejected_insertions;
         for i in 0..10u64 {
-            e.on_access(&event(1, 20_000 + i * 991), None);
+            e.on_access(&event(1, 20_000 + i * 991), 1);
         }
         assert!(
             e.meta_stats().rejected_insertions > rejected_before,
@@ -572,35 +627,37 @@ mod tests {
     }
 
     #[test]
-    fn external_gate_blocks_insert_but_not_prefetch() {
-        let mut e = engine(InsertionPolicy::External, 1);
-        let allow = ExternalGate {
-            allow_insert: true,
-            priority: 2,
-        };
-        let deny = ExternalGate {
-            allow_insert: false,
-            priority: 0,
-        };
-        let seq = [10u64, 20, 30];
-        for &l in &seq {
-            e.on_access(&event(1, l), Some(allow));
+    fn insert_priority_comes_back_on_eviction() {
+        // One set of one way: 12 entries, so the 13th source replaces.
+        let mut e = TemporalEngine::new(TemporalConfig {
+            degree: 1,
+            insertion: InsertionPolicy::Always,
+            resize: ResizePolicy::Fixed,
+            table: MetaTableConfig {
+                sets: 1,
+                max_ways: 1,
+                repl: MetaRepl::Lru,
+                priority_replacement: false,
+            },
+            initial_ways: 1,
+        });
+        // Lines 0..=12 train the twelve pairs 0→1 … 11→12 at priority 2.
+        for l in 0..=12u64 {
+            e.on_access(&event(1, l), 2);
         }
-        // Denied PC trains nothing...
-        for &l in &[500u64, 600, 700] {
-            e.on_access(&event(2, l), Some(deny));
-        }
-        assert!(e.meta_stats().rejected_insertions >= 2);
-        // ...but the allowed PC's metadata still predicts.
-        let d = e.on_access(&event(1, 10), Some(allow));
-        assert_eq!(d.targets, vec![Line(20)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires a gate")]
-    fn external_without_gate_panics() {
-        let mut e = engine(InsertionPolicy::External, 1);
-        e.on_access(&event(1, 10), None);
+        assert_eq!(e.drain_evictions().len(), 0, "twelve entries fit");
+        // The pair 12→13, trained at priority 3, replaces the LRU 0→1.
+        e.on_access(&event(1, 13), 3);
+        let ev: Vec<_> = e.drain_evictions().collect();
+        assert_eq!(
+            ev,
+            vec![EvictedMeta {
+                key: e.key_of(Line(0)),
+                target: Line(1),
+                priority: 2,
+            }],
+            "the victim carries the priority it was inserted at"
+        );
     }
 
     #[test]
@@ -622,7 +679,7 @@ mod tests {
         let mut resized_to = None;
         for round in 0..3 {
             for i in 0..4_000u64 {
-                let d = e.on_access(&event(1, i), None);
+                let d = e.on_access(&event(1, i), 1);
                 if let Some(w) = d.resize {
                     resized_to = Some(w);
                 }
@@ -661,7 +718,7 @@ mod tests {
         let mut w = e.ways();
         for i in 0..40_000u64 {
             let line = splitmix64(i) & ((1 << 30) - 1);
-            let d = e.on_access(&event(1, line), None);
+            let d = e.on_access(&event(1, line), 1);
             if let Some(nw) = d.resize {
                 w = nw;
             }
@@ -674,7 +731,7 @@ mod tests {
         let mut warm = engine(InsertionPolicy::Always, 1);
         let seq = [10u64, 20, 30, 40];
         for &l in &seq {
-            warm.on_access(&event(1, l), None);
+            warm.on_access(&event(1, l), 1);
         }
         let snap = warm.warmup_snapshot();
 
@@ -682,10 +739,10 @@ mod tests {
         fresh.load_warmup(&snap);
         // The seeded engine predicts immediately (table) and continues the
         // training chain (trainer remembers 40 as PC 1's last line).
-        let d = fresh.on_access(&event(1, 10), None);
+        let d = fresh.on_access(&event(1, 10), 1);
         assert_eq!(d.targets, vec![Line(20)]);
         assert_eq!(
-            fresh.table().peek(Line(40)),
+            fresh.table.peek(Line(40)),
             Some(Line(10)),
             "the 40→10 pair came from the restored trainer history"
         );
@@ -696,7 +753,7 @@ mod tests {
     fn warmup_seed_respects_smaller_tables() {
         let mut warm = engine(InsertionPolicy::Always, 1);
         for i in 0..4_000u64 {
-            warm.on_access(&event(1, i), None);
+            warm.on_access(&event(1, i), 1);
         }
         let snap = warm.warmup_snapshot();
         let mut small = TemporalEngine::new(TemporalConfig {
@@ -713,7 +770,7 @@ mod tests {
         });
         small.load_warmup(&snap);
         assert!(
-            small.table().occupancy() <= small.table().capacity(),
+            small.table.occupancy() <= small.table.capacity(),
             "seeding clamps to the configured ways"
         );
         assert_eq!(small.ways(), 2);
@@ -723,10 +780,10 @@ mod tests {
     fn evictions_are_drained_for_the_mvb() {
         let mut e = engine(InsertionPolicy::Always, 1);
         // Multi-target pattern: A→B then A→C repeatedly.
-        e.on_access(&event(1, 1), None);
-        e.on_access(&event(1, 2), None); // trains 1→2
-        e.on_access(&event(1, 1), None); // trains 2→1
-        e.on_access(&event(1, 3), None); // trains 1→3, displacing 1→2
+        e.on_access(&event(1, 1), 1);
+        e.on_access(&event(1, 2), 1); // trains 1→2
+        e.on_access(&event(1, 1), 1); // trains 2→1
+        e.on_access(&event(1, 3), 1); // trains 1→3, displacing 1→2
         let ev: Vec<_> = e.drain_evictions().collect();
         assert!(
             ev.iter().any(|m| m.target == Line(2)),

@@ -44,7 +44,7 @@ pub mod triangel;
 
 pub use conf::SatCounter;
 pub use engine::{
-    ExternalGate, InsertionPolicy, ResizePolicy, TemporalConfig, TemporalDecision, TemporalEngine,
+    InsertionPolicy, ResizePolicy, TemporalConfig, TemporalDecision, TemporalEngine,
     TemporalSnapshot,
 };
 pub use metadata::{

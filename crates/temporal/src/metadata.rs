@@ -16,7 +16,7 @@
 //!   policy (LRU) picks among the candidates (Section 4.2).
 
 use prophet_prefetch::MetaTableStats;
-use prophet_sim_mem::addr::{Line, Pc};
+use prophet_sim_mem::addr::Line;
 use prophet_sim_mem::{LineAligned, LLC_SETS, MAX_META_WAYS};
 
 /// Entries packed into one 64-byte metadata line (paper: 12).
@@ -50,8 +50,7 @@ pub enum MetaRepl {
 }
 
 /// The replacement and payload fields of one entry. Its tag and validity
-/// live in the table's tag array, and its inserting PC, which only
-/// snapshots read, in a side array.
+/// live in the table's tag array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Slot {
     /// LRU recency: the table clock at the last insert or hit.
@@ -84,7 +83,6 @@ pub struct MetaSlotSnapshot {
     pub tag: u16,
     pub target: u32,
     pub priority: u8,
-    pub pc: u64,
     pub rrpv: u8,
     pub stamp: u64,
 }
@@ -163,12 +161,11 @@ impl Default for MetaTableConfig {
 
 /// The Markov metadata table.
 ///
-/// Three parallel arrays of `sets × max_ways × ENTRIES_PER_LINE` slots:
+/// Two parallel arrays of `sets × max_ways × ENTRIES_PER_LINE` slots:
 /// `tags` is the primary record of which slots are valid and what they
-/// hold (a set's scan reads 2 bytes per entry, 192 B for 8 ways), `slots`
-/// the 16-byte replacement and payload fields read after a tag match or
-/// during victim selection, and `pcs` the inserting PC, written on insert
-/// and read only by [`MetadataTable::snapshot`].
+/// hold (a set's scan reads 2 bytes per entry, 192 B for 8 ways), and
+/// `slots` the 16-byte replacement and payload fields read after a tag
+/// match or during victim selection.
 #[derive(Debug, Clone)]
 pub struct MetadataTable {
     cfg: MetaTableConfig,
@@ -176,8 +173,6 @@ pub struct MetadataTable {
     slots: LineAligned<Slot>,
     /// Each slot's tag, or `NO_META_TAG` when the slot is invalid.
     tags: LineAligned<u16>,
-    /// Each valid slot's inserting PC (accuracy attribution in snapshots).
-    pcs: Vec<u64>,
     clock: u64,
     stats: MetaTableStats,
     set_bits: u32,
@@ -199,7 +194,6 @@ impl MetadataTable {
         MetadataTable {
             slots: LineAligned::new(len, Slot::EMPTY),
             tags: LineAligned::new(len, NO_META_TAG),
-            pcs: vec![0; len],
             ways,
             clock: 0,
             stats: MetaTableStats::default(),
@@ -211,6 +205,11 @@ impl MetadataTable {
     /// Current ways occupied.
     pub fn ways(&self) -> usize {
         self.ways
+    }
+
+    /// The table's geometry and replacement configuration.
+    pub(crate) fn config(&self) -> MetaTableConfig {
+        self.cfg
     }
 
     /// Entry capacity at the current size.
@@ -302,12 +301,12 @@ impl MetadataTable {
         None
     }
 
-    /// Records the correlation `src → target` inserted by `pc` at priority
-    /// level `priority`.
+    /// Records the correlation `src → target` at priority level
+    /// `priority`.
     ///
     /// # Panics
     /// Panics if `target` does not fit the 31-bit compressed form.
-    pub fn insert(&mut self, src: Line, target: Line, pc: Pc, priority: u8) -> InsertOutcome {
+    pub fn insert(&mut self, src: Line, target: Line, priority: u8) -> InsertOutcome {
         assert!(
             target.0 < (1 << TARGET_BITS),
             "target line {target} exceeds the 31-bit compressed format"
@@ -339,7 +338,6 @@ impl MetadataTable {
             slot.priority = priority;
             slot.stamp = clock;
             slot.rrpv = 0;
-            self.pcs[idx] = pc.0;
             return InsertOutcome::UpdatedTarget(old);
         }
 
@@ -354,7 +352,7 @@ impl MetadataTable {
         // Empty slot?
         let base = range.start;
         if let Some(i) = prophet_sim_mem::find_first_u16(&self.tags[range.clone()], NO_META_TAG) {
-            self.put(base + i, tag, fresh, pc);
+            self.put(base + i, tag, fresh);
             return InsertOutcome::Allocated;
         }
 
@@ -367,16 +365,15 @@ impl MetadataTable {
             target: Line(victim.target as u64),
             priority: victim.priority,
         };
-        self.put(victim_idx, tag, fresh, pc);
+        self.put(victim_idx, tag, fresh);
         InsertOutcome::Replaced(evicted)
     }
 
     /// Writes a valid entry into slot `idx`.
     #[inline]
-    fn put(&mut self, idx: usize, tag: u16, slot: Slot, pc: Pc) {
+    fn put(&mut self, idx: usize, tag: u16, slot: Slot) {
         self.tags[idx] = tag;
         self.slots[idx] = slot;
-        self.pcs[idx] = pc.0;
     }
 
     /// Invalidates slot `idx`.
@@ -441,19 +438,12 @@ impl MetadataTable {
         }
     }
 
-    /// Resizes the table to `ways`, returning entries evicted from
-    /// deactivated regions.
+    /// Resizes the table to `ways`, appending the entries evicted from
+    /// deactivated regions to `evicted` (steady-state callers reuse one
+    /// buffer).
     ///
     /// # Panics
     /// Panics if `ways > max_ways`.
-    pub fn resize(&mut self, ways: usize) -> Vec<EvictedMeta> {
-        let mut evicted = Vec::new();
-        self.resize_into(ways, &mut evicted);
-        evicted
-    }
-
-    /// Allocation-free variant of [`resize`](Self::resize): appends evicted
-    /// entries to `evicted` so steady-state callers can reuse one buffer.
     pub fn resize_into(&mut self, ways: usize, evicted: &mut Vec<EvictedMeta>) {
         assert!(ways <= self.cfg.max_ways, "resize beyond max ways");
         if ways < self.ways {
@@ -493,7 +483,6 @@ impl MetadataTable {
                     tag,
                     target: s.target,
                     priority: s.priority,
-                    pc: self.pcs[i],
                     rrpv: s.rrpv,
                     stamp: s.stamp,
                 }
@@ -554,7 +543,7 @@ impl MetadataTable {
                 priority: e.priority,
                 rrpv: e.rrpv,
             };
-            self.put(e.index as usize, e.tag, slot, Pc(e.pc));
+            self.put(e.index as usize, e.tag, slot);
             live += 1;
         }
         self.clock = self.clock.max(snap.clock);
@@ -591,10 +580,7 @@ mod tests {
     #[test]
     fn insert_then_lookup() {
         let mut t = table(2);
-        assert_eq!(
-            t.insert(Line(100), Line(200), Pc(1), 1),
-            InsertOutcome::Allocated
-        );
+        assert_eq!(t.insert(Line(100), Line(200), 1), InsertOutcome::Allocated);
         assert_eq!(t.lookup(Line(100)), Some(Line(200)));
         assert_eq!(t.lookup(Line(101)), None);
         let s = t.stats();
@@ -605,8 +591,8 @@ mod tests {
     #[test]
     fn update_target_returns_old_target() {
         let mut t = table(2);
-        t.insert(Line(100), Line(200), Pc(1), 1);
-        match t.insert(Line(100), Line(300), Pc(1), 2) {
+        t.insert(Line(100), Line(200), 1);
+        match t.insert(Line(100), Line(300), 2) {
             InsertOutcome::UpdatedTarget(old) => {
                 assert_eq!(old.target, Line(200));
                 assert_eq!(old.priority, 1);
@@ -624,11 +610,8 @@ mod tests {
     #[test]
     fn same_pair_is_unchanged() {
         let mut t = table(2);
-        t.insert(Line(100), Line(200), Pc(1), 1);
-        assert_eq!(
-            t.insert(Line(100), Line(200), Pc(1), 1),
-            InsertOutcome::Unchanged
-        );
+        t.insert(Line(100), Line(200), 1);
+        assert_eq!(t.insert(Line(100), Line(200), 1), InsertOutcome::Unchanged);
     }
 
     #[test]
@@ -636,10 +619,10 @@ mod tests {
         let mut t = table(1); // 12 entries per set
                               // Fill set 0 with 12 distinct sources (stride = sets).
         for i in 0..12u64 {
-            let out = t.insert(Line(i * 16), Line(1000 + i), Pc(1), 1);
+            let out = t.insert(Line(i * 16), Line(1000 + i), 1);
             assert_eq!(out, InsertOutcome::Allocated);
         }
-        match t.insert(Line(12 * 16), Line(2000), Pc(1), 1) {
+        match t.insert(Line(12 * 16), Line(2000), 1) {
             InsertOutcome::Replaced(ev) => {
                 // LRU victim is the first inserted source (line 0).
                 assert_eq!(ev.target, Line(1000));
@@ -664,10 +647,10 @@ mod tests {
         // 11 high-priority entries, then one low-priority entry (most
         // recently inserted!), then overflow.
         for i in 0..11u64 {
-            t.insert(Line(i * 16), Line(100 + i), Pc(1), 3);
+            t.insert(Line(i * 16), Line(100 + i), 3);
         }
-        t.insert(Line(11 * 16), Line(500), Pc(1), 0);
-        match t.insert(Line(12 * 16), Line(600), Pc(1), 3) {
+        t.insert(Line(11 * 16), Line(500), 0);
+        match t.insert(Line(12 * 16), Line(600), 3) {
             InsertOutcome::Replaced(ev) => {
                 assert_eq!(
                     ev.target,
@@ -692,7 +675,7 @@ mod tests {
             1,
         );
         for i in 0..12u64 {
-            t.insert(Line(i * 16), Line(100 + i), Pc(1), 2);
+            t.insert(Line(i * 16), Line(100 + i), 2);
         }
         // Touch all but source 3 so source 3 becomes LRU.
         for i in 0..12u64 {
@@ -700,7 +683,7 @@ mod tests {
                 t.lookup(Line(i * 16));
             }
         }
-        match t.insert(Line(12 * 16), Line(999), Pc(1), 2) {
+        match t.insert(Line(12 * 16), Line(999), 2) {
             InsertOutcome::Replaced(ev) => assert_eq!(ev.target, Line(103)),
             other => panic!("expected Replaced, got {other:?}"),
         }
@@ -710,10 +693,11 @@ mod tests {
     fn resize_evicts_and_shrinks_capacity() {
         let mut t = table(2);
         for i in 0..24u64 {
-            t.insert(Line(i * 16), Line(100 + i), Pc(1), 1);
+            t.insert(Line(i * 16), Line(100 + i), 1);
         }
         assert_eq!(t.occupancy(), 24);
-        let evicted = t.resize(1);
+        let mut evicted = Vec::new();
+        t.resize_into(1, &mut evicted);
         assert_eq!(t.ways(), 1);
         assert_eq!(evicted.len(), 12, "half the entries were deactivated");
         assert_eq!(t.occupancy(), 12);
@@ -722,10 +706,7 @@ mod tests {
     #[test]
     fn zero_ways_disables_table() {
         let mut t = table(0);
-        assert_eq!(
-            t.insert(Line(1), Line(2), Pc(1), 1),
-            InsertOutcome::Unchanged
-        );
+        assert_eq!(t.insert(Line(1), Line(2), 1), InsertOutcome::Unchanged);
         assert_eq!(t.lookup(Line(1)), None);
         assert_eq!(t.stats().lookups, 0, "disabled table performs no lookups");
     }
@@ -747,7 +728,7 @@ mod tests {
     fn snapshot_restore_is_lossless_at_same_ways() {
         let mut t = table(2);
         for i in 0..30u64 {
-            t.insert(Line(i * 16), Line(1000 + i), Pc(i % 3), (i % 4) as u8);
+            t.insert(Line(i * 16), Line(1000 + i), (i % 4) as u8);
         }
         t.lookup(Line(16)); // refresh one entry's recency
         let snap = t.snapshot();
@@ -767,7 +748,7 @@ mod tests {
     fn restore_into_smaller_table_drops_overflow_like_resize() {
         let mut t = table(2);
         for i in 0..24u64 {
-            t.insert(Line(i * 16), Line(100 + i), Pc(1), 1);
+            t.insert(Line(i * 16), Line(100 + i), 1);
         }
         let snap = t.snapshot();
         let mut small = table(1);
@@ -799,7 +780,7 @@ mod tests {
     #[should_panic(expected = "31-bit")]
     fn oversized_target_rejected() {
         let mut t = table(1);
-        t.insert(Line(0), Line(1 << 31), Pc(1), 0);
+        t.insert(Line(0), Line(1 << 31), 0);
     }
 
     #[test]
@@ -814,7 +795,7 @@ mod tests {
             1,
         );
         for i in 0..12u64 {
-            t.insert(Line(i * 16), Line(100 + i), Pc(1), 1);
+            t.insert(Line(i * 16), Line(100 + i), 1);
         }
         // Reuse everything except source 5.
         for i in 0..12u64 {
@@ -822,7 +803,7 @@ mod tests {
                 t.lookup(Line(i * 16));
             }
         }
-        match t.insert(Line(12 * 16), Line(999), Pc(1), 1) {
+        match t.insert(Line(12 * 16), Line(999), 1) {
             InsertOutcome::Replaced(ev) => assert_eq!(ev.target, Line(105)),
             other => panic!("expected Replaced, got {other:?}"),
         }

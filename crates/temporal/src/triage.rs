@@ -7,7 +7,7 @@
 
 use crate::engine::{InsertionPolicy, ResizePolicy, TemporalConfig, TemporalEngine};
 use crate::metadata::MetaTableConfig;
-use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
+use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats};
 use prophet_sim_mem::hierarchy::L2Event;
 
 /// Chained prefetch degree of the ablation baseline (Section 5.9).
@@ -41,11 +41,6 @@ impl Triage {
         }
     }
 
-    /// Access to the engine (instrumentation in tests/figures).
-    pub fn engine(&self) -> &TemporalEngine {
-        &self.engine
-    }
-
     /// Seeds the engine from a warm-up checkpoint (table contents +
     /// training history; see [`TemporalEngine::load_warmup`]).
     pub fn seed_warmup(&mut self, snap: &crate::engine::TemporalSnapshot) {
@@ -59,21 +54,7 @@ impl L2Prefetcher for Triage {
     }
 
     fn on_l2_access(&mut self, ev: &L2Event) -> L2Decision {
-        let d = self.engine.on_access(ev, None);
-        // Triage has no MVB; evicted metadata is simply lost.
-        self.engine.drain_evictions();
-        L2Decision {
-            prefetches: d
-                .targets
-                .iter()
-                .map(|&line| PrefetchRequest {
-                    line,
-                    trigger_pc: ev.pc,
-                })
-                .collect(),
-            resize_meta_ways: d.resize,
-            metadata_dram_accesses: 0,
-        }
+        self.engine.decide(ev)
     }
 
     fn meta_ways(&self) -> usize {

@@ -18,7 +18,7 @@
 
 use crate::engine::{InsertionPolicy, ResizePolicy, TemporalConfig, TemporalEngine};
 use crate::metadata::MetaTableConfig;
-use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
+use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats};
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_sim_mem::{Pc, MAX_META_WAYS};
 
@@ -69,11 +69,6 @@ impl Triangel {
         self.engine.pattern_conf(pc)
     }
 
-    /// Access to the engine (instrumentation).
-    pub fn engine(&self) -> &TemporalEngine {
-        &self.engine
-    }
-
     /// Seeds the engine from a warm-up checkpoint (table contents +
     /// training history; see [`TemporalEngine::load_warmup`]).
     pub fn seed_warmup(&mut self, snap: &crate::engine::TemporalSnapshot) {
@@ -93,20 +88,7 @@ impl L2Prefetcher for Triangel {
     }
 
     fn on_l2_access(&mut self, ev: &L2Event) -> L2Decision {
-        let d = self.engine.on_access(ev, None);
-        self.engine.drain_evictions();
-        L2Decision {
-            prefetches: d
-                .targets
-                .iter()
-                .map(|&line| PrefetchRequest {
-                    line,
-                    trigger_pc: ev.pc,
-                })
-                .collect(),
-            resize_meta_ways: d.resize,
-            metadata_dram_accesses: 0,
-        }
+        self.engine.decide(ev)
     }
 
     fn meta_ways(&self) -> usize {

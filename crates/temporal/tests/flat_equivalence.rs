@@ -2,13 +2,13 @@
 //! structures.
 //!
 //! The hot-path rewrites split [`MetadataTable`]'s entries into a tag
-//! array, 16-byte slots and a side array of PCs, and moved the
-//! census/training bookkeeping onto `FlatMap`. This suite replays
+//! array and 16-byte slots, and moved the census/training bookkeeping
+//! onto `FlatMap`. This suite replays
 //! randomized streams against reference models and asserts the observable
 //! behavior — every hit, miss, insert outcome, eviction, counter, snapshot
 //! and histogram — is identical. Two references check the table: a shadow
 //! map of the content the `InsertOutcome`/eviction protocol implies, and
-//! the table as it was before the split, one 32-byte record per slot.
+//! the table as it was before the split, one record per slot.
 
 use std::collections::HashMap;
 
@@ -107,10 +107,9 @@ fn check_metadata_table(repl: MetaRepl, priority_replacement: bool, seed: u64) {
                 // all four outcomes, including same-source target updates.
                 let src = Line(rng.below(2_048));
                 let target = Line(rng.below(1 << 20));
-                let pc = Pc(rng.below(64) * 4);
                 let priority = rng.below(3) as u8;
                 let key = table.key_of(src);
-                let outcome = table.insert(src, target, pc, priority);
+                let outcome = table.insert(src, target, priority);
                 shadow.apply(key, target, priority, outcome, step);
             }
             60..=84 => {
@@ -178,14 +177,13 @@ fn metadata_table_matches_shadow_lru_priority() {
 // MetadataTable vs the one-record-per-slot table it replaced
 // ---------------------------------------------------------------------------
 
-/// One entry as the table kept it before the split: tag, validity and PC
-/// beside the replacement fields, 32 bytes.
+/// One entry as the table kept it before the split: tag and validity
+/// beside the replacement fields.
 #[derive(Debug, Clone, Copy)]
 struct RefSlot {
     tag: u16,
     target: u32,
     priority: u8,
-    pc: u64,
     rrpv: u8,
     stamp: u64,
     valid: bool,
@@ -195,7 +193,6 @@ const REF_EMPTY: RefSlot = RefSlot {
     tag: 0,
     target: 0,
     priority: 0,
-    pc: 0,
     rrpv: 3,
     stamp: 0,
     valid: false,
@@ -264,7 +261,7 @@ impl RefTable {
         Some(Line(slot.target as u64))
     }
 
-    fn insert(&mut self, src: Line, target: Line, pc: Pc, priority: u8) -> InsertOutcome {
+    fn insert(&mut self, src: Line, target: Line, priority: u8) -> InsertOutcome {
         if self.ways == 0 {
             return InsertOutcome::Unchanged;
         }
@@ -287,7 +284,6 @@ impl RefTable {
             *slot = RefSlot {
                 target: target.0 as u32,
                 priority,
-                pc: pc.0,
                 stamp: clock,
                 rrpv: 0,
                 ..*slot
@@ -299,7 +295,6 @@ impl RefTable {
             tag,
             target: target.0 as u32,
             priority,
-            pc: pc.0,
             rrpv: 2,
             stamp: clock,
             valid: true,
@@ -385,7 +380,6 @@ impl RefTable {
                     tag: s.tag,
                     target: s.target,
                     priority: s.priority,
-                    pc: s.pc,
                     rrpv: s.rrpv,
                     stamp: s.stamp,
                 })
@@ -423,11 +417,10 @@ fn check_against_record_table(repl: MetaRepl, priority_replacement: bool, seed: 
                 } else {
                     target
                 };
-                let pc = Pc(rng.below(1 << 40));
                 let priority = rng.below(4) as u8;
                 assert_eq!(
-                    table.insert(src, target, pc, priority),
-                    reference.insert(src, target, pc, priority),
+                    table.insert(src, target, priority),
+                    reference.insert(src, target, priority),
                     "insert, {ctx}"
                 );
             }
@@ -453,8 +446,8 @@ fn check_against_record_table(repl: MetaRepl, priority_replacement: bool, seed: 
         let target = Line(rng.below(1 << 31));
         let priority = rng.below(4) as u8;
         assert_eq!(
-            restored.insert(src, target, Pc(step), priority),
-            reference.insert(src, target, Pc(step), priority),
+            restored.insert(src, target, priority),
+            reference.insert(src, target, priority),
             "restored insert, step {step}"
         );
         assert_eq!(restored.lookup(target), reference.lookup(target));

@@ -47,13 +47,13 @@ proptest! {
         let mut e = engine(degree);
         for _ in 0..2 {
             for &l in &seq {
-                e.on_access(&ev(1, l), None);
+                e.on_access(&ev(1, l), 1);
             }
         }
         // Third pass: each access must predict at least its direct
         // successor and never more than `degree` targets.
         for (i, &l) in seq.iter().enumerate().take(seq.len() - 1) {
-            let d = e.on_access(&ev(1, l), None);
+            let d = e.on_access(&ev(1, l), 1);
             prop_assert!(d.targets.len() <= degree);
             prop_assert_eq!(
                 d.targets.first().copied(),
@@ -91,16 +91,16 @@ proptest! {
         for _ in 0..rounds {
             for i in 0..a.len().max(b.len()) {
                 if i < a.len() {
-                    e.on_access(&ev(1, a[i]), None);
+                    e.on_access(&ev(1, a[i]), 1);
                 }
                 if i < b.len() {
-                    e.on_access(&ev(2, b[i]), None);
+                    e.on_access(&ev(2, b[i]), 1);
                 }
             }
         }
         // Predictions for PC 1's lines stay within PC 1's line set.
         for &l in &a[..a.len() - 1] {
-            let d = e.on_access(&ev(1, l), None);
+            let d = e.on_access(&ev(1, l), 1);
             for t in d.targets {
                 prop_assert!(
                     a.contains(&t.0),
@@ -124,9 +124,9 @@ proptest! {
             8,
         );
         for w in seq.windows(2) {
-            t.insert(Line(w[0]), Line(w[1]), Pc(1), 1);
+            t.insert(Line(w[0]), Line(w[1]), 1);
         }
-        t.resize(0);
+        t.resize_into(0, &mut Vec::new());
         for &l in &seq {
             prop_assert_eq!(t.lookup(Line(l)), None);
         }

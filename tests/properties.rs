@@ -2,7 +2,7 @@
 
 use prophet::PcProfile;
 use prophet::{AnalysisConfig, MultiPathVictimBuffer, ProfileCounters};
-use prophet_sim_mem::{CountingBloom, Line, Pc};
+use prophet_sim_mem::{CountingBloom, Line};
 use prophet_temporal::{InsertOutcome, MetaRepl, MetaTableConfig, MetadataTable};
 use proptest::prelude::*;
 
@@ -25,7 +25,7 @@ proptest! {
             ways,
         );
         for (src, dst) in pairs {
-            t.insert(Line(src), Line(dst), Pc(1), 1);
+            t.insert(Line(src), Line(dst), 1);
             prop_assert!(t.occupancy() <= t.capacity());
         }
         let s = t.stats();
@@ -49,7 +49,7 @@ proptest! {
         let mut last = std::collections::HashMap::new();
         for (i, &s) in srcs.iter().enumerate() {
             let target = Line(1_000 + i as u64);
-            match t.insert(Line(s), target, Pc(1), 1) {
+            match t.insert(Line(s), target, 1) {
                 InsertOutcome::Replaced(_) => { last.retain(|&k, _| k != s); last.insert(s, target); }
                 _ => { last.insert(s, target); }
             }
