@@ -7,8 +7,12 @@
 //! * Figure 12: prefetching coverage (a) and accuracy (b) per scheme.
 //!
 //! ```text
-//! fig10_12_spec [--insts N] [--warmup N] [--jobs N] [--store DIR]
+//! fig10_12_spec [--insts N] [--warmup N] [--jobs N]
 //! ```
+//!
+//! Every cell warms up from cold with its own scheme active, as the paper
+//! measures. CI diffs the default window against
+//! `crates/bench/tests/golden/fig10_12_spec_default.txt`.
 
 use prophet_bench::{print_scheme_table, print_speedup_table, Flag, Harness, RunArgs, SchemeRow};
 use prophet_workloads::SPEC_WORKLOADS;

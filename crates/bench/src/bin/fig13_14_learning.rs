@@ -10,7 +10,7 @@
 //! counters.
 
 use prophet::{AnalysisConfig, HintSet, LearnedProfile, ProfileCounters, ProphetConfig};
-use prophet_bench::{parallel_tasks, Harness, Scheme, Start};
+use prophet_bench::{parallel_tasks, Harness, Scheme};
 use prophet_sim_core::geomean;
 use prophet_workloads::{workload, GCC_INPUTS};
 
@@ -30,7 +30,7 @@ fn learning(h: &Harness, inputs: &[&str], stages: &[(&str, &str)], width: usize,
     // baseline and each profiling pass, then each column's passes.
     let reports = parallel_tasks(n + profiled.len(), 0, |i| match inputs.get(i) {
         Some(name) => h
-            .run(Scheme::Baseline, workload(name).as_ref(), Start::Cold)
+            .run(Scheme::Baseline, workload(name).as_ref())
             .into_report(),
         None => h.profile(workload(profiled[i - n]).as_ref()),
     });
@@ -57,9 +57,7 @@ fn learning(h: &Harness, inputs: &[&str], stages: &[(&str, &str)], width: usize,
     let speedups = parallel_tasks(passes.len() * n, 0, |i| {
         let (k, w) = (i % n, workload(inputs[i % n]));
         let report = match &passes[i / n].1[k] {
-            None => h
-                .run(Scheme::Triage4, w.as_ref(), Start::Cold)
-                .into_report(),
+            None => h.run(Scheme::Triage4, w.as_ref()).into_report(),
             Some(hints) => h.optimized(w.as_ref(), hints, &ProphetConfig::default()),
         };
         report.speedup_over(&base[k])

@@ -1,20 +1,17 @@
 //! Figure 15: IPC speedup on the CRONO graph workloads.
 //!
 //! ```text
-//! fig15_crono [--insts N] [--warmup N] [--jobs N] [--store DIR]
+//! fig15_crono [--insts N] [--warmup N] [--jobs N]
 //!   --insts     measured instructions per kernel (default 1 000 000;
 //!               the re-anchored EXPERIMENTS.md numbers use 5 000 000)
 //!   --warmup    warm-up instructions (default 1 100 000 — one traversal)
 //!   --jobs      parallel harness workers (default: all cores)
-//!   --store     artifact store: the grid shares one warm-up checkpoint per
-//!               kernel, and a second run against the same store skips the
-//!               warm-up simulations entirely (stdout stays bit-identical —
-//!               pinned by crates/bench/tests/warm_start.rs)
 //! ```
 //!
 //! Workloads are sized to the window via streaming generation (repeats
 //! scale up, memory stays O(graph)), and the scheme×workload grid fans
-//! across `Harness::run_matrix_stored` workers.
+//! across `Harness::run_matrix_stored` workers, every cell warming up from
+//! cold with its own scheme active.
 
 use prophet_bench::{print_speedup_table, Flag, Harness, RunArgs};
 use prophet_workloads::CRONO_WORKLOADS;

@@ -1,11 +1,10 @@
 //! Figure 17: speedups with IPCP as the L1 prefetcher (Neoverse-V2-like).
 //!
 //! ```text
-//! fig17_l1_prefetcher [--insts N] [--warmup N] [--jobs N] [--store DIR]
+//! fig17_l1_prefetcher [--insts N] [--warmup N] [--jobs N]
 //! ```
 //!
-//! Checkpoints are keyed by the L1 scheme (the warm-up stream differs under
-//! IPCP), so a store shared with the stride-L1 figures never mixes them.
+//! Every RPG2 pass runs IPCP too, and every cell warms up from cold.
 
 use prophet_bench::{print_speedup_table, Flag, Harness, L1Scheme, RunArgs};
 use prophet_workloads::SPEC_WORKLOADS;

@@ -1,11 +1,8 @@
 //! Figure 18: speedups with additional DRAM channels.
 //!
 //! ```text
-//! fig18_bandwidth [--insts N] [--warmup N] [--jobs N] [--store DIR]
+//! fig18_bandwidth [--insts N] [--warmup N] [--jobs N]
 //! ```
-//!
-//! Checkpoints are keyed by the `SystemConfig` digest, so the 2-channel
-//! warm-ups never collide with the 1-channel figures in a shared store.
 
 use prophet_bench::{print_speedup_table, Flag, Harness, RunArgs};
 use prophet_sim_mem::SystemConfig;

@@ -57,7 +57,7 @@ use prophet::{analyze, AnalysisConfig, ProfileCounters, ProphetConfig};
 use prophet_bench::Flag::{
     self, Addr, Hints, HintsOut, Insts, Jobs, ServiceThreads, Store, Warmup,
 };
-use prophet_bench::{parallel_tasks, Harness, Outcome, RunArgs, Scheme, Start};
+use prophet_bench::{parallel_tasks, Harness, Outcome, RunArgs, Scheme};
 use prophet_service::{ServeConfig, Server, ServiceClient, ServiceError, ServiceState, SubmitAck};
 use prophet_sim_core::SimReport;
 use prophet_store::{decode_hints, read_hints_file, write_hints_file};
@@ -320,9 +320,7 @@ fn cmd_run(args: &RunArgs, name: &str) {
             expected.measure,
         );
     }
-    let base = h
-        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
-        .into_report();
+    let base = h.run(Scheme::Baseline, w.as_ref()).into_report();
     println!("{base}");
     let r = h.optimized(w.as_ref(), &hints, &ProphetConfig::default());
     println!("speedup {:.3}\n{r}", r.speedup_over(&base));
@@ -341,7 +339,7 @@ fn cmd_explain(args: &RunArgs, name: &str) {
         println!("  meta: {:?}", r.meta);
     };
 
-    let base = h.run(Scheme::Baseline, w, Start::Cold).into_report();
+    let base = h.run(Scheme::Baseline, w).into_report();
     show("baseline", &base);
     let profile = h.profile(w);
     show("profiling (simplified TP)", &profile);
@@ -349,7 +347,7 @@ fn cmd_explain(args: &RunArgs, name: &str) {
     let hints = analyze(&counters, &cfg);
     let opt = h.optimized(w, &hints, &ProphetConfig::default());
     show("optimized (Prophet)", &opt);
-    let tri = h.run(Scheme::Triangel, w, Start::Cold).into_report();
+    let tri = h.run(Scheme::Triangel, w).into_report();
     show("triangel", &tri);
 
     println!(
@@ -427,9 +425,9 @@ fn cmd_schemes(args: &RunArgs, name: &str) {
         .into_iter()
         .filter(|&s| s == Scheme::Baseline || wanted(s))
         .collect();
-    let cells = h.cells(&runs, Start::Cold);
+    let cells = h.cells(&runs);
     let outcomes = parallel_tasks(cells.len(), args.jobs, |i| {
-        h.run_cell(&cells[i], w.as_ref(), Start::Cold)
+        h.run_cell(&cells[i], w.as_ref())
     });
     let mut outcomes: Vec<(Scheme, Outcome)> = cells
         .into_iter()

@@ -20,7 +20,7 @@
 //! Prophet.
 
 use prophet::{analyze, AnalysisConfig, ProfileCounters, ProphetConfig, ProphetFeatures};
-use prophet_bench::{parallel_tasks, Harness, Scheme, Start};
+use prophet_bench::{parallel_tasks, Harness, Scheme};
 use prophet_energy::{energy_of, EnergyModel};
 use prophet_prefetch::StridePrefetcher;
 use prophet_sim_core::{geomean, simulate, SimReport};
@@ -57,7 +57,7 @@ impl Mix {
         let names = SPEC_WORKLOADS;
         let runtime = parallel_tasks(names.len() * RUNTIME_PASSES, 0, |i| {
             let w = workload(names[i / RUNTIME_PASSES]);
-            let run = |scheme| h.run(scheme, w.as_ref(), Start::Cold).into_report();
+            let run = |scheme| h.run(scheme, w.as_ref()).into_report();
             match i % RUNTIME_PASSES {
                 0 => h.profile(w.as_ref()),
                 1 => run(Scheme::Baseline),

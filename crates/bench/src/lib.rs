@@ -115,33 +115,6 @@ pub const MATRIX_SCHEMES: [Scheme; 4] = [
     Scheme::Prophet,
 ];
 
-/// Where every pass of a [`Harness::run`] starts its measurement.
-#[derive(Debug, Clone, Copy)]
-pub enum Start<'a> {
-    /// Each pass simulates the warm-up itself, then measures.
-    Cold,
-    /// Each pass restores one shared scheme-independent warm-up and starts
-    /// its prefetchers at the measurement boundary (DESIGN.md §6), seeding
-    /// the temporal ones from the checkpoint's passive training.
-    /// Single-pass schemes stream the trace cursor; Prophet materializes
-    /// the measurement window once and replays it for both passes.
-    Checkpoint {
-        ckpt: &'a WarmupCheckpoint,
-        /// Prophet loads its profile counters from this store, or computes
-        /// and saves them.
-        store: Option<&'a ArtifactStore>,
-    },
-}
-
-impl<'a> Start<'a> {
-    fn ckpt(self) -> Option<&'a WarmupCheckpoint> {
-        match self {
-            Start::Cold => None,
-            Start::Checkpoint { ckpt, .. } => Some(ckpt),
-        }
-    }
-}
-
 /// What one [`Harness::run`] produced. RPG2 keeps its pipeline diagnostics
 /// (qualified PCs and tuned distance), not just the report.
 #[derive(Debug, Clone, PartialEq)]
@@ -172,60 +145,35 @@ impl Outcome {
 }
 
 impl Harness {
-    /// Runs `scheme` on `w` from `start`: the one primitive every scheme
-    /// run goes through (a cell of [`Harness::cells`] runs each of its
-    /// schemes with it, except where RPG2 rides the baseline).
-    pub fn run(&self, scheme: Scheme, w: &dyn TraceSource, start: Start) -> Outcome {
-        let seed = start.ckpt().map(|c| &c.temporal);
+    /// Runs `scheme` on `w`, every pass simulating the warm-up itself and
+    /// then measuring: the one primitive every scheme run goes through (a
+    /// cell of [`Harness::cells`] runs each of its schemes with it, except
+    /// where RPG2 rides the baseline). Prophet profiles, analyzes with the
+    /// paper's defaults, then runs the optimized pass.
+    pub fn run(&self, scheme: Scheme, w: &dyn TraceSource) -> Outcome {
         let l2: Box<dyn L2Prefetcher> = match scheme {
             Scheme::Baseline => Box::new(NoL2Prefetch),
-            Scheme::Triage4 => {
-                let mut tp = Triage::degree4();
-                if let Some(seed) = seed {
-                    tp.seed_warmup(seed);
-                }
-                Box::new(tp)
+            Scheme::Triage4 => Box::new(Triage::degree4()),
+            Scheme::Triangel => Box::new(Triangel::default()),
+            Scheme::Rpg2 => return Outcome::Rpg2(self.rpg2(w)),
+            Scheme::Prophet => {
+                let counters = ProfileCounters::from_report(&self.profile(w));
+                let hints = analyze(&counters, &AnalysisConfig::default());
+                return Outcome::Sim(self.optimized(w, &hints, &ProphetConfig::default()));
             }
-            Scheme::Triangel => {
-                let mut tp = Triangel::default();
-                if let Some(seed) = seed {
-                    tp.seed_warmup(seed);
-                }
-                Box::new(tp)
-            }
-            Scheme::Rpg2 => {
-                return Outcome::Rpg2(match start.ckpt() {
-                    None => self.rpg2(w),
-                    Some(ckpt) => self.rpg2_warm(w, ckpt),
-                })
-            }
-            Scheme::Prophet => return Outcome::Sim(self.prophet_from(w, start)),
         };
-        Outcome::Sim(self.pass(w, start, None, self.l1.build(), l2))
+        Outcome::Sim(self.pass(w, self.l1.build(), l2))
     }
 
-    /// One measured simulation of `w` from `start` under the given
-    /// prefetchers. From a checkpoint, a materialized `window` is replayed
-    /// instead of streaming the trace cursor; both give bit-identical
-    /// reports.
+    /// One measured simulation of `w` under the given prefetchers, warm-up
+    /// included.
     fn pass(
         &self,
         w: &dyn TraceSource,
-        start: Start,
-        window: Option<&[TraceInst]>,
         l1: Box<dyn L1Prefetcher>,
         l2: Box<dyn L2Prefetcher>,
     ) -> SimReport {
-        match (start, window) {
-            (Start::Cold, _) => simulate(&self.sys, w, l1, l2, self.warmup, self.measure),
-            (Start::Checkpoint { ckpt, .. }, None) => {
-                ckpt.warm.simulate(&self.sys, w, l1, l2, self.measure)
-            }
-            (Start::Checkpoint { ckpt, .. }, Some(window)) => {
-                ckpt.warm
-                    .simulate_window(&self.sys, &w.name(), window, l1, l2)
-            }
-        }
+        simulate(&self.sys, w, l1, l2, self.warmup, self.measure)
     }
 
     /// RPG2's identification inputs from one trace stream: the baseline
@@ -246,17 +194,12 @@ impl Harness {
     }
 
     /// RPG2 from a cold start: [`Harness::rpg2_identify`], then [`tune`]
-    /// over cold passes on this harness's machine.
-    ///
-    /// Multi-pass pipelines deliberately re-stream the generator on every
-    /// pass: the synthetic workloads' working set (the graph itself) is
-    /// cache-resident, so regeneration is cheaper than replaying a
-    /// materialized multi-megabyte instruction buffer from DRAM.
+    /// over cold passes on this harness's machine. Every pass re-streams
+    /// the generator; whether one recorded window replayed by every pass
+    /// is cheaper is ROADMAP item 10's open question.
     pub fn rpg2(&self, w: &dyn TraceSource) -> Rpg2Result {
         let (base, analysis) = self.rpg2_identify(w);
-        tune(&analysis, base, |l2| {
-            self.pass(w, Start::Cold, None, self.l1.build(), l2)
-        })
+        tune(&analysis, base, |l2| self.pass(w, self.l1.build(), l2))
     }
 
     /// RPG2 from a shared warm-up checkpoint: one stream feeds the kernel
@@ -277,15 +220,12 @@ impl Harness {
         tune(&scan.finish(), pass(Box::new(NoL2Prefetch)), pass)
     }
 
-    /// The cells that run `schemes` on one workload from `start`, in
-    /// order, each as the schemes it runs: one cell per scheme, except that
-    /// RPG2 rides the Baseline cell when `schemes` holds both and the start
-    /// is cold, where RPG2's identification pass is that very baseline run.
-    /// From a checkpoint RPG2 keeps a cell and a baseline pass of its own.
-    pub fn cells(&self, schemes: &[Scheme], start: Start) -> Vec<Vec<Scheme>> {
-        let rides = matches!(start, Start::Cold)
-            && schemes.contains(&Scheme::Baseline)
-            && schemes.contains(&Scheme::Rpg2);
+    /// The cells that run `schemes` on one workload, in order, each as the
+    /// schemes it runs: one cell per scheme, except that RPG2 rides the
+    /// Baseline cell when `schemes` holds both, where RPG2's identification
+    /// pass is that very baseline run.
+    pub fn cells(&self, schemes: &[Scheme]) -> Vec<Vec<Scheme>> {
+        let rides = schemes.contains(&Scheme::Baseline) && schemes.contains(&Scheme::Rpg2);
         let mut cells: Vec<Vec<Scheme>> = Vec::with_capacity(schemes.len());
         for &s in schemes {
             match s {
@@ -297,20 +237,20 @@ impl Harness {
         cells
     }
 
-    /// Runs one cell of [`Harness::cells`] on `w` from `start`: one
-    /// outcome per scheme, in the cell's order. A Baseline cell that
-    /// carries RPG2 simulates the baseline once, through
-    /// [`Harness::rpg2_identify`], and hands it to RPG2's distance sweep.
-    pub fn run_cell(&self, cell: &[Scheme], w: &dyn TraceSource, start: Start) -> Vec<Outcome> {
+    /// Runs one cell of [`Harness::cells`] on `w`: one outcome per scheme,
+    /// in the cell's order. A Baseline cell that carries RPG2 simulates the
+    /// baseline once, through [`Harness::rpg2_identify`], and hands it to
+    /// RPG2's distance sweep.
+    pub fn run_cell(&self, cell: &[Scheme], w: &dyn TraceSource) -> Vec<Outcome> {
         match cell {
-            [Scheme::Baseline, Scheme::Rpg2] if matches!(start, Start::Cold) => {
+            [Scheme::Baseline, Scheme::Rpg2] => {
                 let (base, analysis) = self.rpg2_identify(w);
                 let rpg2 = tune(&analysis, base.clone(), |l2| {
-                    self.pass(w, Start::Cold, None, self.l1.build(), l2)
+                    self.pass(w, self.l1.build(), l2)
                 });
                 vec![Outcome::Sim(base), Outcome::Rpg2(rpg2)]
             }
-            _ => cell.iter().map(|&s| self.run(s, w, start)).collect(),
+            _ => cell.iter().map(|&s| self.run(s, w)).collect(),
         }
     }
 
@@ -320,8 +260,6 @@ impl Harness {
     pub fn profile(&self, w: &dyn TraceSource) -> SimReport {
         self.pass(
             w,
-            Start::Cold,
-            None,
             Box::new(StridePrefetcher::default()),
             Box::new(SimplifiedTp::new()),
         )
@@ -336,49 +274,72 @@ impl Harness {
         config: &ProphetConfig,
     ) -> SimReport {
         let tp = Prophet::new(config.clone(), hints);
-        self.pass(w, Start::Cold, None, self.l1.build(), Box::new(tp))
+        self.pass(w, self.l1.build(), Box::new(tp))
     }
 
-    /// [`Scheme::Prophet`] from `start`: profile, analyze with the paper's
-    /// defaults, then the optimized run. From a checkpoint both passes
-    /// replay one materialized window, and a store caches the profile.
-    fn prophet_from(&self, w: &dyn TraceSource, start: Start) -> SimReport {
-        let Start::Checkpoint { ckpt, store } = start else {
-            let counters = ProfileCounters::from_report(&self.profile(w));
-            let hints = analyze(&counters, &AnalysisConfig::default());
-            return self.optimized(w, &hints, &ProphetConfig::default());
+    /// Matrix scheme `scheme` on `w` measured from the shared warm-up
+    /// checkpoint `ckpt` (DESIGN.md §6): the machine is restored instead of
+    /// warmed, and the temporal prefetchers are seeded from the
+    /// checkpoint's passive training. Single-pass schemes stream the trace
+    /// cursor; Prophet materializes the measurement window once, replays it
+    /// for both passes, and loads its profile counters from `store` or
+    /// computes and saves them. Only [`Harness::run_matrix_stored`]'s store
+    /// branch measures this way.
+    fn run_warm(
+        &self,
+        scheme: Scheme,
+        w: &dyn TraceSource,
+        ckpt: &WarmupCheckpoint,
+        store: &ArtifactStore,
+    ) -> Outcome {
+        let l2: Box<dyn L2Prefetcher> = match scheme {
+            Scheme::Baseline => Box::new(NoL2Prefetch),
+            Scheme::Triangel => {
+                let mut tp = Triangel::default();
+                tp.seed_warmup(&ckpt.temporal);
+                Box::new(tp)
+            }
+            Scheme::Rpg2 => return Outcome::Rpg2(self.rpg2_warm(w, ckpt)),
+            Scheme::Prophet => {
+                let name = w.name();
+                let window = self.materialize_window(w, ckpt.warm.warmup);
+                let counters = self.stored_profile(store, w, || {
+                    let mut tp = SimplifiedTp::new();
+                    tp.seed_warmup(&ckpt.temporal);
+                    let l1 = Box::new(StridePrefetcher::default());
+                    let report =
+                        ckpt.warm
+                            .simulate_window(&self.sys, &name, &window, l1, Box::new(tp));
+                    ProfileCounters::from_report(&report)
+                });
+                let mut tp = Prophet::new(
+                    ProphetConfig::default(),
+                    &analyze(&counters, &AnalysisConfig::default()),
+                );
+                tp.seed_warmup(&ckpt.temporal);
+                return Outcome::Sim(ckpt.warm.simulate_window(
+                    &self.sys,
+                    &name,
+                    &window,
+                    self.l1.build(),
+                    Box::new(tp),
+                ));
+            }
+            Scheme::Triage4 => unreachable!("triage4 is not a matrix scheme"),
         };
-        let window = self.materialize_window(w, ckpt.warm.warmup);
-        let profile = || {
-            let mut tp = SimplifiedTp::new();
-            tp.seed_warmup(&ckpt.temporal);
-            let report = self.pass(
-                w,
-                start,
-                Some(&window),
-                Box::new(StridePrefetcher::default()),
-                Box::new(tp),
-            );
-            ProfileCounters::from_report(&report)
-        };
-        let counters = match store {
-            None => profile(),
-            Some(store) => self.stored_profile(store, w, profile),
-        };
-        let mut tp = Prophet::new(
-            ProphetConfig::default(),
-            &analyze(&counters, &AnalysisConfig::default()),
-        );
-        tp.seed_warmup(&ckpt.temporal);
-        self.pass(w, start, Some(&window), self.l1.build(), Box::new(tp))
+        Outcome::Sim(
+            ckpt.warm
+                .simulate(&self.sys, w, self.l1.build(), l2, self.measure),
+        )
     }
 
     /// Prophet's profile counters for `w` from `store` when present,
     /// otherwise from `profile`, saved to the store. Freshly profiled
     /// counters round-trip through the codec before use, exactly like
-    /// [`Harness::checkpoint_via_store`], so a cold run and a later warm
-    /// run learn from bit-identical counter images. A warm run skips the
-    /// profiling simulation entirely (half of Prophet's measured work).
+    /// [`Harness::checkpoint_via_store`], so the run that fills the store
+    /// and a later run that reads it learn from bit-identical counter
+    /// images. A store hit skips the profiling simulation entirely (half of
+    /// Prophet's measured work).
     fn stored_profile(
         &self,
         store: &ArtifactStore,
@@ -513,13 +474,9 @@ impl Harness {
 
     /// Loads `w`'s checkpoint from the store, or builds and saves it. The
     /// built checkpoint is returned *through the codec* (encode → decode),
-    /// so a cold run and a later warm run restore bit-identical state —
-    /// the property the warm-start golden test pins.
-    pub fn checkpoint_via_store(
-        &self,
-        store: &ArtifactStore,
-        w: &dyn TraceSource,
-    ) -> WarmupCheckpoint {
+    /// so the run that fills the store and a later run that reads it
+    /// restore bit-identical state — the property `determinism.rs` pins.
+    fn checkpoint_via_store(&self, store: &ArtifactStore, w: &dyn TraceSource) -> WarmupCheckpoint {
         let key = self.checkpoint_key(w);
         match store.load_checkpoint(&key) {
             Ok(Some(ckpt)) => return ckpt,
@@ -615,32 +572,27 @@ impl Harness {
     /// this, with and without a store). `jobs = 0` means every core.
     ///
     /// With a store, the grid shares **one scheme-independent warm-up per
-    /// workload**: phase 1 loads (or builds and saves) each workload's
-    /// [`WarmupCheckpoint`], phase 2 fans the scheme cells out from those
-    /// checkpoints — instead of re-simulating the warm-up in every pass
-    /// (baseline, Triangel, Prophet's two passes, and RPG2's candidate
-    /// distances when something qualifies). A later run against the same
-    /// store skips phase 1's simulations entirely and, because cold runs
-    /// round-trip their checkpoints through the codec before use, produces
-    /// bit-identical rows.
+    /// workload** (DESIGN.md §6): phase 1 loads (or builds and saves) each
+    /// workload's [`WarmupCheckpoint`], phase 2 measures every matrix
+    /// scheme in a cell of its own from that checkpoint, and Prophet's
+    /// profile goes through the store too. A later run against the same
+    /// store skips phase 1's simulations and the profiling passes and,
+    /// because freshly built artifacts round-trip through the codec before
+    /// use, produces bit-identical rows. These rows differ from the cold
+    /// ones: each scheme warms up on a baseline machine instead of with
+    /// itself active. No figure measures this way.
     pub fn run_matrix_stored<W: TraceSource + Sync>(
         &self,
         workloads: &[W],
         jobs: usize,
         store: Option<&ArtifactStore>,
     ) -> Vec<SchemeRow> {
-        let ckpts: Option<Vec<WarmupCheckpoint>> = store.map(|store| {
-            parallel_tasks(workloads.len(), jobs, |i| {
+        let warm: Option<(&ArtifactStore, Vec<WarmupCheckpoint>)> = store.map(|store| {
+            let ckpts = parallel_tasks(workloads.len(), jobs, |i| {
                 self.checkpoint_via_store(store, &workloads[i])
-            })
+            });
+            (store, ckpts)
         });
-        let start = |i: usize| match &ckpts {
-            None => Start::Cold,
-            Some(ckpts) => Start::Checkpoint {
-                ckpt: &ckpts[i],
-                store,
-            },
-        };
         let passes_rank = |cell: &Vec<Scheme>| {
             if cell.contains(&Scheme::Prophet) {
                 0
@@ -650,24 +602,32 @@ impl Harness {
                 2
             }
         };
-        let cells: Vec<(usize, Vec<Scheme>)> = (0..workloads.len())
-            .flat_map(|i| {
-                let mut cells = self.cells(&MATRIX_SCHEMES, start(i));
-                cells.sort_by_key(passes_rank);
-                cells.into_iter().map(move |cell| (i, cell))
-            })
+        let mut cells = match warm {
+            None => self.cells(&MATRIX_SCHEMES),
+            Some(_) => MATRIX_SCHEMES.map(|s| vec![s]).to_vec(),
+        };
+        cells.sort_by_key(passes_rank);
+        let queue: Vec<(usize, &[Scheme])> = (0..workloads.len())
+            .flat_map(|i| cells.iter().map(move |cell| (i, cell.as_slice())))
             .collect();
-        let outcomes = parallel_tasks(cells.len(), jobs, |t| {
-            let (i, cell) = &cells[t];
-            self.run_cell(cell, &workloads[*i], start(*i))
+        let outcomes = parallel_tasks(queue.len(), jobs, |t| {
+            let (i, cell) = queue[t];
+            let w = &workloads[i];
+            match &warm {
+                Some((store, ckpts)) => cell
+                    .iter()
+                    .map(|&s| self.run_warm(s, w, &ckpts[i], store))
+                    .collect(),
+                None => self.run_cell(cell, w),
+            }
         });
         // Back from queue order to one slot per workload and scheme.
         let mut slots: Vec<[Option<Outcome>; MATRIX_SCHEMES.len()]> =
             workloads.iter().map(|_| Default::default()).collect();
-        for ((i, cell), outs) in cells.iter().zip(outcomes) {
+        for ((i, cell), outs) in queue.into_iter().zip(outcomes) {
             for (scheme, out) in cell.iter().zip(outs) {
                 let col = MATRIX_SCHEMES.iter().position(|s| s == scheme);
-                slots[*i][col.expect("a matrix scheme")] = Some(out);
+                slots[i][col.expect("a matrix scheme")] = Some(out);
             }
         }
         workloads
@@ -748,8 +708,8 @@ const FLAGS: [(Flag, &str, &str); 8] = [
 ];
 
 impl Flag {
-    /// What a figure grid reads: the window, `--jobs` and `--store`.
-    pub const GRID: [Flag; 4] = [Flag::Insts, Flag::Warmup, Flag::Jobs, Flag::Store];
+    /// What a figure grid reads: the window and `--jobs`.
+    pub const GRID: [Flag; 3] = [Flag::Insts, Flag::Warmup, Flag::Jobs];
 
     /// The flag as typed, e.g. `--insts`.
     pub fn name(self) -> &'static str {
@@ -859,44 +819,13 @@ impl RunArgs {
         })
     }
 
-    /// Opens the `--store` directory, if one was given; prints the error
-    /// and exits 2 when it cannot be created.
-    pub fn open_store(&self) -> Option<ArtifactStore> {
-        self.store
-            .as_ref()
-            .map(|dir| match ArtifactStore::open(dir) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cannot open artifact store at {dir}: {e}");
-                    std::process::exit(2);
-                }
-            })
-    }
-
     /// Runs the scheme×workload grid over the workloads `names`, sized to
-    /// `h`'s window, with `--jobs` workers, sharing warm-ups through the
-    /// `--store` directory when one was given (see
-    /// [`Harness::run_matrix_stored`]); exits 2 when the store cannot be
-    /// opened. The store's activity goes to **stderr**: stdout
-    /// is reserved for figure tables, which must stay bit-identical between
-    /// cold and warm runs.
+    /// `h`'s window, with `--jobs` workers, every cell from a cold start
+    /// (see [`Harness::run_matrix_stored`]).
     pub fn run_grid(&self, h: &Harness, names: &[&str]) -> Vec<SchemeRow> {
         let size = h.warmup + h.measure;
         let workloads: Vec<_> = names.iter().map(|n| workload_sized(n, size)).collect();
-        let store = self.open_store();
-        let rows = h.run_matrix_stored(&workloads, self.jobs, store.as_ref());
-        if let Some(store) = &store {
-            let a = store.activity();
-            eprintln!(
-                "store {}: {} checkpoint(s) reused, {} created; {} profile(s) reused, {} created",
-                store.dir().display(),
-                a.checkpoints_reused,
-                a.checkpoints_created,
-                a.profiles_reused,
-                a.profiles_created
-            );
-        }
-        rows
+        h.run_matrix_stored(&workloads, self.jobs, None)
     }
 
     /// A harness with this window applied over `default` (flags that were

@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{Harness, Scheme};
 use prophet_workloads::workload_sized;
 
 struct CountingAlloc;
@@ -72,7 +72,7 @@ fn assert_steady_state_budget(scheme: Scheme, budget_per_run: u64) {
         };
         let w = workload_sized("bfs_80000_8", WARMUP + measure);
         allocs_during(|| {
-            h.run(scheme, w.as_ref(), Start::Cold);
+            h.run(scheme, w.as_ref());
         })
     };
 

@@ -133,7 +133,8 @@ fn explain_rejects_flags_it_does_not_use() {
 /// no `flag`: exit 2, no stdout, neither `D` nor `X` created, and a usage
 /// line on stderr that names `flag`.
 fn rejects_unread_flag(exe: &str, args: &[&str], flag: &str) {
-    let tmp = std::env::temp_dir().join(format!("unread{flag}-{}", std::process::id()));
+    let name = exe.rsplit('/').next().unwrap();
+    let tmp = std::env::temp_dir().join(format!("unread{flag}-{name}-{}", std::process::id()));
     std::fs::create_dir_all(&tmp).unwrap();
     let (store, file) = (tmp.join("store"), tmp.join("out.hints"));
     let out = Command::new(exe)
@@ -187,4 +188,17 @@ fn windowed_binary_rejects_a_prophet_cli_flag() {
         &["--insts", "1000", "--warmup", "1000", "--hints", "x"],
         "--hints",
     );
+    // Every grid runs cold; only `prophet_cli` reads a store.
+    for exe in [
+        env!("CARGO_BIN_EXE_fig10_12_spec"),
+        env!("CARGO_BIN_EXE_fig15_crono"),
+        env!("CARGO_BIN_EXE_fig17_l1_prefetcher"),
+        env!("CARGO_BIN_EXE_fig18_bandwidth"),
+    ] {
+        rejects_unread_flag(
+            exe,
+            &["--insts", "1000", "--warmup", "1000", "--store", "D"],
+            "--store",
+        );
+    }
 }

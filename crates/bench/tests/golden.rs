@@ -9,7 +9,9 @@
 //! `fig06_accuracy_levels`, `fig08_markov_targets`, `overheads` and
 //! `tab_storage` take no arguments. The two fixed-window study binaries,
 //! `spec_studies` and `fig13_14_learning`, take too long for this suite;
-//! CI diffs them against their snapshots in release instead. The Figure 10, 11 and 12 tests share
+//! CI diffs them against their snapshots in release instead, and
+//! `fig10_12_spec` at its default window against
+//! `fig10_12_spec_default.txt`. The Figure 10, 11 and 12 tests share
 //! one run of `fig10_12_spec` and each diffs its own table of
 //! `fig10_12_spec.txt`. The simulator, generators, and harness are
 //! deterministic end to end, so any diff means a refactor shifted results

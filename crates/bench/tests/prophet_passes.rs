@@ -3,7 +3,7 @@
 //! exactly the `Scheme::Prophet` cell every matrix runs.
 
 use prophet::{analyze, AnalysisConfig, HintSet, LearnedProfile, ProfileCounters, ProphetConfig};
-use prophet_bench::{Harness, L1Scheme, Scheme, Start};
+use prophet_bench::{Harness, L1Scheme, Scheme};
 use prophet_sim_core::{TraceInst, VecTrace};
 use prophet_sim_mem::{Addr, Pc};
 use prophet_workloads::workload_sized;
@@ -88,7 +88,7 @@ fn optimized_run_beats_baseline() {
     let h = harness(60_000, 200_000);
     let w = temporal_workload(60_000, 5, 7);
     let prophet_run = h.optimized(&w, &hints(&h, &w), &ProphetConfig::default());
-    let base = h.run(Scheme::Baseline, &w, Start::Cold).into_report();
+    let base = h.run(Scheme::Baseline, &w).into_report();
     assert!(
         prophet_run.ipc > base.ipc * 1.3,
         "Prophet must speed up a pointer chase: {} vs {}",
@@ -114,7 +114,7 @@ fn prophet_cell_is_profile_then_optimized_under_both_l1s() {
             &AnalysisConfig::default(),
         );
         assert_eq!(
-            h.run(Scheme::Prophet, w, Start::Cold).into_report(),
+            h.run(Scheme::Prophet, w).into_report(),
             h.optimized(w, &hints, &ProphetConfig::default()),
             "{l1:?}"
         );

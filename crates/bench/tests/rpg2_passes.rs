@@ -3,7 +3,7 @@
 //! harness's machine — its L1 included — so RPG2 is measured on the same
 //! machine as the baseline it is compared with.
 
-use prophet_bench::{Harness, L1Scheme, Scheme, Start};
+use prophet_bench::{Harness, L1Scheme, Scheme};
 use prophet_prefetch::NoL2Prefetch;
 use prophet_rpg2::{KernelAnalysis, Rpg2Prefetcher};
 use prophet_sim_core::trace::{TraceInst, VecTrace};
@@ -136,9 +136,7 @@ fn rpg2_runs_on_the_harness_l1() {
         let mcf = workload_sized("mcf", h.warmup + h.measure);
         let res = h.rpg2(mcf.as_ref());
         assert!(res.qualified_pcs.is_empty(), "nothing qualifies on mcf");
-        let mut base = h
-            .run(Scheme::Baseline, mcf.as_ref(), Start::Cold)
-            .into_report();
+        let mut base = h.run(Scheme::Baseline, mcf.as_ref()).into_report();
         base.scheme = "rpg2".into();
         assert_eq!(res.report, base, "mcf under {l1:?}");
 

@@ -5,7 +5,7 @@
 //! `pagerank_100000_100` a PC qualifies and the distance sweep runs, on
 //! `mcf` nothing qualifies and the result is the baseline itself.
 
-use prophet_bench::{Harness, L1Scheme, Scheme, Start, MATRIX_SCHEMES};
+use prophet_bench::{Harness, L1Scheme, Scheme, MATRIX_SCHEMES};
 use prophet_sim_core::TraceSource;
 use prophet_workloads::workload_sized;
 
@@ -25,7 +25,7 @@ fn grid_rows_equal_the_standalone_baseline_and_rpg2() {
         let want: Vec<_> = workloads
             .iter()
             .map(|w| {
-                let base = h.run(Scheme::Baseline, w.as_ref(), Start::Cold);
+                let base = h.run(Scheme::Baseline, w.as_ref());
                 (base.into_report(), h.rpg2(w.as_ref()))
             })
             .collect();
@@ -47,37 +47,23 @@ fn grid_rows_equal_the_standalone_baseline_and_rpg2() {
 
 #[test]
 fn rpg2_rides_the_baseline_cell_only_from_a_cold_start() {
+    // Every public cell starts cold; the store branch of
+    // `run_matrix_stored` keeps RPG2 apart (pinned by `tune_shared.rs` and
+    // `start_equivalence.rs`).
     let stride = Harness::default();
     let ipcp = Harness {
         l1: L1Scheme::Ipcp,
         ..Harness::default()
     };
-    let matrix = MATRIX_SCHEMES;
     let shared = [
         vec![Scheme::Baseline, Scheme::Rpg2],
         vec![Scheme::Triangel],
         vec![Scheme::Prophet],
     ];
-    assert_eq!(stride.cells(&matrix, Start::Cold), shared);
-    assert_eq!(ipcp.cells(&matrix, Start::Cold), shared);
-    let apart: Vec<Vec<Scheme>> = matrix.iter().map(|&s| vec![s]).collect();
-    let short = Harness {
-        warmup: 1_000,
-        ..Harness::default()
-    };
-    let ckpt = short.build_checkpoint(workload_sized("mcf", 2_000).as_ref());
-    let warm = Start::Checkpoint {
-        ckpt: &ckpt,
-        store: None,
-    };
-    assert_eq!(short.cells(&matrix, warm), apart);
-    let short_ipcp = Harness {
-        l1: L1Scheme::Ipcp,
-        ..short.clone()
-    };
-    assert_eq!(short_ipcp.cells(&matrix, warm), apart);
+    assert_eq!(stride.cells(&MATRIX_SCHEMES), shared);
+    assert_eq!(ipcp.cells(&MATRIX_SCHEMES), shared);
     assert_eq!(
-        stride.cells(&[Scheme::Baseline, Scheme::Triage4], Start::Cold),
+        stride.cells(&[Scheme::Baseline, Scheme::Triage4]),
         [vec![Scheme::Baseline], vec![Scheme::Triage4]],
         "without RPG2 the baseline cell runs alone"
     );

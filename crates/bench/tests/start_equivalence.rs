@@ -1,19 +1,21 @@
-//! Pins the equivalences `Harness::run` relies on to serve every caller
-//! from one primitive: replaying a materialized measurement window from a
-//! checkpoint (Prophet's passes, perfbench's traced cells) is
-//! bit-identical to streaming the trace cursor from the same checkpoint
-//! (the single-pass `run_matrix_stored` cells); and Prophet's
-//! store-backed path — profile on a miss, reuse on a hit — is
-//! bit-identical to profiling in place. RPG2's shared sweep has its own
-//! cursor-path reference in `tune_shared.rs`.
+//! Pins what `Harness::run_matrix_stored` measures with a store, against
+//! references built by hand from `Harness::build_checkpoint` and
+//! `WarmStart`'s `simulate`/`simulate_window`: every matrix scheme starts from
+//! the workload's shared warm-up checkpoint. The store branch streams the
+//! trace cursor for single-pass schemes and replays one materialized
+//! window for Prophet's two passes; each reference takes the other route,
+//! so the two routes are pinned bit-identical too. Prophet's profile, built
+//! on a store miss or loaded on a hit, must equal profiling in place. RPG2's
+//! shared sweep has its own cursor-path reference in `tune_shared.rs`.
 
 use prophet::{
     AnalysisConfig, LearnedProfile, ProfileCounters, Prophet, ProphetConfig, SimplifiedTp,
 };
-use prophet_bench::{Harness, Scheme, Start};
-use prophet_prefetch::{L2Prefetcher, NoL2Prefetch, StridePrefetcher};
-use prophet_store::{ArtifactStore, WarmupCheckpoint};
-use prophet_temporal::{Triage, Triangel};
+use prophet_bench::{Harness, SchemeRow};
+use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
+use prophet_sim_core::{SimReport, TraceSource};
+use prophet_store::{ArtifactStore, StoreActivity, WarmupCheckpoint};
+use prophet_temporal::Triangel;
 use prophet_workloads::workload_sized;
 
 fn harness() -> Harness {
@@ -24,64 +26,37 @@ fn harness() -> Harness {
     }
 }
 
-fn start<'a>(ckpt: &'a WarmupCheckpoint, store: Option<&'a ArtifactStore>) -> Start<'a> {
-    Start::Checkpoint { ckpt, store }
+/// `run_matrix_stored` over `w` and the store at `tag`, `runs` times in a
+/// row: the row and the store's activity after each run.
+fn stored_rows(
+    h: &Harness,
+    w: Box<dyn TraceSource + Send + Sync>,
+    tag: &str,
+    runs: usize,
+) -> Vec<(SchemeRow, StoreActivity)> {
+    let dir = std::env::temp_dir().join(format!("prophet-start-eq-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = ArtifactStore::open(&dir).expect("open a fresh store");
+    let workloads = [w];
+    let out = (0..runs)
+        .map(|_| {
+            let mut rows = h.run_matrix_stored(&workloads, 2, Some(&store));
+            (rows.remove(0), store.activity())
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    out
 }
 
-/// The L2 prefetcher `Harness::run` gives a single-pass `scheme` from
-/// `ckpt`: temporal ones seeded from the checkpoint's passive training.
-fn seeded_l2(scheme: Scheme, ckpt: &WarmupCheckpoint) -> Box<dyn L2Prefetcher> {
-    match scheme {
-        Scheme::Baseline => Box::new(NoL2Prefetch),
-        Scheme::Triage4 => {
-            let mut tp = Triage::degree4();
-            tp.seed_warmup(&ckpt.temporal);
-            Box::new(tp)
-        }
-        Scheme::Triangel => {
-            let mut tp = Triangel::default();
-            tp.seed_warmup(&ckpt.temporal);
-            Box::new(tp)
-        }
-        _ => unreachable!("{} is not single-pass", scheme.name()),
-    }
-}
-
-#[test]
-fn window_start_matches_cursor_start_for_every_scheme() {
-    let h = harness();
-    let w = workload_sized("bfs_80000_8", h.warmup + h.measure);
-    let name = w.name();
-    let ckpt = h.build_checkpoint(w.as_ref());
-    let window = h.materialize_window(w.as_ref(), ckpt.warm.warmup);
-    assert_eq!(window.len() as u64, h.measure);
-
-    // Single-pass schemes: `Harness::run` streams the cursor, the
-    // reference replays the window.
-    for scheme in [Scheme::Baseline, Scheme::Triage4, Scheme::Triangel] {
-        let cursor = h.run(scheme, w.as_ref(), start(&ckpt, None)).into_report();
-        let replayed = ckpt.warm.simulate_window(
-            &h.sys,
-            &name,
-            &window,
-            h.l1.build(),
-            seeded_l2(scheme, &ckpt),
-        );
-        assert_eq!(
-            replayed,
-            cursor,
-            "{}: window replay diverged from the cursor start",
-            scheme.name()
-        );
-    }
-
-    // Prophet: `Harness::run` replays the window for both passes, the
-    // reference streams the cursor for each.
+/// Prophet from `ckpt` along the cursor route: a seeded profiling pass,
+/// the paper's analysis, then the seeded optimized pass, each streaming a
+/// fresh cursor.
+fn prophet_by_cursor(h: &Harness, w: &dyn TraceSource, ckpt: &WarmupCheckpoint) -> SimReport {
     let mut profiler = SimplifiedTp::new();
     profiler.seed_warmup(&ckpt.temporal);
     let profile = ckpt.warm.simulate(
         &h.sys,
-        w.as_ref(),
+        w,
         Box::new(StridePrefetcher::default()),
         Box::new(profiler),
         h.measure,
@@ -93,15 +68,48 @@ fn window_start_matches_cursor_start_for_every_scheme() {
         &learned.build_hints(&AnalysisConfig::default()),
     );
     tp.seed_warmup(&ckpt.temporal);
-    let cursor = ckpt
+    ckpt.warm
+        .simulate(&h.sys, w, h.l1.build(), Box::new(tp), h.measure)
+}
+
+#[test]
+fn window_start_matches_cursor_start_for_every_scheme() {
+    let h = harness();
+    let w = workload_sized("bfs_80000_8", h.warmup + h.measure);
+    let name = w.name();
+    let ckpt = h.build_checkpoint(w.as_ref());
+    let window = h.materialize_window(w.as_ref(), ckpt.warm.warmup);
+    assert_eq!(window.len() as u64, h.measure);
+
+    // Single-pass schemes: the store branch streams the cursor, the
+    // references replay the window.
+    let base =
+        ckpt.warm
+            .simulate_window(&h.sys, &name, &window, h.l1.build(), Box::new(NoL2Prefetch));
+    let mut tp = Triangel::default();
+    tp.seed_warmup(&ckpt.temporal);
+    let triangel = ckpt
         .warm
-        .simulate(&h.sys, w.as_ref(), h.l1.build(), Box::new(tp), h.measure);
-    let replayed = h
-        .run(Scheme::Prophet, w.as_ref(), start(&ckpt, None))
-        .into_report();
+        .simulate_window(&h.sys, &name, &window, h.l1.build(), Box::new(tp));
+    let rpg2 = h.rpg2_warm(w.as_ref(), &ckpt);
+    // Prophet: the store branch replays the window for both passes, the
+    // reference streams the cursor for each.
+    let prophet = prophet_by_cursor(&h, w.as_ref(), &ckpt);
+
+    let (row, activity) = stored_rows(&h, w, "route", 1).remove(0);
+    assert_eq!(activity.checkpoints_created, 1);
+    assert_eq!(row.base, base, "baseline: cursor diverged from the window");
     assert_eq!(
-        replayed, cursor,
-        "prophet: window replay diverged from the cursor start"
+        row.triangel, triangel,
+        "triangel: cursor diverged from the window"
+    );
+    assert_eq!(
+        row.rpg2, rpg2,
+        "rpg2: the stored row is not the shared sweep"
+    );
+    assert_eq!(
+        row.prophet, prophet,
+        "prophet: window diverged from the cursor"
     );
 }
 
@@ -110,31 +118,19 @@ fn prophet_store_path_matches_in_place_profiling() {
     let h = harness();
     let w = workload_sized("bfs_80000_8", h.warmup + h.measure);
     let ckpt = h.build_checkpoint(w.as_ref());
-    let in_place = h
-        .run(Scheme::Prophet, w.as_ref(), start(&ckpt, None))
-        .into_report();
+    let in_place = prophet_by_cursor(&h, w.as_ref(), &ckpt);
 
-    let dir = std::env::temp_dir().join(format!("prophet-start-eq-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let store = ArtifactStore::open(&dir).expect("open a fresh store");
-    let stored = |expect_created: u64| {
-        let r = h
-            .run(Scheme::Prophet, w.as_ref(), start(&ckpt, Some(&store)))
-            .into_report();
-        assert_eq!(store.activity().profiles_created, expect_created);
-        r
-    };
-    let fresh = stored(1);
-    let reused = stored(1);
-    assert_eq!(store.activity().profiles_reused, 1);
-    std::fs::remove_dir_all(&dir).ok();
-
+    let runs = stored_rows(&h, w, "profile", 2);
+    let (fresh, created) = &runs[0];
+    let (reused, hit) = &runs[1];
+    assert_eq!((created.profiles_created, created.profiles_reused), (1, 0));
+    assert_eq!((hit.profiles_created, hit.profiles_reused), (1, 1));
     assert_eq!(
-        fresh, in_place,
+        fresh.prophet, in_place,
         "a store miss must profile exactly in place"
     );
     assert_eq!(
-        reused, in_place,
+        reused.prophet, in_place,
         "a store hit must reproduce the profiled run"
     );
 }

@@ -1,12 +1,13 @@
-//! Reference test for the checkpoint-shared RPG2 tune path: the shared
-//! sweep (`Harness::rpg2_warm` — one warm-up, one materialized
-//! window, every pass replayed from the snapshot) must be **bit-identical**
-//! to a reference that launches every pass through `WarmStart::simulate`'s
-//! cursor path (fresh trace re-stream + skip per pass) from the same
-//! warm-up. Mirrors the framing of `warm_start.rs`: the equivalence is by
-//! construction (skipping instructions never simulates them), and this
-//! test is what pins the construction — for a workload whose distance
-//! sweep actually runs, and for one where nothing qualifies.
+//! Reference test for the checkpoint-shared RPG2 tune path, the one
+//! `Harness::run_matrix_stored` runs with a store: the shared sweep
+//! (`Harness::rpg2_warm` — one warm-up, one materialized window, every
+//! pass replayed from the snapshot) must be **bit-identical** to a
+//! reference that launches every pass through the cursor path of
+//! `WarmStart`'s `simulate` (fresh trace re-stream + skip per pass) from
+//! the same warm-up. The equivalence is by construction (skipping
+//! instructions never simulates them), and this test is what pins the
+//! construction — for a workload whose distance sweep actually runs, and
+//! for one where nothing qualifies.
 
 use prophet_bench::Harness;
 use prophet_prefetch::{NoL2Prefetch, StridePrefetcher};
@@ -24,7 +25,7 @@ use std::collections::HashMap;
 /// The cursor-path reference: identical warm-up (stride L1, no L2
 /// prefetcher, kernel scan fused over warm-up + measurement window), then
 /// the identification baseline and every distance candidate simulated via
-/// `WarmStart::simulate` — the per-pass re-stream formulation the shared
+/// `WarmStart`'s `simulate` — the per-pass re-stream formulation the shared
 /// sweep's materialized window replaces. Returns the warm-up too, so the
 /// subject can start from the same snapshot.
 fn reference(

@@ -1,82 +1,91 @@
-//! Warm-start golden test: `fig15_crono --store DIR` run twice must (a)
-//! build every checkpoint on the first (cold) run, (b) reuse every
-//! checkpoint on the second (warm) run, (c) produce **bit-identical
-//! stdout**, and (d) be measurably faster warm than cold.
+//! Warm-start golden test: `run_matrix_stored` over one store, run twice
+//! on the CRONO grid, must (a) build every checkpoint on the first (cold)
+//! run, (b) reuse every checkpoint on the second (warm) run, (c) return
+//! **bit-identical rows**, and (d) be measurably faster warm than cold.
 //!
 //! (c) holds by construction — a cold run with a store round-trips its
 //! freshly built checkpoints through the codec before simulating from
-//! them ([`Harness::checkpoint_via_store`]), so both runs measure from
-//! byte-identical restored state — and this test is what pins the
-//! construction. The window is strongly warm-up-heavy (600 K warm-up vs
-//! 30 K measured), making the checkpoint simulations the warm run skips
-//! ~70% of the cold run's work — a structural ~3× margin, so the timing
-//! assertion in (d) survives noisy CI runners without becoming a flake.
+//! them, so both runs measure from byte-identical restored state — and
+//! this test is what pins the construction. The window is strongly
+//! warm-up-heavy (600 K warm-up vs 30 K measured), making the checkpoint
+//! simulations the warm run skips most of the cold run's work — a
+//! structural margin, so the timing assertion in (d) survives noisy CI
+//! runners without becoming a flake.
 
-use std::process::Command;
 use std::time::{Duration, Instant};
 
-const ARGS: [&str; 6] = ["--insts", "30000", "--warmup", "600000", "--jobs", "2"];
+use prophet_bench::{Harness, SchemeRow};
+use prophet_store::{ArtifactStore, StoreActivity};
+use prophet_workloads::{workload_sized, CRONO_WORKLOADS};
 
 struct Run {
-    stdout: Vec<u8>,
-    stderr: String,
+    rows: Vec<SchemeRow>,
+    activity: StoreActivity,
     elapsed: Duration,
-}
-
-fn run_fig15(store: &std::path::Path) -> Run {
-    let start = Instant::now();
-    let out = Command::new(env!("CARGO_BIN_EXE_fig15_crono"))
-        .args(ARGS)
-        .arg("--store")
-        .arg(store)
-        .output()
-        .expect("failed to launch fig15_crono");
-    let elapsed = start.elapsed();
-    assert!(
-        out.status.success(),
-        "fig15_crono exited with {:?}:\n{}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    Run {
-        stdout: out.stdout,
-        stderr: String::from_utf8(out.stderr).expect("store activity is UTF-8"),
-        elapsed,
-    }
 }
 
 #[test]
 fn warm_start_is_bit_identical_to_cold_start_and_faster() {
+    let h = Harness {
+        warmup: 600_000,
+        measure: 30_000,
+        ..Harness::default()
+    };
+    let workloads: Vec<_> = CRONO_WORKLOADS
+        .iter()
+        .map(|n| workload_sized(n, h.warmup + h.measure))
+        .collect();
+    let n = workloads.len() as u64;
+
     let dir = std::env::temp_dir().join(format!("prophet-warmstart-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
+    let run = || {
+        // A fresh handle per run, so each run's activity counts only its own.
+        let store = ArtifactStore::open(&dir).expect("open temp store");
+        let start = Instant::now();
+        let rows = h.run_matrix_stored(&workloads, 2, Some(&store));
+        Run {
+            rows,
+            activity: store.activity(),
+            elapsed: start.elapsed(),
+        }
+    };
 
-    let cold = run_fig15(&dir);
-    assert!(
-        cold.stderr.contains("0 checkpoint(s) reused, 9 created"),
-        "cold run must build all nine CRONO checkpoints, reported:\n{}",
-        cold.stderr
+    let cold = run();
+    assert_eq!(
+        (
+            cold.activity.checkpoints_reused,
+            cold.activity.checkpoints_created
+        ),
+        (0, n),
+        "cold run must build all {n} CRONO checkpoints, reported {:?}",
+        cold.activity
     );
 
-    let warm = run_fig15(&dir);
-    assert!(
-        warm.stderr.contains("9 checkpoint(s) reused, 0 created"),
-        "warm run must reuse all nine checkpoints, reported:\n{}",
-        warm.stderr
+    let warm = run();
+    assert_eq!(
+        (
+            warm.activity.checkpoints_reused,
+            warm.activity.checkpoints_created
+        ),
+        (n, 0),
+        "warm run must reuse all {n} checkpoints, reported {:?}",
+        warm.activity
+    );
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(
+        cold.rows, warm.rows,
+        "warm-start rows diverged from cold-start"
+    );
+    assert_eq!(
+        cold.rows.len() as u64,
+        n,
+        "one row per workload, or the identity check above is vacuous"
     );
 
-    assert!(
-        cold.stdout == warm.stdout,
-        "warm-start stdout diverged from cold-start:\n--- cold ---\n{}\n--- warm ---\n{}",
-        String::from_utf8_lossy(&cold.stdout),
-        String::from_utf8_lossy(&warm.stdout),
-    );
-    assert!(
-        !cold.stdout.is_empty(),
-        "fig15_crono printed nothing — the identity check above is vacuous"
-    );
-
-    // The warm run skips nine 600 K-instruction warm-up simulations —
-    // structurally ~70% of the cold run's simulated work — so even under
+    // The warm run skips the 600 K-instruction warm-up simulations —
+    // structurally most of the cold run's simulated work — so even under
     // heavy scheduler noise it must come in under the cold wall clock.
     assert!(
         warm.elapsed < cold.elapsed,
@@ -85,6 +94,4 @@ fn warm_start_is_bit_identical_to_cold_start_and_faster() {
         warm.elapsed,
         cold.elapsed,
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -20,8 +20,8 @@
 //! [`crate::merge`]). Only a generation advance writes: it persists the
 //! submission, then re-merges and re-analyzes in memory, so a fetch is a
 //! cache read. The merged profile is never written: the submissions are
-//! the state, and the plain profile key belongs to the grid's `--store`
-//! cache. A restarted daemon recovers the submissions and re-merges on
+//! the state, and the plain profile key belongs to the profile cache of
+//! `Harness::run_matrix_stored`'s store branch. A restarted daemon recovers the submissions and re-merges on
 //! its first fetch of a key without writing anything.
 
 use crate::merge::{merge_canonical, SubmissionSet};

@@ -40,12 +40,6 @@ impl Triage {
             }),
         }
     }
-
-    /// Seeds the engine from a warm-up checkpoint (table contents +
-    /// training history; see [`TemporalEngine::load_warmup`]).
-    pub fn seed_warmup(&mut self, snap: &crate::engine::TemporalSnapshot) {
-        self.engine.load_warmup(snap);
-    }
 }
 
 impl L2Prefetcher for Triage {

@@ -9,16 +9,14 @@
 //!
 //! Run with: `cargo run --release --example graph_analytics`
 
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{Harness, Scheme};
 use prophet_workloads::workload;
 
 fn main() {
     let h = Harness::default();
     let w = workload("pagerank_100000_100");
 
-    let base = h
-        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
-        .into_report();
+    let base = h.run(Scheme::Baseline, w.as_ref()).into_report();
     println!("pagerank baseline IPC {:.4}", base.ipc);
 
     let rpg2 = h.rpg2(w.as_ref());
@@ -29,9 +27,7 @@ fn main() {
         rpg2.report.speedup_over(&base)
     );
 
-    let pro = h
-        .run(Scheme::Prophet, w.as_ref(), Start::Cold)
-        .into_report();
+    let pro = h.run(Scheme::Prophet, w.as_ref()).into_report();
     println!(
         "prophet: speedup {:.3} (coverage {:.2}, accuracy {:.2})",
         pro.speedup_over(&base),

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example learning_inputs`
 
 use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{Harness, Scheme};
 use prophet_workloads::workload;
 
 fn main() {
@@ -13,10 +13,7 @@ fn main() {
 
     let baselines: Vec<_> = inputs
         .iter()
-        .map(|n| {
-            h.run(Scheme::Baseline, workload(n).as_ref(), Start::Cold)
-                .into_report()
-        })
+        .map(|n| h.run(Scheme::Baseline, workload(n).as_ref()).into_report())
         .collect();
 
     // One optimized binary's learned state, carried across inputs.

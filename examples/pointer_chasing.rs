@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example pointer_chasing`
 
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{Harness, Scheme};
 use prophet_sim_core::{TraceInst, VecTrace};
 use prophet_sim_mem::{Addr, Pc};
 use rand::rngs::StdRng;
@@ -46,7 +46,7 @@ fn main() {
     };
     let w = build_chase(60_000, 5);
 
-    let base = h.run(Scheme::Baseline, &w, Start::Cold).into_report();
+    let base = h.run(Scheme::Baseline, &w).into_report();
     println!("baseline IPC {:.4} (serialized DRAM misses)", base.ipc);
 
     let rpg2 = h.rpg2(&w);
@@ -57,7 +57,7 @@ fn main() {
         100.0 * (rpg2.report.speedup_over(&base) - 1.0),
     );
 
-    let pro = h.run(Scheme::Prophet, &w, Start::Cold).into_report();
+    let pro = h.run(Scheme::Prophet, &w).into_report();
     println!(
         "prophet: IPC {:.4} ({:+.1}%), coverage {:.2}, accuracy {:.2}",
         pro.ipc,

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use prophet::{AnalysisConfig, LearnedProfile, ProfileCounters, ProphetConfig};
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{Harness, Scheme};
 use prophet_workloads::workload;
 
 fn main() {
@@ -15,15 +15,11 @@ fn main() {
     let w = workload("omnetpp");
 
     // Baseline: L1 stride prefetcher only.
-    let base = h
-        .run(Scheme::Baseline, w.as_ref(), Start::Cold)
-        .into_report();
+    let base = h.run(Scheme::Baseline, w.as_ref()).into_report();
     println!("baseline:\n{base}");
 
     // The hardware state of the art.
-    let tri = h
-        .run(Scheme::Triangel, w.as_ref(), Start::Cold)
-        .into_report();
+    let tri = h.run(Scheme::Triangel, w.as_ref()).into_report();
     println!("triangel: speedup {:.3}\n{tri}", tri.speedup_over(&base));
 
     // Prophet: Step 1 (profile) -> Step 2 (analyze) -> optimized run.

@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the paper's headline claims, end to end.
 
 use prophet::{analyze, AnalysisConfig, HintSet, ProfileCounters};
-use prophet_bench::{Harness, Scheme, Start};
+use prophet_bench::{Harness, Scheme};
 use prophet_sim_core::{SimReport, TraceSource};
 use prophet_workloads::workload;
 
@@ -15,7 +15,7 @@ fn harness() -> Harness {
 }
 
 fn run(scheme: Scheme, w: &dyn TraceSource) -> SimReport {
-    harness().run(scheme, w, Start::Cold).into_report()
+    harness().run(scheme, w).into_report()
 }
 
 fn baseline(w: &dyn TraceSource) -> SimReport {
