@@ -388,7 +388,7 @@ impl WarmupMachine {
     fn observe(&mut self, ev: &prophet_sim_mem::hierarchy::L2Event) {
         // Train and look up (lookups refresh replacement recency exactly as
         // the profiling prefetcher would) but discard all decisions.
-        let _ = self.observer.decide(ev);
+        let _ = self.observer.decide(ev, 1);
     }
 }
 

@@ -1,5 +1,4 @@
-//! Steady-state heap-allocation budget for the per-instruction loop
-//! (Issue 7 tentpole #3).
+//! Steady-state heap-allocation budget for the per-instruction loop.
 //!
 //! A counting `GlobalAlloc` wraps the system allocator for this whole test
 //! binary and counts per thread, so sibling tests running in parallel do
@@ -16,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use prophet_bench::{Harness, Scheme};
+use prophet_bench::{Harness, L1Scheme, Scheme};
 use prophet_workloads::workload_sized;
 
 struct CountingAlloc;
@@ -57,9 +56,9 @@ fn allocs_during(f: impl FnOnce()) -> u64 {
 }
 
 /// Measures the marginal allocations of simulating `extra` more
-/// instructions of `scheme` on a small fig15 workload, and asserts the
-/// steady-state budget.
-fn assert_steady_state_budget(scheme: Scheme, budget_per_run: u64) {
+/// instructions of `scheme` on a small fig15 workload behind the `l1`
+/// prefetcher, and asserts the steady-state budget.
+fn assert_steady_state_budget(scheme: Scheme, l1: L1Scheme, budget_per_run: u64) {
     const WARMUP: u64 = 300_000;
     const SHORT: u64 = 150_000;
     const EXTRA: u64 = 300_000;
@@ -68,6 +67,7 @@ fn assert_steady_state_budget(scheme: Scheme, budget_per_run: u64) {
         let h = Harness {
             warmup: WARMUP,
             measure,
+            l1,
             ..Harness::default()
         };
         let w = workload_sized("bfs_80000_8", WARMUP + measure);
@@ -81,7 +81,7 @@ fn assert_steady_state_budget(scheme: Scheme, budget_per_run: u64) {
     let marginal = long.saturating_sub(short);
     assert!(
         marginal <= budget_per_run,
-        "{}: {marginal} heap allocations across the {EXTRA} extra \
+        "{} under {l1:?}: {marginal} heap allocations across the {EXTRA} extra \
          steady-state instructions (budget {budget_per_run} per run, \
          short-run total {short}) — the per-instruction loop allocates",
         scheme.name()
@@ -90,21 +90,30 @@ fn assert_steady_state_budget(scheme: Scheme, budget_per_run: u64) {
 
 #[test]
 fn baseline_steady_state_allocates_nothing() {
-    assert_steady_state_budget(Scheme::Baseline, 32);
+    assert_steady_state_budget(Scheme::Baseline, L1Scheme::Stride, 32);
 }
 
 #[test]
 fn triangel_steady_state_allocates_nothing() {
     // Triangel adds the metadata table, bloom filter, and set-dueller to
     // the loop; all are preallocated or clear-in-place after warm-up.
-    assert_steady_state_budget(Scheme::Triangel, 32);
+    assert_steady_state_budget(Scheme::Triangel, L1Scheme::Stride, 32);
 }
 
 #[test]
 fn prophet_steady_state_allocates_nothing() {
-    // The full profile-guided pipeline: trace scan, learned profile, and
-    // the optimized run. The scan's per-PC tables keep growing slowly with
-    // new (pc, delta) pairs, so its budget is looser — but still vanishing
-    // against 300 000 instructions.
-    assert_steady_state_budget(Scheme::Prophet, 512);
+    // Prophet's two passes: the profiling run (simplified temporal
+    // prefetcher) and the optimized run (hinted table and MVB); the
+    // analysis between them runs once per run, not per instruction. Both
+    // passes allocate nothing per instruction (0 marginal allocations on
+    // this window), so Prophet gets the same budget as the single-pass
+    // schemes.
+    assert_steady_state_budget(Scheme::Prophet, L1Scheme::Stride, 32);
+}
+
+#[test]
+fn ipcp_machine_steady_state_allocates_nothing() {
+    // Figure 17's machine: IPCP replies carry the longest L1 lists (up to
+    // 14 prefetches), and Prophet's decisions the longest L2 lists.
+    assert_steady_state_budget(Scheme::Prophet, L1Scheme::Ipcp, 32);
 }

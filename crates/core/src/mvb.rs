@@ -17,17 +17,11 @@
 //!   same key; stored targets that differ from the table's prediction are
 //!   prefetched additionally.
 
-use prophet_prefetch::SmallList;
-use prophet_sim_mem::{find_first_u64, Line};
+use prophet_sim_mem::{find_first, Line};
 
 /// Key-array sentinel for an empty MVB slot. Real keys are
 /// `(tag << set_bits) | set` with a 16-bit tag, far below `u64::MAX`.
 const NO_KEY: u64 = u64::MAX;
-
-/// Inline capacity of a lookup's target list. Figure 16c evaluates 1/2/4
-/// candidates, so the hot path never spills to the heap; larger
-/// experimental configs degrade gracefully through `SmallList`'s spill.
-pub const MVB_INLINE_CANDIDATES: usize = 4;
 
 /// Total MVB entries (paper: 65,536 → 344 KB at 43 bits each).
 pub(crate) const MVB_ENTRIES: usize = 65_536;
@@ -47,8 +41,13 @@ const HEAD_WORDS: usize = 2;
 const STAMP: usize = 0;
 const COUNTS: usize = 1;
 
-/// Most candidates per entry: 2-bit counters above the count byte.
-const MAX_CANDIDATES: usize = (64 - 8) / 2;
+/// Most candidates per entry, and so most paths one lookup appends to an
+/// L2 decision: Figure 16c evaluates 1 / 2 / 4.
+pub(crate) const MAX_CANDIDATES: usize = 4;
+const _: () = assert!(
+    MAX_CANDIDATES <= (64 - 8) / 2,
+    "an entry's 2-bit use counters share one word above the count byte"
+);
 
 /// The Multi-path Victim Buffer.
 ///
@@ -75,13 +74,13 @@ impl MultiPathVictimBuffer {
     /// Builds the buffer with `candidates` Markov targets per entry.
     ///
     /// # Panics
-    /// Panics if `candidates` is zero or above 28 (the use counters of an
-    /// entry share one word).
+    /// Panics if `candidates` is zero or above 4, the most Figure 16c
+    /// evaluates.
     pub fn new(candidates: usize) -> Self {
         assert!(candidates > 0, "an MVB entry needs a candidate");
         assert!(
             candidates <= MAX_CANDIDATES,
-            "an MVB entry holds at most {MAX_CANDIDATES} candidates"
+            "an MVB entry holds at most {MAX_CANDIDATES} candidates, not {candidates}"
         );
         MultiPathVictimBuffer {
             candidates,
@@ -149,7 +148,7 @@ impl MultiPathVictimBuffer {
         let base = range.start;
 
         // Existing entry for the key: add/refresh the target.
-        if let Some(i) = find_first_u64(&self.keys[range.clone()], key) {
+        if let Some(i) = find_first(&self.keys[range.clone()], key) {
             let e = self.entry_mut(base + i);
             e[STAMP] = clock;
             let n = len(e[COUNTS]);
@@ -174,7 +173,7 @@ impl MultiPathVictimBuffer {
         self.inserted += 1;
         // Empty slot, or Prophet replacement: lowest priority (max
         // counter), LRU tiebreak.
-        let slot = match find_first_u64(&self.keys[range.clone()], NO_KEY) {
+        let slot = match find_first(&self.keys[range.clone()], NO_KEY) {
             Some(i) => base + i,
             None => range
                 .min_by_key(|&i| (self.priority(i), self.entry(i)[STAMP]))
@@ -187,33 +186,40 @@ impl MultiPathVictimBuffer {
         e[HEAD_WORDS] = target.0;
     }
 
-    /// Looks up extra Markov targets for `key`, excluding `table_target`
-    /// (the prediction the metadata table already made). Hitting targets
-    /// have their use counters incremented.
+    /// Looks up extra Markov targets for `key`: the stored targets other
+    /// than `table_target` (the prediction the metadata table already
+    /// made), in insertion order. Those targets have their use counters
+    /// incremented.
     pub fn lookup(
         &mut self,
         key: u64,
         table_target: Option<Line>,
-    ) -> SmallList<Line, MVB_INLINE_CANDIDATES> {
+    ) -> impl Iterator<Item = Line> + '_ {
         let range = self.set_range(key);
         let base = range.start;
-        let mut out = SmallList::new();
-        let Some(i) = find_first_u64(&self.keys[range], key) else {
-            return out;
-        };
-        let e = self.entry_mut(base + i);
-        for t in 0..len(e[COUNTS]) {
-            let line = Line(e[HEAD_WORDS + t]);
-            if Some(line) != table_target {
-                let c = counter(e[COUNTS], t);
-                e[COUNTS] = with_counter(e[COUNTS], t, (c + 1).min(3));
-                out.push(line);
+        let targets: &[u64] = match find_first(&self.keys[range], key) {
+            None => &[],
+            Some(i) => {
+                let e = self.entry_mut(base + i);
+                let mut hit = false;
+                for t in 0..len(e[COUNTS]) {
+                    if Some(Line(e[HEAD_WORDS + t])) != table_target {
+                        let c = counter(e[COUNTS], t);
+                        e[COUNTS] = with_counter(e[COUNTS], t, (c + 1).min(3));
+                        hit = true;
+                    }
+                }
+                if hit {
+                    self.hits += 1;
+                }
+                let e = self.entry(base + i);
+                &e[HEAD_WORDS..HEAD_WORDS + len(e[COUNTS])]
             }
-        }
-        if !out.is_empty() {
-            self.hits += 1;
-        }
-        out
+        };
+        targets
+            .iter()
+            .map(|&l| Line(l))
+            .filter(move |&l| Some(l) != table_target)
     }
 }
 
@@ -244,11 +250,16 @@ mod tests {
         MultiPathVictimBuffer::new(candidates)
     }
 
+    /// The targets a lookup yields.
+    fn paths(m: &mut MultiPathVictimBuffer, key: u64, table_target: Option<Line>) -> Vec<Line> {
+        m.lookup(key, table_target).collect()
+    }
+
     #[test]
     fn level0_victims_are_not_buffered() {
         let mut m = mvb(1);
         m.insert(1, Line(100), 0);
-        assert!(m.lookup(1, None).is_empty());
+        assert!(paths(&mut m, 1, None).is_empty());
         assert_eq!(m.insertions(), 0);
     }
 
@@ -257,9 +268,9 @@ mod tests {
         let mut m = mvb(1);
         m.insert(7, Line(100), 2);
         // Table predicts something else → MVB supplies the second path.
-        assert_eq!(m.lookup(7, Some(Line(200))), vec![Line(100)]);
+        assert_eq!(paths(&mut m, 7, Some(Line(200))), vec![Line(100)]);
         // Table predicts the same line → nothing extra.
-        assert!(m.lookup(7, Some(Line(100))).is_empty());
+        assert!(paths(&mut m, 7, Some(Line(100))).is_empty());
     }
 
     #[test]
@@ -267,7 +278,7 @@ mod tests {
         let mut m = mvb(2);
         m.insert(7, Line(100), 2);
         m.insert(7, Line(101), 2);
-        let mut t = m.lookup(7, None);
+        let mut t = paths(&mut m, 7, None);
         t.sort();
         assert_eq!(t, vec![Line(100), Line(101)]);
     }
@@ -276,9 +287,9 @@ mod tests {
     fn single_candidate_replaces_weakest() {
         let mut m = mvb(1);
         m.insert(7, Line(100), 2);
-        m.lookup(7, None); // counter(100) → 1
+        paths(&mut m, 7, None); // counter(100) → 1
         m.insert(7, Line(101), 2); // replaces the only candidate
-        assert_eq!(m.lookup(7, None), vec![Line(101)]);
+        assert_eq!(paths(&mut m, 7, None), vec![Line(101)]);
     }
 
     #[test]
@@ -291,14 +302,20 @@ mod tests {
         }
         // Use keys 1..4 so key 0 stays at counter 0.
         for k in 1..4u64 {
-            m.lookup(key(k), None);
+            paths(&mut m, key(k), None);
         }
         m.insert(key(99), Line(999), 1);
         assert!(
-            m.lookup(key(0), None).is_empty(),
+            paths(&mut m, key(0), None).is_empty(),
             "the unused entry must have been the victim"
         );
-        assert_eq!(m.lookup(key(99), None), vec![Line(999)]);
+        assert_eq!(paths(&mut m, key(99), None), vec![Line(999)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 candidates, not 5")]
+    fn more_candidates_than_figure_16c_are_rejected() {
+        mvb(5);
     }
 
     #[test]

@@ -45,7 +45,7 @@ impl L2Prefetcher for SimplifiedTp {
     }
 
     fn on_l2_access(&mut self, ev: &L2Event) -> L2Decision {
-        self.engine.decide(ev)
+        self.engine.decide(ev, 1)
     }
 
     fn meta_ways(&self) -> usize {

@@ -22,8 +22,10 @@
 //! priority, Bloom resizing, no MVB) applies.
 
 use crate::hints::{CsrHint, HintBuffer, HintSet};
-use crate::mvb::MultiPathVictimBuffer;
-use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
+use crate::mvb::{MultiPathVictimBuffer, MAX_CANDIDATES};
+use prophet_prefetch::traits::{
+    L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest, L2_INLINE_PREFETCHES,
+};
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_temporal::{
     InsertionPolicy, MetaRepl, MetaTableConfig, ResizePolicy, TemporalConfig, TemporalEngine,
@@ -74,6 +76,11 @@ impl Default for ProphetFeatures {
 /// Chained prefetch degree of the runtime machinery (the ablation baseline
 /// is Triage at degree 4, Section 5.9).
 const DEGREE: usize = 4;
+// One decision is the chain plus one MVB path per candidate.
+const _: () = assert!(
+    DEGREE + MAX_CANDIDATES <= L2_INLINE_PREFETCHES,
+    "a chain plus its MVB paths must fit an L2Decision"
+);
 
 /// LLC ways the table starts with when profile-guided resizing is off.
 const RUNTIME_WAYS: usize = 4;
@@ -87,8 +94,8 @@ const RUNTIME_RESIZE_WINDOW: u64 = 100_000;
 pub struct ProphetConfig {
     /// Figure 19's ablation axes.
     pub features: ProphetFeatures,
-    /// Markov-target candidates per MVB entry (Figure 16c evaluates
-    /// 1 / 2 / 4; **1** is the paper's choice).
+    /// Markov-target candidates per MVB entry, 1 to 4 (Figure 16c
+    /// evaluates 1 / 2 / 4; **1** is the paper's choice).
     pub mvb_candidates: usize,
 }
 
@@ -185,49 +192,29 @@ impl L2Prefetcher for Prophet {
         } else {
             1
         };
-        let d = self.engine.on_access(ev, priority);
+        let mut d = self.engine.decide(ev, priority);
 
-        // Feed evicted/displaced Markov targets to the MVB (the drain also
-        // empties the queue when the MVB is disabled).
+        // Feed evicted/displaced Markov targets to the MVB, then search it
+        // with the same lookup address: stored targets that differ from
+        // the table's prediction and are not already on the chain are
+        // prefetched as additional paths.
         if self.features.mvb {
             for e in self.engine.drain_evictions() {
                 self.mvb.insert(e.key, e.target, e.priority);
             }
-        } else {
-            self.engine.drain_evictions();
-        }
-
-        let mut prefetches: prophet_prefetch::SmallList<
-            PrefetchRequest,
-            { prophet_prefetch::L2_INLINE_PREFETCHES },
-        > = d
-            .targets
-            .iter()
-            .map(|&line| PrefetchRequest {
-                line,
-                trigger_pc: ev.pc,
-            })
-            .collect();
-
-        // MVB prefetch rule: the same lookup address also searches the MVB;
-        // differing targets are prefetched as additional paths.
-        if self.features.mvb {
             let key = self.engine.key_of(ev.line);
-            for line in self.mvb.lookup(key, d.targets.first().copied()) {
-                if !d.targets.contains(&line) {
-                    prefetches.push(PrefetchRequest {
-                        line,
-                        trigger_pc: ev.pc,
-                    });
+            let table_target = d.prefetches.first().map(|r| r.line);
+            for line in self.mvb.lookup(key, table_target) {
+                let req = PrefetchRequest {
+                    line,
+                    trigger_pc: ev.pc,
+                };
+                if !d.prefetches.contains(&req) {
+                    d.prefetches.push(req);
                 }
             }
         }
-
-        L2Decision {
-            prefetches,
-            resize_meta_ways: d.resize,
-            metadata_dram_accesses: 0,
-        }
+        d
     }
 
     fn meta_ways(&self) -> usize {
@@ -404,6 +391,49 @@ mod tests {
         );
     }
 
+    /// At four MVB candidates one decision is full: the degree-4 chain, then
+    /// every buffered path of the source the table no longer predicts.
+    #[test]
+    fn four_candidates_fill_one_decision() {
+        let hints = hintset(
+            vec![(
+                1,
+                PcHint {
+                    insert: true,
+                    priority: 3,
+                },
+            )],
+            4,
+        );
+        let cfg = ProphetConfig {
+            mvb_candidates: 4,
+            ..ProphetConfig::default()
+        };
+        let mut p = Prophet::new(cfg, &hints);
+        // B is followed by Y1..Y4 in turn, each target displacing the last
+        // into the MVB, and finally by the chain X1..X5.
+        let b = 0x1000u64;
+        let ys = [0x2100u64, 0x2200, 0x2300, 0x2400];
+        let xs = [0x3100u64, 0x3200, 0x3300, 0x3400, 0x3500];
+        for y in ys {
+            p.on_l2_access(&event(1, b));
+            p.on_l2_access(&event(1, y));
+        }
+        for l in std::iter::once(b).chain(xs) {
+            p.on_l2_access(&event(1, l));
+        }
+        let dec = p.on_l2_access(&event(1, b));
+        let want: Vec<PrefetchRequest> = xs[..4]
+            .iter()
+            .chain(&ys)
+            .map(|&l| PrefetchRequest {
+                line: Line(l),
+                trigger_pc: Pc(1),
+            })
+            .collect();
+        assert_eq!(dec.prefetches, want);
+    }
+
     /// Only Triangel's gate reads per-PC confidence, so only its engine
     /// keeps any: the profiling engine and Prophet's (whose Eq. 1 filter
     /// runs before the engine) build no per-PC state.
@@ -426,7 +456,7 @@ mod tests {
         for i in 0..64u64 {
             let ev = event(1 + i % 4, 100 + i);
             prophet.on_l2_access(&ev);
-            always.on_access(&ev, 1);
+            always.decide(&ev, 1);
             triangel.on_l2_access(&ev);
         }
         for pc in (1..=4).map(Pc) {

@@ -13,7 +13,7 @@
 //!   dense sequential regions regardless of PC.
 
 use crate::stride::PAGE_BYTES;
-use crate::traits::{L1PrefetchList, L1Prefetcher};
+use crate::traits::{L1PrefetchList, L1Prefetcher, L1_INLINE_PREFETCHES};
 use prophet_sim_mem::addr::{Addr, Pc};
 use prophet_sim_mem::LINE_BYTES;
 
@@ -29,6 +29,11 @@ const CS_DEGREE: usize = 6;
 const CPLX_DEPTH: usize = 4;
 /// Lines streamed ahead by the GS class.
 const GS_DEGREE: usize = 8;
+// One reply is the GS stream plus either the CS run or the CPLX walk.
+const _: () = assert!(
+    GS_DEGREE + CS_DEGREE <= L1_INLINE_PREFETCHES && GS_DEGREE + CPLX_DEPTH <= L1_INLINE_PREFETCHES,
+    "an IPCP reply must fit an L1PrefetchList"
+);
 /// IP table entries (a power of two).
 const IP_ENTRIES: usize = 256;
 /// Complex-stride prediction table entries (a power of two).

@@ -1,20 +1,20 @@
-//! A small inline list for per-event prefetch decisions.
+//! A small fixed-capacity list for per-event prefetch decisions.
 //!
 //! Every L1/L2 prefetch decision used to materialize a fresh `Vec`, which
 //! put one or two heap allocations on every simulated memory instruction.
-//! [`SmallList`] keeps the first `N` elements inline (the default degrees
-//! never exceed them) and spills to a `Vec` only beyond that, so the
-//! steady-state engine loop allocates nothing. It dereferences to a slice
-//! and compares equal to `Vec`, so call sites and tests read unchanged.
+//! [`SmallList`] holds up to `N` elements inline and nothing else: every
+//! producer is bounded by a constant at or below its list's capacity
+//! (checked by a `const` assert beside each producer), so the engine loop
+//! allocates nothing. It dereferences to a slice and compares equal to
+//! `Vec`, so call sites and tests read unchanged.
 
 use std::fmt;
 
-/// An inline-first list of up to `N` elements before spilling to the heap.
+/// An inline list of at most `N` elements.
 #[derive(Clone)]
 pub struct SmallList<T: Copy + Default, const N: usize> {
     buf: [T; N],
     len: u32,
-    spill: Option<Vec<T>>,
 }
 
 impl<T: Copy + Default, const N: usize> SmallList<T, N> {
@@ -23,68 +23,36 @@ impl<T: Copy + Default, const N: usize> SmallList<T, N> {
         SmallList {
             buf: [T::default(); N],
             len: 0,
-            spill: None,
         }
     }
 
-    /// Appends an element, spilling to the heap past `N` elements (the
-    /// inline prefix is copied over so the list stays one contiguous
-    /// slice).
+    /// Appends an element.
+    ///
+    /// # Panics
+    /// Panics if the list already holds `N` elements: a producer that can
+    /// exceed its list's capacity is a bug its bound assert should catch.
     #[inline]
     pub fn push(&mut self, v: T) {
-        if let Some(sp) = self.spill.as_mut() {
-            sp.push(v);
-            return;
-        }
-        let n = self.len as usize;
-        if n < N {
-            self.buf[n] = v;
-            self.len += 1;
-        } else {
-            let mut sp = Vec::with_capacity(2 * N);
-            sp.extend_from_slice(&self.buf);
-            sp.push(v);
-            self.spill = Some(sp);
-        }
+        self.buf[self.len as usize] = v;
+        self.len += 1;
     }
 
     /// Number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.spill {
-            Some(sp) => sp.len(),
-            None => self.len as usize,
-        }
+        self.len as usize
     }
 
     /// Whether the list is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Empties the list (a heap spill, if any, is released).
-    pub fn clear(&mut self) {
-        self.len = 0;
-        self.spill = None;
+        self.len == 0
     }
 
     /// The elements as one contiguous slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
-        match &self.spill {
-            Some(sp) => sp,
-            None => &self.buf[..self.len as usize],
-        }
-    }
-
-    /// Mutable slice access.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        match &mut self.spill {
-            Some(sp) => sp,
-            None => &mut self.buf[..self.len as usize],
-        }
+        &self.buf[..self.len as usize]
     }
 }
 
@@ -98,12 +66,6 @@ impl<T: Copy + Default, const N: usize> std::ops::Deref for SmallList<T, N> {
     type Target = [T];
     fn deref(&self) -> &[T] {
         self.as_slice()
-    }
-}
-
-impl<T: Copy + Default, const N: usize> std::ops::DerefMut for SmallList<T, N> {
-    fn deref_mut(&mut self) -> &mut [T] {
-        self.as_mut_slice()
     }
 }
 
@@ -133,28 +95,6 @@ impl<T: Copy + Default + PartialEq, const N: usize> PartialEq<SmallList<T, N>> f
     }
 }
 
-impl<T: Copy + Default + PartialEq, const N: usize> PartialEq<&[T]> for SmallList<T, N> {
-    fn eq(&self, other: &&[T]) -> bool {
-        self.as_slice() == *other
-    }
-}
-
-impl<T: Copy + Default, const N: usize> Extend<T> for SmallList<T, N> {
-    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for v in iter {
-            self.push(v);
-        }
-    }
-}
-
-impl<T: Copy + Default, const N: usize> FromIterator<T> for SmallList<T, N> {
-    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut out = Self::new();
-        out.extend(iter);
-        out
-    }
-}
-
 /// Owning iterator over a [`SmallList`].
 pub struct IntoIter<T: Copy + Default, const N: usize> {
     list: SmallList<T, N>,
@@ -165,14 +105,9 @@ impl<T: Copy + Default, const N: usize> Iterator for IntoIter<T, N> {
     type Item = T;
     #[inline]
     fn next(&mut self) -> Option<T> {
-        let s = self.list.as_slice();
-        if self.idx < s.len() {
-            let v = s[self.idx];
-            self.idx += 1;
-            Some(v)
-        } else {
-            None
-        }
+        let v = *self.list.as_slice().get(self.idx)?;
+        self.idx += 1;
+        Some(v)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -201,6 +136,14 @@ impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a SmallList<T, N>
 mod tests {
     use super::*;
 
+    fn list(n: u32) -> SmallList<u32, 4> {
+        let mut l = SmallList::new();
+        for i in 0..n {
+            l.push(i);
+        }
+        l
+    }
+
     #[test]
     fn inline_push_and_slice() {
         let mut l: SmallList<u32, 4> = SmallList::new();
@@ -213,42 +156,27 @@ mod tests {
     }
 
     #[test]
-    fn spill_preserves_order_and_contiguity() {
-        let mut l: SmallList<u32, 4> = SmallList::new();
-        for i in 0..10 {
-            l.push(i);
-        }
-        assert_eq!(l.len(), 10);
-        assert_eq!(l.as_slice(), (0..10).collect::<Vec<_>>().as_slice());
-        l.push(10);
-        assert_eq!(l[10], 10);
+    #[should_panic(expected = "index out of bounds")]
+    fn push_past_capacity_panics() {
+        list(4).push(4);
     }
 
     #[test]
     fn iterators_and_collect() {
-        let l: SmallList<u32, 4> = (0..6).collect();
+        let l = list(4);
         let owned: Vec<u32> = l.clone().into_iter().collect();
-        assert_eq!(owned, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(owned, vec![0, 1, 2, 3]);
         let borrowed: Vec<u32> = (&l).into_iter().copied().collect();
         assert_eq!(borrowed, owned);
-        assert_eq!(l.iter().sum::<u32>(), 15);
+        assert_eq!(l.iter().sum::<u32>(), 6);
+        assert_eq!(l.into_iter().size_hint(), (4, Some(4)));
     }
 
     #[test]
     fn slice_methods_via_deref() {
-        let mut l: SmallList<u32, 4> = [3, 1, 2].into_iter().collect();
-        l.sort_unstable();
-        assert_eq!(l.first(), Some(&1));
-        assert!(l.contains(&3));
-        assert_eq!(l, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut l: SmallList<u32, 2> = (0..5).collect();
-        l.clear();
-        assert!(l.is_empty());
-        l.push(9);
-        assert_eq!(l, vec![9]);
+        let l = list(3);
+        assert_eq!(l.first(), Some(&0));
+        assert!(l.contains(&2));
+        assert!(!l.contains(&3));
     }
 }

@@ -7,7 +7,7 @@
 //! prefetchers work on physical addresses, Section 5.7 motivates IPCP partly
 //! by this limit).
 
-use crate::traits::{L1PrefetchList, L1Prefetcher};
+use crate::traits::{L1PrefetchList, L1Prefetcher, L1_INLINE_PREFETCHES};
 use prophet_sim_mem::addr::{Addr, Pc};
 
 /// Simulated page size (bytes) bounding hardware prefetch reach.
@@ -18,6 +18,10 @@ const CONF_ISSUE: u8 = 2;
 
 /// Prefetch degree (Table 1: 8).
 const DEGREE: usize = 8;
+const _: () = assert!(
+    DEGREE <= L1_INLINE_PREFETCHES,
+    "a stride reply must fit an L1PrefetchList"
+);
 
 /// Entries in the PC-indexed reference prediction table (a power of two,
 /// for direct-mapped indexing).

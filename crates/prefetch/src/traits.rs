@@ -23,8 +23,8 @@ pub struct PrefetchRequest {
     pub trigger_pc: Pc,
 }
 
-/// Inline capacity of an [`L2Decision`]'s prefetch list: degree-4 chains
-/// plus MVB alternate paths fit without a heap allocation.
+/// Capacity of an [`L2Decision`]'s prefetch list: Prophet's degree-4 chain
+/// plus at most four MVB paths, and no temporal engine chains further.
 pub const L2_INLINE_PREFETCHES: usize = 8;
 
 /// What an [`L2Prefetcher`] wants done after observing one event.
@@ -119,12 +119,11 @@ impl L2Prefetcher for NoL2Prefetch {
     }
 }
 
-/// Inline capacity of an L1 prefetcher's reply: IPCP issues at most 14
-/// prefetches per access (degree-8 stride fewer), so 16 covers every
-/// implementation without a heap allocation.
+/// Capacity of an L1 prefetcher's reply: IPCP issues at most 14 prefetches
+/// per access and the degree-8 stride prefetcher 8.
 pub const L1_INLINE_PREFETCHES: usize = 16;
 
-/// The allocation-free reply of an [`L1Prefetcher`].
+/// The fixed-capacity reply of an [`L1Prefetcher`].
 pub type L1PrefetchList = SmallList<Addr, L1_INLINE_PREFETCHES>;
 
 /// An L1-attached prefetcher observing the demand byte-address stream.

@@ -215,8 +215,7 @@ impl Simulator {
 /// boundary plus how many trace instructions that warm-up consumed.
 /// Any number of measurement runs — one per scheme, or the several passes
 /// of a profile-guided pipeline — can be launched from one `WarmStart`
-/// instead of re-simulating the warm-up each time (the ROADMAP's
-/// "checkpointed warm-up reuse across schemes"). `prophet-store`
+/// instead of re-simulating the warm-up each time. `prophet-store`
 /// serializes it inside a `WarmupCheckpoint` artifact (DESIGN.md §6).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmStart {

@@ -401,7 +401,7 @@ impl Cache {
             })
         } else {
             let tags = &self.words[base + self.way_lo..base + self.ways];
-            crate::flat::find_first_u32(tags, tag).map(|i| self.way_lo + i)
+            crate::flat::find_first(tags, tag).map(|i| self.way_lo + i)
         };
         (set, base, way)
     }
@@ -484,7 +484,7 @@ impl Cache {
         // Prefer an invalid way. Every caller has just probed this set, so
         // the scan reads host lines the probe already brought in.
         let data_tags = &self.words[base + self.way_lo..base + self.ways];
-        let (way, victim) = match crate::flat::find_first_u32(data_tags, NO_TAG) {
+        let (way, victim) = match crate::flat::find_first(data_tags, NO_TAG) {
             Some(i) => (self.way_lo + i, None),
             None => {
                 let st = &mut self.words[base + self.ways + STATE_WORDS..base + self.stride];

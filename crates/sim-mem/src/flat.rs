@@ -43,75 +43,52 @@ fn slot_of(key: u64, mask: usize) -> usize {
 /// for the autovectorizer, small enough that the remainder tail is cheap.
 const PROBE_LANES: usize = 16;
 
-macro_rules! batched_find_first {
-    ($name:ident, $ty:ty, $doc:literal) => {
-        #[doc = $doc]
-        #[inline]
-        pub fn $name(hay: &[$ty], needle: $ty) -> Option<usize> {
-            let mut chunks = hay.chunks_exact(PROBE_LANES);
-            let mut base = 0;
-            for chunk in &mut chunks {
-                let mut mask = 0u32;
-                for (lane, &t) in chunk.iter().enumerate() {
-                    mask |= ((t == needle) as u32) << lane;
-                }
-                if mask != 0 {
-                    return Some(base + mask.trailing_zeros() as usize);
-                }
-                base += PROBE_LANES;
-            }
-            // Short-associativity tail: 4- and 8-way set scans never see a
-            // full 16-lane chunk, so run the same branch-free compare over
-            // 8-lane chunks and then a masked sweep of whatever is left.
-            let mut rem = chunks.remainder().chunks_exact(PROBE_LANES / 2);
-            for chunk in &mut rem {
-                let mut mask = 0u32;
-                for (lane, &t) in chunk.iter().enumerate() {
-                    mask |= ((t == needle) as u32) << lane;
-                }
-                if mask != 0 {
-                    return Some(base + mask.trailing_zeros() as usize);
-                }
-                base += PROBE_LANES / 2;
-            }
-            let mut mask = 0u32;
-            for (lane, &t) in rem.remainder().iter().enumerate() {
-                mask |= ((t == needle) as u32) << lane;
-            }
-            if mask != 0 {
-                return Some(base + mask.trailing_zeros() as usize);
-            }
-            None
+/// First index in `hay` holding `needle`.
+///
+/// Exact replacement for `hay.iter().position(|&t| t == needle)`: same
+/// result for every input, but each chunk is compared branch-free into a
+/// bitmask (a vector compare + movemask under autovectorization) instead of
+/// one dependent branch per element. Tag scans — cache ways (`u32`),
+/// metadata set ways (`u16`), MVB keys (`u64`) — probe short contiguous
+/// arrays with a high miss rate, which is exactly where the per-element
+/// early exit costs more than it saves.
+#[inline]
+pub fn find_first<T: Copy + Eq>(hay: &[T], needle: T) -> Option<usize> {
+    let mut chunks = hay.chunks_exact(PROBE_LANES);
+    let mut base = 0;
+    for chunk in &mut chunks {
+        let mut mask = 0u32;
+        for (lane, &t) in chunk.iter().enumerate() {
+            mask |= ((t == needle) as u32) << lane;
         }
-    };
+        if mask != 0 {
+            return Some(base + mask.trailing_zeros() as usize);
+        }
+        base += PROBE_LANES;
+    }
+    // Short-associativity tail: 4- and 8-way set scans never see a full
+    // 16-lane chunk, so run the same branch-free compare over 8-lane chunks
+    // and then a masked sweep of whatever is left.
+    let mut rem = chunks.remainder().chunks_exact(PROBE_LANES / 2);
+    for chunk in &mut rem {
+        let mut mask = 0u32;
+        for (lane, &t) in chunk.iter().enumerate() {
+            mask |= ((t == needle) as u32) << lane;
+        }
+        if mask != 0 {
+            return Some(base + mask.trailing_zeros() as usize);
+        }
+        base += PROBE_LANES / 2;
+    }
+    let mut mask = 0u32;
+    for (lane, &t) in rem.remainder().iter().enumerate() {
+        mask |= ((t == needle) as u32) << lane;
+    }
+    if mask != 0 {
+        return Some(base + mask.trailing_zeros() as usize);
+    }
+    None
 }
-
-batched_find_first!(
-    find_first_u16,
-    u16,
-    "First index in `hay` holding `needle`, over 16-bit lanes.\n\nExact \
-     replacement for `hay.iter().position(|&t| t == needle)`: same result \
-     for every input, but each chunk is compared branch-free into a bitmask \
-     (a vector compare + movemask under autovectorization) instead of one \
-     dependent branch per element. Tag scans — cache ways, metadata set \
-     ways, MVB candidates — probe short contiguous arrays with a high miss \
-     rate, which is exactly where the per-element early exit costs more \
-     than it saves."
-);
-batched_find_first!(
-    find_first_u32,
-    u32,
-    "First index in `hay` holding `needle`, over 32-bit lanes.\n\nSee \
-     [`find_first_u16`] — identical comparison structure over `u32` \
-     elements."
-);
-batched_find_first!(
-    find_first_u64,
-    u64,
-    "First index in `hay` holding `needle`, over 64-bit lanes.\n\nSee \
-     [`find_first_u16`] — identical comparison structure over `u64` \
-     elements."
-);
 
 /// An open-addressed `u64 → V` map for the simulator's sparse hot keys
 /// (PCs, line addresses, set indices).
@@ -500,25 +477,25 @@ mod tests {
     #[test]
     fn batched_find_first_matches_position() {
         // Every length around the lane width, every match position, plus
-        // no-match: the chunked scan must agree with `position` exactly.
-        for len in 0..(3 * PROBE_LANES + 2) {
-            let hay16: Vec<u16> = (0..len as u16).map(|i| i.wrapping_add(100)).collect();
-            let hay64: Vec<u64> = (0..len as u64).map(|i| i.wrapping_add(100)).collect();
-            for probe in 0..(len as u16 + 2) {
-                let needle16 = probe.wrapping_add(100);
-                let needle64 = (probe as u64).wrapping_add(100);
-                assert_eq!(
-                    find_first_u16(&hay16, needle16),
-                    hay16.iter().position(|&t| t == needle16),
-                    "u16 len {len} probe {probe}"
-                );
-                assert_eq!(
-                    find_first_u64(&hay64, needle64),
-                    hay64.iter().position(|&t| t == needle64),
-                    "u64 len {len} probe {probe}"
-                );
+        // no-match, over each lane width a tag scan uses: the chunked scan
+        // must agree with `position` exactly.
+        fn check<T: Copy + Eq + std::fmt::Debug>(lane: impl Fn(usize) -> T) {
+            for len in 0..(3 * PROBE_LANES + 2) {
+                let hay: Vec<T> = (0..len).map(&lane).collect();
+                for probe in 0..len + 2 {
+                    let needle = lane(probe);
+                    assert_eq!(
+                        find_first(&hay, needle),
+                        hay.iter().position(|&t| t == needle),
+                        "len {len} probe {probe} ({})",
+                        std::any::type_name::<T>()
+                    );
+                }
             }
         }
+        check(|i| (i as u16).wrapping_add(100));
+        check(|i| (i as u32).wrapping_add(100));
+        check(|i| (i as u64).wrapping_add(100));
     }
 
     #[test]
@@ -526,8 +503,9 @@ mod tests {
         let mut hay = vec![7u16; 40];
         hay[3] = 9;
         hay[21] = 9;
-        assert_eq!(find_first_u16(&hay, 9), Some(3));
-        assert_eq!(find_first_u64(&[5u64, 5, 5], 5), Some(0));
+        assert_eq!(find_first(&hay, 9), Some(3));
+        assert_eq!(find_first(&[5u32, 5, 5], 5), Some(0));
+        assert_eq!(find_first(&[5u64, 5, 5], 5), Some(0));
     }
 
     #[test]

@@ -42,10 +42,7 @@ pub use bloom::CountingBloom;
 pub use cache::{Cache, CacheConfig, CacheSnapshot, CacheStats, LineState};
 pub use config::{CoreConfig, SystemConfig, LLC_SETS, MAX_META_WAYS};
 pub use dram::{Dram, DramConfig, DramSnapshot, DramStats};
-pub use flat::{
-    find_first_u16, find_first_u32, find_first_u64, FlatMap, InflightTable, LineAligned,
-    HOST_LINE_BYTES,
-};
+pub use flat::{find_first, FlatMap, InflightTable, LineAligned, HOST_LINE_BYTES};
 pub use hierarchy::{
     DemandOutcome, Hierarchy, HierarchySnapshot, L2Event, MemStats, PcMemStats, PcStatsMap,
     PrefetchOutcome,

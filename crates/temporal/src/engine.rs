@@ -19,14 +19,14 @@
 //! Resizing is likewise pluggable: fixed (profiling and Prophet's CSR),
 //! Bloom-filter driven (Triage) or a Set-Dueller-style hit-rate controller
 //! (Triangel). Insertion priority (Prophet's Eq. 2) is an argument of
-//! [`TemporalEngine::on_access`], not a policy.
+//! [`TemporalEngine::decide`], not a policy.
 
 use crate::metadata::{
     EvictedMeta, InsertOutcome, MetaTableConfig, MetaTableSnapshot, MetadataTable, ENTRIES_PER_LINE,
 };
 use crate::training::{TrainingSnapshot, TrainingUnit};
 use crate::SatCounter;
-use prophet_prefetch::{L2Decision, MetaTableStats, PrefetchRequest, SmallList};
+use prophet_prefetch::{L2Decision, MetaTableStats, PrefetchRequest, L2_INLINE_PREFETCHES};
 use prophet_sim_mem::bloom::CountingBloom;
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_sim_mem::{FlatMap, Line, Pc};
@@ -60,7 +60,7 @@ pub enum ResizePolicy {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct TemporalConfig {
-    /// Chained-lookup prefetch degree.
+    /// Chained-lookup prefetch degree, at most [`L2_INLINE_PREFETCHES`].
     pub degree: usize,
     pub insertion: InsertionPolicy,
     pub resize: ResizePolicy,
@@ -98,16 +98,6 @@ impl TemporalConfig {
 pub struct TemporalSnapshot {
     pub table: MetaTableSnapshot,
     pub trainer: TrainingSnapshot,
-}
-
-/// What the engine wants after one event.
-#[derive(Debug, Clone, Default)]
-pub struct TemporalDecision {
-    /// Chained Markov targets to prefetch, in lookup order. Inline up to 8
-    /// targets so the steady-state engine loop performs no heap allocation.
-    pub targets: SmallList<Line, 8>,
-    /// New metadata way count, when the resize policy fired.
-    pub resize: Option<usize>,
 }
 
 #[derive(Debug, Clone)]
@@ -253,7 +243,16 @@ pub struct TemporalEngine {
 
 impl TemporalEngine {
     /// Builds the engine.
+    ///
+    /// # Panics
+    /// Panics if `cfg.degree` exceeds [`L2_INLINE_PREFETCHES`], the most
+    /// requests one [`L2Decision`] holds.
     pub fn new(cfg: TemporalConfig) -> Self {
+        assert!(
+            cfg.degree <= L2_INLINE_PREFETCHES,
+            "a temporal engine chains at most {L2_INLINE_PREFETCHES} lookups per event, not {}",
+            cfg.degree
+        );
         let conf = match cfg.insertion {
             InsertionPolicy::Always => None,
             InsertionPolicy::PatternConf {
@@ -353,31 +352,15 @@ impl TemporalEngine {
         self.trainer.restore(&snap.trainer);
     }
 
-    /// The whole L2 decision of a prefetcher without a victim buffer
-    /// (Triage, Triangel, the profiling prefetcher): one
-    /// [`on_access`](Self::on_access) at uniform priority, its evicted
-    /// metadata dropped, and its targets requested on behalf of `ev.pc`.
-    pub fn decide(&mut self, ev: &L2Event) -> L2Decision {
-        let d = self.on_access(ev, 1);
-        self.evictions.clear();
-        L2Decision {
-            prefetches: d
-                .targets
-                .iter()
-                .map(|&line| PrefetchRequest {
-                    line,
-                    trigger_pc: ev.pc,
-                })
-                .collect(),
-            resize_meta_ways: d.resize,
-            metadata_dram_accesses: 0,
-        }
-    }
-
-    /// Processes one L2 event, recording any correlation it trains at
+    /// Processes one L2 event and returns its decision: the chained Markov
+    /// targets, requested on behalf of `ev.pc`, and a resize when the
+    /// policy fired. A correlation the event trains is recorded at
     /// replacement priority level `priority` (Prophet's Eq. 2; every other
-    /// scheme trains at a uniform 1).
-    pub fn on_access(&mut self, ev: &L2Event, priority: u8) -> TemporalDecision {
+    /// scheme trains at a uniform 1). The metadata this event evicts stays
+    /// queued for [`drain_evictions`](Self::drain_evictions) until the next
+    /// call, which drops it.
+    pub fn decide(&mut self, ev: &L2Event, priority: u8) -> L2Decision {
+        self.evictions.clear();
         // Form the training pair first. Only the miss stream trains,
         // L1-prefetch requests included (Section 5.1: the L2 access stream
         // carries them). Classic temporal prefetchers correlate misses;
@@ -413,21 +396,24 @@ impl TemporalEngine {
         }
 
         // Predict: chained lookups up to the degree.
-        let mut targets = SmallList::default();
+        let mut d = L2Decision::default();
         if allow_prefetch && self.table.ways() > 0 {
             let mut cur = ev.line;
             for _ in 0..self.degree {
                 match self.table.lookup(cur) {
-                    Some(t) => {
-                        targets.push(t);
-                        cur = t;
+                    Some(line) => {
+                        d.prefetches.push(PrefetchRequest {
+                            line,
+                            trigger_pc: ev.pc,
+                        });
+                        cur = line;
                     }
                     None => break,
                 }
             }
         }
-        let resize = self.maybe_resize();
-        TemporalDecision { targets, resize }
+        d.resize_meta_ways = self.maybe_resize();
+        d
     }
 
     /// Inserts the correlation `prev → cur` and keeps the resizer's view of
@@ -537,6 +523,11 @@ mod tests {
         }
     }
 
+    /// The lines a decision prefetches, in order.
+    fn lines(d: &L2Decision) -> Vec<Line> {
+        d.prefetches.iter().map(|r| r.line).collect()
+    }
+
     fn engine(insertion: InsertionPolicy, degree: usize) -> TemporalEngine {
         TemporalEngine::new(TemporalConfig {
             degree,
@@ -558,13 +549,13 @@ mod tests {
         let seq = [10u64, 20, 30, 40];
         // First pass trains.
         for &l in &seq {
-            e.on_access(&event(1, l), 1);
+            e.decide(&event(1, l), 1);
         }
         // Second pass predicts the successor of each access.
         let mut predicted = Vec::new();
         for &l in &seq {
-            let d = e.on_access(&event(1, l), 1);
-            predicted.extend(d.targets);
+            let d = e.decide(&event(1, l), 1);
+            predicted.extend(lines(&d));
         }
         assert!(predicted.contains(&Line(20)));
         assert!(predicted.contains(&Line(30)));
@@ -577,11 +568,17 @@ mod tests {
         let seq = [10u64, 20, 30, 40, 50];
         for _ in 0..2 {
             for &l in &seq {
-                e.on_access(&event(1, l), 1);
+                e.decide(&event(1, l), 1);
             }
         }
-        let d = e.on_access(&event(1, 10), 1);
-        assert_eq!(d.targets, vec![Line(20), Line(30), Line(40)]);
+        let d = e.decide(&event(1, 10), 1);
+        assert_eq!(lines(&d), vec![Line(20), Line(30), Line(40)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 lookups per event, not 9")]
+    fn degree_beyond_a_decision_is_rejected() {
+        engine(InsertionPolicy::Always, 9);
     }
 
     #[test]
@@ -597,7 +594,7 @@ mod tests {
         let seq: Vec<u64> = (0..16).map(|i| 100 + i).collect();
         for _ in 0..3 {
             for &l in &seq {
-                e.on_access(&event(1, l), 1);
+                e.decide(&event(1, l), 1);
             }
         }
         assert!(e.pattern_conf(Pc(1)).unwrap() >= 6);
@@ -608,7 +605,7 @@ mod tests {
         for round in 0..12usize {
             let step = [1usize, 3, 5, 7][round % 4];
             for j in 0..pool.len() {
-                e.on_access(&event(1, pool[(j * step) % pool.len()]), 1);
+                e.decide(&event(1, pool[(j * step) % pool.len()]), 1);
             }
         }
         assert!(
@@ -618,7 +615,7 @@ mod tests {
         );
         let rejected_before = e.meta_stats().rejected_insertions;
         for i in 0..10u64 {
-            e.on_access(&event(1, 20_000 + i * 991), 1);
+            e.decide(&event(1, 20_000 + i * 991), 1);
         }
         assert!(
             e.meta_stats().rejected_insertions > rejected_before,
@@ -643,11 +640,11 @@ mod tests {
         });
         // Lines 0..=12 train the twelve pairs 0→1 … 11→12 at priority 2.
         for l in 0..=12u64 {
-            e.on_access(&event(1, l), 2);
+            e.decide(&event(1, l), 2);
         }
         assert_eq!(e.drain_evictions().len(), 0, "twelve entries fit");
         // The pair 12→13, trained at priority 3, replaces the LRU 0→1.
-        e.on_access(&event(1, 13), 3);
+        e.decide(&event(1, 13), 3);
         let ev: Vec<_> = e.drain_evictions().collect();
         assert_eq!(
             ev,
@@ -679,8 +676,8 @@ mod tests {
         let mut resized_to = None;
         for round in 0..3 {
             for i in 0..4_000u64 {
-                let d = e.on_access(&event(1, i), 1);
-                if let Some(w) = d.resize {
+                let d = e.decide(&event(1, i), 1);
+                if let Some(w) = d.resize_meta_ways {
                     resized_to = Some(w);
                 }
             }
@@ -718,8 +715,8 @@ mod tests {
         let mut w = e.ways();
         for i in 0..40_000u64 {
             let line = splitmix64(i) & ((1 << 30) - 1);
-            let d = e.on_access(&event(1, line), 1);
-            if let Some(nw) = d.resize {
+            let d = e.decide(&event(1, line), 1);
+            if let Some(nw) = d.resize_meta_ways {
                 w = nw;
             }
         }
@@ -731,7 +728,7 @@ mod tests {
         let mut warm = engine(InsertionPolicy::Always, 1);
         let seq = [10u64, 20, 30, 40];
         for &l in &seq {
-            warm.on_access(&event(1, l), 1);
+            warm.decide(&event(1, l), 1);
         }
         let snap = warm.warmup_snapshot();
 
@@ -739,8 +736,8 @@ mod tests {
         fresh.load_warmup(&snap);
         // The seeded engine predicts immediately (table) and continues the
         // training chain (trainer remembers 40 as PC 1's last line).
-        let d = fresh.on_access(&event(1, 10), 1);
-        assert_eq!(d.targets, vec![Line(20)]);
+        let d = fresh.decide(&event(1, 10), 1);
+        assert_eq!(lines(&d), vec![Line(20)]);
         assert_eq!(
             fresh.table.peek(Line(40)),
             Some(Line(10)),
@@ -753,7 +750,7 @@ mod tests {
     fn warmup_seed_respects_smaller_tables() {
         let mut warm = engine(InsertionPolicy::Always, 1);
         for i in 0..4_000u64 {
-            warm.on_access(&event(1, i), 1);
+            warm.decide(&event(1, i), 1);
         }
         let snap = warm.warmup_snapshot();
         let mut small = TemporalEngine::new(TemporalConfig {
@@ -780,10 +777,10 @@ mod tests {
     fn evictions_are_drained_for_the_mvb() {
         let mut e = engine(InsertionPolicy::Always, 1);
         // Multi-target pattern: A→B then A→C repeatedly.
-        e.on_access(&event(1, 1), 1);
-        e.on_access(&event(1, 2), 1); // trains 1→2
-        e.on_access(&event(1, 1), 1); // trains 2→1
-        e.on_access(&event(1, 3), 1); // trains 1→3, displacing 1→2
+        e.decide(&event(1, 1), 1);
+        e.decide(&event(1, 2), 1); // trains 1→2
+        e.decide(&event(1, 1), 1); // trains 2→1
+        e.decide(&event(1, 3), 1); // trains 1→3, displacing 1→2
         let ev: Vec<_> = e.drain_evictions().collect();
         assert!(
             ev.iter().any(|m| m.target == Line(2)),

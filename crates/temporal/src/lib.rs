@@ -43,10 +43,7 @@ pub mod triage;
 pub mod triangel;
 
 pub use conf::SatCounter;
-pub use engine::{
-    InsertionPolicy, ResizePolicy, TemporalConfig, TemporalDecision, TemporalEngine,
-    TemporalSnapshot,
-};
+pub use engine::{InsertionPolicy, ResizePolicy, TemporalConfig, TemporalEngine, TemporalSnapshot};
 pub use metadata::{
     EvictedMeta, InsertOutcome, MetaRepl, MetaSlotSnapshot, MetaTableConfig, MetaTableSnapshot,
     MetadataTable, ENTRIES_PER_LINE, MAX_META_ENTRIES, TAG_BITS, TARGET_BITS,

@@ -277,7 +277,7 @@ impl MetadataTable {
     #[inline]
     fn find_slot(&self, range: std::ops::Range<usize>, tag: u16) -> Option<usize> {
         let base = range.start;
-        prophet_sim_mem::find_first_u16(&self.tags[range], tag).map(|i| base + i)
+        prophet_sim_mem::find_first(&self.tags[range], tag).map(|i| base + i)
     }
 
     /// Looks up the Markov target recorded for `line`, refreshing the
@@ -351,7 +351,7 @@ impl MetadataTable {
 
         // Empty slot?
         let base = range.start;
-        if let Some(i) = prophet_sim_mem::find_first_u16(&self.tags[range.clone()], NO_META_TAG) {
+        if let Some(i) = prophet_sim_mem::find_first(&self.tags[range.clone()], NO_META_TAG) {
             self.put(base + i, tag, fresh);
             return InsertOutcome::Allocated;
         }

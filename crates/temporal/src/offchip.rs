@@ -17,13 +17,19 @@
 //! bandwidth through [`prophet_prefetch::L2Decision::metadata_dram_accesses`].
 
 use crate::training::TrainingUnit;
-use prophet_prefetch::traits::{L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest};
+use prophet_prefetch::traits::{
+    L2Decision, L2Prefetcher, MetaTableStats, PrefetchRequest, L2_INLINE_PREFETCHES,
+};
 use prophet_sim_mem::hierarchy::L2Event;
 use prophet_sim_mem::Line;
 use std::collections::HashMap;
 
 /// Chained prefetch degree (each chain step is another metadata read).
 const DEGREE: usize = 1;
+const _: () = assert!(
+    DEGREE <= L2_INLINE_PREFETCHES,
+    "a chain must fit an L2Decision"
+);
 
 /// Insertions amortized per metadata write-back (write combining).
 const WRITES_PER_FLUSH: u32 = 8;
@@ -53,7 +59,7 @@ impl L2Prefetcher for OffChipTemporal {
         if ev.l2_hit {
             return L2Decision::none();
         }
-        let mut metadata_dram = 0u32;
+        let mut d = L2Decision::default();
 
         // Train on the miss stream; insertions go through the write buffer.
         if let Some((prev, cur)) = self.trainer.observe(ev.pc, ev.line) {
@@ -65,37 +71,29 @@ impl L2Prefetcher for OffChipTemporal {
             self.pending_writes += 1;
             if self.pending_writes >= WRITES_PER_FLUSH {
                 self.pending_writes = 0;
-                metadata_dram += 1;
+                d.metadata_dram_accesses += 1;
             }
         }
 
         // Predict: every chain step reads one Markov row from DRAM.
-        let mut targets = Vec::new();
         let mut cur = ev.line;
         for _ in 0..DEGREE {
             self.stats.lookups += 1;
-            metadata_dram += 1;
+            d.metadata_dram_accesses += 1;
             match self.map.get(&cur) {
                 Some(&t) => {
                     self.stats.hits += 1;
-                    targets.push(t);
+                    d.prefetches.push(PrefetchRequest {
+                        line: t,
+                        trigger_pc: ev.pc,
+                    });
                     cur = t;
                 }
                 None => break,
             }
         }
 
-        L2Decision {
-            prefetches: targets
-                .into_iter()
-                .map(|line| PrefetchRequest {
-                    line,
-                    trigger_pc: ev.pc,
-                })
-                .collect(),
-            resize_meta_ways: None,
-            metadata_dram_accesses: metadata_dram,
-        }
+        d
     }
 
     fn meta_stats(&self) -> MetaTableStats {

@@ -110,16 +110,26 @@ impl Default for TrainingUnit {
 /// stream. Feed it the same pairs the training unit produces.
 #[derive(Debug, Clone, Default)]
 pub struct MarkovCensus {
-    /// Distinct successors per source line, inline up to 8 (Figure 8 only
-    /// distinguishes T = 1..=5, so the spill path is rarely taken).
-    successors: FlatMap<SmallList<Line, 8>>,
+    /// Distinct successors per source line, at most `cap`.
+    successors: FlatMap<SmallList<Line, MAX_CENSUS_CAP>>,
     cap: usize,
 }
+
+/// Most distinct targets a census tracks per address (Figure 8 plots
+/// T = 1..=5).
+const MAX_CENSUS_CAP: usize = 8;
 
 impl MarkovCensus {
     /// Creates a census tracking up to `cap` distinct targets per address
     /// (Figure 8 plots T = 1..=5; anything above is counted in the last bin).
+    ///
+    /// # Panics
+    /// Panics if `cap` exceeds 8.
     pub fn new(cap: usize) -> Self {
+        assert!(
+            cap <= MAX_CENSUS_CAP,
+            "a census tracks at most {MAX_CENSUS_CAP} targets per address, not {cap}"
+        );
         MarkovCensus {
             successors: FlatMap::new(),
             cap: cap.max(1),
@@ -165,6 +175,12 @@ impl MarkovCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "at most 8 targets per address, not 9")]
+    fn census_cap_beyond_its_list_is_rejected() {
+        MarkovCensus::new(9);
+    }
 
     #[test]
     fn first_observation_yields_no_pair() {

@@ -88,7 +88,7 @@ impl L2Prefetcher for Triangel {
     }
 
     fn on_l2_access(&mut self, ev: &L2Event) -> L2Decision {
-        self.engine.decide(ev)
+        self.engine.decide(ev, 1)
     }
 
     fn meta_ways(&self) -> usize {

@@ -47,16 +47,16 @@ proptest! {
         let mut e = engine(degree);
         for _ in 0..2 {
             for &l in &seq {
-                e.on_access(&ev(1, l), 1);
+                e.decide(&ev(1, l), 1);
             }
         }
         // Third pass: each access must predict at least its direct
         // successor and never more than `degree` targets.
         for (i, &l) in seq.iter().enumerate().take(seq.len() - 1) {
-            let d = e.on_access(&ev(1, l), 1);
-            prop_assert!(d.targets.len() <= degree);
+            let d = e.decide(&ev(1, l), 1);
+            prop_assert!(d.prefetches.len() <= degree);
             prop_assert_eq!(
-                d.targets.first().copied(),
+                d.prefetches.first().map(|r| r.line),
                 Some(Line(seq[i + 1])),
                 "successor of element {} mispredicted", i
             );
@@ -91,17 +91,17 @@ proptest! {
         for _ in 0..rounds {
             for i in 0..a.len().max(b.len()) {
                 if i < a.len() {
-                    e.on_access(&ev(1, a[i]), 1);
+                    e.decide(&ev(1, a[i]), 1);
                 }
                 if i < b.len() {
-                    e.on_access(&ev(2, b[i]), 1);
+                    e.decide(&ev(2, b[i]), 1);
                 }
             }
         }
         // Predictions for PC 1's lines stay within PC 1's line set.
         for &l in &a[..a.len() - 1] {
-            let d = e.on_access(&ev(1, l), 1);
-            for t in d.targets {
+            let d = e.decide(&ev(1, l), 1);
+            for t in d.prefetches.iter().map(|r| r.line) {
                 prop_assert!(
                     a.contains(&t.0),
                     "PC 1 predicted a PC 2 line: {t}"

@@ -116,7 +116,7 @@ proptest! {
     ) {
         let mut m = MultiPathVictimBuffer::new(1);
         m.insert(key, Line(target), priority);
-        let found = m.lookup(key, Some(Line(target + 1)));
+        let found: Vec<Line> = m.lookup(key, Some(Line(target + 1))).collect();
         if priority == 0 {
             prop_assert!(found.is_empty());
         } else {
